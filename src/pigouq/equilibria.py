@@ -11,8 +11,23 @@ exposed because they genuinely differ on these games:
   selection the narrative "the equilibrium is X" claims of small
   congestion games rely on, since those cells are often only weak
   equilibria;
-* :func:`mixed_nash` runs exact support enumeration, solving each
-  cost-indifference system in rational arithmetic.
+* :func:`mixed_nash` runs exact support enumeration.
+
+All three work on integers. Each player's costs are multiplied once by
+the LCM of their denominators (:attr:`CostBimatrix.scaled_costs`):
+exact cells have denominators dividing 4n, and a float cell is a dyadic
+rational, so the scale is a divisor of 4n times a power of two. A positive
+scale per player changes no comparison between that player's costs, and
+it changes the solution of an indifference system only by scaling the
+common cost value, which is divided back out. Each system is solved by
+fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22, 1968):
+a row is eliminated as ``pivot * row - factor * pivot_row`` and divided
+by the gcd of its entries, which keeps it a nonzero multiple of the row
+rational elimination would give. Zero tests, pivot choices and the
+rank-based classification (unique, inconsistent, singular) are therefore
+the same as in rational arithmetic, and the probabilities are exactly
+the same rationals; ``Fraction`` values are built only for candidates
+whose probabilities pass the integer sign test.
 
 Everything is deterministic: cells in row-major order, supports in
 size-then-index order, results sorted by support and probabilities.
@@ -21,6 +36,7 @@ size-then-index order, results sorted by support and probabilities.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -126,32 +142,31 @@ def pure_nash(matrix: CostBimatrix, mode: str = "weak") -> list[PureProfile]:
     """
     if mode not in ("weak", "strict"):
         raise DomainError(f"mode must be 'weak' or 'strict', got {mode!r}")
+    a, b, _, _ = matrix.scaled_costs
     size = matrix.size
     found = []
     for i in range(size):
         for j in range(size):
-            a = matrix.cost_a(i, j)
-            b = matrix.cost_b(i, j)
             if mode == "weak":
-                ok_a = all(matrix.cost_a(r, j) >= a for r in range(size))
-                ok_b = all(matrix.cost_b(i, c) >= b for c in range(size))
+                ok_a = all(a[r][j] >= a[i][j] for r in range(size))
+                ok_b = all(b[i][c] >= b[i][j] for c in range(size))
             else:
-                ok_a = all(matrix.cost_a(r, j) > a for r in range(size) if r != i)
-                ok_b = all(matrix.cost_b(i, c) > b for c in range(size) if c != j)
+                ok_a = all(a[r][j] > a[i][j] for r in range(size) if r != i)
+                ok_b = all(b[i][c] > b[i][j] for c in range(size) if c != j)
             if ok_a and ok_b:
                 found.append(_profile(matrix, i, j))
     return found
 
 
-def _weakly_dominates_row(matrix, r_new, r_old, cols) -> bool:
-    le = all(matrix.cost_a(r_new, c) <= matrix.cost_a(r_old, c) for c in cols)
-    lt = any(matrix.cost_a(r_new, c) < matrix.cost_a(r_old, c) for c in cols)
+def _weakly_dominates_row(a, r_new, r_old, cols) -> bool:
+    le = all(a[r_new][c] <= a[r_old][c] for c in cols)
+    lt = any(a[r_new][c] < a[r_old][c] for c in cols)
     return le and lt
 
 
-def _weakly_dominates_col(matrix, c_new, c_old, rows) -> bool:
-    le = all(matrix.cost_b(r, c_new) <= matrix.cost_b(r, c_old) for r in rows)
-    lt = any(matrix.cost_b(r, c_new) < matrix.cost_b(r, c_old) for r in rows)
+def _weakly_dominates_col(b, c_new, c_old, rows) -> bool:
+    le = all(b[r][c_new] <= b[r][c_old] for r in rows)
+    lt = any(b[r][c_new] < b[r][c_old] for r in rows)
     return le and lt
 
 
@@ -164,18 +179,19 @@ def dominance_select(matrix: CostBimatrix) -> PureProfile | None:
     dominated. Returns the unique surviving cell, or ``None`` when more
     than one cell survives.
     """
+    a, b, _, _ = matrix.scaled_costs
     rows = list(range(matrix.size))
     cols = list(range(matrix.size))
     while True:
         dead_rows = [
             r
             for r in rows
-            if any(r2 != r and _weakly_dominates_row(matrix, r2, r, cols) for r2 in rows)
+            if any(r2 != r and _weakly_dominates_row(a, r2, r, cols) for r2 in rows)
         ]
         dead_cols = [
             c
             for c in cols
-            if any(c2 != c and _weakly_dominates_col(matrix, c2, c, rows) for c2 in cols)
+            if any(c2 != c and _weakly_dominates_col(b, c2, c, rows) for c2 in cols)
         ]
         if not dead_rows and not dead_cols:
             break
@@ -186,65 +202,89 @@ def dominance_select(matrix: CostBimatrix) -> PureProfile | None:
     return None
 
 
-def _as_fraction(x) -> Fraction:
-    # Fraction(float) is the float's exact binary value: no rounding is
-    # introduced, so the downstream solve stays exact and deterministic.
-    return x if isinstance(x, Fraction) else Fraction(x)
+def _solve_integer(m: list[list[int]]):
+    """Fraction-free Gauss-Jordan on integer augmented rows, in place.
 
-
-def _solve_unique(rows: list[list[Fraction]]):
-    """Gauss-Jordan on exact augmented rows.
-
-    Returns ``("unique", solution)``, ``("inconsistent", None)`` or
-    ``("singular", None)`` (non-unique solution set).
+    Eliminating column c replaces each other row by ``pivot * row - m[i][c]
+    * pivot_row`` and divides the result by the gcd of its entries, so every
+    row stays a nonzero multiple of the row rational elimination would
+    hold. Zero patterns, pivot choices and the rank classification are the
+    same as with rational arithmetic. Returns ``("unique", solution)`` with
+    ``solution[c] = (numerator, denominator)`` unreduced,
+    ``("inconsistent", None)`` or ``("singular", None)``.
     """
-    m = [row[:] for row in rows]
+    n_rows = len(m)
     n_unknowns = len(m[0]) - 1
-    pivot_cols = []
-    r = 0
+    rank = 0
     for c in range(n_unknowns):
-        pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if pivot is None:
+        for pivot in range(rank, n_rows):
+            if m[pivot][c]:
+                break
+        else:
             continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = m[r][c]
-        m[r] = [x / inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                factor = m[i][c]
-                m[i] = [x - factor * y for x, y in zip(m[i], m[r])]
-        pivot_cols.append(c)
-        r += 1
-        if r == len(m):
+        pivot_row = m[pivot]
+        m[pivot] = m[rank]
+        m[rank] = pivot_row
+        p = pivot_row[c]
+        for i, row in enumerate(m):
+            f = row[c]
+            if f and i != rank:
+                row = [p * x - f * y for x, y in zip(row, pivot_row)]
+                g = math.gcd(*row)
+                m[i] = [x // g for x in row] if g > 1 else row
+        rank += 1
+        if rank == n_rows:
             break
-    for i in range(r, len(m)):
-        if m[i][-1] != 0:
-            return "inconsistent", None
-    if len(pivot_cols) < n_unknowns:
+    if any(m[i][-1] for i in range(rank, n_rows)):
+        return "inconsistent", None
+    if rank < n_unknowns:
         return "singular", None
-    solution = [Fraction(0)] * n_unknowns
-    for row_idx, c in enumerate(pivot_cols):
-        solution[c] = m[row_idx][-1]
-    return "unique", solution
+    # Full rank: row c pivots on column c and is zero in every other unknown.
+    return "unique", [(m[c][-1], m[c][c]) for c in range(n_unknowns)]
 
 
 def _indifference_mix(costs, chooser_support, mixer_support):
     """Opponent mix making ``chooser_support`` strategies equally costly.
 
-    ``costs[i][j]`` is the chooser's cost when the chooser plays i and
-    the mixer plays j. Unknowns: one probability per mixer-support
-    strategy plus the common cost value. Returns (status, probs, value).
+    ``costs[i][j]`` is the chooser's integer-scaled cost when the chooser
+    plays i and the mixer plays j. Unknowns: one probability per
+    mixer-support strategy plus the common (scaled) cost value. Returns
+    ``(status, solution)`` as :func:`_solve_integer` does.
     """
     n_mix = len(mixer_support)
-    rows = []
-    for i in chooser_support:
-        # sum_j costs[i][j] * q_j - v = 0
-        rows.append([costs[i][j] for j in mixer_support] + [Fraction(-1), Fraction(0)])
-    rows.append([Fraction(1)] * n_mix + [Fraction(0), Fraction(1)])  # probabilities sum to 1
-    status, sol = _solve_unique(rows)
-    if status != "unique":
-        return status, None, None
-    return "unique", sol[:n_mix], sol[n_mix]
+    # sum_j costs[i][j] * q_j - v = 0 for each supported i; the q_j sum to 1.
+    rows = [[costs[i][j] for j in mixer_support] + [-1, 0] for i in chooser_support]
+    rows.append([1] * n_mix + [0, 1])
+    return _solve_integer(rows)
+
+
+def _nonnegative(solution) -> bool:
+    """Whether every probability (all but the trailing value) is >= 0."""
+    return all(num == 0 or (num > 0) == (den > 0) for num, den in solution[:-1])
+
+
+def _full_mix(solution, support, size):
+    """Exact probabilities over all ``size`` strategies, plus the scaled value."""
+    probs = [Fraction(0)] * size
+    for idx, i in enumerate(support):
+        probs[i] = Fraction(*solution[idx])
+    return probs, Fraction(*solution[-1])
+
+
+def _beaten(costs, probs, value, support) -> bool:
+    """Whether a strategy outside ``support`` costs strictly less than ``value``.
+
+    ``costs[i][j]`` is the integer-scaled chooser cost, ``probs`` the
+    opponent's mix and ``value`` the support's common scaled cost.
+    """
+    den = math.lcm(*(p.denominator for p in probs))
+    weights = [p.numerator * (den // p.denominator) for p in probs]
+    bound = value * den
+    return any(
+        sum(c * w for c, w in zip(costs[r], weights)) < bound
+        for r in range(len(costs))
+        if r not in support
+    )
 
 
 def mixed_nash(matrix: CostBimatrix) -> list[MixedProfile]:
@@ -267,10 +307,9 @@ def support_enumeration(matrix: CostBimatrix):
     size = matrix.size
     if size > MAX_MIXED_SIZE:
         raise DomainError(f"support enumeration is limited to {MAX_MIXED_SIZE}x{MAX_MIXED_SIZE} games")
-    a = [[_as_fraction(matrix.cost_a(i, j)) for j in range(size)] for i in range(size)]
-    b = [[_as_fraction(matrix.cost_b(i, j)) for j in range(size)] for i in range(size)]
+    a, b, scale_a, scale_b = matrix.scaled_costs
     # Bob chooses columns; his cost as chooser is indexed [col][row].
-    b_t = [[b[i][j] for i in range(size)] for j in range(size)]
+    b_t = [list(col) for col in zip(*b)]
 
     supports = [
         combo
@@ -280,40 +319,26 @@ def support_enumeration(matrix: CostBimatrix):
     found = {}
     diagnostics = []
     for sup_a, sup_b in itertools.product(supports, supports):
-        status_q, q, value_a = _indifference_mix(a, sup_a, sup_b)
+        status_q, sol_q = _indifference_mix(a, sup_a, sup_b)
         if status_q == "singular":
             diagnostics.append(_support_note(matrix, sup_a, sup_b, "column"))
             continue
         if status_q != "unique":
             continue
-        status_p, p, value_b = _indifference_mix(b_t, sup_b, sup_a)
+        status_p, sol_p = _indifference_mix(b_t, sup_b, sup_a)
         if status_p == "singular":
             diagnostics.append(_support_note(matrix, sup_a, sup_b, "row"))
             continue
         if status_p != "unique":
             continue
-        if any(x < 0 for x in p) or any(x < 0 for x in q):
+        if not (_nonnegative(sol_p) and _nonnegative(sol_q)):
             continue
-        p_full = [Fraction(0)] * size
-        q_full = [Fraction(0)] * size
-        for idx, i in enumerate(sup_a):
-            p_full[i] = p[idx]
-        for idx, j in enumerate(sup_b):
-            q_full[j] = q[idx]
+        p_full, value_b = _full_mix(sol_p, sup_a, size)
+        q_full, value_a = _full_mix(sol_q, sup_b, size)
         # No unsupported strategy may beat the support's common cost.
-        if any(
-            sum(a[r][j] * q_full[j] for j in range(size)) < value_a
-            for r in range(size)
-            if r not in sup_a
-        ):
+        if _beaten(a, q_full, value_a, sup_a) or _beaten(b_t, p_full, value_b, sup_b):
             continue
-        if any(
-            sum(b[i][c] * p_full[i] for i in range(size)) < value_b
-            for c in range(size)
-            if c not in sup_b
-        ):
-            continue
-        profile = MixedProfile(tuple(p_full), tuple(q_full), value_a, value_b)
+        profile = MixedProfile(tuple(p_full), tuple(q_full), value_a / scale_a, value_b / scale_b)
         found.setdefault((profile.alice_probs, profile.bob_probs), profile)
 
     ordered = sorted(

@@ -10,10 +10,12 @@ marginal costs -- a lone free player on the lower edge pays (k+1)/n,
 both together pay (k+2)/n each.
 
 Quantum games weight those same per-outcome costs by the protocol's
-outcome distribution. Cell costs are exact ``fractions.Fraction``
-values whenever every outcome probability snaps to a dyadic value
-(which covers all named-strategy games at gamma in {0, pi/2}); otherwise
-cells degrade to floats.
+outcome distribution. That distribution depends only on the strategy
+pair and gamma, so :func:`outcome_grid` computes it once per strategy
+set and angle and every (n, k) can reuse it. Cell costs are exact
+``fractions.Fraction`` values whenever every outcome probability snaps
+to a dyadic value (which covers all named-strategy games at gamma in
+{0, pi/2}); otherwise cells degrade to floats.
 
 A quirk worth knowing about the phase strategy Q: under maximal
 entanglement, Q against P1 lands both players on the lower edge while
@@ -25,8 +27,10 @@ derivation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Literal
 
 from .errors import DomainError
@@ -41,6 +45,7 @@ __all__ = [
     "bimatrix",
     "classical_bimatrix",
     "cost_assignment",
+    "outcome_grid",
     "quantum_bimatrix",
     "snap_probability",
     "value_to_json",
@@ -214,6 +219,23 @@ class CostBimatrix:
     def cost_b(self, i: int, j: int):
         return self.cells[i][j][1]
 
+    @cached_property
+    def scaled_costs(self) -> tuple:
+        """Both players' cost grids as exact integers: ``(a, b, scale_a, scale_b)``.
+
+        ``a[i][j] == scale_a * cost_a(i, j)`` exactly, where ``scale_a`` is
+        the LCM of the denominators of Alice's cells; likewise for Bob.
+        Floats count by their exact binary value. In the network's games
+        exact cells have denominators dividing 4n and float cells are
+        dyadic rationals, so a scale is a divisor of 4n times a power of
+        two. A positive scale per player keeps every comparison between
+        one player's costs what it was, and scales the common value of
+        an indifference system in them without changing its probabilities.
+        """
+        a, scale_a = _scale_to_integers([[cost for cost, _ in row] for row in self.cells])
+        b, scale_b = _scale_to_integers([[cost for _, cost in row] for row in self.cells])
+        return a, b, scale_a, scale_b
+
     def to_json_obj(self) -> dict:
         return {
             "rows": list(self.row_labels),
@@ -231,6 +253,12 @@ class CostBimatrix:
         table = [headers] + [[label] + line for label, line in zip(self.row_labels, body)]
         widths = [max(len(r[c]) for r in table) for c in range(len(headers))]
         return "\n".join("  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip() for r in table)
+
+
+def _scale_to_integers(grid):
+    cells = [[x if isinstance(x, Fraction) else Fraction(x) for x in row] for row in grid]
+    scale = math.lcm(*(x.denominator for row in cells for x in row))
+    return [[x.numerator * (scale // x.denominator) for x in row] for row in cells], scale
 
 
 def format_value(x) -> str:
@@ -280,26 +308,42 @@ def classical_bimatrix(spec: GameSpec) -> CostBimatrix:
     return CostBimatrix(("P1", "P2"), ("P1", "P2"), cells)
 
 
-def quantum_bimatrix(spec: GameSpec) -> CostBimatrix:
+def outcome_grid(strategies, gamma: float) -> tuple:
+    """Snapped outcome distributions for every (row, column) strategy pair.
+
+    ``grid[i][j]`` holds the four joint-path probabilities (00, 01, 10, 11)
+    when Alice plays ``strategies[i]`` and Bob ``strategies[j]``; each is
+    snapped by :func:`snap_probability`. The protocol sees only the pair
+    and ``gamma``, never ``n`` or ``k``, so one grid serves every game of
+    a k-sweep.
+    """
+    matrices = [resolve(s) for s in strategies]
+    return tuple(
+        tuple(tuple(snap_probability(p) for p in ewl_outcomes(ua, ub, gamma).as_tuple()) for ub in matrices)
+        for ua in matrices
+    )
+
+
+def quantum_bimatrix(spec: GameSpec, outcomes: tuple | None = None) -> CostBimatrix:
     """Expected-cost grid over the spec's strategy set under the protocol.
 
-    Each cell runs the entangling protocol for that strategy pair and
-    weights the per-outcome costs by the resulting distribution.
-    Probabilities within 1e-10 of {0, 1/4, 1/2, 3/4, 1} are snapped to
-    those exact rationals first, so named-strategy games at gamma in
-    {0, pi/2} produce exact Fraction cells.
+    Built in two steps: the :func:`outcome_grid` of the spec's strategies
+    at its ``gamma`` (pass ``outcomes`` to reuse one already built for
+    them), then each cell weights the spec's per-outcome costs by its
+    distribution. Probabilities within 1e-10 of {0, 1/4, 1/2, 3/4, 1}
+    are snapped to those exact rationals, so named-strategy games at
+    gamma in {0, pi/2} produce exact Fraction cells.
     """
     if spec.mode != "quantum":
         raise DomainError("quantum_bimatrix requires a quantum game spec")
+    if outcomes is None:
+        outcomes = outcome_grid(spec.strategies, spec.gamma)
     alice, bob = cost_assignment(spec)
     labels = spec.strategy_labels()
-    matrices = [resolve(s) for s in spec.strategies]
     rows = []
-    for ua in matrices:
+    for row_outcomes in outcomes:
         row = []
-        for ub in matrices:
-            dist = ewl_outcomes(ua, ub, spec.gamma)
-            probs = [snap_probability(p) for p in dist.as_tuple()]
+        for probs in row_outcomes:
             ca = sum(p * c for p, c in zip(probs, alice.as_tuple()))
             cb = sum(p * c for p, c in zip(probs, bob.as_tuple()))
             row.append((ca, cb))
@@ -307,8 +351,12 @@ def quantum_bimatrix(spec: GameSpec) -> CostBimatrix:
     return CostBimatrix(labels, labels, tuple(rows))
 
 
-def bimatrix(spec: GameSpec) -> CostBimatrix:
-    """Build the spec's cost bimatrix, classical or quantum."""
+def bimatrix(spec: GameSpec, outcomes: tuple | None = None) -> CostBimatrix:
+    """Build the spec's cost bimatrix, classical or quantum.
+
+    ``outcomes`` is an :func:`outcome_grid` for a quantum spec's
+    strategies and angle; classical games have none.
+    """
     if spec.mode == "classical":
         return classical_bimatrix(spec)
-    return quantum_bimatrix(spec)
+    return quantum_bimatrix(spec, outcomes)

@@ -30,7 +30,7 @@ from typing import Iterable
 
 from .equilibria import EquilibriumResult, MixedProfile, PureProfile, solve
 from .errors import DomainError
-from .games import CostBimatrix, GameSpec, bimatrix, format_value, value_to_json
+from .games import CostBimatrix, GameSpec, bimatrix, format_value, outcome_grid, value_to_json
 
 __all__ = [
     "GLOBAL_OVER_K",
@@ -44,6 +44,7 @@ __all__ = [
     "format_equilibrium_label",
     "profile_total",
     "report",
+    "solve_over_k",
     "split_cost",
     "total_cost",
 ]
@@ -216,38 +217,32 @@ def _per_game_opt(spec: GameSpec, matrix: CostBimatrix):
     return min(totals)
 
 
-def selected_equilibrium_total(spec: GameSpec):
-    """Total cost of the selected equilibrium for ``spec`` (None if unselectable)."""
-    matrix = bimatrix(spec)
-    eq = solve(matrix)
-    if eq.selected is None:
-        return None
-    return profile_total(spec, matrix, eq.selected)
+def solve_over_k(mode: str, strategies, n: int, ks: Iterable[int], gamma: float | None = None):
+    """Solve the n-traveler game at every k of ``ks``, in the given order.
 
-
-def global_opt_over_k(spec: GameSpec, k_values: Iterable[int] | None = None):
-    """Cheapest selected-equilibrium total across k for the same strategy set."""
-    if spec.variant != "k_person":
-        raise DomainError("the over-k optimum applies to the k-person variant only")
-    ks = list(range(0, spec.n - 2)) if k_values is None else sorted(set(k_values))
-    if not ks:
+    Quantum games share one :func:`outcome_grid` across all k, since the
+    protocol never sees k. Returns ``(points, opt)``: one ``(spec,
+    matrix, equilibria, total)`` per k, where ``total`` is the selected
+    equilibrium's social cost (None when nothing is selected), and
+    ``opt``, the cheapest of those totals.
+    """
+    specs = [
+        GameSpec(variant="k_person", mode=mode, n=n, k=k, gamma=gamma, strategies=tuple(strategies))
+        for k in ks
+    ]
+    if not specs:
         raise DomainError("empty k range")
-    totals = []
-    for k in ks:
-        variant = GameSpec(
-            variant="k_person",
-            mode=spec.mode,
-            n=spec.n,
-            k=k,
-            gamma=spec.gamma,
-            strategies=spec.strategies,
-        )
-        total = selected_equilibrium_total(variant)
-        if total is not None:
-            totals.append(total)
+    outcomes = outcome_grid(specs[0].strategies, gamma) if mode == "quantum" else None
+    points = []
+    for spec in specs:
+        matrix = bimatrix(spec, outcomes)
+        eq = solve(matrix)
+        total = profile_total(spec, matrix, eq.selected) if eq.selected is not None else None
+        points.append((spec, matrix, eq, total))
+    totals = [total for *_, total in points if total is not None]
     if not totals:
         raise DomainError("no k in the range yields a selected equilibrium")
-    return min(totals)
+    return points, min(totals)
 
 
 def report(
@@ -274,7 +269,7 @@ def report(
     if opt_convention == PER_GAME:
         cost_opt = _per_game_opt(spec, matrix)
     else:
-        cost_opt = global_opt_over_k(spec)
+        cost_opt = solve_over_k(spec.mode, spec.strategies, spec.n, range(0, spec.n - 2), spec.gamma)[1]
 
     if eq.selected is None:
         return MetricsReport(None, cost_opt, None, None, spec.k, None)

@@ -24,8 +24,8 @@ from .metrics import (
     MetricsReport,
     PER_GAME,
     format_equilibrium_label,
-    profile_total,
     report,
+    solve_over_k,
 )
 
 __all__ = [
@@ -79,38 +79,12 @@ def sweep_k(
     if k_values is None:
         k_values = range(1, n - 2)
     ks = sorted(set(int(k) for k in k_values))
-    if not ks:
-        raise DomainError("empty k range")
     if any(not (0 <= k < n - 2) for k in ks):
         raise DomainError(f"k range must lie within 0..{n - 3} for n={n}")
 
-    specs = [
-        GameSpec(
-            variant="k_person",
-            mode=mode,
-            n=n,
-            k=k,
-            gamma=gamma,
-            strategies=tuple(strategies),
-        )
-        for k in ks
-    ]
-    solved = []
-    for spec in specs:
-        matrix = bimatrix(spec)
-        eq = solve(matrix)
-        total = (
-            profile_total(spec, matrix, eq.selected) if eq.selected is not None else None
-        )
-        solved.append((spec, eq, total))
-
-    totals = [total for _, _, total in solved if total is not None]
-    if not totals:
-        raise DomainError("no k in the range yields a selected equilibrium")
-    opt = min(totals)
-
+    points, opt = solve_over_k(mode, strategies, n, ks, gamma)
     reports = []
-    for spec, eq, total in solved:
+    for spec, _, eq, total in points:
         if total is None:
             reports.append(MetricsReport(None, opt, None, None, spec.k, None))
             continue
@@ -118,7 +92,7 @@ def sweep_k(
         reports.append(
             MetricsReport(total, opt, ratio, ratio, spec.k, format_equilibrium_label(eq.selected))
         )
-    meta = _meta(mode=mode, variant="k_person", n=n, gamma=gamma, strategies=specs[0].strategy_labels())
+    meta = _meta(mode=mode, variant="k_person", n=n, gamma=gamma, strategies=points[0][0].strategy_labels())
     return SweepSeries("k", tuple(ks), tuple(reports), meta)
 
 

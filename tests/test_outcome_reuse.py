@@ -1,0 +1,110 @@
+"""One protocol grid per k-sweep: counted protocol runs and the per-k reference path."""
+
+import math
+
+import pytest
+
+import pigouq.games as games
+from pigouq.equilibria import solve
+from pigouq.games import GameSpec, bimatrix
+from pigouq.metrics import MetricsReport, format_equilibrium_label, profile_total, report, solve_over_k
+from pigouq.sweeps import sweep_k
+
+GAMMA_MAX = math.pi / 2
+SETS = [("P1", "P2", "Q"), ("P1", "P2", "M")]
+
+
+@pytest.fixture
+def protocol_runs(monkeypatch):
+    """Every protocol run made through the games layer, as a list of arguments."""
+    runs = []
+    real = games.ewl_outcomes
+
+    def counting(*args):
+        runs.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(games, "ewl_outcomes", counting)
+    return runs
+
+
+def per_k_points(mode, names, n, ks, gamma):
+    """(spec, equilibria, total) per k, each k built and solved on its own."""
+    points = []
+    for k in ks:
+        spec = GameSpec(variant="k_person", mode=mode, n=n, k=k, gamma=gamma, strategies=names)
+        matrix = bimatrix(spec)
+        eq = solve(matrix)
+        total = profile_total(spec, matrix, eq.selected) if eq.selected is not None else None
+        points.append((spec, eq, total))
+    return points
+
+
+def per_k_reports(points):
+    opt = min(total for _, _, total in points if total is not None)
+    reports = []
+    for spec, eq, total in points:
+        if total is None:
+            reports.append(MetricsReport(None, opt, None, None, spec.k, None))
+        else:
+            ratio = total / opt
+            reports.append(MetricsReport(total, opt, ratio, ratio, spec.k, format_equilibrium_label(eq.selected)))
+    return tuple(reports)
+
+
+@pytest.mark.parametrize("names", SETS, ids="".join)
+@pytest.mark.parametrize("n", [4, 10, 31])
+def test_sweep_k_runs_the_protocol_once_per_strategy_pair(protocol_runs, names, n):
+    series = sweep_k("quantum", names, n, gamma=GAMMA_MAX)
+    assert len(protocol_runs) == 9
+    assert series.reports == per_k_reports(per_k_points("quantum", names, n, range(1, n - 2), GAMMA_MAX))
+
+
+@pytest.mark.parametrize("k_values", [range(0, 8), [6, 7], [4], [7, 0, 3, 3]])
+def test_sweep_k_with_explicit_range_matches_per_k_path(protocol_runs, k_values):
+    for names in SETS:
+        protocol_runs.clear()
+        series = sweep_k("quantum", names, 10, k_values, gamma=GAMMA_MAX)
+        assert len(protocol_runs) == 9
+        ks = sorted(set(k_values))
+        assert series.values == tuple(ks)
+        assert series.reports == per_k_reports(per_k_points("quantum", names, 10, ks, GAMMA_MAX))
+
+
+def test_float_gamma_sweep_matches_per_k_path(protocol_runs):
+    series = sweep_k("quantum", ("P1", "P2", "M"), 9, gamma=0.9)
+    assert len(protocol_runs) == 9
+    assert series.reports == per_k_reports(per_k_points("quantum", ("P1", "P2", "M"), 9, range(1, 7), 0.9))
+
+
+def test_classical_sweep_runs_no_protocol(protocol_runs):
+    series = sweep_k("classical", ("P1", "P2"), 12, range(0, 10))
+    assert protocol_runs == []
+    assert series.reports == per_k_reports(per_k_points("classical", ("P1", "P2"), 12, range(0, 10), None))
+
+
+@pytest.mark.parametrize("names", SETS, ids="".join)
+@pytest.mark.parametrize("n", [5, 10, 31])
+def test_report_runs_the_protocol_once_per_strategy_pair(protocol_runs, names, n):
+    k = n // 2
+    spec = GameSpec.quantum_k_person(n, k, names)
+    matrix = bimatrix(spec)
+    eq = solve(matrix)
+    protocol_runs.clear()
+    got = report(spec, eq, matrix=matrix)
+    assert len(protocol_runs) == 9
+    points = per_k_points("quantum", names, n, range(0, n - 2), GAMMA_MAX)
+    opt = min(total for _, _, total in points if total is not None)
+    total = profile_total(spec, matrix, eq.selected)
+    assert got == MetricsReport(total, opt, total / opt, total / opt, k, format_equilibrium_label(eq.selected))
+
+
+def test_solve_over_k_matches_per_k_path(protocol_runs):
+    names = ("P1", "P2", "Q")
+    for ks in ([6, 7], [0, 4], range(0, 8)):
+        protocol_runs.clear()
+        points, opt = solve_over_k("quantum", names, 10, ks, GAMMA_MAX)
+        assert len(protocol_runs) == 9
+        want = per_k_points("quantum", names, 10, ks, GAMMA_MAX)
+        assert [(spec, eq, total) for spec, _, eq, total in points] == want
+        assert opt == min(total for _, _, total in want if total is not None)

@@ -1,0 +1,194 @@
+"""Differential test: the integer support enumeration against a rational oracle.
+
+The oracle below is the straightforward solver the integer one replaced:
+Gauss-Jordan on ``Fraction`` rows for every support pair. Both must
+return identical ``(profiles, diagnostics)``: the same profiles in the
+same order with the same exact values, and the same skipped supports.
+"""
+
+import itertools
+import math
+import random
+from fractions import Fraction as F
+
+import pytest
+
+from pigouq.equilibria import MixedProfile, support_enumeration
+from pigouq.games import CostBimatrix, GameSpec, bimatrix
+from pigouq.strategies import STRATEGY_TAGS, StrategyAngles
+
+GAMMA_MAX = math.pi / 2
+
+
+def _oracle_solve_unique(rows):
+    m = [row[:] for row in rows]
+    n_unknowns = len(m[0]) - 1
+    pivot_cols = []
+    r = 0
+    for c in range(n_unknowns):
+        pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = m[r][c]
+        m[r] = [x / inv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                factor = m[i][c]
+                m[i] = [x - factor * y for x, y in zip(m[i], m[r])]
+        pivot_cols.append(c)
+        r += 1
+        if r == len(m):
+            break
+    for i in range(r, len(m)):
+        if m[i][-1] != 0:
+            return "inconsistent", None
+    if len(pivot_cols) < n_unknowns:
+        return "singular", None
+    solution = [F(0)] * n_unknowns
+    for row_idx, c in enumerate(pivot_cols):
+        solution[c] = m[row_idx][-1]
+    return "unique", solution
+
+
+def _oracle_indifference_mix(costs, chooser_support, mixer_support):
+    n_mix = len(mixer_support)
+    rows = [[costs[i][j] for j in mixer_support] + [F(-1), F(0)] for i in chooser_support]
+    rows.append([F(1)] * n_mix + [F(0), F(1)])
+    status, sol = _oracle_solve_unique(rows)
+    if status != "unique":
+        return status, None, None
+    return "unique", sol[:n_mix], sol[n_mix]
+
+
+def _note(matrix, sup_a, sup_b, side):
+    rows = ",".join(matrix.row_labels[i] for i in sup_a)
+    cols = ",".join(matrix.col_labels[j] for j in sup_b)
+    return f"support ({{{rows}}},{{{cols}}}): singular {side}-mix indifference system, skipped"
+
+
+def oracle_support_enumeration(matrix):
+    """Rational Gauss-Jordan support enumeration, the reference for the integer solver."""
+    size = matrix.size
+    a = [[F(matrix.cost_a(i, j)) for j in range(size)] for i in range(size)]
+    b = [[F(matrix.cost_b(i, j)) for j in range(size)] for i in range(size)]
+    b_t = [[b[i][j] for i in range(size)] for j in range(size)]
+    supports = [c for r in range(1, size + 1) for c in itertools.combinations(range(size), r)]
+    found = {}
+    diagnostics = []
+    for sup_a, sup_b in itertools.product(supports, supports):
+        status_q, q, value_a = _oracle_indifference_mix(a, sup_a, sup_b)
+        if status_q == "singular":
+            diagnostics.append(_note(matrix, sup_a, sup_b, "column"))
+            continue
+        if status_q != "unique":
+            continue
+        status_p, p, value_b = _oracle_indifference_mix(b_t, sup_b, sup_a)
+        if status_p == "singular":
+            diagnostics.append(_note(matrix, sup_a, sup_b, "row"))
+            continue
+        if status_p != "unique":
+            continue
+        if any(x < 0 for x in p) or any(x < 0 for x in q):
+            continue
+        p_full = [F(0)] * size
+        q_full = [F(0)] * size
+        for idx, i in enumerate(sup_a):
+            p_full[i] = p[idx]
+        for idx, j in enumerate(sup_b):
+            q_full[j] = q[idx]
+        if any(
+            sum(a[r][j] * q_full[j] for j in range(size)) < value_a for r in range(size) if r not in sup_a
+        ):
+            continue
+        if any(
+            sum(b[i][c] * p_full[i] for i in range(size)) < value_b for c in range(size) if c not in sup_b
+        ):
+            continue
+        profile = MixedProfile(tuple(p_full), tuple(q_full), value_a, value_b)
+        found.setdefault((profile.alice_probs, profile.bob_probs), profile)
+    ordered = sorted(found.values(), key=lambda pr: (pr.support(), pr.alice_probs, pr.bob_probs))
+    return ordered, diagnostics
+
+
+def _same_as_oracle(matrix):
+    got = support_enumeration(matrix)
+    want = oracle_support_enumeration(matrix)
+    assert got == want
+    # Equal Fractions compare equal across types; pin the exact types too.
+    for g, w in zip(got[0], want[0]):
+        values = g.alice_probs + g.bob_probs + (g.expected_cost_alice, g.expected_cost_bob)
+        assert all(type(x) is F for x in values)
+        assert repr(g) == repr(w)
+
+
+NAMED_SETS = [s for r in (2, 3) for s in itertools.combinations(STRATEGY_TAGS, r)]
+
+
+@pytest.mark.parametrize("names", NAMED_SETS, ids=lambda s: "".join(s))
+def test_exact_k_person_games_match_oracle(names):
+    rng = random.Random("".join(names))
+    for _ in range(2):
+        n = rng.randrange(3, 41)
+        k = rng.randrange(n - 2)
+        _same_as_oracle(bimatrix(GameSpec.quantum_k_person(n, k, names)))
+    _same_as_oracle(bimatrix(GameSpec.quantum_two_person(names)))
+    _same_as_oracle(bimatrix(GameSpec.quantum_two_person(names, gamma=0.0)))
+
+
+def test_headline_sweep_games_match_oracle():
+    for names in (("P1", "P2", "Q"), ("P1", "P2", "M")):
+        for k in range(0, 8):
+            _same_as_oracle(bimatrix(GameSpec.quantum_k_person(10, k, names)))
+
+
+def test_float_gamma_games_match_oracle():
+    rng = random.Random(2465)
+    for _ in range(12):
+        names = rng.choice([("P1", "P2", "Q"), ("P1", "P2", "M"), ("Q", "M"), ("S1", "S2")])
+        gamma = rng.uniform(0.0, GAMMA_MAX)
+        _same_as_oracle(bimatrix(GameSpec.quantum_two_person(names, gamma)))
+        n = rng.randrange(3, 31)
+        _same_as_oracle(bimatrix(GameSpec.quantum_k_person(n, rng.randrange(n - 2), names, gamma)))
+
+
+def test_strategy_angle_games_match_oracle():
+    rng = random.Random(1999)
+    for _ in range(12):
+        size = rng.choice((2, 3))
+        strategies = tuple(StrategyAngles(rng.uniform(0, math.pi), rng.uniform(0, GAMMA_MAX)) for _ in range(size))
+        gamma = rng.choice((0.0, GAMMA_MAX, rng.uniform(0.0, GAMMA_MAX)))
+        _same_as_oracle(bimatrix(GameSpec.quantum_two_person(strategies, gamma)))
+
+
+def test_classical_games_match_oracle():
+    _same_as_oracle(bimatrix(GameSpec.classical_two_person()))
+    for n in (3, 4, 10, 57):
+        for k in range(n - 2):
+            _same_as_oracle(bimatrix(GameSpec.classical_k_person(n, k)))
+
+
+def test_degenerate_integer_games_match_oracle():
+    """Small integer costs with many ties: singular and inconsistent systems abound."""
+    rng = random.Random(1968)
+    for _ in range(60):
+        size = rng.choice((2, 3))
+        labels = tuple("ABC"[:size])
+        cells = tuple(
+            tuple((F(rng.randint(1, 3), rng.choice((1, 2))), F(rng.randint(1, 3))) for _ in labels)
+            for _ in labels
+        )
+        _same_as_oracle(CostBimatrix(labels, labels, cells))
+
+
+def test_classical_continuum_reports_three_points():
+    profiles, diagnostics = support_enumeration(bimatrix(GameSpec.classical_two_person()))
+    assert len(profiles) == 3
+    assert diagnostics
+
+
+def test_headline_phase_game_skips_sixteen_supports():
+    profiles, diagnostics = support_enumeration(bimatrix(GameSpec.quantum_k_person(10, 4, ("P1", "P2", "Q"))))
+    assert len(diagnostics) == 16
+    assert [p.alice_probs for p in profiles] == [(F(4, 17), F(4, 17), F(9, 17))]
+    assert [p.bob_probs for p in profiles] == [(F(4, 17), F(4, 17), F(9, 17))]
