@@ -21,16 +21,22 @@ import sys
 
 import numpy as np
 
-from .equilibria import optimal_outcome, solve
+from .equilibria import optimal_outcome
 from .errors import DomainError
 from .games import GameSpec, bimatrix, format_value
-from .metrics import describe_metrics, format_equilibrium_label, report
+from .metrics import analyze, describe_metrics, format_equilibrium_label
 from .sweeps import CSV_HEADER, sweep_gamma, sweep_k
 from .verification import run_all
 
 __all__ = ["main", "run"]
 
-GAMES = ("classical2", "classicalk", "quantum2", "quantumk")
+#: ``--game`` value -> (mode, variant) of its GameSpec.
+GAMES = {
+    "classical2": ("classical", "two_person"),
+    "classicalk": ("classical", "k_person"),
+    "quantum2": ("quantum", "two_person"),
+    "quantumk": ("quantum", "k_person"),
+}
 STRATEGY_SETS = {
     "p1p2": ("P1", "P2"),
     "p1p2q": ("P1", "P2", "Q"),
@@ -98,39 +104,43 @@ def _parse_k_range(text: str, parser) -> range:
     return range(lo, hi + 1)
 
 
-def _build_spec(args, parser) -> GameSpec:
-    """Validate the flag combination and construct the game spec."""
-    game = args.game
-    strategies = STRATEGY_SETS[args.strategies]
-    gamma = _parse_gamma(args.gamma, parser)
+def _game_inputs(args, parser) -> tuple[tuple[str, ...], float | None]:
+    """Hold ``--game`` against its flag rules; return the strategy names and the angle.
 
-    if game in ("classical2", "classicalk"):
+    Classical games take no ``--gamma`` and only ``p1p2``; ``scarpa`` runs on
+    ``quantum2`` only; two-person games take no ``--n``/``--k``; k-person
+    games require ``--n``. Quantum games default to ``gamma = pi/2``.
+    """
+    game = args.game
+    mode, variant = GAMES[game]
+    gamma = _parse_gamma(args.gamma, parser)
+    if mode == "classical":
         if gamma is not None:
             parser.error(f"--gamma does not apply to {game}")
-        if args.strategies not in ("p1p2",):
+        if args.strategies != "p1p2":
             parser.error(f"--strategies {args.strategies} requires a quantum game")
-    else:
-        if gamma is None:
-            gamma = math.pi / 2
+    elif gamma is None:
+        gamma = math.pi / 2
     if args.strategies == "scarpa" and game != "quantum2":
         parser.error("--strategies scarpa runs on the two-player entangled game only")
-
-    if game.endswith("2"):
+    if variant == "two_person":
         if args.n not in (None, 2):
             parser.error(f"--n does not apply to {game}")
         if args.k is not None:
             parser.error(f"--k does not apply to {game}")
-        if game == "classical2":
-            return GameSpec.classical_two_person()
-        return GameSpec.quantum_two_person(strategies, gamma)
-
-    if args.n is None:
+    elif args.n is None:
         parser.error(f"--n is required for {game}")
-    if args.k is None:
-        parser.error(f"--k is required for {game}")
-    if game == "classicalk":
-        return GameSpec.classical_k_person(args.n, args.k)
-    return GameSpec.quantum_k_person(args.n, args.k, strategies, gamma)
+    return STRATEGY_SETS[args.strategies], gamma
+
+
+def _build_spec(args, parser) -> GameSpec:
+    """Validate the flag combination and construct the game spec."""
+    mode, variant = GAMES[args.game]
+    strategies, gamma = _game_inputs(args, parser)
+    if variant == "k_person" and args.k is None:
+        parser.error(f"--k is required for {args.game}")
+    n = args.n if variant == "k_person" else 2
+    return GameSpec(variant=variant, mode=mode, n=n, k=args.k, gamma=gamma, strategies=strategies)
 
 
 def _matrix_payload(spec: GameSpec, fmt: str) -> str:
@@ -148,9 +158,7 @@ def _matrix_payload(spec: GameSpec, fmt: str) -> str:
 
 
 def _solve_payload(spec: GameSpec, fmt: str) -> str:
-    m = bimatrix(spec)
-    eq = solve(m)
-    metrics = report(spec, eq, matrix=m)
+    m, eq, metrics = analyze(spec)
     if fmt == "json":
         payload = {
             "game": spec.describe(),
@@ -184,34 +192,17 @@ def _solve_payload(spec: GameSpec, fmt: str) -> str:
 
 
 def _sweep_payload(args, parser, fmt: str) -> str:
-    game = args.game
+    mode, variant = GAMES[args.game]
     if args.over == "k":
-        if game not in ("classicalk", "quantumk"):
+        if variant != "k_person":
             parser.error("--over k requires --game classicalk or quantumk")
         if args.k is not None:
             parser.error("--over k uses --k-range, not --k")
-        if args.n is None:
-            parser.error(f"--n is required for {game}")
+        strategies, gamma = _game_inputs(args, parser)
         k_range = None if args.k_range is None else _parse_k_range(args.k_range, parser)
-        gamma = _parse_gamma(args.gamma, parser)
-        if game == "classicalk":
-            if gamma is not None:
-                parser.error("--gamma does not apply to classicalk")
-            if args.strategies != "p1p2":
-                parser.error(f"--strategies {args.strategies} requires a quantum game")
-            series = sweep_k("classical", STRATEGY_SETS[args.strategies], args.n, k_range)
-        else:
-            if args.strategies == "scarpa":
-                parser.error("--strategies scarpa runs on the two-player entangled game only")
-            series = sweep_k(
-                "quantum",
-                STRATEGY_SETS[args.strategies],
-                args.n,
-                k_range,
-                gamma=gamma if gamma is not None else math.pi / 2,
-            )
+        series = sweep_k(mode, strategies, args.n, k_range, gamma=gamma)
     else:
-        if game not in ("quantum2", "quantumk"):
+        if mode != "quantum":
             parser.error("--over gamma requires a quantum game")
         if args.k_range is not None:
             parser.error("--over gamma does not take --k-range")
@@ -219,17 +210,9 @@ def _sweep_payload(args, parser, fmt: str) -> str:
             parser.error("--over gamma generates its own samples; drop --gamma")
         if args.gamma_steps < 2:
             parser.error("--gamma-steps must be at least 2")
+        spec = _build_spec(args, parser)
         samples = [float(g) for g in np.linspace(0.0, math.pi / 2, args.gamma_steps)]
-        if game == "quantum2":
-            if args.n not in (None, 2) or args.k is not None:
-                parser.error("--n/--k do not apply to quantum2")
-            series = sweep_gamma(STRATEGY_SETS[args.strategies], samples)
-        else:
-            if args.strategies == "scarpa":
-                parser.error("--strategies scarpa runs on the two-player entangled game only")
-            if args.n is None or args.k is None:
-                parser.error("--over gamma with quantumk requires --n and --k")
-            series = sweep_gamma(STRATEGY_SETS[args.strategies], samples, n=args.n, k=args.k)
+        series = sweep_gamma(spec.strategies, samples, n=spec.n, k=spec.k)
 
     if fmt == "json":
         return json.dumps(series.to_json_obj(), indent=2) + "\n"

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .linalg import KET_00, dagger, is_unitary, tensor_product
+from .linalg import KET_00, is_unitary, tensor_product
 from .strategies import resolve
 
 __all__ = [
@@ -71,7 +71,10 @@ def entangler(gamma: float) -> np.ndarray:
     DomainError
         If ``gamma`` is outside [0, pi/2].
     """
-    g = validate_gamma(gamma)
+    return _entangler(validate_gamma(gamma))
+
+
+def _entangler(g: float) -> np.ndarray:
     return math.cos(g / 2) * np.eye(4) - 1j * math.sin(g / 2) * _P2_TENSOR_P2
 
 
@@ -110,7 +113,7 @@ def ewl_outcomes(ua, ub, gamma: float) -> OutcomeDistribution:
     Raises
     ------
     DomainError
-        For non-unitary strategies or an out-of-range angle.
+        For non-finite or non-unitary strategies or an out-of-range angle.
     """
     g = validate_gamma(gamma)
     ua = np.asarray(ua, dtype=complex)
@@ -120,8 +123,9 @@ def ewl_outcomes(ua, ub, gamma: float) -> OutcomeDistribution:
     if ub.shape != (2, 2) or not is_unitary(ub, _STRATEGY_UNITARITY_TOL):
         raise DomainError("Bob's strategy matrix is not a 2x2 unitary")
 
-    j = entangler(g)
-    psi = dagger(j) @ (tensor_product(ua, ub) @ (j @ KET_00))
+    # ua, ub and g are validated above; build the operators from them directly.
+    j = _entangler(g)
+    psi = j.conj().T @ (np.kron(ua, ub) @ (j @ KET_00))
     probs = np.abs(psi) ** 2
     total = float(probs.sum())
     if abs(total - 1.0) > _NORMALIZATION_TOL:

@@ -187,7 +187,7 @@ class GameSpec:
 class CostBimatrix:
     """Square grid of (row cost, column cost) pairs over a strategy list.
 
-    Entries are Fractions where exact, floats otherwise; all positive.
+    Entries are Fractions where exact, floats otherwise; all positive and finite.
     """
 
     row_labels: tuple[str, ...]
@@ -203,8 +203,8 @@ class CostBimatrix:
             raise DomainError("cell grid does not match strategy labels")
         for row in self.cells:
             for a, b in row:
-                if not (a > 0 and b > 0):
-                    raise DomainError(f"cost entries must be positive, got ({a}, {b})")
+                if not (0 < a < math.inf and 0 < b < math.inf):
+                    raise DomainError(f"cost entries must be positive and finite, got ({a}, {b})")
 
     @property
     def size(self) -> int:

@@ -17,8 +17,6 @@ import numpy as np
 from .errors import DomainError
 
 __all__ = [
-    "IDENTITY2",
-    "IDENTITY4",
     "KET_00",
     "apply",
     "as_square_matrix",
@@ -82,12 +80,7 @@ def is_unitary(m, tol: float) -> bool:
     return bool(np.max(np.abs(delta)) <= tol)
 
 
-IDENTITY2 = np.eye(2, dtype=complex)
-IDENTITY4 = np.eye(4, dtype=complex)
-
 #: Initial joint state |00>.
 KET_00 = np.array([1, 0, 0, 0], dtype=complex)
 
-IDENTITY2.setflags(write=False)
-IDENTITY4.setflags(write=False)
 KET_00.setflags(write=False)

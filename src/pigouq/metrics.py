@@ -245,6 +245,35 @@ def solve_over_k(mode: str, strategies, n: int, ks: Iterable[int], gamma: float 
     return points, min(totals)
 
 
+def _opt_convention(spec: GameSpec, opt_convention: str | None) -> str:
+    if opt_convention is None:
+        opt_convention = PER_GAME if spec.variant == "two_person" else GLOBAL_OVER_K
+    if opt_convention not in (PER_GAME, GLOBAL_OVER_K):
+        raise DomainError(f"unknown optimal-cost convention {opt_convention!r}")
+    if opt_convention == GLOBAL_OVER_K and spec.variant != "k_person":
+        raise DomainError("the over-k optimum applies to the k-person variant only")
+    return opt_convention
+
+
+def _over_k(spec: GameSpec):
+    """The over-k pass of ``spec``'s game: its points and their cheapest total."""
+    return solve_over_k(spec.mode, spec.strategies, spec.n, range(0, spec.n - 2), spec.gamma)
+
+
+def _metrics_report(spec: GameSpec, eq: EquilibriumResult, cost_ne, cost_opt) -> MetricsReport:
+    if eq.selected is None:
+        return MetricsReport(None, cost_opt, None, None, spec.k, None)
+    ratio = cost_ne / cost_opt
+    return MetricsReport(
+        cost_ne=cost_ne,
+        cost_opt=cost_opt,
+        pos=ratio,
+        poa=ratio,
+        k=spec.k,
+        equilibrium=format_equilibrium_label(eq.selected),
+    )
+
+
 def report(
     spec: GameSpec,
     eq: EquilibriumResult,
@@ -259,38 +288,27 @@ def report(
     """
     if matrix is None:
         matrix = bimatrix(spec)
-    if opt_convention is None:
-        opt_convention = PER_GAME if spec.variant == "two_person" else GLOBAL_OVER_K
-    if opt_convention not in (PER_GAME, GLOBAL_OVER_K):
-        raise DomainError(f"unknown optimal-cost convention {opt_convention!r}")
-    if opt_convention == GLOBAL_OVER_K and spec.variant != "k_person":
-        raise DomainError("the over-k optimum applies to the k-person variant only")
-
-    if opt_convention == PER_GAME:
+    if _opt_convention(spec, opt_convention) == PER_GAME:
         cost_opt = _per_game_opt(spec, matrix)
     else:
-        cost_opt = solve_over_k(spec.mode, spec.strategies, spec.n, range(0, spec.n - 2), spec.gamma)[1]
-
-    if eq.selected is None:
-        return MetricsReport(None, cost_opt, None, None, spec.k, None)
-    cost_ne = profile_total(spec, matrix, eq.selected)
-    ratio = cost_ne / cost_opt
-    return MetricsReport(
-        cost_ne=cost_ne,
-        cost_opt=cost_opt,
-        pos=ratio,
-        poa=ratio,
-        k=spec.k,
-        equilibrium=format_equilibrium_label(eq.selected),
-    )
+        cost_opt = _over_k(spec)[1]
+    cost_ne = profile_total(spec, matrix, eq.selected) if eq.selected is not None else None
+    return _metrics_report(spec, eq, cost_ne, cost_opt)
 
 
 def analyze(spec: GameSpec, opt_convention: str | None = None):
-    """Convenience bundle: (bimatrix, equilibria, metrics) for a spec."""
+    """Convenience bundle: (bimatrix, equilibria, metrics) for a spec.
+
+    Under the over-k optimum the game at ``spec.k`` is one point of the
+    over-k pass, so its matrix, equilibria and total come from there.
+    """
+    if _opt_convention(spec, opt_convention) == GLOBAL_OVER_K:
+        points, cost_opt = _over_k(spec)
+        _, matrix, eq, cost_ne = points[spec.k]
+        return matrix, eq, _metrics_report(spec, eq, cost_ne, cost_opt)
     matrix = bimatrix(spec)
     eq = solve(matrix)
-    metrics = report(spec, eq, opt_convention, matrix=matrix)
-    return matrix, eq, metrics
+    return matrix, eq, report(spec, eq, PER_GAME, matrix=matrix)
 
 
 def describe_metrics(metrics: MetricsReport) -> str:

@@ -4,9 +4,10 @@ Every check rebuilds its game through public APIs and compares against
 frozen expected values: the two-person cost grids, the n-traveler grids
 in closed form, the protocol's outcome vectors, the mixed-equilibrium
 closed form, the three k-sweep series, a batch of structural
-properties, and sweep determinism. :func:`run_all` powers the CLI
-``verify`` subcommand; the acceptance test suite asserts the same
-checks one by one.
+properties, and sweep determinism. This module is the one place those
+numbers live: :func:`run_all` powers the CLI ``verify`` subcommand, and
+the acceptance tests run the same checks, named in :data:`CHECKS`,
+rather than restating them.
 """
 
 from __future__ import annotations
@@ -14,13 +15,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
 
 from .equilibria import dominance_select, mixed_nash, optimal_outcome, solve
 from .ewl import GAMMA_MAX, ewl_outcomes
-from .games import GameSpec, bimatrix, classical_bimatrix, quantum_bimatrix
+from .games import GameSpec, bimatrix, classical_bimatrix, quantum_bimatrix, snap_probability
 from .linalg import is_unitary
 from .metrics import (
     SocialCostModel,
@@ -32,7 +34,7 @@ from .metrics import (
 from .strategies import resolve, unitary_from_angles
 from .sweeps import sweep_k
 
-__all__ = ["CheckResult", "run_all"]
+__all__ = ["CHECKS", "CheckResult", "run_all"]
 
 
 @dataclass(frozen=True)
@@ -108,37 +110,24 @@ def check_two_person_miracle_strategy_game() -> CheckResult:
     return _result("two-person entangled grid, miracle strategy", not problems, "; ".join(problems))
 
 
-def _expected_k_grid_phase(n: int, k: int):
-    lone = F(k + 1, n)
-    shared = F(k + 2, n)
-    return (
-        ((ONE, ONE), (ONE, lone), (shared, shared)),
-        ((lone, ONE), (shared, shared), (ONE, lone)),
-        ((shared, shared), (lone, ONE), (ONE, ONE)),
-    )
-
-
-def _expected_k_grid_miracle(n: int, k: int):
-    lone = F(k + 1, n)
-    shared = F(k + 2, n)
-    mixed_hi = F(n + k + 2, 2 * n)
-    mixed_lo = F(2 * k + 3, 2 * n)
-    both = F(2 * n + 2 * k + 3, 4 * n)
-    return (
-        ((ONE, ONE), (ONE, lone), (mixed_hi, mixed_lo)),
-        ((lone, ONE), (shared, shared), (mixed_hi, mixed_lo)),
-        ((mixed_lo, mixed_hi), (mixed_lo, mixed_hi), (both, both)),
-    )
-
-
 def check_k_person_grids_closed_form(n: int = 10, k_values=range(1, 8)) -> CheckResult:
     problems = []
     for k in k_values:
-        mq = quantum_bimatrix(GameSpec.quantum_k_person(n, k, ("P1", "P2", "Q")))
-        if mq.cells != _expected_k_grid_phase(n, k):
+        lone, shared = F(k + 1, n), F(k + 2, n)
+        phase = (
+            ((ONE, ONE), (ONE, lone), (shared, shared)),
+            ((lone, ONE), (shared, shared), (ONE, lone)),
+            ((shared, shared), (lone, ONE), (ONE, ONE)),
+        )
+        if quantum_bimatrix(GameSpec.quantum_k_person(n, k, ("P1", "P2", "Q"))).cells != phase:
             problems.append(f"phase grid k={k}")
-        mm = quantum_bimatrix(GameSpec.quantum_k_person(n, k, ("P1", "P2", "M")))
-        if mm.cells != _expected_k_grid_miracle(n, k):
+        hi, lo, both = F(n + k + 2, 2 * n), F(2 * k + 3, 2 * n), F(2 * n + 2 * k + 3, 4 * n)
+        miracle = (
+            ((ONE, ONE), (ONE, lone), (hi, lo)),
+            ((lone, ONE), (shared, shared), (hi, lo)),
+            ((lo, hi), (lo, hi), (both, both)),
+        )
+        if quantum_bimatrix(GameSpec.quantum_k_person(n, k, ("P1", "P2", "M"))).cells != miracle:
             problems.append(f"miracle grid k={k}")
     return _result(
         f"n-traveler entangled grids match closed forms (n={n}, k=1..7)",
@@ -149,25 +138,23 @@ def check_k_person_grids_closed_form(n: int = 10, k_values=range(1, 8)) -> Check
 
 def check_protocol_outcome_vectors() -> CheckResult:
     problems = []
-    d_id = ewl_outcomes(resolve("P1"), resolve("P1"), GAMMA_MAX)
-    if any(abs(p - e) > 1e-12 for p, e in zip(d_id.as_tuple(), (1, 0, 0, 0))):
-        problems.append(f"identity pair {d_id.as_tuple()}")
-    d_mm = ewl_outcomes(resolve("M"), resolve("M"), GAMMA_MAX)
-    if any(abs(p - 0.25) > 1e-12 for p in d_mm.as_tuple()):
-        problems.append(f"miracle pair {d_mm.as_tuple()}")
+    for moves, expected in ((("P1", "P1"), (ONE, 0, 0, 0)), (("M", "M"), (F(1, 4),) * 4)):
+        probs = ewl_outcomes(resolve(moves[0]), resolve(moves[1]), GAMMA_MAX).as_tuple()
+        snapped = tuple(snap_probability(p) for p in probs)
+        if any(abs(p - e) > 1e-12 for p, e in zip(probs, expected)) or snapped != expected:
+            problems.append(f"{moves} pair {probs}")
     # The same pair inside the n=10, k=1 game: per-player cost 5/8,
     # total 8.35, ratio against the over-k optimum near 1.17.
-    spec = GameSpec.quantum_k_person(10, 1, ("P1", "P2", "M"))
-    matrix = quantum_bimatrix(spec)
+    matrix, _, metrics = analyze(GameSpec.quantum_k_person(10, 1, ("P1", "P2", "M")))
     cell = matrix.cell(2, 2)
     if cell != (F(5, 8), F(5, 8)):
         problems.append(f"miracle-pair costs {cell}")
     total = total_cost(cell, SocialCostModel(10, 1))
-    if total != F(167, 20):
-        problems.append(f"total {total}")
-    _, _, metrics = analyze(spec)
-    if metrics.pos is None or abs(float(metrics.pos) - 1.17) > 0.005:
-        problems.append(f"ratio {metrics.pos}")
+    if total != F(167, 20) or metrics.cost_ne != F(167, 20):
+        problems.append(f"total {total}, cost_ne {metrics.cost_ne}")
+    for ratio in (metrics.pos, metrics.poa):
+        if ratio is None or abs(float(ratio) - 1.17) > 0.005:
+            problems.append(f"ratio {ratio}")
     return _result("protocol outcome vectors and the n=10, k=1 miracle totals", not problems, "; ".join(problems))
 
 
@@ -195,7 +182,7 @@ def check_mixed_equilibrium_closed_form() -> CheckResult:
         share = F(m, 4 * m + 1)
         expected_k = (share, share, 1 - 2 * share)
         profiles_k = mixed_nash(bimatrix(GameSpec.quantum_k_person(n, k, ("P1", "P2", "Q"))))
-        if len(profiles_k) != 1 or profiles_k[0].alice_probs != expected_k:
+        if len(profiles_k) != 1 or (profiles_k[0].alice_probs, profiles_k[0].bob_probs) != (expected_k,) * 2:
             problems.append(f"k={k}: {profiles_k}")
     return _result("mixed equilibrium closed form across k", not problems, "; ".join(problems))
 
@@ -283,7 +270,7 @@ def check_classical_limit() -> CheckResult:
     ok = quantum.cells == classical.cells
     detail = f"{quantum.cells} vs {classical.cells}"
     if ok:
-        for n, k in ((10, 1), (10, 4), (7, 2)):
+        for n, k in ((10, 1), (10, 4), (10, 7), (7, 2), (5, 2)):
             q = quantum_bimatrix(
                 GameSpec(variant="k_person", mode="quantum", n=n, k=k, gamma=0.0, strategies=("P1", "P2"))
             )
@@ -303,6 +290,7 @@ def _all_reference_specs():
         yield GameSpec.quantum_k_person(10, k, ("P1", "P2", "Q"))
         yield GameSpec.quantum_k_person(10, k, ("P1", "P2", "M"))
     yield GameSpec.quantum_two_person(("P1", "P2", "M"), gamma=0.3)
+    yield GameSpec.quantum_two_person(("P1", "P2", "M"), gamma=0.6)
 
 
 def check_bimatrix_symmetry() -> CheckResult:
@@ -320,6 +308,17 @@ def check_bimatrix_symmetry() -> CheckResult:
     return _result("cost grids are exchange-symmetric", not problems, "; ".join(problems[:4]))
 
 
+@lru_cache(maxsize=None)
+def _simplex_grid(size: int, step: int) -> np.ndarray:
+    """Every mixed strategy over ``size`` (2 or 3) moves with 1/step-multiple weights."""
+    if size == 2:
+        i = np.arange(step + 1)
+        return np.stack([i / step, 1 - i / step], axis=1)
+    i, i_plus_j = np.triu_indices(step + 1)  # every i <= i + j <= step, i major
+    j = i_plus_j - i
+    return np.stack([i / step, j / step, (step - i - j) / step], axis=1)
+
+
 def _grid_deviation_gap(matrix, profile, step: int = 200) -> float:
     """Largest cost saving any 1/step-grid deviation offers either player."""
     size = matrix.size
@@ -327,17 +326,7 @@ def _grid_deviation_gap(matrix, profile, step: int = 200) -> float:
     b = np.array([[float(matrix.cost_b(i, j)) for j in range(size)] for i in range(size)])
     p = np.array([float(x) for x in profile.alice_probs])
     q = np.array([float(x) for x in profile.bob_probs])
-
-    if size == 2:
-        grid = np.array([[i / step, 1 - i / step] for i in range(step + 1)])
-    else:
-        grid = np.array(
-            [
-                [i / step, j / step, (step - i - j) / step]
-                for i in range(step + 1)
-                for j in range(step + 1 - i)
-            ]
-        )
+    grid = _simplex_grid(size, step)
     row_costs = a @ q  # Alice's pure-strategy costs against Bob's mix
     col_costs = b.T @ p  # Bob's pure-strategy costs against Alice's mix
     gap_a = float(p @ row_costs - np.min(grid @ row_costs))
@@ -347,15 +336,7 @@ def _grid_deviation_gap(matrix, profile, step: int = 200) -> float:
 
 def check_mixed_profiles_against_grid_oracle() -> CheckResult:
     problems = []
-    specs = [
-        GameSpec.classical_two_person(),
-        GameSpec.quantum_two_person(("P1", "P2", "Q")),
-        GameSpec.quantum_two_person(("P1", "P2", "M")),
-    ]
-    for k in range(1, 8):
-        specs.append(GameSpec.quantum_k_person(10, k, ("P1", "P2", "Q")))
-        specs.append(GameSpec.quantum_k_person(10, k, ("P1", "P2", "M")))
-    for spec in specs:
+    for spec in _all_reference_specs():
         matrix = bimatrix(spec)
         for profile in mixed_nash(matrix):
             gap = _grid_deviation_gap(matrix, profile)
@@ -397,22 +378,28 @@ def check_sweep_determinism() -> CheckResult:
     return _result("repeated sweeps produce byte-identical CSV", first == second)
 
 
+#: The checks :func:`run_all` runs, in order: ``check_<name>`` for each name.
+CHECKS = (
+    "two_person_classical_grid",
+    "two_person_phase_strategy_game",
+    "two_person_miracle_strategy_game",
+    "k_person_grids_closed_form",
+    "protocol_outcome_vectors",
+    "mixed_equilibrium_closed_form",
+    "classical_sweep_series",
+    "phase_strategy_sweep_series",
+    "miracle_strategy_sweep_series",
+    "property_batch",
+    "sweep_determinism",
+)
+
+
 def run_all() -> list[CheckResult]:
-    checks = [
-        check_two_person_classical_grid,
-        check_two_person_phase_strategy_game,
-        check_two_person_miracle_strategy_game,
-        check_k_person_grids_closed_form,
-        check_protocol_outcome_vectors,
-        check_mixed_equilibrium_closed_form,
-        check_classical_sweep_series,
-        check_phase_strategy_sweep_series,
-        check_miracle_strategy_sweep_series,
-        check_property_batch,
-        check_sweep_determinism,
-    ]
+    """Run every check of :data:`CHECKS`, one result each, in order."""
     results = []
-    for check in checks:
+    for name in CHECKS:
+        # Looked up when called, so a wrapped module global is the one that runs.
+        check = globals()[f"check_{name}"]
         try:
             results.append(check())
         except Exception as exc:  # a crash is a failed check, not a crash of verify

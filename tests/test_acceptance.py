@@ -1,246 +1,65 @@
 """Acceptance suite: one test per release criterion.
 
-Each test prints a single PASS line when its criterion holds (visible
-with ``pytest -s`` or in the captured output), and pins the criterion's
-stated tolerance: exact rational equality where the numbers are exact,
-5e-3 for the printed sweep decimals, 0.005 for two rounded ratios, and
-1e-12 / 1e-9 for the numerical property batch.
+The reference numbers live in :mod:`pigouq.verification` only. Each test
+here runs the ``pigouq verify`` check of its criterion, one name of
+``CHECKS``, and fails with that check's detail.
 """
 
-import math
-from fractions import Fraction as F
-from itertools import product
+import pytest
 
-import numpy as np
-
-from pigouq import (
-    GAMMA_MAX,
-    GameSpec,
-    analyze,
-    bimatrix,
-    classical_bimatrix,
-    classical_cost_ne,
-    classical_pos_poa,
-    dominance_select,
-    ewl_outcomes,
-    is_unitary,
-    mixed_nash,
-    optimal_outcome,
-    quantum_bimatrix,
-    resolve,
-    snap_probability,
-    solve,
-    sweep_k,
-    unitary_from_angles,
-)
-from pigouq.verification import _grid_deviation_gap
-
-ONE = F(1)
-HALF = F(1, 2)
+from pigouq.verification import CHECKS, run_all
 
 
-def done(n, text):
-    print(f"ACCEPTANCE {n} PASS: {text}")
+@pytest.fixture(scope="module")
+def results():
+    return dict(zip(CHECKS, run_all()))
 
 
-def test_criterion_01_two_person_classical_grid():
-    m = classical_bimatrix(GameSpec.classical_two_person())
-    assert m.cells == (((ONE, ONE), (ONE, HALF)), ((HALF, ONE), (ONE, ONE)))
-    done(1, "two-person classical grid is exact")
+def passes(results, name):
+    result = results[name]
+    assert result.passed, f"{result.name}: {result.detail}"
+    print(f"ACCEPTANCE {CHECKS.index(name) + 1} PASS: {result.name}")
 
 
-def test_criterion_02_two_person_phase_strategy_game():
-    spec = GameSpec.quantum_two_person(("P1", "P2", "Q"))
-    matrix, eq, metrics = analyze(spec)
-    expected = (
-        ((ONE, ONE), (ONE, HALF), (ONE, ONE)),
-        ((HALF, ONE), (ONE, ONE), (ONE, HALF)),
-        ((ONE, ONE), (HALF, ONE), (ONE, ONE)),
-    )
-    assert matrix.cells == expected
-    opt_cells, opt_total = optimal_outcome(matrix)
-    assert {(c.row_label, c.col_label) for c in opt_cells} == {
-        ("P1", "P2"), ("P2", "P1"), ("P2", "Q"), ("Q", "P2"),
-    }
-    assert opt_total == F(3, 2)
-    chosen = dominance_select(matrix)
-    assert (chosen.row_label, chosen.col_label) == ("Q", "Q")
-    assert metrics.cost_ne == 2
-    assert metrics.pos == metrics.poa == F(4, 3)
-    done(2, "phase-strategy two-person game: grid, optima, dominance, ratios")
+def test_criterion_01_two_person_classical_grid(results):
+    passes(results, "two_person_classical_grid")
 
 
-def test_criterion_03_two_person_miracle_strategy_game():
-    spec = GameSpec.quantum_two_person(("P1", "P2", "M"))
-    matrix, eq, metrics = analyze(spec)
-    q34 = F(3, 4)
-    expected = (
-        ((ONE, ONE), (ONE, HALF), (ONE, q34)),
-        ((HALF, ONE), (ONE, ONE), (ONE, q34)),
-        ((q34, ONE), (q34, ONE), (F(7, 8), F(7, 8))),
-    )
-    assert matrix.cells == expected
-    assert [(p.row_label, p.col_label) for p in eq.strict_pure] == [("M", "M")]
-    assert metrics.cost_ne == F(7, 4)
-    assert metrics.cost_opt == F(3, 2)
-    assert metrics.pos == metrics.poa == F(7, 6)
-    done(3, "miracle-strategy two-person game: grid, strict equilibrium, ratios")
+def test_criterion_02_two_person_phase_strategy_game(results):
+    passes(results, "two_person_phase_strategy_game")
 
 
-def test_criterion_04_k_person_grids_closed_form():
-    n = 10
-    for k in range(1, 8):
-        lone, shared = F(k + 1, n), F(k + 2, n)
-        mq = quantum_bimatrix(GameSpec.quantum_k_person(n, k, ("P1", "P2", "Q")))
-        assert mq.cells == (
-            ((ONE, ONE), (ONE, lone), (shared, shared)),
-            ((lone, ONE), (shared, shared), (ONE, lone)),
-            ((shared, shared), (lone, ONE), (ONE, ONE)),
-        )
-        hi, lo = F(n + k + 2, 2 * n), F(2 * k + 3, 2 * n)
-        both = F(2 * n + 2 * k + 3, 4 * n)
-        mm = quantum_bimatrix(GameSpec.quantum_k_person(n, k, ("P1", "P2", "M")))
-        assert mm.cells == (
-            ((ONE, ONE), (ONE, lone), (hi, lo)),
-            ((lone, ONE), (shared, shared), (hi, lo)),
-            ((lo, hi), (lo, hi), (both, both)),
-        )
-    done(4, "n-traveler grids equal their closed forms for k=1..7")
+def test_criterion_03_two_person_miracle_strategy_game(results):
+    passes(results, "two_person_miracle_strategy_game")
 
 
-def test_criterion_05_protocol_vectors_and_miracle_totals():
-    d_id = ewl_outcomes(resolve("P1"), resolve("P1"), GAMMA_MAX)
-    assert tuple(snap_probability(p) for p in d_id.as_tuple()) == (ONE, F(0), F(0), F(0))
-    d_mm = ewl_outcomes(resolve("M"), resolve("M"), GAMMA_MAX)
-    assert tuple(snap_probability(p) for p in d_mm.as_tuple()) == (F(1, 4),) * 4
-    spec = GameSpec.quantum_k_person(10, 1, ("P1", "P2", "M"))
-    matrix, _, metrics = analyze(spec)
-    assert matrix.cell(2, 2) == (F(5, 8), F(5, 8))
-    assert metrics.cost_ne == F(167, 20)  # 8.35 exactly
-    assert abs(float(metrics.pos) - 1.17) <= 0.005
-    assert abs(float(metrics.poa) - 1.17) <= 0.005
-    done(5, "protocol outcome vectors and the n=10, k=1 miracle totals")
+def test_criterion_04_k_person_grids_closed_form(results):
+    passes(results, "k_person_grids_closed_form")
 
 
-def test_criterion_06_mixed_equilibrium_closed_form():
-    n = 10
-    matrix = bimatrix(GameSpec.quantum_k_person(n, 1, ("P1", "P2", "Q")))
-    profiles = mixed_nash(matrix)
-    full = [p for p in profiles if p.support() == ((0, 1, 2), (0, 1, 2))]
-    assert len(full) == 1
-    profile = full[0]
-    assert profile.alice_probs == (F(7, 29), F(7, 29), F(15, 29))
-    assert profile.bob_probs == (F(7, 29), F(7, 29), F(15, 29))
-    assert profile.expected_cost_alice == F(37, 58)
-    assert profile.expected_cost_bob == F(37, 58)
-    _, _, metrics = analyze(GameSpec.quantum_k_person(n, 1, ("P1", "P2", "Q")))
-    assert metrics.cost_ne == F(2429, 290)  # 8.37586...
-    assert abs(float(metrics.cost_ne) - 8.38) <= 0.005
-    for k in range(1, 8):
-        free = n - k - 2
-        share = F(free, 4 * free + 1)
-        profiles_k = mixed_nash(bimatrix(GameSpec.quantum_k_person(n, k, ("P1", "P2", "Q"))))
-        assert len(profiles_k) == 1
-        assert profiles_k[0].alice_probs == (share, share, 1 - 2 * share)
-        assert profiles_k[0].bob_probs == (share, share, 1 - 2 * share)
-    done(6, "mixed equilibrium closed form: 7/29 profile, 37/58 cost, all k exact")
+def test_criterion_05_protocol_vectors_and_miracle_totals(results):
+    passes(results, "protocol_outcome_vectors")
 
 
-def test_criterion_07_classical_sweep():
-    series = sweep_k("classical", ("P1", "P2"), 10, range(1, 8))
-    costs = [r.cost_ne for r in series.reports]
-    assert costs == [F(79, 10), F(38, 5), F(15, 2), F(38, 5), F(79, 10), F(42, 5), F(91, 10)]
-    assert {k for k, c in zip(series.values, costs) if c == min(costs)} == {3}
-    at3 = series.reports[2]
-    assert at3.pos == ONE and at3.poa == ONE
-    done(7, "classical k-sweep: exact series, minimum only at k=3, ratios 1 there")
+def test_criterion_06_mixed_equilibrium_closed_form(results):
+    passes(results, "mixed_equilibrium_closed_form")
 
 
-def test_criterion_08_phase_strategy_sweep():
-    series = sweep_k("quantum", ("P1", "P2", "Q"), 10, range(1, 8), gamma=GAMMA_MAX)
-    printed = [8.38, 7.78, 7.38, 7.176, 7.177, 7.38, 7.78]
-    for rep, want in zip(series.reports, printed):
-        assert abs(float(rep.cost_ne) - want) <= 5e-3
-    exact = [r.cost_ne for r in series.reports]
-    assert {k for k, c in zip(series.values, exact) if c == min(exact)} == {4}
-    profiles = mixed_nash(bimatrix(GameSpec.quantum_k_person(10, 4, ("P1", "P2", "Q"))))
-    assert len(profiles) == 1
-    assert profiles[0].alice_probs == (F(4, 17), F(4, 17), F(9, 17))
-    done(8, "phase-strategy k-sweep: printed series within 5e-3, minimum at k=4")
+def test_criterion_07_classical_sweep(results):
+    passes(results, "classical_sweep_series")
 
 
-def test_criterion_09_miracle_strategy_sweep():
-    series = sweep_k("quantum", ("P1", "P2", "M"), 10, range(1, 8), gamma=GAMMA_MAX)
-    costs = [r.cost_ne for r in series.reports]
-    assert costs == [F(167, 20), F(31, 4), F(147, 20), F(143, 20), F(143, 20), F(147, 20), F(31, 4)]
-    for k in series.values:
-        eq = solve(bimatrix(GameSpec.quantum_k_person(10, k, ("P1", "P2", "M"))))
-        assert [(p.row_label, p.col_label) for p in eq.strict_pure] == [("M", "M")]
-    assert {k for k, c in zip(series.values, costs) if c == min(costs)} == {4, 5}
-    for k in (4, 5):
-        rep = series.reports[list(series.values).index(k)]
-        assert rep.pos == ONE and rep.poa == ONE
-    done(9, "miracle-strategy k-sweep: exact series, strict (M,M) everywhere, minimum at k=4,5")
+def test_criterion_08_phase_strategy_sweep(results):
+    passes(results, "phase_strategy_sweep_series")
 
 
-def test_criterion_10_property_suite():
-    # (a) unitarity and normalization over 1000 random draws
-    rng = np.random.default_rng(20250811)
-    for _ in range(1000):
-        ua = unitary_from_angles(rng.uniform(0, math.pi), rng.uniform(0, math.pi / 2))
-        ub = unitary_from_angles(rng.uniform(0, math.pi), rng.uniform(0, math.pi / 2))
-        gamma = rng.uniform(0, GAMMA_MAX)
-        assert is_unitary(ua, 1e-12) and is_unitary(ub, 1e-12)
-        assert abs(sum(ewl_outcomes(ua, ub, gamma).as_tuple()) - 1) <= 1e-12
-
-    # (b) zero-entanglement reduction to the classical grids
-    q2 = quantum_bimatrix(GameSpec(variant="two_person", mode="quantum", n=2, gamma=0.0, strategies=("P1", "P2")))
-    assert q2.cells == classical_bimatrix(GameSpec.classical_two_person()).cells
-    for n, k in ((10, 1), (10, 4), (10, 7), (5, 2)):
-        qk = quantum_bimatrix(
-            GameSpec(variant="k_person", mode="quantum", n=n, k=k, gamma=0.0, strategies=("P1", "P2"))
-        )
-        assert qk.cells == classical_bimatrix(GameSpec.classical_k_person(n, k)).cells
-
-    # (c) exchange symmetry of every generated grid
-    specs = [
-        GameSpec.classical_two_person(),
-        GameSpec.quantum_two_person(("P1", "P2", "Q")),
-        GameSpec.quantum_two_person(("P1", "P2", "M")),
-        GameSpec.quantum_two_person(("P1", "P2", "M"), gamma=0.6),
-    ]
-    for k in range(1, 8):
-        specs.append(GameSpec.classical_k_person(10, k))
-        specs.append(GameSpec.quantum_k_person(10, k, ("P1", "P2", "Q")))
-        specs.append(GameSpec.quantum_k_person(10, k, ("P1", "P2", "M")))
-    for spec in specs:
-        m = bimatrix(spec)
-        for i, j in product(range(m.size), repeat=2):
-            a, b = m.cost_a(i, j), m.cost_b(j, i)
-            if isinstance(a, F) and isinstance(b, F):
-                assert a == b
-            else:
-                assert abs(float(a) - float(b)) <= 1e-12
-
-    # (d) grid oracle for every returned mixed profile
-    for spec in specs:
-        m = bimatrix(spec)
-        for profile in mixed_nash(m):
-            assert _grid_deviation_gap(m, profile) <= 1e-9
-
-    # (e) ratio identity as exact rationals
-    for n in (5, 10, 20):
-        for k in range(0, n - 2):
-            assert classical_pos_poa(n, k) == classical_cost_ne(n, k) / F(3 * n, 4)
-
-    done(10, "property suite: normalization, classical limit, symmetry, grid oracle, ratio identity")
+def test_criterion_09_miracle_strategy_sweep(results):
+    passes(results, "miracle_strategy_sweep_series")
 
 
-def test_criterion_11_sweep_determinism():
-    def once():
-        return sweep_k("quantum", ("P1", "P2", "Q"), 10, range(1, 8), gamma=GAMMA_MAX).to_csv()
+def test_criterion_10_property_suite(results):
+    passes(results, "property_batch")
 
-    first, second = once(), once()
-    assert first == second
-    assert first.encode() == second.encode()
-    done(11, "repeated sweeps emit byte-identical CSV")
+
+def test_criterion_11_sweep_determinism(results):
+    passes(results, "sweep_determinism")

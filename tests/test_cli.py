@@ -120,6 +120,18 @@ class TestUsageErrors:
             ("sweep", "--game", "classicalk", "--n", "10", "--over", "gamma"),
             ("sweep", "--game", "quantumk", "--n", "10", "--k-range", "1..7", "--over", "k", "--gamma", "oops"),
             ("matrix", "--game", "nonsense"),
+            # each game/flag rule once per subcommand that can break it
+            ("matrix", "--game", "quantumk", "--n", "10", "--k", "1", "--strategies", "scarpa"),
+            ("solve", "--game", "classical2", "--gamma", "0.1"),
+            ("solve", "--game", "classicalk", "--n", "10", "--k", "1", "--strategies", "p1p2m"),
+            ("solve", "--game", "quantum2", "--n", "3"),
+            ("solve", "--game", "quantumk", "--k", "2"),
+            ("sweep", "--game", "classicalk", "--n", "10", "--over", "k", "--gamma", "0.2"),
+            ("sweep", "--game", "classicalk", "--n", "10", "--over", "k", "--strategies", "p1p2q"),
+            ("sweep", "--game", "quantumk", "--n", "10", "--over", "k", "--strategies", "scarpa"),
+            ("sweep", "--game", "quantum2", "--over", "gamma", "--n", "4"),
+            ("sweep", "--game", "quantumk", "--over", "k"),
+            ("sweep", "--game", "quantumk", "--n", "10", "--over", "gamma"),  # missing --k
         ],
     )
     def test_exit_code_1(self, capsys, argv):
@@ -135,6 +147,7 @@ class TestDomainErrors:
             ("matrix", "--game", "quantumk", "--n", "10", "--k", "9"),
             ("matrix", "--game", "quantum2", "--gamma", "3.0"),
             ("sweep", "--game", "quantumk", "--strategies", "p1p2q", "--n", "10", "--k-range", "7..9", "--over", "k"),
+            ("sweep", "--game", "quantumk", "--n", "10", "--k", "9", "--over", "gamma"),
         ],
     )
     def test_exit_code_2(self, capsys, argv):

@@ -205,3 +205,10 @@ def test_bimatrix_type_rejects_nonsquare_and_nonpositive():
         CostBimatrix(("A",), ("A", "B"), (((ONE, ONE), (ONE, ONE)),))
     with pytest.raises(DomainError):
         CostBimatrix(("A",), ("A",), (((F(0), ONE),),))
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_bimatrix_type_rejects_nonfinite_costs(bad):
+    cells = (((ONE, ONE), (ONE, F(1, 2))), ((F(1, 2), ONE), (bad, ONE)))
+    with pytest.raises(DomainError):
+        CostBimatrix(("P1", "P2"), ("P1", "P2"), cells)

@@ -5,9 +5,11 @@ import math
 import pytest
 
 import pigouq.games as games
+import pigouq.metrics as metrics
+from pigouq.cli import main
 from pigouq.equilibria import solve
 from pigouq.games import GameSpec, bimatrix
-from pigouq.metrics import MetricsReport, format_equilibrium_label, profile_total, report, solve_over_k
+from pigouq.metrics import MetricsReport, analyze, format_equilibrium_label, profile_total, report, solve_over_k
 from pigouq.sweeps import sweep_k
 
 GAMMA_MAX = math.pi / 2
@@ -97,6 +99,9 @@ def test_report_runs_the_protocol_once_per_strategy_pair(protocol_runs, names, n
     opt = min(total for _, _, total in points if total is not None)
     total = profile_total(spec, matrix, eq.selected)
     assert got == MetricsReport(total, opt, total / opt, total / opt, k, format_equilibrium_label(eq.selected))
+    protocol_runs.clear()
+    assert analyze(spec) == (matrix, eq, got)
+    assert len(protocol_runs) == 9
 
 
 def test_solve_over_k_matches_per_k_path(protocol_runs):
@@ -108,3 +113,13 @@ def test_solve_over_k_matches_per_k_path(protocol_runs):
         want = per_k_points("quantum", names, 10, ks, GAMMA_MAX)
         assert [(spec, eq, total) for spec, _, eq, total in points] == want
         assert opt == min(total for _, _, total in want if total is not None)
+
+
+def test_cli_solve_makes_one_over_k_pass(protocol_runs, monkeypatch, capsys):
+    solves = []
+    real = metrics.solve
+    monkeypatch.setattr(metrics, "solve", lambda matrix: solves.append(matrix) or real(matrix))
+    assert main(["solve", "--game", "quantumk", "--strategies", "p1p2q", "--n", "9", "--k", "3"]) == 0
+    capsys.readouterr()
+    assert len(protocol_runs) == 9  # one outcome grid
+    assert len(solves) == 7  # one solve per k in 0..6
