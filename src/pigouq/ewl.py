@@ -22,6 +22,14 @@ the package's exact numbers are built on.
 Only Alice's and Bob's qubits exist here; in the n-traveler games all
 other players are classical and enter through the cost model, not the
 state.
+
+:func:`outcome_table` runs the protocol for every pair of two strategy
+stacks in one numpy evaluation: it validates gamma and each stack once,
+forms all Kronecker products by one broadcast multiplication, and
+applies J and its conjugate transpose as stacked matrix products in the
+association ``J^dag @ (K @ (J @ |00>))``. Each cell therefore sees the
+float operations of a single run, and its bits equal those of the
+pairs evaluated one at a time. :func:`ewl_outcomes` is its one-pair case.
 """
 
 from __future__ import annotations
@@ -40,6 +48,7 @@ __all__ = [
     "OutcomeDistribution",
     "entangler",
     "ewl_outcomes",
+    "outcome_table",
     "validate_gamma",
 ]
 
@@ -95,42 +104,80 @@ class OutcomeDistribution:
         return (self.p00, self.p01, self.p10, self.p11)
 
 
-def ewl_outcomes(ua, ub, gamma: float) -> OutcomeDistribution:
-    """Run the protocol for strategy matrices ``ua`` (Alice) and ``ub`` (Bob).
+def outcome_table(rows, cols, gamma: float) -> np.ndarray:
+    """Run the protocol for every (Alice, Bob) pair of two strategy stacks at once.
+
+    Each cell has the bits of a one-pair run of
+    ``J^dag @ (kron(U_A, U_B) @ (J @ |00>))``; the module docstring says why.
 
     Parameters
     ----------
-    ua, ub
-        2x2 strategy matrices; must be unitary to within 1e-9.
+    rows, cols
+        Sequences of 2x2 strategy matrices for Alice and for Bob; each must
+        be unitary to within 1e-9. Passing the same object twice validates
+        it once.
     gamma
         Entanglement angle in [0, pi/2].
 
     Returns
     -------
-    OutcomeDistribution
-        Squared amplitudes of the final state; they sum to 1 within 1e-12.
+    numpy.ndarray
+        Shape ``(len(rows), len(cols), 4)``: entry ``[i, j]`` holds the
+        squared amplitudes (00, 01, 10, 11) when Alice plays ``rows[i]``
+        and Bob ``cols[j]``; each entry sums to 1 within 1e-12.
+
+    Raises
+    ------
+    DomainError
+        For a non-finite, non-2x2 or non-unitary strategy matrix or an
+        out-of-range angle.
+    """
+    g = validate_gamma(gamma)
+    a = _strategy_stack(rows, "Alice")
+    b = a if cols is rows else _strategy_stack(cols, "Bob")
+
+    j = _entangler(g)
+    # kron[i, j, 2p+r, 2q+s] = a[i, p, q] * b[j, r, s], i.e. np.kron(a[i], b[j]);
+    # np.einsum would round some of these products differently.
+    kron = (a[:, None, :, None, :, None] * b[None, :, None, :, None, :]).reshape(len(a), len(b), 4, 4)
+    psi = (j.conj().T @ (kron @ (j @ KET_00))[..., None])[..., 0]
+    probs = np.abs(psi) ** 2
+    totals = probs.sum(axis=-1)
+    off = np.abs(totals - 1.0) > _NORMALIZATION_TOL
+    if off.any():
+        raise DomainError(
+            f"outcome probabilities sum to {float(totals[off][0])!r}; strategy matrices are too far from unitary"
+        )
+    return np.clip(probs, 0.0, 1.0)
+
+
+def _strategy_stack(matrices, player: str) -> np.ndarray:
+    """``matrices`` as an ``(m, 2, 2)`` stack of unitaries, or a DomainError naming the player."""
+    try:
+        stack = np.asarray(matrices, dtype=complex)
+    except (TypeError, ValueError):  # ragged or non-numeric input
+        stack = None
+    if (
+        stack is None
+        or stack.ndim != 3
+        or stack.shape[1:] != (2, 2)
+        or not is_unitary(stack, _STRATEGY_UNITARITY_TOL)
+    ):
+        raise DomainError(f"{player}'s strategy matrix is not a 2x2 unitary")
+    return stack
+
+
+def ewl_outcomes(ua, ub, gamma: float) -> OutcomeDistribution:
+    """Run the protocol for strategy matrices ``ua`` (Alice) and ``ub`` (Bob).
+
+    The one-pair case of :func:`outcome_table`: ``ua`` and ``ub`` must be
+    2x2 and unitary to within 1e-9, ``gamma`` must lie in [0, pi/2], and
+    the four probabilities sum to 1 within 1e-12.
 
     Raises
     ------
     DomainError
         For non-finite or non-unitary strategies or an out-of-range angle.
     """
-    g = validate_gamma(gamma)
-    ua = np.asarray(ua, dtype=complex)
-    ub = np.asarray(ub, dtype=complex)
-    if ua.shape != (2, 2) or not is_unitary(ua, _STRATEGY_UNITARITY_TOL):
-        raise DomainError("Alice's strategy matrix is not a 2x2 unitary")
-    if ub.shape != (2, 2) or not is_unitary(ub, _STRATEGY_UNITARITY_TOL):
-        raise DomainError("Bob's strategy matrix is not a 2x2 unitary")
-
-    # ua, ub and g are validated above; build the operators from them directly.
-    j = _entangler(g)
-    psi = j.conj().T @ (np.kron(ua, ub) @ (j @ KET_00))
-    probs = np.abs(psi) ** 2
-    total = float(probs.sum())
-    if abs(total - 1.0) > _NORMALIZATION_TOL:
-        raise DomainError(
-            f"outcome probabilities sum to {total!r}; strategy matrices are too far from unitary"
-        )
-    p = np.clip(probs, 0.0, 1.0)
+    p = outcome_table([ua], [ub], gamma)[0, 0]
     return OutcomeDistribution(float(p[0]), float(p[1]), float(p[2]), float(p[3]))

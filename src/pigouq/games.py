@@ -12,10 +12,13 @@ both together pay (k+2)/n each.
 Quantum games weight those same per-outcome costs by the protocol's
 outcome distribution. That distribution depends only on the strategy
 pair and gamma, so :func:`outcome_grid` computes it once per strategy
-set and angle and every (n, k) can reuse it. Cell costs are exact
+set and angle, as one batched protocol evaluation with the bits of the
+pair-by-pair runs, and every (n, k) can reuse it. Cell costs are exact
 ``fractions.Fraction`` values whenever every outcome probability snaps
 to a dyadic value (which covers all named-strategy games at gamma in
-{0, pi/2}); otherwise cells degrade to floats.
+{0, pi/2}); otherwise cells degrade to floats, each float probability
+times the float of its exact cost, which is what Fraction arithmetic
+computes for that product.
 
 A quirk worth knowing about the phase strategy Q: under maximal
 entanglement, Q against P1 lands both players on the lower edge while
@@ -33,8 +36,10 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Literal
 
+import numpy as np
+
 from .errors import DomainError
-from .ewl import GAMMA_MAX, ewl_outcomes, validate_gamma
+from .ewl import GAMMA_MAX, outcome_table, validate_gamma
 from .strategies import resolve, strategy_label
 
 __all__ = [
@@ -61,6 +66,10 @@ PROB_SNAP_TARGETS = (
 )
 
 PROB_SNAP_TOL = 1e-10
+
+# The targets are exact in binary, so ``abs(p - float(t))`` has the bits of
+# the ``abs(p - t)`` that :func:`snap_probability` computes.
+_SNAP_TARGET_VALUES = np.array([float(t) for t in PROB_SNAP_TARGETS])
 
 
 def snap_probability(p: float, tol: float = PROB_SNAP_TOL):
@@ -313,15 +322,23 @@ def outcome_grid(strategies, gamma: float) -> tuple:
 
     ``grid[i][j]`` holds the four joint-path probabilities (00, 01, 10, 11)
     when Alice plays ``strategies[i]`` and Bob ``strategies[j]``; each is
-    snapped by :func:`snap_probability`. The protocol sees only the pair
-    and ``gamma``, never ``n`` or ``k``, so one grid serves every game of
-    a k-sweep.
+    snapped by :func:`snap_probability`, so it is a Fraction on a hit and
+    a float otherwise. The protocol sees only the pair and ``gamma``, never
+    ``n`` or ``k``, so one grid serves every game of a k-sweep.
+
+    The whole grid is one :func:`~pigouq.ewl.outcome_table` evaluation,
+    whose bits equal those of running the protocol pair by pair. The
+    nearness test to the snap targets is vectorised with the same float
+    arithmetic as :func:`snap_probability`, which then runs on the hits
+    only.
     """
     matrices = [resolve(s) for s in strategies]
-    return tuple(
-        tuple(tuple(snap_probability(p) for p in ewl_outcomes(ua, ub, gamma).as_tuple()) for ub in matrices)
-        for ua in matrices
-    )
+    table = outcome_table(matrices, matrices, gamma)
+    hits = (np.abs(table[..., None] - _SNAP_TARGET_VALUES) <= PROB_SNAP_TOL).any(axis=-1)
+    grid = table.tolist()
+    for i, j, o in zip(*np.nonzero(hits)):
+        grid[i][j][o] = snap_probability(grid[i][j][o])
+    return tuple(tuple(map(tuple, row)) for row in grid)
 
 
 def quantum_bimatrix(spec: GameSpec, outcomes: tuple | None = None) -> CostBimatrix:
@@ -338,14 +355,17 @@ def quantum_bimatrix(spec: GameSpec, outcomes: tuple | None = None) -> CostBimat
         raise DomainError("quantum_bimatrix requires a quantum game spec")
     if outcomes is None:
         outcomes = outcome_grid(spec.strategies, spec.gamma)
-    alice, bob = cost_assignment(spec)
+    # A float probability times a Fraction cost is computed by Fraction as
+    # float * float(cost); doing that product directly gives the same bits
+    # without the Fraction dispatch, so each cost is converted once here.
+    alice, bob = ([(c, float(c)) for c in side.as_tuple()] for side in cost_assignment(spec))
     labels = spec.strategy_labels()
     rows = []
     for row_outcomes in outcomes:
         row = []
         for probs in row_outcomes:
-            ca = sum(p * c for p, c in zip(probs, alice.as_tuple()))
-            cb = sum(p * c for p, c in zip(probs, bob.as_tuple()))
+            ca = sum(p * cf if isinstance(p, float) else p * c for p, (c, cf) in zip(probs, alice))
+            cb = sum(p * cf if isinstance(p, float) else p * c for p, (c, cf) in zip(probs, bob))
             row.append((ca, cb))
         rows.append(tuple(row))
     return CostBimatrix(labels, labels, tuple(rows))

@@ -35,12 +35,20 @@ def as_square_matrix(m, dim: int | None = None) -> np.ndarray:
         If the input is not square, has a disallowed size, or contains
         non-finite entries.
     """
-    arr = np.asarray(m, dtype=complex)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+    arr = _as_square_stack(m)
+    if arr.ndim != 2:
         raise DomainError(f"expected a square matrix, got shape {arr.shape}")
     if dim is not None and arr.shape[0] != dim:
         raise DomainError(f"expected a {dim}x{dim} matrix, got {arr.shape[0]}x{arr.shape[1]}")
-    if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
+    return arr
+
+
+def _as_square_stack(m) -> np.ndarray:
+    """Coerce ``m`` to a finite complex array of shape ``(..., d, d)``."""
+    arr = np.asarray(m, dtype=complex)
+    if arr.ndim < 2 or arr.shape[-1] != arr.shape[-2]:
+        raise DomainError(f"expected a square matrix, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
         raise DomainError("matrix entries must be finite")
     return arr
 
@@ -74,10 +82,14 @@ def dagger(m) -> np.ndarray:
 
 def is_unitary(m, tol: float) -> bool:
     """Whether ``m @ dagger(m)`` deviates from the identity by at most
-    ``tol`` entry-wise."""
-    m = as_square_matrix(m)
-    delta = m @ m.conj().T - np.eye(m.shape[0])
-    return bool(np.max(np.abs(delta)) <= tol)
+    ``tol`` entry-wise.
+
+    ``m`` may also be a stack of square matrices, shape ``(..., d, d)``;
+    the stack passes when every matrix in it does.
+    """
+    m = _as_square_stack(m)
+    delta = m @ np.swapaxes(m.conj(), -1, -2) - np.eye(m.shape[-1])
+    return bool(np.abs(delta).max() <= tol)
 
 
 #: Initial joint state |00>.

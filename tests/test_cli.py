@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from pigouq.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(capsys, *argv):
@@ -102,6 +108,22 @@ def test_verify_passes(capsys):
     assert code == 0
     assert "FAIL" not in out
     assert out.count("PASS") >= 11
+
+
+def run_module(*argv):
+    """``python -m pigouq.cli ...`` in a child interpreter that imports this checkout."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    cmd = [sys.executable, "-m", "pigouq.cli", *argv]
+    return subprocess.run(cmd, capture_output=True, text=True, timeout=300, env={**os.environ, "PYTHONPATH": path})
+
+
+def test_module_entry_point_runs_the_cli():
+    proc = run_module("verify")
+    assert proc.returncode == 0, proc.stderr
+    assert sum(line.startswith("PASS  ") for line in proc.stdout.splitlines()) == 11
+    proc = run_module("solve", "--game", "classical2", "--n", "5")
+    assert proc.returncode == 1
+    assert "--n does not apply to classical2" in proc.stderr
 
 
 class TestUsageErrors:

@@ -6,9 +6,9 @@ import pytest
 import scipy.linalg
 
 from pigouq.errors import DomainError
-from pigouq.ewl import GAMMA_MAX, entangler, ewl_outcomes
+from pigouq.ewl import GAMMA_MAX, entangler, ewl_outcomes, outcome_table
 from pigouq.linalg import KET_00, dagger, tensor_product
-from pigouq.strategies import resolve, unitary_from_angles
+from pigouq.strategies import STRATEGY_TAGS, StrategyAngles, resolve, unitary_from_angles
 
 INV_SQRT2 = 1 / math.sqrt(2)
 
@@ -24,6 +24,13 @@ def outcomes_by_hand(ua, ub, gamma):
     j = entangler_by_expm(gamma)
     psi = j.conj().T @ np.kron(ua, ub) @ j @ np.array([1, 0, 0, 0], dtype=complex)
     return np.abs(psi) ** 2
+
+
+def outcomes_per_pair(ua, ub, gamma):
+    """The protocol for one pair, in the association the batched kernel must reproduce bit for bit."""
+    j = entangler(gamma)
+    psi = j.conj().T @ (np.kron(ua, ub) @ (j @ KET_00))
+    return np.clip(np.abs(psi) ** 2, 0.0, 1.0)
 
 
 def test_zero_angle_entangler_is_identity():
@@ -124,9 +131,46 @@ def test_outcomes_normalize_across_random_draws():
         assert abs(float(np.sum(np.abs(psi) ** 2)) - 1) <= 1e-12
 
 
-def test_non_unitary_strategy_rejected():
-    bad = np.array([[2, 0], [0, 1]], dtype=complex)
+@pytest.mark.parametrize("gamma", [0.0, 1e-6, 3e-5, "random", GAMMA_MAX])
+def test_outcome_table_has_the_bits_of_the_per_pair_protocol(gamma):
+    rng = np.random.default_rng(1999)
+    named = [resolve(tag) for tag in STRATEGY_TAGS]
+    for size in range(1, 7):
+        g = rng.uniform(0, GAMMA_MAX) if gamma == "random" else gamma
+        custom = [
+            resolve(StrategyAngles(rng.uniform(0, math.pi), rng.uniform(0, math.pi / 2))) for _ in range(size)
+        ]
+        stack = custom + named
+        want = np.array([[outcomes_per_pair(ua, ub, g) for ub in stack] for ua in stack])
+        assert np.array_equal(outcome_table(stack, stack, g), want)
+        # distinct row and column stacks
+        assert np.array_equal(outcome_table(custom, named, g), want[:size, size:])
+        assert ewl_outcomes(custom[0], named[3], g).as_tuple() == tuple(want[0, size + 3])
+
+
+BAD_MATRICES = {
+    "nan": np.array([[np.nan, 0], [0, 1]], dtype=complex),
+    "inf": np.array([[1, np.inf], [0, 1]], dtype=complex),
+    "3x3": np.eye(3, dtype=complex),
+    "non-unitary": np.array([[2, 0], [0, 1]], dtype=complex),
+}
+
+
+@pytest.mark.parametrize("player", ["alice", "bob"])
+@pytest.mark.parametrize("bad", BAD_MATRICES.values(), ids=BAD_MATRICES)
+def test_non_unitary_strategy_rejected(bad, player):
+    pair = (bad, resolve("P1")) if player == "alice" else (resolve("P1"), bad)
     with pytest.raises(DomainError):
-        ewl_outcomes(bad, resolve("P1"), GAMMA_MAX)
+        ewl_outcomes(*pair, GAMMA_MAX)
+
+
+@pytest.mark.parametrize("bad", BAD_MATRICES.values(), ids=BAD_MATRICES)
+def test_outcome_table_rejects_a_bad_matrix_inside_a_stack(bad):
+    good = [resolve(tag) for tag in ("P1", "P2", "Q", "M")]
+    stack = good[:2] + [bad] + good[2:]
     with pytest.raises(DomainError):
-        ewl_outcomes(resolve("P1"), bad, GAMMA_MAX)
+        outcome_table(stack, good, 0.4)
+    with pytest.raises(DomainError):
+        outcome_table(good, stack, 0.4)
+    with pytest.raises(DomainError):
+        outcome_table(stack, stack, 0.4)

@@ -3,16 +3,20 @@ import math
 from fractions import Fraction as F
 from itertools import product
 
+import numpy as np
 import pytest
 
+import pigouq.games as games
 from pigouq.errors import DomainError
 from pigouq.games import (
+    PROB_SNAP_TARGETS,
     CostBimatrix,
     GameSpec,
     PigouNetwork,
     bimatrix,
     classical_bimatrix,
     cost_assignment,
+    outcome_grid,
     quantum_bimatrix,
     snap_probability,
 )
@@ -34,6 +38,18 @@ def test_snap_probability():
     assert snap_probability(1.0) == ONE
     assert snap_probability(0.3) == 0.3  # not a snap target, stays float
     assert isinstance(snap_probability(0.3), float)
+
+
+@pytest.mark.parametrize("offset, snaps", [(0.5e-10, True), (-0.5e-10, True), (2e-10, False), (-2e-10, False)])
+def test_outcome_grid_snaps_only_within_the_tolerance(monkeypatch, offset, snaps):
+    probs = np.array([[[float(t) + offset for t in PROB_SNAP_TARGETS]]])
+    monkeypatch.setattr(games, "outcome_table", lambda rows, cols, gamma: probs)
+    ((cell,),) = outcome_grid(("P1",), 0.0)
+    if snaps:
+        assert cell == PROB_SNAP_TARGETS and all(isinstance(p, F) for p in cell)
+    else:
+        assert cell == tuple(probs[0, 0].tolist()) and all(type(p) is float for p in cell)
+    assert cell == tuple(snap_probability(p) for p in probs[0, 0].tolist())
 
 
 class TestGameSpecValidation:

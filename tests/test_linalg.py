@@ -136,6 +136,13 @@ def test_is_unitary_rejects_scaled_entry():
     assert not is_unitary(bad, 1e-12)
 
 
+def test_is_unitary_checks_every_matrix_of_a_stack():
+    stack = np.stack([np.eye(2), unitary_from_angles(0.7, 0.3), unitary_from_angles(2.0, 1.1)])
+    assert is_unitary(stack, 1e-12)
+    stack[1, 0, 0] *= 2
+    assert not is_unitary(stack, 1e-12)
+
+
 def test_non_finite_entries_are_rejected():
     bad = np.eye(2, dtype=complex)
     bad = bad.copy()

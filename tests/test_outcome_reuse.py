@@ -1,4 +1,4 @@
-"""One protocol grid per k-sweep: counted protocol runs and the per-k reference path."""
+"""One protocol grid per k-sweep: counted protocol evaluations and the per-k reference path."""
 
 import math
 
@@ -18,15 +18,15 @@ SETS = [("P1", "P2", "Q"), ("P1", "P2", "M")]
 
 @pytest.fixture
 def protocol_runs(monkeypatch):
-    """Every protocol run made through the games layer, as a list of arguments."""
+    """One entry per batched protocol evaluation made through the games layer: the pairs it ran."""
     runs = []
-    real = games.ewl_outcomes
+    real = games.outcome_table
 
-    def counting(*args):
-        runs.append(args)
-        return real(*args)
+    def counting(rows, cols, gamma):
+        runs.append(len(rows) * len(cols))
+        return real(rows, cols, gamma)
 
-    monkeypatch.setattr(games, "ewl_outcomes", counting)
+    monkeypatch.setattr(games, "outcome_table", counting)
     return runs
 
 
@@ -58,7 +58,7 @@ def per_k_reports(points):
 @pytest.mark.parametrize("n", [4, 10, 31])
 def test_sweep_k_runs_the_protocol_once_per_strategy_pair(protocol_runs, names, n):
     series = sweep_k("quantum", names, n, gamma=GAMMA_MAX)
-    assert len(protocol_runs) == 9
+    assert protocol_runs == [9]
     assert series.reports == per_k_reports(per_k_points("quantum", names, n, range(1, n - 2), GAMMA_MAX))
 
 
@@ -67,7 +67,7 @@ def test_sweep_k_with_explicit_range_matches_per_k_path(protocol_runs, k_values)
     for names in SETS:
         protocol_runs.clear()
         series = sweep_k("quantum", names, 10, k_values, gamma=GAMMA_MAX)
-        assert len(protocol_runs) == 9
+        assert protocol_runs == [9]
         ks = sorted(set(k_values))
         assert series.values == tuple(ks)
         assert series.reports == per_k_reports(per_k_points("quantum", names, 10, ks, GAMMA_MAX))
@@ -75,7 +75,7 @@ def test_sweep_k_with_explicit_range_matches_per_k_path(protocol_runs, k_values)
 
 def test_float_gamma_sweep_matches_per_k_path(protocol_runs):
     series = sweep_k("quantum", ("P1", "P2", "M"), 9, gamma=0.9)
-    assert len(protocol_runs) == 9
+    assert protocol_runs == [9]
     assert series.reports == per_k_reports(per_k_points("quantum", ("P1", "P2", "M"), 9, range(1, 7), 0.9))
 
 
@@ -94,14 +94,14 @@ def test_report_runs_the_protocol_once_per_strategy_pair(protocol_runs, names, n
     eq = solve(matrix)
     protocol_runs.clear()
     got = report(spec, eq, matrix=matrix)
-    assert len(protocol_runs) == 9
+    assert protocol_runs == [9]
     points = per_k_points("quantum", names, n, range(0, n - 2), GAMMA_MAX)
     opt = min(total for _, _, total in points if total is not None)
     total = profile_total(spec, matrix, eq.selected)
     assert got == MetricsReport(total, opt, total / opt, total / opt, k, format_equilibrium_label(eq.selected))
     protocol_runs.clear()
     assert analyze(spec) == (matrix, eq, got)
-    assert len(protocol_runs) == 9
+    assert protocol_runs == [9]
 
 
 def test_solve_over_k_matches_per_k_path(protocol_runs):
@@ -109,7 +109,7 @@ def test_solve_over_k_matches_per_k_path(protocol_runs):
     for ks in ([6, 7], [0, 4], range(0, 8)):
         protocol_runs.clear()
         points, opt = solve_over_k("quantum", names, 10, ks, GAMMA_MAX)
-        assert len(protocol_runs) == 9
+        assert protocol_runs == [9]
         want = per_k_points("quantum", names, 10, ks, GAMMA_MAX)
         assert [(spec, eq, total) for spec, _, eq, total in points] == want
         assert opt == min(total for _, _, total in want if total is not None)
@@ -121,5 +121,5 @@ def test_cli_solve_makes_one_over_k_pass(protocol_runs, monkeypatch, capsys):
     monkeypatch.setattr(metrics, "solve", lambda matrix: solves.append(matrix) or real(matrix))
     assert main(["solve", "--game", "quantumk", "--strategies", "p1p2q", "--n", "9", "--k", "3"]) == 0
     capsys.readouterr()
-    assert len(protocol_runs) == 9  # one outcome grid
+    assert protocol_runs == [9]  # one 3x3 outcome grid
     assert len(solves) == 7  # one solve per k in 0..6
