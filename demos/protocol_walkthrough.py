@@ -8,8 +8,8 @@ the two-traveler game.
 
 import numpy as np
 
-from pigouq import GAMMA_MAX, entangler, ewl_outcomes, resolve, tensor_product
-from pigouq.linalg import KET_00, apply, dagger
+from pigouq import GAMMA_MAX, entangler, ewl_outcomes, resolve
+from pigouq.ewl import KET_00
 
 BASIS = ("|00>", "|01>", "|10>", "|11>")
 
@@ -25,15 +25,15 @@ def show_state(label, state):
 def walkthrough(tag_a, tag_b, gamma=GAMMA_MAX):
     print(f"strategies ({tag_a}, {tag_b}) at gamma = {gamma:.4f}")
     j = entangler(gamma)
-    moves = tensor_product(resolve(tag_a), resolve(tag_b))
+    moves = np.kron(resolve(tag_a), resolve(tag_b))
 
     state = KET_00
     show_state("initial |00>", state)
-    state = apply(j, state)
+    state = j @ state
     show_state("after entangling", state)
-    state = apply(moves, state)
+    state = moves @ state
     show_state("after local moves", state)
-    state = apply(dagger(j), state)
+    state = j.conj().T @ state
     show_state("after disentangling", state)
 
     dist = ewl_outcomes(resolve(tag_a), resolve(tag_b), gamma)

@@ -10,8 +10,7 @@ exposes the same through ``matrix``, ``solve``, ``sweep`` and
 """
 
 from .errors import DomainError
-from .linalg import apply, dagger, is_unitary, tensor_product
-from .strategies import STRATEGY_TAGS, StrategyAngles, resolve, strategy_label, unitary_from_angles
+from .strategies import STRATEGY_TAGS, StrategyAngles, is_unitary, resolve, strategy_label, unitary_from_angles
 from .ewl import GAMMA_MAX, OutcomeDistribution, entangler, ewl_outcomes
 from .games import (
     CostAssignment,
@@ -71,14 +70,12 @@ __all__ = [
     "StrategyAngles",
     "SweepSeries",
     "analyze",
-    "apply",
     "bimatrix",
     "classical_bimatrix",
     "classical_cost_ne",
     "classical_opt",
     "classical_pos_poa",
     "cost_assignment",
-    "dagger",
     "dominance_select",
     "entangler",
     "ewl_outcomes",
@@ -97,7 +94,6 @@ __all__ = [
     "strategy_label",
     "sweep_gamma",
     "sweep_k",
-    "tensor_product",
     "total_cost",
     "unitary_from_angles",
 ]

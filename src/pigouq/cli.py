@@ -7,9 +7,10 @@ Subcommands::
     pigouq sweep   --game quantumk --strategies p1p2q --n 10 --k-range 1..7 --over k
     pigouq verify                                    replay the reference checks
 
-Exit codes: 0 success (or all checks pass), 1 usage error, 2 domain
-error, 3 verification failure. Payload goes to stdout (or the ``--out``
-file); diagnostics go to stderr.
+Exit codes: 0 success (or all checks pass), 1 usage error (an ``--out``
+file that cannot be written included), 2 domain error, 3 verification
+failure. Payload goes to stdout (or the ``--out`` file); diagnostics go
+to stderr.
 """
 
 from __future__ import annotations
@@ -220,14 +221,6 @@ def _sweep_payload(args, parser, fmt: str) -> str:
     return series.to_csv()
 
 
-def _emit(payload: str, out_path: str | None) -> None:
-    if out_path is None:
-        sys.stdout.write(payload)
-    else:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(payload)
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -262,7 +255,15 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    _emit(payload, args.out)
+    if args.out is None:
+        sys.stdout.write(payload)
+        return 0
+    try:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(payload)
+    except OSError as exc:
+        print(f"error: cannot write --out {args.out}: {exc.strerror or exc}", file=sys.stderr)
+        return 1
     return 0
 
 

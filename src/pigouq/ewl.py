@@ -21,7 +21,9 @@ the package's exact numbers are built on.
 
 Only Alice's and Bob's qubits exist here; in the n-traveler games all
 other players are classical and enter through the cost model, not the
-state.
+state. States are plain numpy ``complex128`` vectors of length 4 over
+the basis |00>, |01>, |10>, |11> (:data:`KET_00` is the first), with
+Alice's qubit first, so ``np.kron(U_A, U_B)`` is the joint move.
 
 :func:`outcome_table` runs the protocol for every pair of two strategy
 stacks in one numpy evaluation: it validates gamma and each stack once,
@@ -40,11 +42,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .linalg import KET_00, is_unitary, tensor_product
-from .strategies import resolve
+from .strategies import is_unitary, resolve
 
 __all__ = [
     "GAMMA_MAX",
+    "KET_00",
     "OutcomeDistribution",
     "entangler",
     "ewl_outcomes",
@@ -55,7 +57,11 @@ __all__ = [
 #: Largest admissible entanglement angle (maximal entanglement).
 GAMMA_MAX = math.pi / 2
 
-_P2_TENSOR_P2 = tensor_product(resolve("P2"), resolve("P2"))
+#: Initial joint state |00>.
+KET_00 = np.array([1, 0, 0, 0], dtype=complex)
+KET_00.setflags(write=False)
+
+_P2_TENSOR_P2 = np.kron(resolve("P2"), resolve("P2"))
 
 #: Tolerance for the unitarity guard on player strategy matrices.
 _STRATEGY_UNITARITY_TOL = 1e-9

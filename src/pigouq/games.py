@@ -72,13 +72,13 @@ PROB_SNAP_TOL = 1e-10
 _SNAP_TARGET_VALUES = np.array([float(t) for t in PROB_SNAP_TARGETS])
 
 
-def snap_probability(p: float, tol: float = PROB_SNAP_TOL):
-    """Replace ``p`` by the exact rational it is within ``tol`` of, if any.
+def snap_probability(p: float):
+    """Replace ``p`` by the exact rational it is within ``PROB_SNAP_TOL`` of, if any.
 
     Returns a :class:`Fraction` on a hit and the float unchanged otherwise.
     """
     for target in PROB_SNAP_TARGETS:
-        if abs(p - target) <= tol:
+        if abs(p - target) <= PROB_SNAP_TOL:
             return target
     return p
 

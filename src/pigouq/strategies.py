@@ -20,6 +20,10 @@ Strategies are referred to either by their canonical tag ("P1", "P2",
 "Q", "M", "S1", "S2") or by a :class:`StrategyAngles` value for custom
 points of the family. The same tags are the wire format used in CLI
 flags and JSON output.
+
+:func:`is_unitary` is the unitarity guard for single matrices and for
+stacks of them: the catalog checks its literals with it at import, and
+the protocol checks every strategy stack with it before a run.
 """
 
 from __future__ import annotations
@@ -31,11 +35,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .linalg import is_unitary
 
 __all__ = [
     "STRATEGY_TAGS",
     "StrategyAngles",
+    "is_unitary",
     "resolve",
     "strategy_label",
     "unitary_from_angles",
@@ -57,6 +61,27 @@ class StrategyAngles:
             raise DomainError(f"theta must lie in [0, pi], got {self.theta}")
         if not (0.0 <= self.phi <= PHI_MAX):
             raise DomainError(f"phi must lie in [0, pi/2], got {self.phi}")
+
+
+def is_unitary(m, tol: float) -> bool:
+    """Whether ``m`` times its conjugate transpose deviates from the
+    identity by at most ``tol`` entry-wise.
+
+    ``m`` may also be a stack of square matrices, shape ``(..., d, d)``;
+    the stack passes when every matrix in it does.
+
+    Raises
+    ------
+    DomainError
+        If ``m`` is not square or has a non-finite entry.
+    """
+    m = np.asarray(m, dtype=complex)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise DomainError(f"expected a square matrix, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise DomainError("matrix entries must be finite")
+    delta = m @ np.swapaxes(m.conj(), -1, -2) - np.eye(m.shape[-1])
+    return bool(np.abs(delta).max() <= tol)
 
 
 def unitary_from_angles(theta: float, phi: float) -> np.ndarray:

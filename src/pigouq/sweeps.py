@@ -20,13 +20,7 @@ from .equilibria import solve
 from .errors import DomainError
 from .ewl import validate_gamma
 from .games import GameSpec, bimatrix, value_to_json
-from .metrics import (
-    MetricsReport,
-    PER_GAME,
-    format_equilibrium_label,
-    report,
-    solve_over_k,
-)
+from .metrics import PER_GAME, MetricsReport, _metrics_report, report, solve_over_k
 
 __all__ = [
     "CSV_HEADER",
@@ -83,15 +77,7 @@ def sweep_k(
         raise DomainError(f"k range must lie within 0..{n - 3} for n={n}")
 
     points, opt = solve_over_k(mode, strategies, n, ks, gamma)
-    reports = []
-    for spec, _, eq, total in points:
-        if total is None:
-            reports.append(MetricsReport(None, opt, None, None, spec.k, None))
-            continue
-        ratio = total / opt
-        reports.append(
-            MetricsReport(total, opt, ratio, ratio, spec.k, format_equilibrium_label(eq.selected))
-        )
+    reports = [_metrics_report(spec, eq, total, opt) for spec, _, eq, total in points]
     meta = _meta(mode=mode, variant="k_person", n=n, gamma=gamma, strategies=points[0][0].strategy_labels())
     return SweepSeries("k", tuple(ks), tuple(reports), meta)
 
@@ -115,23 +101,15 @@ def sweep_gamma(
         validate_gamma(g)
 
     variant = "two_person" if k is None else "k_person"
+    specs = [
+        GameSpec(variant=variant, mode="quantum", n=n, k=k, gamma=g, strategies=tuple(strategies)) for g in gammas
+    ]
     reports = []
-    for g in gammas:
-        spec = GameSpec(
-            variant=variant,
-            mode="quantum",
-            n=n,
-            k=k,
-            gamma=g,
-            strategies=tuple(strategies),
-        )
+    for spec in specs:
         matrix = bimatrix(spec)
         eq = solve(matrix)
         reports.append(report(spec, eq, PER_GAME, matrix=matrix))
-    labels = GameSpec(
-        variant=variant, mode="quantum", n=n, k=k, gamma=gammas[0], strategies=tuple(strategies)
-    ).strategy_labels()
-    meta = _meta(mode="quantum", variant=variant, n=n, k=k, strategies=labels)
+    meta = _meta(mode="quantum", variant=variant, n=n, k=k, strategies=specs[0].strategy_labels())
     return SweepSeries("gamma", tuple(gammas), tuple(reports), meta)
 
 

@@ -23,7 +23,6 @@ import numpy as np
 from .equilibria import dominance_select, mixed_nash, optimal_outcome, solve
 from .ewl import GAMMA_MAX, ewl_outcomes
 from .games import GameSpec, bimatrix, classical_bimatrix, quantum_bimatrix, snap_probability
-from .linalg import is_unitary
 from .metrics import (
     SocialCostModel,
     analyze,
@@ -31,7 +30,7 @@ from .metrics import (
     classical_pos_poa,
     total_cost,
 )
-from .strategies import resolve, unitary_from_angles
+from .strategies import is_unitary, resolve, unitary_from_angles
 from .sweeps import sweep_k
 
 __all__ = ["CHECKS", "CheckResult", "run_all"]
@@ -110,9 +109,10 @@ def check_two_person_miracle_strategy_game() -> CheckResult:
     return _result("two-person entangled grid, miracle strategy", not problems, "; ".join(problems))
 
 
-def check_k_person_grids_closed_form(n: int = 10, k_values=range(1, 8)) -> CheckResult:
+def check_k_person_grids_closed_form() -> CheckResult:
+    n = 10
     problems = []
-    for k in k_values:
+    for k in range(1, 8):
         lone, shared = F(k + 1, n), F(k + 2, n)
         phase = (
             ((ONE, ONE), (ONE, lone), (shared, shared)),
@@ -129,11 +129,7 @@ def check_k_person_grids_closed_form(n: int = 10, k_values=range(1, 8)) -> Check
         )
         if quantum_bimatrix(GameSpec.quantum_k_person(n, k, ("P1", "P2", "M"))).cells != miracle:
             problems.append(f"miracle grid k={k}")
-    return _result(
-        f"n-traveler entangled grids match closed forms (n={n}, k=1..7)",
-        not problems,
-        "; ".join(problems),
-    )
+    return _result("n-traveler entangled grids match closed forms (n=10, k=1..7)", not problems, "; ".join(problems))
 
 
 def check_protocol_outcome_vectors() -> CheckResult:
@@ -243,10 +239,10 @@ def check_miracle_strategy_sweep_series() -> CheckResult:
     return _result("entangled k-sweep series, miracle strategy (n=10)", not problems, "; ".join(problems))
 
 
-def check_random_unitarity_and_normalization(draws: int = 1000) -> CheckResult:
+def check_random_unitarity_and_normalization() -> CheckResult:
     rng = np.random.default_rng(20250811)
     problems = []
-    for _ in range(draws):
+    for _ in range(1000):
         theta_a, theta_b = rng.uniform(0, math.pi, size=2)
         phi_a, phi_b = rng.uniform(0, math.pi / 2, size=2)
         gamma = rng.uniform(0, GAMMA_MAX)
@@ -259,7 +255,7 @@ def check_random_unitarity_and_normalization(draws: int = 1000) -> CheckResult:
         if abs(total - 1.0) > 1e-12:
             problems.append(f"normalization {total!r}")
             break
-    return _result(f"unitarity and outcome normalization over {draws} random draws", not problems, "; ".join(problems))
+    return _result("unitarity and outcome normalization over 1000 random draws", not problems, "; ".join(problems))
 
 
 def check_classical_limit() -> CheckResult:
@@ -308,9 +304,14 @@ def check_bimatrix_symmetry() -> CheckResult:
     return _result("cost grids are exchange-symmetric", not problems, "; ".join(problems[:4]))
 
 
+#: The deviation oracle tries every mixed strategy whose weights are multiples of 1/_GRID_STEP.
+_GRID_STEP = 200
+
+
 @lru_cache(maxsize=None)
-def _simplex_grid(size: int, step: int) -> np.ndarray:
-    """Every mixed strategy over ``size`` (2 or 3) moves with 1/step-multiple weights."""
+def _simplex_grid(size: int) -> np.ndarray:
+    """Every mixed strategy over ``size`` (2 or 3) moves with 1/_GRID_STEP-multiple weights."""
+    step = _GRID_STEP
     if size == 2:
         i = np.arange(step + 1)
         return np.stack([i / step, 1 - i / step], axis=1)
@@ -319,14 +320,14 @@ def _simplex_grid(size: int, step: int) -> np.ndarray:
     return np.stack([i / step, j / step, (step - i - j) / step], axis=1)
 
 
-def _grid_deviation_gap(matrix, profile, step: int = 200) -> float:
-    """Largest cost saving any 1/step-grid deviation offers either player."""
+def _grid_deviation_gap(matrix, profile) -> float:
+    """Largest cost saving any 1/_GRID_STEP-grid deviation offers either player."""
     size = matrix.size
     a = np.array([[float(matrix.cost_a(i, j)) for j in range(size)] for i in range(size)])
     b = np.array([[float(matrix.cost_b(i, j)) for j in range(size)] for i in range(size)])
     p = np.array([float(x) for x in profile.alice_probs])
     q = np.array([float(x) for x in profile.bob_probs])
-    grid = _simplex_grid(size, step)
+    grid = _simplex_grid(size)
     row_costs = a @ q  # Alice's pure-strategy costs against Bob's mix
     col_costs = b.T @ p  # Bob's pure-strategy costs against Alice's mix
     gap_a = float(p @ row_costs - np.min(grid @ row_costs))
@@ -342,7 +343,9 @@ def check_mixed_profiles_against_grid_oracle() -> CheckResult:
             gap = _grid_deviation_gap(matrix, profile)
             if gap > 1e-9:
                 problems.append(f"{spec.describe()}: gap {gap}")
-    return _result("every mixed profile survives the 1/200-grid deviation oracle", not problems, "; ".join(problems))
+    return _result(
+        f"every mixed profile survives the 1/{_GRID_STEP}-grid deviation oracle", not problems, "; ".join(problems)
+    )
 
 
 def check_ratio_identity() -> CheckResult:

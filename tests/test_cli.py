@@ -186,3 +186,14 @@ def test_out_redirects_payload_only(tmp_path, capsys):
     assert code == 0
     assert captured.out == ""
     assert "(1, 1/2)" in target.read_text()
+
+
+@pytest.mark.parametrize("where", ["missing-dir", "directory"])
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys, where):
+    target = tmp_path / "no" / "such" / "grid.txt" if where == "missing-dir" else tmp_path
+    code = main(["matrix", "--game", "classical2", "--out", str(target)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write --out {target}: ")
+    assert captured.err.count("\n") == 1

@@ -6,8 +6,7 @@ import pytest
 import scipy.linalg
 
 from pigouq.errors import DomainError
-from pigouq.ewl import GAMMA_MAX, entangler, ewl_outcomes, outcome_table
-from pigouq.linalg import KET_00, dagger, tensor_product
+from pigouq.ewl import GAMMA_MAX, KET_00, entangler, ewl_outcomes, outcome_table
 from pigouq.strategies import STRATEGY_TAGS, StrategyAngles, resolve, unitary_from_angles
 
 INV_SQRT2 = 1 / math.sqrt(2)
@@ -51,7 +50,7 @@ def test_maximal_entangler_matrix():
 
 def test_entangler_is_unitary_at_generic_angle():
     j = entangler(0.3)
-    assert np.allclose(j @ dagger(j), np.eye(4), atol=1e-15)
+    assert np.allclose(j @ j.conj().T, np.eye(4), atol=1e-15)
 
 
 def test_entangler_matches_matrix_exponential():
@@ -127,7 +126,7 @@ def test_outcomes_normalize_across_random_draws():
         # both the exposed distribution and the raw amplitudes
         assert abs(sum(ewl_outcomes(ua, ub, gamma).as_tuple()) - 1) <= 1e-12
         j = entangler(gamma)
-        psi = dagger(j) @ tensor_product(ua, ub) @ j @ KET_00
+        psi = j.conj().T @ np.kron(ua, ub) @ j @ KET_00
         assert abs(float(np.sum(np.abs(psi) ** 2)) - 1) <= 1e-12
 
 

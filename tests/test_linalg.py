@@ -1,12 +1,18 @@
+"""Linear-algebra facts the protocol rests on.
+
+The Kronecker order of the joint move, the entangler's generator and
+conjugate transpose, and the unitarity guard ``is_unitary``, which the
+strategy catalog and every protocol run use.
+"""
+
 import math
 
 import numpy as np
 import pytest
 
 from pigouq.errors import DomainError
-from pigouq.ewl import entangler
-from pigouq.linalg import KET_00, apply, dagger, is_unitary, tensor_product
-from pigouq.strategies import resolve, unitary_from_angles
+from pigouq.ewl import KET_00, entangler, outcome_table
+from pigouq.strategies import is_unitary, resolve, unitary_from_angles
 
 
 def kron_by_definition(a, b):
@@ -20,90 +26,39 @@ def kron_by_definition(a, b):
     return out
 
 
-def random_unitary(rng):
-    q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
-    return q
-
-
-def test_identity_tensor_identity():
-    assert np.array_equal(tensor_product(np.eye(2), np.eye(2)), np.eye(4))
-
-
 def test_flip_tensor_flip_is_antidiagonal():
-    p2 = resolve("P2")
-    got = tensor_product(p2, p2)
+    # J(gamma) = cos(gamma/2) I - i sin(gamma/2) (P2 x P2), and P2 x P2 is this antidiagonal.
     expected = np.zeros((4, 4), dtype=complex)
     expected[0, 3], expected[1, 2], expected[2, 1], expected[3, 0] = 1, -1, -1, 1
-    assert np.array_equal(got, expected)
-
-
-def test_miracle_tensor_miracle():
-    m = resolve("M")
-    expected = 0.5 * np.array(
-        [
-            [-1, 1j, 1j, 1],
-            [-1j, 1, -1, -1j],
-            [-1j, -1, 1, -1j],
-            [1, 1j, 1j, -1],
-        ]
-    )
-    assert np.allclose(tensor_product(m, m), expected, atol=1e-15)
+    for gamma in (0.3, 1.1, math.pi / 2):
+        generator = (entangler(gamma) - math.cos(gamma / 2) * np.eye(4)) / (-1j * math.sin(gamma / 2))
+        assert np.allclose(generator, expected, atol=1e-15)
 
 
 def test_tensor_matches_definition_on_random_matrices():
+    # outcome_table's broadcast product puts Alice's qubit first, as np.kron(U_A, U_B) does.
     rng = np.random.default_rng(7)
     for _ in range(20):
-        a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        assert np.allclose(tensor_product(a, b), kron_by_definition(a, b), atol=1e-14)
-
-
-def test_tensor_is_bilinear():
-    rng = np.random.default_rng(8)
-    a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    alpha = 0.37 - 1.2j
-    assert np.allclose(tensor_product(alpha * a, b), alpha * tensor_product(a, b), atol=1e-13)
-
-
-def test_apply_identity_returns_state():
-    v = np.array([0.5, 0.5j, -0.5, 0.5j])
-    assert np.array_equal(apply(np.eye(4), v), v)
-
-
-def test_apply_double_flip_sends_00_to_11():
-    p2 = resolve("P2")
-    got = apply(tensor_product(p2, p2), KET_00)
-    assert np.allclose(got, [0, 0, 0, 1], atol=1e-15)
+        a = unitary_from_angles(rng.uniform(0, math.pi), rng.uniform(0, math.pi / 2))
+        b = unitary_from_angles(rng.uniform(0, math.pi), rng.uniform(0, math.pi / 2))
+        gamma = rng.uniform(0, math.pi / 2)
+        j = entangler(gamma)
+        want = np.abs(j.conj().T @ kron_by_definition(a, b) @ j @ KET_00) ** 2
+        got = outcome_table([a, b], [b, a], gamma)
+        assert np.allclose(got[0, 0], want, atol=1e-14)
+        # the swapped pair swaps the two cross outcomes
+        assert np.allclose(got[1, 1], want[[0, 2, 1, 3]], atol=1e-14)
 
 
 def test_apply_entangler_builds_balanced_superposition():
-    got = apply(entangler(math.pi / 2), KET_00)
+    got = entangler(math.pi / 2) @ KET_00
     expected = np.array([1, 0, 0, -1j]) / math.sqrt(2)
     assert np.allclose(got, expected, atol=1e-15)
 
 
-def test_apply_preserves_norm_for_unitaries():
-    rng = np.random.default_rng(9)
-    for _ in range(50):
-        u = random_unitary(rng)
-        v = rng.normal(size=4) + 1j * rng.normal(size=4)
-        v /= np.linalg.norm(v)
-        assert abs(np.linalg.norm(apply(u, v)) - 1) < 1e-12
-
-
-def test_apply_rejects_mismatched_shapes():
-    with pytest.raises(DomainError):
-        apply(np.eye(4), np.array([1, 0]))
-
-
-def test_dagger_identity():
-    assert np.array_equal(dagger(np.eye(4)), np.eye(4))
-
-
 def test_dagger_entangler_flips_imaginary_signs():
     j = entangler(math.pi / 2)
-    jd = dagger(j)
+    jd = j.conj().T
     inv = 1 / math.sqrt(2)
     expected = np.array(
         [
@@ -117,21 +72,15 @@ def test_dagger_entangler_flips_imaginary_signs():
     assert np.allclose(jd @ j, np.eye(4), atol=1e-15)
 
 
-def test_dagger_is_an_involution():
-    rng = np.random.default_rng(10)
-    u = random_unitary(rng)
-    assert np.allclose(dagger(dagger(u)), u, atol=1e-15)
-
-
 def test_is_unitary_accepts_identity_and_strategy_family():
     assert is_unitary(np.eye(2), 1e-12)
     assert is_unitary(np.eye(4), 1e-12)
     assert is_unitary(unitary_from_angles(0.7, 0.3), 1e-12)
+    assert is_unitary(entangler(0.3), 1e-15)
 
 
 def test_is_unitary_rejects_scaled_entry():
     bad = np.eye(2, dtype=complex)
-    bad = bad.copy()
     bad[0, 0] = 2
     assert not is_unitary(bad, 1e-12)
 
@@ -144,8 +93,16 @@ def test_is_unitary_checks_every_matrix_of_a_stack():
 
 
 def test_non_finite_entries_are_rejected():
-    bad = np.eye(2, dtype=complex)
-    bad = bad.copy()
-    bad[0, 1] = np.nan
-    with pytest.raises(DomainError):
-        is_unitary(bad, 1e-12)
+    for value in (np.nan, np.inf, complex(0, np.inf)):
+        bad = np.eye(2, dtype=complex)
+        bad[0, 1] = value
+        with pytest.raises(DomainError, match="finite"):
+            is_unitary(bad, 1e-12)
+        with pytest.raises(DomainError, match="finite"):
+            is_unitary(np.stack([resolve("P1"), bad]), 1e-12)
+
+
+@pytest.mark.parametrize("shape", [(), (4,), (2, 3), (3, 2, 4)])
+def test_non_square_input_is_rejected(shape):
+    with pytest.raises(DomainError, match="square"):
+        is_unitary(np.ones(shape), 1e-12)

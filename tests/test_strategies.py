@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from pigouq.errors import DomainError
-from pigouq.linalg import is_unitary
 from pigouq.strategies import (
     DEFINING_ANGLES,
     STRATEGY_TAGS,
     StrategyAngles,
+    is_unitary,
     resolve,
     strategy_label,
     unitary_from_angles,

@@ -5,9 +5,8 @@ import pytest
 
 from pigouq.equilibria import solve
 from pigouq.errors import DomainError
-from pigouq.ewl import GAMMA_MAX
+from pigouq.ewl import GAMMA_MAX, KET_00
 from pigouq.games import GameSpec, bimatrix
-from pigouq.linalg import KET_00, tensor_product
 from pigouq.metrics import profile_total, report
 from pigouq.strategies import resolve
 from pigouq.sweeps import CSV_HEADER, series_to_json_obj, sweep_gamma, sweep_k
@@ -82,7 +81,7 @@ def test_gamma_sweep_endpoints():
 def test_unentangled_miracle_cell_matches_hand_evolution():
     # independent evolution of the miracle pair with no entangler
     m = resolve("M")
-    psi = tensor_product(m, m) @ KET_00
+    psi = np.kron(m, m) @ KET_00
     probs = np.abs(psi) ** 2
     costs_alice = [1, 1, 0.5, 1]
     expected = float(np.dot(probs, costs_alice))
