@@ -8,10 +8,12 @@ the two-traveler game.
 
 import numpy as np
 
-from pigouq import GAMMA_MAX, entangler, ewl_outcomes, resolve
+from pigouq import GAMMA_MAX, GameSpec, cost_assignment, entangler, outcome_table, resolve
 from pigouq.ewl import KET_00
 
 BASIS = ("|00>", "|01>", "|10>", "|11>")
+# Each traveler's cost for each outcome of the two-traveler game.
+ALICE_COSTS, BOB_COSTS = cost_assignment(GameSpec.classical_two_person())
 
 
 def show_state(label, state):
@@ -36,10 +38,10 @@ def walkthrough(tag_a, tag_b, gamma=GAMMA_MAX):
     state = j.conj().T @ state
     show_state("after disentangling", state)
 
-    dist = ewl_outcomes(resolve(tag_a), resolve(tag_b), gamma)
-    print(f"  outcome probabilities        {np.round(dist.as_tuple(), 6)}")
-    alice = dist.p00 * 1 + dist.p01 * 1 + dist.p10 * 0.5 + dist.p11 * 1
-    bob = dist.p00 * 1 + dist.p01 * 0.5 + dist.p10 * 1 + dist.p11 * 1
+    dist = outcome_table([resolve(tag_a)], [resolve(tag_b)], gamma)[0, 0]
+    print(f"  outcome probabilities        {np.round(dist, 6)}")
+    alice = sum(p * float(c) for p, c in zip(dist, ALICE_COSTS))
+    bob = sum(p * float(c) for p, c in zip(dist, BOB_COSTS))
     print(f"  two-traveler costs           Alice {alice:.4f}, Bob {bob:.4f}")
     print()
 

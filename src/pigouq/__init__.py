@@ -11,18 +11,8 @@ exposes the same through ``matrix``, ``solve``, ``sweep`` and
 
 from .errors import DomainError
 from .strategies import STRATEGY_TAGS, StrategyAngles, is_unitary, resolve, strategy_label, unitary_from_angles
-from .ewl import GAMMA_MAX, OutcomeDistribution, entangler, ewl_outcomes
-from .games import (
-    CostAssignment,
-    CostBimatrix,
-    GameSpec,
-    PigouNetwork,
-    bimatrix,
-    classical_bimatrix,
-    cost_assignment,
-    quantum_bimatrix,
-    snap_probability,
-)
+from .ewl import GAMMA_MAX, entangler, outcome_table
+from .games import CostBimatrix, GameSpec, bimatrix, cost_assignment, pinned_bill, snap_probability
 from .equilibria import (
     EquilibriumResult,
     MixedProfile,
@@ -37,14 +27,12 @@ from .metrics import (
     GLOBAL_OVER_K,
     PER_GAME,
     MetricsReport,
-    SocialCostModel,
     analyze,
     classical_cost_ne,
     classical_opt,
     classical_pos_poa,
     report,
     split_cost,
-    total_cost,
 )
 from .sweeps import CSV_HEADER, SweepSeries, series_to_csv, series_to_json_obj, sweep_gamma, sweep_k
 
@@ -52,7 +40,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CSV_HEADER",
-    "CostAssignment",
     "CostBimatrix",
     "DomainError",
     "EquilibriumResult",
@@ -61,29 +48,25 @@ __all__ = [
     "GameSpec",
     "MetricsReport",
     "MixedProfile",
-    "OutcomeDistribution",
     "PER_GAME",
-    "PigouNetwork",
     "PureProfile",
     "STRATEGY_TAGS",
-    "SocialCostModel",
     "StrategyAngles",
     "SweepSeries",
     "analyze",
     "bimatrix",
-    "classical_bimatrix",
     "classical_cost_ne",
     "classical_opt",
     "classical_pos_poa",
     "cost_assignment",
     "dominance_select",
     "entangler",
-    "ewl_outcomes",
     "is_unitary",
     "mixed_nash",
     "optimal_outcome",
+    "outcome_table",
+    "pinned_bill",
     "pure_nash",
-    "quantum_bimatrix",
     "report",
     "resolve",
     "series_to_csv",
@@ -94,6 +77,5 @@ __all__ = [
     "strategy_label",
     "sweep_gamma",
     "sweep_k",
-    "total_cost",
     "unitary_from_angles",
 ]

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError
-from .games import CostBimatrix
+from .games import CostBimatrix, value_to_json
 
 __all__ = [
     "EquilibriumResult",
@@ -95,8 +95,6 @@ class MixedProfile:
         return len(sup_a) == 1 and len(sup_b) == 1
 
     def to_json_obj(self) -> dict:
-        from .games import value_to_json
-
         return {
             "alice_probs": [value_to_json(p) for p in self.alice_probs],
             "bob_probs": [value_to_json(q) for q in self.bob_probs],

@@ -31,13 +31,13 @@ forms all Kronecker products by one broadcast multiplication, and
 applies J and its conjugate transpose as stacked matrix products in the
 association ``J^dag @ (K @ (J @ |00>))``. Each cell therefore sees the
 float operations of a single run, and its bits equal those of the
-pairs evaluated one at a time. :func:`ewl_outcomes` is its one-pair case.
+pairs evaluated one at a time. One pair is the 1x1 case,
+``outcome_table([ua], [ub], gamma)[0, 0]``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,9 +47,7 @@ from .strategies import is_unitary, resolve
 __all__ = [
     "GAMMA_MAX",
     "KET_00",
-    "OutcomeDistribution",
     "entangler",
-    "ewl_outcomes",
     "outcome_table",
     "validate_gamma",
 ]
@@ -91,23 +89,6 @@ def entangler(gamma: float) -> np.ndarray:
 
 def _entangler(g: float) -> np.ndarray:
     return math.cos(g / 2) * np.eye(4) - 1j * math.sin(g / 2) * _P2_TENSOR_P2
-
-
-@dataclass(frozen=True)
-class OutcomeDistribution:
-    """Joint probabilities of the four measured path profiles.
-
-    Index order matches the basis convention: first bit is Alice's path
-    (0 = constant-cost edge, 1 = load-dependent edge), second is Bob's.
-    """
-
-    p00: float
-    p01: float
-    p10: float
-    p11: float
-
-    def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.p00, self.p01, self.p10, self.p11)
 
 
 def outcome_table(rows, cols, gamma: float) -> np.ndarray:
@@ -172,18 +153,3 @@ def _strategy_stack(matrices, player: str) -> np.ndarray:
         raise DomainError(f"{player}'s strategy matrix is not a 2x2 unitary")
     return stack
 
-
-def ewl_outcomes(ua, ub, gamma: float) -> OutcomeDistribution:
-    """Run the protocol for strategy matrices ``ua`` (Alice) and ``ub`` (Bob).
-
-    The one-pair case of :func:`outcome_table`: ``ua`` and ``ub`` must be
-    2x2 and unitary to within 1e-9, ``gamma`` must lie in [0, pi/2], and
-    the four probabilities sum to 1 within 1e-12.
-
-    Raises
-    ------
-    DomainError
-        For non-finite or non-unitary strategies or an out-of-range angle.
-    """
-    p = outcome_table([ua], [ub], gamma)[0, 0]
-    return OutcomeDistribution(float(p[0]), float(p[1]), float(p[2]), float(p[3]))

@@ -9,16 +9,23 @@ edge and the rest on the upper one, which shifts the free players'
 marginal costs -- a lone free player on the lower edge pays (k+1)/n,
 both together pay (k+2)/n each.
 
-Quantum games weight those same per-outcome costs by the protocol's
-outcome distribution. That distribution depends only on the strategy
-pair and gamma, so :func:`outcome_grid` computes it once per strategy
-set and angle, as one batched protocol evaluation with the bits of the
-pair-by-pair runs, and every (n, k) can reuse it. Cell costs are exact
-``fractions.Fraction`` values whenever every outcome probability snaps
-to a dyadic value (which covers all named-strategy games at gamma in
-{0, pi/2}); otherwise cells degrade to floats, each float probability
-times the float of its exact cost, which is what Fraction arithmetic
-computes for that product.
+The whole cost model lives here, in two functions:
+:func:`cost_assignment` gives the free players' costs for each joint
+path outcome (00, 01, 10, 11), and :func:`pinned_bill` gives the pinned
+players' total. Every game, classical or entangled, is the same map:
+:func:`bimatrix` weights the per-outcome costs by each strategy pair's
+outcome distribution. Only the distributions differ. A classical pair
+plays its paths for sure, so the classical game's grid is the constant
+:data:`CLASSICAL_GRID` and no protocol runs. An entangled pair's
+distribution depends only on the pair and gamma, so :func:`outcome_grid`
+computes it once per strategy set and angle, as one batched protocol
+evaluation with the bits of the pair-by-pair runs, and every (n, k) can
+reuse it. Cell costs are exact ``fractions.Fraction`` values whenever
+every outcome probability snaps to a dyadic value (which covers the
+classical games and all named-strategy games at gamma in {0, pi/2});
+otherwise cells degrade to floats, each float probability times the
+float of its exact cost, which is what Fraction arithmetic computes for
+that product.
 
 A quirk worth knowing about the phase strategy Q: under maximal
 entanglement, Q against P1 lands both players on the lower edge while
@@ -43,15 +50,13 @@ from .ewl import GAMMA_MAX, outcome_table, validate_gamma
 from .strategies import resolve, strategy_label
 
 __all__ = [
-    "CostAssignment",
+    "CLASSICAL_GRID",
     "CostBimatrix",
     "GameSpec",
-    "PigouNetwork",
     "bimatrix",
-    "classical_bimatrix",
     "cost_assignment",
     "outcome_grid",
-    "quantum_bimatrix",
+    "pinned_bill",
     "snap_probability",
     "value_to_json",
 ]
@@ -81,36 +86,6 @@ def snap_probability(p: float):
         if abs(p - target) <= PROB_SNAP_TOL:
             return target
     return p
-
-
-@dataclass(frozen=True)
-class PigouNetwork:
-    """The two-edge network: upper edge cost 1, lower edge cost x/n."""
-
-    n: int
-
-    def __post_init__(self):
-        if self.n < 2:
-            raise DomainError(f"network needs at least 2 travelers, got {self.n}")
-
-    def upper_cost(self, load: int) -> Fraction:
-        return Fraction(1)
-
-    def lower_cost(self, load: int) -> Fraction:
-        return Fraction(load, self.n)
-
-
-@dataclass(frozen=True)
-class CostAssignment:
-    """One player's cost for each joint path outcome (00, 01, 10, 11)."""
-
-    c00: Fraction
-    c01: Fraction
-    c10: Fraction
-    c11: Fraction
-
-    def as_tuple(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-        return (self.c00, self.c01, self.c10, self.c11)
 
 
 @dataclass(frozen=True)
@@ -151,8 +126,8 @@ class GameSpec:
         if self.mode == "classical":
             if self.gamma is not None:
                 raise DomainError("classical games take no entanglement angle")
-            if not set(labels) <= {"P1", "P2"}:
-                raise DomainError("classical strategies are limited to P1 and P2")
+            if labels != ["P1", "P2"]:
+                raise DomainError("classical games play exactly P1 and P2, in that order")
         else:
             if self.gamma is None:
                 raise DomainError("quantum games require an entanglement angle")
@@ -286,35 +261,44 @@ def value_to_json(x):
     return float(x)
 
 
-def cost_assignment(spec: GameSpec) -> tuple[CostAssignment, CostAssignment]:
-    """Per-outcome costs (Alice's, Bob's) for the spec's network variant.
+def cost_assignment(spec: GameSpec) -> tuple[tuple, tuple]:
+    """Per-outcome costs (Alice's, Bob's) of the two free players, as 4-tuples.
 
-    Outcome bits: Alice's path first. With k pinned lower-edge users out
-    of n, a lone free user there faces load k+1 and a shared lower edge
-    load k+2; the two-person game is the k=0, n=2 instance (a lone
-    lower-edge user pays 1/2, everything else costs 1).
+    Outcome bits: Alice's path first, 0 for the upper edge and 1 for the
+    lower one. With k pinned lower-edge users out of n, a lone free user
+    there faces load k+1 and a shared lower edge load k+2; the two-person
+    game is the k=0, n=2 instance (a lone lower-edge user pays 1/2,
+    everything else costs 1).
     """
-    net = PigouNetwork(spec.n)
-    k = spec.k if spec.variant == "k_person" else 0
-    one = net.upper_cost(1)
-    lone = net.lower_cost(k + 1)
-    shared = net.lower_cost(k + 2)
-    alice = CostAssignment(one, one, lone, shared)
-    bob = CostAssignment(one, lone, one, shared)
-    return alice, bob
+    k = spec.k or 0
+    one, lone, shared = Fraction(1), Fraction(k + 1, spec.n), Fraction(k + 2, spec.n)
+    return (one, one, lone, shared), (one, lone, one, shared)
 
 
-def classical_bimatrix(spec: GameSpec) -> CostBimatrix:
-    """The 2x2 cost grid over {P1, P2} for a classical spec."""
-    if spec.mode != "classical":
-        raise DomainError("classical_bimatrix requires a classical game spec")
-    alice, bob = cost_assignment(spec)
-    a, b = alice.as_tuple(), bob.as_tuple()
-    # Outcome index = 2*row_bit + col_bit with P1 -> 0, P2 -> 1.
-    cells = tuple(
-        tuple((a[2 * i + j], b[2 * i + j]) for j in range(2)) for i in range(2)
-    )
-    return CostBimatrix(("P1", "P2"), ("P1", "P2"), cells)
+def pinned_bill(spec: GameSpec, lower=0) -> Fraction:
+    """The pinned players' total cost with ``lower`` free players on the lower edge.
+
+    The k pinned lower-edge users pay k/n each and the n-k-2 upper-edge
+    users 1 each. Classical games charge the realized load, so every free
+    player on the lower edge adds 1/n to each of the k; ``lower`` may be
+    an expected count. Quantum games bill the pinned players as if the
+    entangled pair were absent. The two-person game has no pinned players.
+    """
+    k = spec.k or 0
+    bill = Fraction(k * k, spec.n) + (spec.n - k - 2)
+    if spec.mode == "classical":
+        bill += Fraction(k, spec.n) * lower
+    return bill
+
+
+_ZERO, _ONE = Fraction(0), Fraction(1)
+
+#: The classical game's outcome grid over (P1, P2): a pair of paths is
+#: played for sure, so pair (i, j) lands on outcome 2i + j with probability 1.
+CLASSICAL_GRID = (
+    ((_ONE, _ZERO, _ZERO, _ZERO), (_ZERO, _ONE, _ZERO, _ZERO)),
+    ((_ZERO, _ZERO, _ONE, _ZERO), (_ZERO, _ZERO, _ZERO, _ONE)),
+)
 
 
 def outcome_grid(strategies, gamma: float) -> tuple:
@@ -341,42 +325,30 @@ def outcome_grid(strategies, gamma: float) -> tuple:
     return tuple(tuple(map(tuple, row)) for row in grid)
 
 
-def quantum_bimatrix(spec: GameSpec, outcomes: tuple | None = None) -> CostBimatrix:
-    """Expected-cost grid over the spec's strategy set under the protocol.
+def bimatrix(spec: GameSpec, outcomes: tuple | None = None) -> CostBimatrix:
+    """The spec's expected-cost grid over its strategy set.
 
-    Built in two steps: the :func:`outcome_grid` of the spec's strategies
-    at its ``gamma`` (pass ``outcomes`` to reuse one already built for
-    them), then each cell weights the spec's per-outcome costs by its
-    distribution. Probabilities within 1e-10 of {0, 1/4, 1/2, 3/4, 1}
-    are snapped to those exact rationals, so named-strategy games at
-    gamma in {0, pi/2} produce exact Fraction cells.
+    Each cell weights the :func:`cost_assignment` of the spec by the
+    pair's outcome distribution: :data:`CLASSICAL_GRID` for a classical
+    spec, the :func:`outcome_grid` of its strategies at its ``gamma`` for
+    a quantum one (pass ``outcomes`` to reuse one already built for
+    them). Zero probabilities are skipped: they are always the snapped
+    ``Fraction(0)``, and adding their zero products changes neither the
+    value nor the type of a sum, so a classical cell costs one product.
     """
-    if spec.mode != "quantum":
-        raise DomainError("quantum_bimatrix requires a quantum game spec")
     if outcomes is None:
-        outcomes = outcome_grid(spec.strategies, spec.gamma)
+        outcomes = CLASSICAL_GRID if spec.mode == "classical" else outcome_grid(spec.strategies, spec.gamma)
     # A float probability times a Fraction cost is computed by Fraction as
     # float * float(cost); doing that product directly gives the same bits
     # without the Fraction dispatch, so each cost is converted once here.
-    alice, bob = ([(c, float(c)) for c in side.as_tuple()] for side in cost_assignment(spec))
+    alice, bob = ([(c, float(c)) for c in side] for side in cost_assignment(spec))
     labels = spec.strategy_labels()
     rows = []
     for row_outcomes in outcomes:
         row = []
         for probs in row_outcomes:
-            ca = sum(p * cf if isinstance(p, float) else p * c for p, (c, cf) in zip(probs, alice))
-            cb = sum(p * cf if isinstance(p, float) else p * c for p, (c, cf) in zip(probs, bob))
+            ca = sum(p * cf if isinstance(p, float) else p * c for p, (c, cf) in zip(probs, alice) if p)
+            cb = sum(p * cf if isinstance(p, float) else p * c for p, (c, cf) in zip(probs, bob) if p)
             row.append((ca, cb))
         rows.append(tuple(row))
     return CostBimatrix(labels, labels, tuple(rows))
-
-
-def bimatrix(spec: GameSpec, outcomes: tuple | None = None) -> CostBimatrix:
-    """Build the spec's cost bimatrix, classical or quantum.
-
-    ``outcomes`` is an :func:`outcome_grid` for a quantum spec's
-    strategies and angle; classical games have none.
-    """
-    if spec.mode == "classical":
-        return classical_bimatrix(spec)
-    return quantum_bimatrix(spec, outcomes)

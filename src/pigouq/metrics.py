@@ -1,15 +1,15 @@
 """Social-cost accounting: equilibrium cost, optimal cost, stability and anarchy ratios.
 
-Totals follow the conventions under which the reference numbers of this
-model are defined, and the two game modes genuinely differ:
+A profile's total is the two free players' (expected) costs plus the
+pinned players' bill, :func:`~pigouq.games.pinned_bill`, for pure and
+mixed profiles alike. That bill is where the two game modes differ, under
+the conventions the reference numbers of this model are defined in:
 
 * classical n-traveler games charge every lower-edge user the realized
   load, so with both free players there the k pinned users pay (k+2)/n
   each and the equilibrium total is (k+2)^2/n + (n-k-2);
-* quantum n-traveler games add the two entangled players' expected
-  costs to a profile-independent pinned-player total
-  cl = k*(k/n) + (n-k-2)*1, i.e. the pinned lower-edge users are billed
-  as if the entangled pair were absent.
+* quantum n-traveler games bill the pinned players a profile-independent
+  k*(k/n) + (n-k-2)*1, i.e. as if the entangled pair were absent.
 
 Price of Stability = best equilibrium total / optimal total; Price of
 Anarchy uses the worst equilibrium. Under the selection convention the
@@ -30,13 +30,12 @@ from typing import Iterable
 
 from .equilibria import EquilibriumResult, MixedProfile, PureProfile, solve
 from .errors import DomainError
-from .games import CostBimatrix, GameSpec, bimatrix, format_value, outcome_grid, value_to_json
+from .games import CostBimatrix, GameSpec, bimatrix, format_value, outcome_grid, pinned_bill, value_to_json
 
 __all__ = [
     "GLOBAL_OVER_K",
     "PER_GAME",
     "MetricsReport",
-    "SocialCostModel",
     "analyze",
     "classical_cost_ne",
     "classical_opt",
@@ -46,7 +45,6 @@ __all__ = [
     "report",
     "solve_over_k",
     "split_cost",
-    "total_cost",
 ]
 
 PER_GAME = "per_game"
@@ -56,29 +54,6 @@ GLOBAL_OVER_K = "global_over_k"
 def _check_k_bounds(n: int, k: int) -> None:
     if n < 3 or not (0 <= k < n - 2):
         raise DomainError(f"need 0 <= k < n-2, got k={k}, n={n}")
-
-
-@dataclass(frozen=True)
-class SocialCostModel:
-    """Pinned players' cost total for the quantum n-traveler convention."""
-
-    n: int
-    k: int
-
-    def __post_init__(self):
-        _check_k_bounds(self.n, self.k)
-
-    @property
-    def fixed_cost(self) -> Fraction:
-        """k lower-edge users at k/n each plus (n-k-2) upper-edge users at 1."""
-        return Fraction(self.k * self.k, self.n) + (self.n - self.k - 2)
-
-
-def total_cost(profile_costs, model: SocialCostModel | None = None):
-    """Both free players' costs plus the pinned players' total (0 without a model)."""
-    a, b = profile_costs
-    fixed = model.fixed_cost if model is not None else Fraction(0)
-    return a + b + fixed
 
 
 def classical_cost_ne(n: int, k: int) -> Fraction:
@@ -175,37 +150,23 @@ def format_equilibrium_label(profile) -> str | None:
     return "mixed:(" + ",".join(probs) + ")"
 
 
-def _social_model(spec: GameSpec) -> SocialCostModel | None:
-    if spec.variant == "k_person" and spec.mode == "quantum":
-        return SocialCostModel(spec.n, spec.k)
-    return None
-
-
-def _classical_cell_total(spec: GameSpec, profile: PureProfile):
-    lower = (profile.row_label, profile.col_label).count("P2")
-    k = spec.k or 0
-    return split_cost(spec.n, spec.n - k - lower)
-
-
 def profile_total(spec: GameSpec, matrix: CostBimatrix, profile):
-    """Social cost of a profile under the spec's accounting convention."""
+    """Social cost of a profile: both free players' costs plus the pinned players' bill.
+
+    A mixed profile counts its expected costs, and the bill counts the
+    expected number of free players on P2, the lower edge of the classical
+    game (quantum bills do not depend on it).
+    """
     if isinstance(profile, PureProfile):
-        if spec.mode == "classical":
-            return _classical_cell_total(spec, profile)
-        costs = matrix.cell(profile.row, profile.col)
-        return total_cost(costs, _social_model(spec))
-    if isinstance(profile, MixedProfile):
-        if spec.mode == "classical":
-            # Expected realized total over the joint pure outcomes.
-            return sum(
-                pa * qb * _classical_cell_total(spec, PureProfile(i, j, matrix.row_labels[i], matrix.col_labels[j]))
-                for i, pa in enumerate(profile.alice_probs)
-                for j, qb in enumerate(profile.bob_probs)
-                if pa and qb
-            )
-        costs = (profile.expected_cost_alice, profile.expected_cost_bob)
-        return total_cost(costs, _social_model(spec))
-    raise DomainError(f"cannot cost a profile of type {type(profile).__name__}")
+        a, b = matrix.cell(profile.row, profile.col)
+        lower = (profile.row_label, profile.col_label).count("P2")
+    elif isinstance(profile, MixedProfile):
+        a, b = profile.expected_cost_alice, profile.expected_cost_bob
+        moves = zip(matrix.row_labels + matrix.col_labels, profile.alice_probs + profile.bob_probs)
+        lower = sum(p for label, p in moves if label == "P2")
+    else:
+        raise DomainError(f"cannot cost a profile of type {type(profile).__name__}")
+    return a + b + pinned_bill(spec, lower)
 
 
 def _per_game_opt(spec: GameSpec, matrix: CostBimatrix):

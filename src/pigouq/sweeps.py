@@ -70,6 +70,8 @@ def sweep_k(
     total over the requested range. ``gamma`` is required for quantum
     mode and forbidden for classical.
     """
+    if n < 3:
+        raise DomainError("the k-person game requires n >= 3")
     if k_values is None:
         k_values = range(1, n - 2)
     ks = sorted(set(int(k) for k in k_values))

@@ -21,15 +21,9 @@ from itertools import product
 import numpy as np
 
 from .equilibria import dominance_select, mixed_nash, optimal_outcome, solve
-from .ewl import GAMMA_MAX, ewl_outcomes
-from .games import GameSpec, bimatrix, classical_bimatrix, quantum_bimatrix, snap_probability
-from .metrics import (
-    SocialCostModel,
-    analyze,
-    classical_cost_ne,
-    classical_pos_poa,
-    total_cost,
-)
+from .ewl import GAMMA_MAX, outcome_table
+from .games import GameSpec, bimatrix, pinned_bill, snap_probability
+from .metrics import analyze, classical_cost_ne, classical_pos_poa
 from .strategies import is_unitary, resolve, unitary_from_angles
 from .sweeps import sweep_k
 
@@ -56,7 +50,7 @@ def check_two_person_classical_grid() -> CheckResult:
     # Expected grid: sharing the lower edge costs 1 each, a lone lower-edge
     # user pays 1/2.
     expected = (((ONE, ONE), (ONE, HALF)), ((HALF, ONE), (ONE, ONE)))
-    m = classical_bimatrix(GameSpec.classical_two_person())
+    m = bimatrix(GameSpec.classical_two_person())
     ok = m.cells == expected and m.row_labels == ("P1", "P2")
     return _result("two-person classical cost grid", ok, f"got {m.cells}")
 
@@ -119,7 +113,7 @@ def check_k_person_grids_closed_form() -> CheckResult:
             ((lone, ONE), (shared, shared), (ONE, lone)),
             ((shared, shared), (lone, ONE), (ONE, ONE)),
         )
-        if quantum_bimatrix(GameSpec.quantum_k_person(n, k, ("P1", "P2", "Q"))).cells != phase:
+        if bimatrix(GameSpec.quantum_k_person(n, k, ("P1", "P2", "Q"))).cells != phase:
             problems.append(f"phase grid k={k}")
         hi, lo, both = F(n + k + 2, 2 * n), F(2 * k + 3, 2 * n), F(2 * n + 2 * k + 3, 4 * n)
         miracle = (
@@ -127,7 +121,7 @@ def check_k_person_grids_closed_form() -> CheckResult:
             ((lone, ONE), (shared, shared), (hi, lo)),
             ((lo, hi), (lo, hi), (both, both)),
         )
-        if quantum_bimatrix(GameSpec.quantum_k_person(n, k, ("P1", "P2", "M"))).cells != miracle:
+        if bimatrix(GameSpec.quantum_k_person(n, k, ("P1", "P2", "M"))).cells != miracle:
             problems.append(f"miracle grid k={k}")
     return _result("n-traveler entangled grids match closed forms (n=10, k=1..7)", not problems, "; ".join(problems))
 
@@ -135,17 +129,18 @@ def check_k_person_grids_closed_form() -> CheckResult:
 def check_protocol_outcome_vectors() -> CheckResult:
     problems = []
     for moves, expected in ((("P1", "P1"), (ONE, 0, 0, 0)), (("M", "M"), (F(1, 4),) * 4)):
-        probs = ewl_outcomes(resolve(moves[0]), resolve(moves[1]), GAMMA_MAX).as_tuple()
+        probs = tuple(outcome_table([resolve(moves[0])], [resolve(moves[1])], GAMMA_MAX)[0, 0].tolist())
         snapped = tuple(snap_probability(p) for p in probs)
         if any(abs(p - e) > 1e-12 for p, e in zip(probs, expected)) or snapped != expected:
             problems.append(f"{moves} pair {probs}")
     # The same pair inside the n=10, k=1 game: per-player cost 5/8,
     # total 8.35, ratio against the over-k optimum near 1.17.
-    matrix, _, metrics = analyze(GameSpec.quantum_k_person(10, 1, ("P1", "P2", "M")))
+    spec = GameSpec.quantum_k_person(10, 1, ("P1", "P2", "M"))
+    matrix, _, metrics = analyze(spec)
     cell = matrix.cell(2, 2)
     if cell != (F(5, 8), F(5, 8)):
         problems.append(f"miracle-pair costs {cell}")
-    total = total_cost(cell, SocialCostModel(10, 1))
+    total = cell[0] + cell[1] + pinned_bill(spec)
     if total != F(167, 20) or metrics.cost_ne != F(167, 20):
         problems.append(f"total {total}, cost_ne {metrics.cost_ne}")
     for ratio in (metrics.pos, metrics.poa):
@@ -251,7 +246,7 @@ def check_random_unitarity_and_normalization() -> CheckResult:
         if not is_unitary(ua, 1e-12) or not is_unitary(ub, 1e-12):
             problems.append(f"non-unitary at ({theta_a}, {phi_a})")
             break
-        total = sum(ewl_outcomes(ua, ub, gamma).as_tuple())
+        total = sum(outcome_table([ua], [ub], gamma)[0, 0].tolist())
         if abs(total - 1.0) > 1e-12:
             problems.append(f"normalization {total!r}")
             break
@@ -259,18 +254,14 @@ def check_random_unitarity_and_normalization() -> CheckResult:
 
 
 def check_classical_limit() -> CheckResult:
-    quantum = quantum_bimatrix(
-        GameSpec(variant="two_person", mode="quantum", n=2, gamma=0.0, strategies=("P1", "P2"))
-    )
-    classical = classical_bimatrix(GameSpec.classical_two_person())
+    quantum = bimatrix(GameSpec(variant="two_person", mode="quantum", n=2, gamma=0.0, strategies=("P1", "P2")))
+    classical = bimatrix(GameSpec.classical_two_person())
     ok = quantum.cells == classical.cells
     detail = f"{quantum.cells} vs {classical.cells}"
     if ok:
         for n, k in ((10, 1), (10, 4), (10, 7), (7, 2), (5, 2)):
-            q = quantum_bimatrix(
-                GameSpec(variant="k_person", mode="quantum", n=n, k=k, gamma=0.0, strategies=("P1", "P2"))
-            )
-            c = classical_bimatrix(GameSpec.classical_k_person(n, k))
+            q = bimatrix(GameSpec(variant="k_person", mode="quantum", n=n, k=k, gamma=0.0, strategies=("P1", "P2")))
+            c = bimatrix(GameSpec.classical_k_person(n, k))
             if q.cells != c.cells:
                 ok, detail = False, f"n={n}, k={k}"
                 break

@@ -178,6 +178,13 @@ class TestDomainErrors:
         assert code == 2
         assert "error:" in captured.err
 
+    def test_k_sweep_below_three_travelers(self, capsys):
+        code = main(["sweep", "--game", "classicalk", "--n", "2", "--over", "k"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: the k-person game requires n >= 3\n"
+
 
 def test_out_redirects_payload_only(tmp_path, capsys):
     target = tmp_path / "grid.txt"

@@ -6,7 +6,7 @@ import pytest
 import scipy.linalg
 
 from pigouq.errors import DomainError
-from pigouq.ewl import GAMMA_MAX, KET_00, entangler, ewl_outcomes, outcome_table
+from pigouq.ewl import GAMMA_MAX, KET_00, entangler, outcome_table
 from pigouq.strategies import STRATEGY_TAGS, StrategyAngles, resolve, unitary_from_angles
 
 INV_SQRT2 = 1 / math.sqrt(2)
@@ -63,47 +63,47 @@ def test_out_of_range_gamma_rejected(gamma):
     with pytest.raises(DomainError):
         entangler(gamma)
     with pytest.raises(DomainError):
-        ewl_outcomes(resolve("P1"), resolve("P1"), gamma)
+        outcome_table([resolve("P1")], [resolve("P1")], gamma)
+
+
+def one_pair(tag_a, tag_b, gamma):
+    """The (00, 01, 10, 11) distribution of one pair: the 1x1 case of outcome_table."""
+    return outcome_table([resolve(tag_a)], [resolve(tag_b)], gamma)[0, 0]
 
 
 def test_identity_pair_stays_on_upper_edge():
-    dist = ewl_outcomes(resolve("P1"), resolve("P1"), GAMMA_MAX)
-    assert dist.as_tuple() == (1.0, 0.0, 0.0, 0.0)
+    assert one_pair("P1", "P1", GAMMA_MAX).tolist() == [1.0, 0.0, 0.0, 0.0]
 
 
 def test_miracle_pair_is_uniform():
-    dist = ewl_outcomes(resolve("M"), resolve("M"), GAMMA_MAX)
-    assert np.allclose(dist.as_tuple(), (0.25, 0.25, 0.25, 0.25), atol=1e-15)
+    assert np.allclose(one_pair("M", "M", GAMMA_MAX), (0.25, 0.25, 0.25, 0.25), atol=1e-15)
 
 
 def test_identity_against_phase_lands_on_lower_edge():
-    dist = ewl_outcomes(resolve("P1"), resolve("Q"), GAMMA_MAX)
-    assert np.allclose(dist.as_tuple(), (0, 0, 0, 1), atol=1e-15)
+    assert np.allclose(one_pair("P1", "Q", GAMMA_MAX), (0, 0, 0, 1), atol=1e-15)
 
 
 def test_unentangled_double_flip():
-    dist = ewl_outcomes(resolve("P2"), resolve("P2"), 0.0)
-    assert dist.as_tuple() == (0.0, 0.0, 0.0, 1.0)
+    assert one_pair("P2", "P2", 0.0).tolist() == [0.0, 0.0, 0.0, 1.0]
 
 
 def test_classical_limit_is_a_point_mass():
     tags = ("P1", "P2")
     for (ia, ta), (ib, tb) in product(enumerate(tags), repeat=2):
-        dist = ewl_outcomes(resolve(ta), resolve(tb), 0.0)
         expected = [0.0] * 4
         expected[2 * ia + ib] = 1.0
-        assert np.allclose(dist.as_tuple(), expected, atol=1e-15)
+        assert np.allclose(one_pair(ta, tb, 0.0), expected, atol=1e-15)
 
 
 def test_swapping_players_swaps_the_cross_outcomes():
     tags = ("P1", "P2", "Q", "M")
     for ta, tb in product(tags, repeat=2):
-        d1 = ewl_outcomes(resolve(ta), resolve(tb), GAMMA_MAX)
-        d2 = ewl_outcomes(resolve(tb), resolve(ta), GAMMA_MAX)
-        assert abs(d1.p00 - d2.p00) < 1e-12
-        assert abs(d1.p11 - d2.p11) < 1e-12
-        assert abs(d1.p01 - d2.p10) < 1e-12
-        assert abs(d1.p10 - d2.p01) < 1e-12
+        p00, p01, p10, p11 = one_pair(ta, tb, GAMMA_MAX)
+        q00, q01, q10, q11 = one_pair(tb, ta, GAMMA_MAX)
+        assert abs(p00 - q00) < 1e-12
+        assert abs(p11 - q11) < 1e-12
+        assert abs(p01 - q10) < 1e-12
+        assert abs(p10 - q01) < 1e-12
 
 
 def test_outcomes_match_hand_evolution_on_random_draws():
@@ -112,7 +112,7 @@ def test_outcomes_match_hand_evolution_on_random_draws():
         ua = unitary_from_angles(rng.uniform(0, math.pi), rng.uniform(0, math.pi / 2))
         ub = unitary_from_angles(rng.uniform(0, math.pi), rng.uniform(0, math.pi / 2))
         gamma = rng.uniform(0, GAMMA_MAX)
-        got = ewl_outcomes(ua, ub, gamma).as_tuple()
+        got = outcome_table([ua], [ub], gamma)[0, 0]
         want = outcomes_by_hand(ua, ub, gamma)
         assert np.allclose(got, want, atol=1e-12)
 
@@ -124,7 +124,7 @@ def test_outcomes_normalize_across_random_draws():
         ub = unitary_from_angles(rng.uniform(0, math.pi), rng.uniform(0, math.pi / 2))
         gamma = rng.uniform(0, GAMMA_MAX)
         # both the exposed distribution and the raw amplitudes
-        assert abs(sum(ewl_outcomes(ua, ub, gamma).as_tuple()) - 1) <= 1e-12
+        assert abs(sum(outcome_table([ua], [ub], gamma)[0, 0].tolist()) - 1) <= 1e-12
         j = entangler(gamma)
         psi = j.conj().T @ np.kron(ua, ub) @ j @ KET_00
         assert abs(float(np.sum(np.abs(psi) ** 2)) - 1) <= 1e-12
@@ -144,7 +144,6 @@ def test_outcome_table_has_the_bits_of_the_per_pair_protocol(gamma):
         assert np.array_equal(outcome_table(stack, stack, g), want)
         # distinct row and column stacks
         assert np.array_equal(outcome_table(custom, named, g), want[:size, size:])
-        assert ewl_outcomes(custom[0], named[3], g).as_tuple() == tuple(want[0, size + 3])
 
 
 BAD_MATRICES = {
@@ -158,9 +157,9 @@ BAD_MATRICES = {
 @pytest.mark.parametrize("player", ["alice", "bob"])
 @pytest.mark.parametrize("bad", BAD_MATRICES.values(), ids=BAD_MATRICES)
 def test_non_unitary_strategy_rejected(bad, player):
-    pair = (bad, resolve("P1")) if player == "alice" else (resolve("P1"), bad)
+    rows, cols = ([bad], [resolve("P1")]) if player == "alice" else ([resolve("P1")], [bad])
     with pytest.raises(DomainError):
-        ewl_outcomes(*pair, GAMMA_MAX)
+        outcome_table(rows, cols, GAMMA_MAX)
 
 
 @pytest.mark.parametrize("bad", BAD_MATRICES.values(), ids=BAD_MATRICES)

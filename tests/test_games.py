@@ -9,28 +9,19 @@ import pytest
 import pigouq.games as games
 from pigouq.errors import DomainError
 from pigouq.games import (
+    CLASSICAL_GRID,
     PROB_SNAP_TARGETS,
     CostBimatrix,
     GameSpec,
-    PigouNetwork,
     bimatrix,
-    classical_bimatrix,
     cost_assignment,
     outcome_grid,
-    quantum_bimatrix,
     snap_probability,
 )
+from pigouq.strategies import StrategyAngles
 
 ONE = F(1)
 HALF = F(1, 2)
-
-
-def test_network_edge_costs():
-    net = PigouNetwork(10)
-    assert net.upper_cost(7) == 1
-    assert net.lower_cost(3) == F(3, 10)
-    with pytest.raises(DomainError):
-        PigouNetwork(1)
 
 
 def test_snap_probability():
@@ -72,6 +63,12 @@ class TestGameSpecValidation:
         with pytest.raises(DomainError):
             GameSpec(variant="two_person", mode="classical", n=2, strategies=("P1", "Q"))
 
+    @pytest.mark.parametrize("strategies", [("P2", "P1"), ("P1",), ("P2",)])
+    def test_classical_strategies_are_both_paths_in_grid_order(self, strategies):
+        # CLASSICAL_GRID is laid out over (P1, P2), so no other list may label it
+        with pytest.raises(DomainError, match="exactly P1 and P2"):
+            GameSpec(variant="k_person", mode="classical", n=10, k=3, strategies=strategies)
+
     def test_classical_takes_no_gamma(self):
         with pytest.raises(DomainError):
             GameSpec(variant="two_person", mode="classical", n=2, gamma=0.5)
@@ -91,78 +88,90 @@ class TestGameSpecValidation:
 
 def test_two_person_cost_assignment():
     alice, bob = cost_assignment(GameSpec.classical_two_person())
-    assert alice.as_tuple() == (ONE, ONE, HALF, ONE)
-    assert bob.as_tuple() == (ONE, HALF, ONE, ONE)
+    assert alice == (ONE, ONE, HALF, ONE)
+    assert bob == (ONE, HALF, ONE, ONE)
 
 
 def test_k_person_cost_assignment():
     alice, bob = cost_assignment(GameSpec.classical_k_person(10, 1))
-    assert alice.c11 == F(3, 10)
-    assert alice.as_tuple() == (ONE, ONE, F(1, 5), F(3, 10))
-    assert bob.as_tuple() == (ONE, F(1, 5), ONE, F(3, 10))
+    assert alice[3] == F(3, 10)
+    assert alice == (ONE, ONE, F(1, 5), F(3, 10))
+    assert bob == (ONE, F(1, 5), ONE, F(3, 10))
     alice0, _ = cost_assignment(GameSpec.classical_k_person(10, 0))
-    assert alice0.c10 == F(1, 10)  # a lone lower-edge user pays 1/n
+    assert alice0[2] == F(1, 10)  # a lone lower-edge user pays 1/n
+    # quantum games are billed through the same map
+    assert cost_assignment(GameSpec.quantum_k_person(10, 1)) == (alice, bob)
+    assert all(type(c) is F for side in (alice, bob) for c in side)
 
 
 def test_two_person_classical_grid():
-    m = classical_bimatrix(GameSpec.classical_two_person())
+    m = bimatrix(GameSpec.classical_two_person())
     assert m.row_labels == ("P1", "P2")
     assert m.cells == (((ONE, ONE), (ONE, HALF)), ((HALF, ONE), (ONE, ONE)))
 
 
 def test_k_person_classical_grid():
-    m = classical_bimatrix(GameSpec.classical_k_person(10, 3))
+    m = bimatrix(GameSpec.classical_k_person(10, 3))
     assert m.cell(1, 0) == (F(2, 5), ONE)
     assert m.cell(1, 1) == (HALF, HALF)
-    m0 = classical_bimatrix(GameSpec.classical_k_person(10, 0))
+    m0 = bimatrix(GameSpec.classical_k_person(10, 0))
     assert m0.cell(0, 1) == (ONE, F(1, 10))
 
 
-def test_classical_builder_rejects_quantum_spec():
-    with pytest.raises(DomainError):
-        classical_bimatrix(GameSpec.quantum_two_person())
-    with pytest.raises(DomainError):
-        quantum_bimatrix(GameSpec.classical_two_person())
+@pytest.mark.parametrize("gamma", [0.0, 1e-6, 2e-5, 0.4, math.pi / 2])
+def test_skipping_exact_zeros_keeps_every_bit_and_type(gamma):
+    # the cell sum drops the snapped Fraction(0) probabilities; the full
+    # Fraction-dispatched sum over all four outcomes must give the same cells
+    rng = np.random.default_rng(7)
+    custom = tuple(StrategyAngles(rng.uniform(0, math.pi), rng.uniform(0, math.pi / 2)) for _ in range(2))
+    for strategies in (("P1", "P2", "Q"), ("P1", "P2", "M"), ("S1", "S2"), custom):
+        spec = GameSpec.quantum_k_person(9, 2, strategies, gamma)
+        outcomes = outcome_grid(strategies, gamma)
+        alice, bob = cost_assignment(spec)
+        want = tuple(
+            tuple((sum(p * c for p, c in zip(probs, alice)), sum(p * c for p, c in zip(probs, bob))) for probs in row)
+            for row in outcomes
+        )
+        got = bimatrix(spec, outcomes).cells
+        assert got == want
+        assert [type(x) for row in got for cell in row for x in cell] == [
+            type(x) for row in want for cell in row for x in cell
+        ]
 
 
 def test_two_person_miracle_cell():
-    m = quantum_bimatrix(GameSpec.quantum_two_person(("P1", "P2", "M")))
+    m = bimatrix(GameSpec.quantum_two_person(("P1", "P2", "M")))
     assert m.cell(2, 2) == (F(7, 8), F(7, 8))
     # every cell exact rational at maximal entanglement
     assert all(isinstance(v, F) for row in m.cells for cell in row for v in cell)
 
 
 def test_k_person_miracle_cell():
-    m = quantum_bimatrix(GameSpec.quantum_k_person(10, 1, ("P1", "P2", "M")))
+    m = bimatrix(GameSpec.quantum_k_person(10, 1, ("P1", "P2", "M")))
     assert m.cell(2, 2) == (F(5, 8), F(5, 8))
 
 
 def test_k_person_phase_cross_cell():
     for k in range(0, 8):
-        m = quantum_bimatrix(GameSpec.quantum_k_person(10, k, ("P1", "P2", "Q")))
+        m = bimatrix(GameSpec.quantum_k_person(10, k, ("P1", "P2", "Q")))
         shared = F(k + 2, 10)
         assert m.cell(0, 2) == (shared, shared)  # identity vs phase: both on lower edge
         assert m.cell(1, 2) == (ONE, F(k + 1, 10))  # flip vs phase: they split
 
 
 def test_unentangled_restriction_equals_classical():
-    q2 = quantum_bimatrix(
-        GameSpec(variant="two_person", mode="quantum", n=2, gamma=0.0, strategies=("P1", "P2"))
-    )
-    c2 = classical_bimatrix(GameSpec.classical_two_person())
+    assert outcome_grid(("P1", "P2"), 0.0) == CLASSICAL_GRID
+    q2 = bimatrix(GameSpec(variant="two_person", mode="quantum", n=2, gamma=0.0, strategies=("P1", "P2")))
+    c2 = bimatrix(GameSpec.classical_two_person())
     assert q2.cells == c2.cells
     for n, k in ((10, 1), (10, 5), (6, 2)):
-        qk = quantum_bimatrix(
-            GameSpec(variant="k_person", mode="quantum", n=n, k=k, gamma=0.0, strategies=("P1", "P2"))
-        )
-        ck = classical_bimatrix(GameSpec.classical_k_person(n, k))
+        qk = bimatrix(GameSpec(variant="k_person", mode="quantum", n=n, k=k, gamma=0.0, strategies=("P1", "P2")))
+        ck = bimatrix(GameSpec.classical_k_person(n, k))
         assert qk.cells == ck.cells
 
 
 def test_generic_gamma_cells_are_floats():
-    m = quantum_bimatrix(
-        GameSpec(variant="two_person", mode="quantum", n=2, gamma=0.4, strategies=("P1", "P2", "M"))
-    )
+    m = bimatrix(GameSpec(variant="two_person", mode="quantum", n=2, gamma=0.4, strategies=("P1", "P2", "M")))
     kinds = {type(v) for row in m.cells for cell in row for v in cell}
     assert float in kinds  # partial entanglement leaves non-dyadic outcomes
 
@@ -170,7 +179,7 @@ def test_generic_gamma_cells_are_floats():
 def test_miracle_grid_closed_forms():
     for n in (5, 10, 20):
         for k in range(0, n - 2):
-            m = quantum_bimatrix(GameSpec.quantum_k_person(n, k, ("P1", "P2", "M")))
+            m = bimatrix(GameSpec.quantum_k_person(n, k, ("P1", "P2", "M")))
             hi = F(n + k + 2, 2 * n)
             lo = F(2 * k + 3, 2 * n)
             both = F(2 * n + 2 * k + 3, 4 * n)
@@ -203,7 +212,7 @@ def test_grid_exchange_symmetry(spec):
 
 
 def test_json_serialization_uses_num_den():
-    m = classical_bimatrix(GameSpec.classical_two_person())
+    m = bimatrix(GameSpec.classical_two_person())
     obj = m.to_json_obj()
     assert obj["rows"] == ["P1", "P2"]
     assert obj["cells"][0][1] == {"a": {"num": 1, "den": 1}, "b": {"num": 1, "den": 2}}
@@ -211,7 +220,7 @@ def test_json_serialization_uses_num_den():
 
 
 def test_text_table_lists_labels_and_entries():
-    text = classical_bimatrix(GameSpec.classical_two_person()).to_text_table()
+    text = bimatrix(GameSpec.classical_two_person()).to_text_table()
     assert "P1" in text and "P2" in text
     assert "(1, 1/2)" in text
 

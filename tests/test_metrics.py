@@ -2,37 +2,83 @@ from fractions import Fraction as F
 
 import pytest
 
-from pigouq.equilibria import solve
+from pigouq.equilibria import PureProfile, mixed_nash, solve
 from pigouq.errors import DomainError
-from pigouq.games import GameSpec, bimatrix
+from pigouq.games import GameSpec, bimatrix, pinned_bill
 from pigouq.metrics import (
     GLOBAL_OVER_K,
     PER_GAME,
-    SocialCostModel,
     analyze,
     classical_cost_ne,
     classical_opt,
     classical_pos_poa,
+    profile_total,
     report,
     split_cost,
-    total_cost,
 )
 
 
+def _pure(matrix, i, j):
+    return PureProfile(i, j, matrix.row_labels[i], matrix.col_labels[j])
+
+
 def test_pinned_player_total():
-    model = SocialCostModel(10, 1)
-    assert model.fixed_cost == F(71, 10)  # one lower-edge user at 1/10 plus seven at 1
-    assert SocialCostModel(3, 0).fixed_cost == F(1)
-    with pytest.raises(DomainError):
-        SocialCostModel(10, 8)
+    quantum = GameSpec.quantum_k_person(10, 1)
+    assert pinned_bill(quantum) == F(71, 10)  # one lower-edge user at 1/10 plus seven at 1
+    assert pinned_bill(quantum, 2) == F(71, 10)  # billed as if the entangled pair were absent
+    assert pinned_bill(GameSpec.quantum_k_person(3, 0)) == F(1)
+    classical = GameSpec.classical_k_person(10, 1)
+    assert pinned_bill(classical) == F(71, 10)
+    assert pinned_bill(classical, 2) == F(73, 10)  # the realized load: 3/10 on the lower edge
+    assert pinned_bill(classical, F(1, 2)) == F(71, 10) + F(1, 20)  # an expected count
+    for spec in (GameSpec.classical_two_person(), GameSpec.quantum_two_person()):
+        assert pinned_bill(spec, 2) == 0 and type(pinned_bill(spec, 2)) is F
 
 
-def test_total_cost_examples():
-    assert total_cost((F(1), F(1))) == 2
-    assert total_cost((F(5, 8), F(5, 8)), SocialCostModel(10, 1)) == F(167, 20)  # 8.35
-    mixed_total = total_cost((F(37, 58), F(37, 58)), SocialCostModel(10, 1))
+def test_profile_total_examples():
+    classical = GameSpec.classical_two_person()
+    assert profile_total(classical, bimatrix(classical), _pure(bimatrix(classical), 0, 0)) == 2
+    miracle = GameSpec.quantum_k_person(10, 1, ("P1", "P2", "M"))
+    m = bimatrix(miracle)
+    assert profile_total(miracle, m, _pure(m, 2, 2)) == F(167, 20)  # 8.35
+    phase = GameSpec.quantum_k_person(10, 1, ("P1", "P2", "Q"))
+    m = bimatrix(phase)
+    (mixed,) = mixed_nash(m)
+    assert (mixed.expected_cost_alice, mixed.expected_cost_bob) == (F(37, 58), F(37, 58))
+    mixed_total = profile_total(phase, m, mixed)
     assert mixed_total == F(2429, 290)
     assert abs(float(mixed_total) - 8.3759) < 5e-4
+
+
+def _realized_load_total(spec, matrix, alice_probs, bob_probs):
+    """Expected classical total: every lower-edge user pays the realized load (P2 is the lower edge)."""
+    n, k = spec.n, spec.k or 0
+    return sum(
+        pa * qb * split_cost(n, n - k - (matrix.row_labels[i], matrix.col_labels[j]).count("P2"))
+        for i, pa in enumerate(alice_probs)
+        for j, qb in enumerate(bob_probs)
+    )
+
+
+def test_classical_totals_bill_the_realized_load():
+    specs = [GameSpec.classical_two_person()]
+    specs += [GameSpec.classical_k_person(n, k) for n in range(3, 25) for k in range(n - 2)]
+    checked = 0
+    for spec in specs:
+        m = bimatrix(spec)
+        for i in range(m.size):
+            for j in range(m.size):
+                got = profile_total(spec, m, _pure(m, i, j))
+                unit = [F(0)] * m.size
+                want = _realized_load_total(spec, m, unit[:i] + [F(1)] + unit[i + 1:], unit[:j] + [F(1)] + unit[j + 1:])
+                assert (got, type(got)) == (want, F), (spec.describe(), i, j)
+                checked += 1
+        for profile in mixed_nash(m):
+            got = profile_total(spec, m, profile)
+            want = _realized_load_total(spec, m, profile.alice_probs, profile.bob_probs)
+            assert (got, type(got)) == (want, F), (spec.describe(), profile)
+            checked += 1
+    assert checked == 1272
 
 
 def test_classical_equilibrium_total():

@@ -49,6 +49,15 @@ def test_k_range_validation():
         sweep_k("classical", ("P1", "P2"), 10, [8])
 
 
+@pytest.mark.parametrize(
+    "mode, strategies, gamma", [("classical", ("P1", "P2"), None), ("quantum", ("P1", "P2", "Q"), GAMMA_MAX)]
+)
+@pytest.mark.parametrize("n, k_values", [(2, None), (1, None), (2, [0])])
+def test_k_sweep_needs_three_travelers(mode, strategies, gamma, n, k_values):
+    with pytest.raises(DomainError, match=r"^the k-person game requires n >= 3$"):
+        sweep_k(mode, strategies, n, k_values, gamma=gamma)
+
+
 def test_default_k_range_is_one_to_n_minus_three():
     series = sweep_k("classical", ("P1", "P2"), 10)
     assert series.values == tuple(range(1, 8))
