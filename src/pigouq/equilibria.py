@@ -13,6 +13,12 @@ exposed because they genuinely differ on these games:
   equilibria;
 * :func:`mixed_nash` runs exact support enumeration.
 
+:func:`solve` returns an :class:`EquilibriumResult` that runs each of
+them the first time a view needs it. Its selection convention asks
+dominance first and a unique strict pure equilibrium second, so support
+enumeration, by far the costliest of the three, runs for the selection
+only when both fail to decide.
+
 All three work on integers. Each player's costs are multiplied once by
 the LCM of their denominators (:attr:`CostBimatrix.scaled_costs`):
 exact cells have denominators dividing 4n, and a float cell is a dyadic
@@ -39,6 +45,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import DomainError
 from .games import CostBimatrix, value_to_json
@@ -103,16 +110,73 @@ class MixedProfile:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EquilibriumResult:
-    """Everything the solvers found for one bimatrix."""
+    """The equilibria of one bimatrix, each view solved the first time it is read.
 
-    strict_pure: tuple[PureProfile, ...]
-    weak_pure: tuple[PureProfile, ...]
-    mixed: tuple[MixedProfile, ...]
-    selected: "PureProfile | MixedProfile | None"
-    selected_by: str | None
-    diagnostics: tuple[str, ...]
+    ``strict_pure`` and ``weak_pure`` each run one :func:`pure_nash` scan;
+    ``mixed`` and ``diagnostics`` share one :func:`support_enumeration`
+    run. ``selected`` and ``selected_by`` apply the selection convention
+    and stop at the first rule that decides: :func:`dominance_select`,
+    then ``strict_pure``, then ``mixed``. Equality and hashing compare the
+    six views, not the matrices.
+    """
+
+    matrix: CostBimatrix
+
+    def __post_init__(self):
+        _check_mixed_size(self.matrix)
+
+    @cached_property
+    def strict_pure(self) -> tuple[PureProfile, ...]:
+        return tuple(pure_nash(self.matrix, "strict"))
+
+    @cached_property
+    def weak_pure(self) -> tuple[PureProfile, ...]:
+        return tuple(pure_nash(self.matrix, "weak"))
+
+    @cached_property
+    def _enumeration(self) -> tuple[tuple[MixedProfile, ...], tuple[str, ...]]:
+        profiles, diagnostics = support_enumeration(self.matrix)
+        return tuple(profiles), tuple(diagnostics)
+
+    @cached_property
+    def mixed(self) -> tuple[MixedProfile, ...]:
+        return self._enumeration[0]
+
+    @cached_property
+    def diagnostics(self) -> tuple[str, ...]:
+        return self._enumeration[1]
+
+    @cached_property
+    def _selection(self) -> tuple:
+        dominant = dominance_select(self.matrix)
+        if dominant is not None:
+            return dominant, "dominance"
+        if len(self.strict_pure) == 1:
+            return self.strict_pure[0], "unique_strict_pure"
+        if len(self.mixed) == 1:
+            return self.mixed[0], "unique_mixed"
+        return None, None
+
+    @cached_property
+    def selected(self) -> "PureProfile | MixedProfile | None":
+        return self._selection[0]
+
+    @cached_property
+    def selected_by(self) -> str | None:
+        return self._selection[1]
+
+    def _views(self) -> tuple:
+        return (self.strict_pure, self.weak_pure, self.mixed, self.selected, self.selected_by, self.diagnostics)
+
+    def __eq__(self, other):
+        if not isinstance(other, EquilibriumResult):
+            return NotImplemented
+        return self._views() == other._views()
+
+    def __hash__(self):
+        return hash(self._views())
 
     def to_json_obj(self) -> dict:
         selected = None
@@ -291,6 +355,11 @@ def mixed_nash(matrix: CostBimatrix) -> list[MixedProfile]:
     return profiles
 
 
+def _check_mixed_size(matrix: CostBimatrix) -> None:
+    if matrix.size > MAX_MIXED_SIZE:
+        raise DomainError(f"support enumeration is limited to {MAX_MIXED_SIZE}x{MAX_MIXED_SIZE} games")
+
+
 def support_enumeration(matrix: CostBimatrix):
     """Support enumeration with diagnostics.
 
@@ -302,9 +371,8 @@ def support_enumeration(matrix: CostBimatrix):
     system has no unique solution are skipped and recorded in the
     returned diagnostics list.
     """
+    _check_mixed_size(matrix)
     size = matrix.size
-    if size > MAX_MIXED_SIZE:
-        raise DomainError(f"support enumeration is limited to {MAX_MIXED_SIZE}x{MAX_MIXED_SIZE} games")
     a, b, scale_a, scale_b = matrix.scaled_costs
     # Bob chooses columns; his cost as chooser is indexed [col][row].
     b_t = [list(col) for col in zip(*b)]
@@ -369,21 +437,16 @@ def optimal_outcome(matrix: CostBimatrix):
 
 
 def solve(matrix: CostBimatrix) -> EquilibriumResult:
-    """Run every solver and apply the selection convention.
+    """The equilibria of ``matrix``; each solver runs when a view first needs it.
 
     Selection order: the dominance-surviving cell when unique, else the
     unique strict pure equilibrium, else the unique mixed equilibrium,
-    else nothing.
+    else nothing. Reading ``selected`` or ``selected_by`` runs
+    :func:`dominance_select`, and only if that leaves more than one cell
+    the strict :func:`pure_nash` scan, and only if that finds no unique
+    strict equilibrium :func:`support_enumeration`. ``strict_pure`` and
+    ``weak_pure`` run their own scan, and ``mixed`` and ``diagnostics``
+    share the one enumeration. A matrix larger than ``MAX_MIXED_SIZE``
+    raises :class:`DomainError` here, not at the first read.
     """
-    strict = tuple(pure_nash(matrix, "strict"))
-    weak = tuple(pure_nash(matrix, "weak"))
-    mixed, diagnostics = support_enumeration(matrix)
-    mixed = tuple(mixed)
-
-    selected = dominance_select(matrix)
-    selected_by = "dominance" if selected is not None else None
-    if selected is None and len(strict) == 1:
-        selected, selected_by = strict[0], "unique_strict_pure"
-    if selected is None and len(mixed) == 1:
-        selected, selected_by = mixed[0], "unique_mixed"
-    return EquilibriumResult(strict, weak, mixed, selected, selected_by, tuple(diagnostics))
+    return EquilibriumResult(matrix)

@@ -137,17 +137,22 @@ def _axis_value_text(value) -> str:
 
 
 def format_equilibrium_label(profile) -> str | None:
-    """Compact label: ``pure:(M,M)`` or ``mixed:(7/29,7/29,15/29)``."""
+    """Compact label: ``pure:(M,M)``, or ``mixed:(7/29,7/29,15/29)`` when both
+    players mix alike and ``mixed:(1,0|0,1)`` (Alice's mix, then Bob's) when not."""
     if profile is None:
         return None
     if isinstance(profile, PureProfile):
         return f"pure:({profile.row_label},{profile.col_label})"
-    probs = []
-    for p in profile.alice_probs:
+
+    def text(probs):
         # Exact fractions read well while their denominators are small;
         # float-derived monsters fall back to decimal.
-        probs.append(str(p) if p.denominator <= 10**9 else repr(float(p)))
-    return "mixed:(" + ",".join(probs) + ")"
+        return ",".join(str(p) if p.denominator <= 10**9 else repr(float(p)) for p in probs)
+
+    label = text(profile.alice_probs)
+    if profile.bob_probs != profile.alice_probs:
+        label += "|" + text(profile.bob_probs)
+    return f"mixed:({label})"
 
 
 def profile_total(spec: GameSpec, matrix: CostBimatrix, profile):

@@ -187,9 +187,28 @@ class TestSolveSelection:
         assert eq.selected_by == "unique_mixed"
         assert isinstance(eq.selected, MixedProfile)
 
+    def test_unique_strict_pure_before_unique_mixed(self):
+        eq = solve(bimatrix(GameSpec.quantum_k_person(10, 4, ("P1", "P2", "S2"), 1.5)))
+        assert len(eq.strict_pure) == len(eq.mixed) == 1
+        assert eq.selected_by == "unique_strict_pure"
+        assert eq.selected == eq.strict_pure[0]
+
     def test_no_selection_on_total_indifference(self):
         eq = solve(ALL_TIES)
         assert eq.selected is None and eq.selected_by is None
+
+    def test_oversized_game_is_refused_at_the_call(self):
+        four = bimatrix(GameSpec.quantum_two_person(("P1", "P2", "Q", "M")))
+        with pytest.raises(DomainError, match="limited to 3x3"):
+            solve(four)
+
+    def test_equality_compares_views_not_matrices(self):
+        # Row/column A strictly dominates; (B,B) costs differ but every view agrees.
+        low = grid(["A", "B"], [[(1, 1), (2, 3)], [(3, 2), (4, 4)]])
+        high = grid(["A", "B"], [[(1, 1), (2, 3)], [(3, 2), (5, 5)]])
+        assert low != high
+        assert solve(low) == solve(high) and hash(solve(low)) == hash(solve(high))
+        assert solve(low) != solve(CLASSICAL_2P)
 
     def test_strict_subset_of_weak(self):
         for m in (CLASSICAL_2P, PHASE_2P, MIRACLE_2P, ALL_TIES):

@@ -12,6 +12,7 @@ from pigouq.metrics import (
     classical_cost_ne,
     classical_opt,
     classical_pos_poa,
+    format_equilibrium_label,
     profile_total,
     report,
     split_cost,
@@ -143,6 +144,13 @@ def test_k_person_quantum_reports_over_k():
     assert abs(float(rep5q.pos) - 1.000063) < 1e-6
 
 
+def test_mixed_labels_name_both_players_when_they_differ():
+    classical = mixed_nash(bimatrix(GameSpec.classical_two_person()))
+    assert [format_equilibrium_label(p) for p in classical] == ["mixed:(1,0|0,1)", "mixed:(0,1|1,0)", "mixed:(0,1)"]
+    (phase,) = mixed_nash(bimatrix(GameSpec.quantum_k_person(10, 4, ("P1", "P2", "Q"))))
+    assert format_equilibrium_label(phase) == "mixed:(4/17,4/17,9/17)"
+
+
 def test_per_game_convention():
     spec = GameSpec.quantum_k_person(10, 1, ("P1", "P2", "Q"))
     matrix = bimatrix(spec)
@@ -152,11 +160,10 @@ def test_per_game_convention():
 
 
 def test_report_without_selection_leaves_fields_unset():
-    from pigouq.equilibria import EquilibriumResult
-
-    spec = GameSpec.classical_two_person()
+    spec = GameSpec.quantum_two_person(("P1", "P2", "M"), 0.3)
     matrix = bimatrix(spec)
-    empty = EquilibriumResult((), (), (), None, None, ())
+    empty = solve(matrix)
+    assert empty.selected is None
     rep = report(spec, empty, PER_GAME, matrix=matrix)
     assert rep.cost_ne is None and rep.pos is None and rep.poa is None
     assert rep.cost_opt == F(3, 2)

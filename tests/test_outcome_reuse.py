@@ -1,16 +1,21 @@
-"""One protocol grid per k-sweep: counted protocol evaluations and the per-k reference path."""
+"""One protocol grid per k-sweep, and support enumeration only where the selection needs it.
+
+Counted protocol evaluations and support enumerations, and the per-k reference path.
+"""
 
 import math
 
+import numpy as np
 import pytest
 
+import pigouq.equilibria as equilibria
 import pigouq.games as games
 import pigouq.metrics as metrics
 from pigouq.cli import main
 from pigouq.equilibria import solve
 from pigouq.games import GameSpec, bimatrix
 from pigouq.metrics import MetricsReport, analyze, format_equilibrium_label, profile_total, report, solve_over_k
-from pigouq.sweeps import sweep_k
+from pigouq.sweeps import sweep_gamma, sweep_k
 
 GAMMA_MAX = math.pi / 2
 SETS = [("P1", "P2", "Q"), ("P1", "P2", "M")]
@@ -27,6 +32,20 @@ def protocol_runs(monkeypatch):
         return real(rows, cols, gamma)
 
     monkeypatch.setattr(games, "outcome_table", counting)
+    return runs
+
+
+@pytest.fixture
+def enumerations(monkeypatch):
+    """One entry per support enumeration run: the size of the matrix it enumerated."""
+    runs = []
+    real = equilibria.support_enumeration
+
+    def counting(matrix):
+        runs.append(matrix.size)
+        return real(matrix)
+
+    monkeypatch.setattr(equilibria, "support_enumeration", counting)
     return runs
 
 
@@ -123,3 +142,26 @@ def test_cli_solve_makes_one_over_k_pass(protocol_runs, monkeypatch, capsys):
     capsys.readouterr()
     assert protocol_runs == [9]  # one 3x3 outcome grid
     assert len(solves) == 7  # one solve per k in 0..6
+
+
+def _cli_solve(strategies):
+    assert main(["solve", "--game", "quantumk", "--strategies", strategies, "--n", "9", "--k", "3"]) == 0
+
+
+@pytest.mark.parametrize(
+    "run, count",
+    [
+        (lambda: sweep_k("classical", ("P1", "P2"), 10), 0),  # dominance decides every k
+        (lambda: sweep_k("quantum", ("P1", "P2", "M"), 10, gamma=GAMMA_MAX), 0),
+        (lambda: sweep_k("quantum", ("P1", "P2", "Q"), 10, gamma=GAMMA_MAX), 7),  # k = 1..7
+        (lambda: _cli_solve("p1p2q"), 7),  # the over-k pass k = 0..6; the printed k is read from it
+        (lambda: _cli_solve("p1p2m"), 1),  # only the printed k, for its mixed line
+        (lambda: sweep_gamma(("P1", "P2", "M"), [float(g) for g in np.linspace(0, GAMMA_MAX, 201)]), 99),
+        (lambda: solve(bimatrix(GameSpec.quantum_two_person(("P1", "P2", "M"), 0.3))).to_json_obj(), 1),  # all views
+    ],
+    ids=["classical", "p1p2m", "p1p2q", "cli-p1p2q", "cli-p1p2m", "gamma-p1p2m", "json"],
+)
+def test_support_enumeration_runs_only_where_the_selection_needs_it(enumerations, capsys, run, count):
+    run()
+    capsys.readouterr()
+    assert len(enumerations) == count

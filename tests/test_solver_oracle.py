@@ -4,6 +4,10 @@ The oracle below is the straightforward solver the integer one replaced:
 Gauss-Jordan on ``Fraction`` rows for every support pair. Both must
 return identical ``(profiles, diagnostics)``: the same profiles in the
 same order with the same exact values, and the same skipped supports.
+
+Every game here also checks :func:`solve`, whose views are computed on
+first read, against an eager reference that runs every solver up front
+and spells out the selection convention.
 """
 
 import itertools
@@ -13,7 +17,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from pigouq.equilibria import MixedProfile, support_enumeration
+from pigouq.equilibria import MixedProfile, dominance_select, pure_nash, solve, support_enumeration
 from pigouq.games import CostBimatrix, GameSpec, bimatrix
 from pigouq.strategies import STRATEGY_TAGS, StrategyAngles
 
@@ -120,6 +124,39 @@ def _same_as_oracle(matrix):
         values = g.alice_probs + g.bob_probs + (g.expected_cost_alice, g.expected_cost_bob)
         assert all(type(x) is F for x in values)
         assert repr(g) == repr(w)
+    _lazy_views_match_eager(matrix)
+
+
+VIEWS = ("strict_pure", "weak_pure", "mixed", "selected", "selected_by", "diagnostics")
+
+
+def eager_views(matrix):
+    """The six views of ``solve``, every solver run up front, the convention spelled out."""
+    strict = tuple(pure_nash(matrix, "strict"))
+    weak = tuple(pure_nash(matrix, "weak"))
+    mixed, diagnostics = support_enumeration(matrix)
+    dominant = dominance_select(matrix)
+    if dominant is not None:
+        selected, selected_by = dominant, "dominance"
+    elif len(strict) == 1:
+        selected, selected_by = strict[0], "unique_strict_pure"
+    elif len(mixed) == 1:
+        selected, selected_by = mixed[0], "unique_mixed"
+    else:
+        selected, selected_by = None, None
+    return dict(zip(VIEWS, (strict, weak, tuple(mixed), selected, selected_by, tuple(diagnostics))))
+
+
+def _lazy_views_match_eager(matrix):
+    want = eager_views(matrix)
+    results = []
+    for first in ("selected", "mixed"):  # the selection alone, then the enumeration first
+        eq = solve(matrix)
+        read_first = getattr(eq, first)
+        got = {view: read_first if view == first else getattr(eq, view) for view in VIEWS}
+        assert repr(got) == repr(want)  # values and types
+        results.append(eq)
+    assert results[0] == results[1] and hash(results[0]) == hash(results[1])
 
 
 NAMED_SETS = [s for r in (2, 3) for s in itertools.combinations(STRATEGY_TAGS, r)]
