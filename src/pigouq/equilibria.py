@@ -13,11 +13,23 @@ exposed because they genuinely differ on these games:
   equilibria;
 * :func:`mixed_nash` runs exact support enumeration.
 
+Support enumeration splits along two facts. A support pair with
+``|S_a| != |S_b|`` has one indifference system with more unknowns than
+equations, so it never solves uniquely on both sides: such a pair can
+only add a "singular ..., skipped" note, never a profile. A 1x1 pair
+always solves uniquely, and no strategy outside it beats it exactly
+when it is a weak pure equilibrium: it adds no note, and the 1x1 pairs
+yield exactly the weak :func:`pure_nash` profiles. So the profiles come
+from one *square pass* (the weak pure scan plus the square pairs of size
+2 and up, whose notes it keeps), and the diagnostics add only a
+classification of the unequal pairs. Each pair is solved at most once.
+
 :func:`solve` returns an :class:`EquilibriumResult` that runs each of
 them the first time a view needs it. Its selection convention asks
-dominance first and a unique strict pure equilibrium second, so support
-enumeration, by far the costliest of the three, runs for the selection
-only when both fail to decide.
+dominance first and a unique strict pure equilibrium second, so the
+square pass, by far the costliest of the three, runs for the selection
+only when both fail to decide, and the unequal pairs only when the
+diagnostics are read.
 
 All three work on integers. Each player's costs are multiplied once by
 the LCM of their denominators (:attr:`CostBimatrix.scaled_costs`):
@@ -114,12 +126,15 @@ class MixedProfile:
 class EquilibriumResult:
     """The equilibria of one bimatrix, each view solved the first time it is read.
 
-    ``strict_pure`` and ``weak_pure`` each run one :func:`pure_nash` scan;
-    ``mixed`` and ``diagnostics`` share one :func:`support_enumeration`
-    run. ``selected`` and ``selected_by`` apply the selection convention
-    and stop at the first rule that decides: :func:`dominance_select`,
-    then ``strict_pure``, then ``mixed``. Equality and hashing compare the
-    six views, not the matrices.
+    ``strict_pure`` and ``weak_pure`` each run one :func:`pure_nash` scan.
+    ``mixed`` runs the square pass of support enumeration on top of
+    ``weak_pure``, which stands in for the 1x1 pairs; ``diagnostics``
+    merges that pass's notes with a classification of the unequal
+    support pairs, which yield no profile. Reading every view solves each
+    support pair at most once. ``selected`` and ``selected_by`` apply the
+    selection convention and stop at the first rule that decides:
+    :func:`dominance_select`, then ``strict_pure``, then ``mixed``.
+    Equality and hashing compare the six views, not the matrices.
     """
 
     matrix: CostBimatrix
@@ -136,17 +151,17 @@ class EquilibriumResult:
         return tuple(pure_nash(self.matrix, "weak"))
 
     @cached_property
-    def _enumeration(self) -> tuple[tuple[MixedProfile, ...], tuple[str, ...]]:
-        profiles, diagnostics = support_enumeration(self.matrix)
-        return tuple(profiles), tuple(diagnostics)
+    def _square(self) -> tuple[tuple[MixedProfile, ...], list]:
+        profiles, notes = _square_pass(self.matrix, self.weak_pure)
+        return tuple(profiles), notes
 
     @cached_property
     def mixed(self) -> tuple[MixedProfile, ...]:
-        return self._enumeration[0]
+        return self._square[0]
 
     @cached_property
     def diagnostics(self) -> tuple[str, ...]:
-        return self._enumeration[1]
+        return tuple(_merged_notes(self._square[1], _unequal_notes(self.matrix)))
 
     @cached_property
     def _selection(self) -> tuple:
@@ -350,8 +365,14 @@ def _beaten(costs, probs, value, support) -> bool:
 
 
 def mixed_nash(matrix: CostBimatrix) -> list[MixedProfile]:
-    """All mixed equilibria found by exact support enumeration."""
-    profiles, _ = support_enumeration(matrix)
+    """All mixed equilibria, from the square support pairs alone.
+
+    This is the square pass of :func:`support_enumeration`: its profiles
+    are exactly that function's, because an unequal support pair never
+    yields one. The 1x1 pairs are the weak :func:`pure_nash` scan.
+    """
+    _check_mixed_size(matrix)
+    profiles, _ = _square_pass(matrix, pure_nash(matrix, "weak"))
     return profiles
 
 
@@ -363,55 +384,121 @@ def _check_mixed_size(matrix: CostBimatrix) -> None:
 def support_enumeration(matrix: CostBimatrix):
     """Support enumeration with diagnostics.
 
-    Iterates every pair of nonempty supports; on each, solves the two
+    Covers every pair of nonempty supports; on each, solves the two
     cost-indifference systems exactly, keeps solutions with nonnegative
     probabilities where no strategy outside the support achieves a
     strictly lower expected cost, merges duplicates, and sorts the
     result by support then probabilities. Supports whose indifference
-    system has no unique solution are skipped and recorded in the
-    returned diagnostics list.
+    system is singular are skipped and recorded in the returned
+    diagnostics list, in size-then-index order of the pairs.
+
+    Two facts split the work into two passes, each pair solved once:
+
+    * a pair with ``|S_a| != |S_b|`` has one system with more unknowns
+      than equations, which is never uniquely solvable, so such a pair
+      can only add a note. :func:`_unequal_notes` classifies those pairs
+      and nothing else;
+    * a 1x1 pair always solves uniquely (``q = 1``, ``v = a_ij``), and
+      the test that no outside strategy beats it is then the weak
+      best-response test, so the 1x1 pairs add no note and yield exactly
+      the weak pure equilibria. :func:`_square_pass` takes them from the
+      weak :func:`pure_nash` scan and solves the square pairs of size 2
+      and up.
     """
     _check_mixed_size(matrix)
+    profiles, notes = _square_pass(matrix, pure_nash(matrix, "weak"))
+    return profiles, _merged_notes(notes, _unequal_notes(matrix))
+
+
+def _pair_systems(a, b_t, sup_a, sup_b):
+    """Solve one support pair's column-mix system, then its row-mix system.
+
+    Returns ``(side, solutions)``: ``side`` is ``"column"`` or ``"row"``
+    when that system is singular (the pair is skipped with a note) and
+    ``None`` otherwise; ``solutions`` is ``(sol_p, sol_q)`` when both
+    systems solve uniquely and ``None`` otherwise. The row system is
+    solved only when the column system is unique.
+    """
+    status_q, sol_q = _indifference_mix(a, sup_a, sup_b)
+    if status_q != "unique":
+        return ("column" if status_q == "singular" else None), None
+    status_p, sol_p = _indifference_mix(b_t, sup_b, sup_a)
+    if status_p != "unique":
+        return ("row" if status_p == "singular" else None), None
+    return None, (sol_p, sol_q)
+
+
+def _pair_key(sup_a, sup_b):
+    """Position of a support pair in size-then-index order."""
+    return len(sup_a), sup_a, len(sup_b), sup_b
+
+
+def _square_pass(matrix: CostBimatrix, weak_pure):
+    """Equilibria of the square support pairs, with the notes those pairs add.
+
+    ``weak_pure`` is the weak :func:`pure_nash` scan of ``matrix``, which
+    stands in for the 1x1 pairs. Returns the sorted profiles and a list
+    of ``(pair key, note)`` for :func:`_merged_notes`.
+    """
     size = matrix.size
     a, b, scale_a, scale_b = matrix.scaled_costs
     # Bob chooses columns; his cost as chooser is indexed [col][row].
     b_t = [list(col) for col in zip(*b)]
 
-    supports = [
-        combo
-        for r in range(1, size + 1)
-        for combo in itertools.combinations(range(size), r)
-    ]
     found = {}
-    diagnostics = []
-    for sup_a, sup_b in itertools.product(supports, supports):
-        status_q, sol_q = _indifference_mix(a, sup_a, sup_b)
-        if status_q == "singular":
-            diagnostics.append(_support_note(matrix, sup_a, sup_b, "column"))
-            continue
-        if status_q != "unique":
-            continue
-        status_p, sol_p = _indifference_mix(b_t, sup_b, sup_a)
-        if status_p == "singular":
-            diagnostics.append(_support_note(matrix, sup_a, sup_b, "row"))
-            continue
-        if status_p != "unique":
-            continue
-        if not (_nonnegative(sol_p) and _nonnegative(sol_q)):
-            continue
-        p_full, value_b = _full_mix(sol_p, sup_a, size)
-        q_full, value_a = _full_mix(sol_q, sup_b, size)
-        # No unsupported strategy may beat the support's common cost.
-        if _beaten(a, q_full, value_a, sup_a) or _beaten(b_t, p_full, value_b, sup_b):
-            continue
-        profile = MixedProfile(tuple(p_full), tuple(q_full), value_a / scale_a, value_b / scale_b)
-        found.setdefault((profile.alice_probs, profile.bob_probs), profile)
+    for pure in weak_pure:
+        i, j = pure.row, pure.col
+        p_full = tuple(Fraction(int(r == i)) for r in range(size))
+        q_full = tuple(Fraction(int(c == j)) for c in range(size))
+        found[p_full, q_full] = MixedProfile(p_full, q_full, Fraction(a[i][j], scale_a), Fraction(b[i][j], scale_b))
+    notes = []
+    for r in range(2, size + 1):
+        for sup_a, sup_b in itertools.product(itertools.combinations(range(size), r), repeat=2):
+            side, solutions = _pair_systems(a, b_t, sup_a, sup_b)
+            if side is not None:
+                notes.append((_pair_key(sup_a, sup_b), _support_note(matrix, sup_a, sup_b, side)))
+            if solutions is None:
+                continue
+            sol_p, sol_q = solutions
+            if not (_nonnegative(sol_p) and _nonnegative(sol_q)):
+                continue
+            p_full, value_b = _full_mix(sol_p, sup_a, size)
+            q_full, value_a = _full_mix(sol_q, sup_b, size)
+            # No unsupported strategy may beat the support's common cost.
+            if _beaten(a, q_full, value_a, sup_a) or _beaten(b_t, p_full, value_b, sup_b):
+                continue
+            profile = MixedProfile(tuple(p_full), tuple(q_full), value_a / scale_a, value_b / scale_b)
+            found.setdefault((profile.alice_probs, profile.bob_probs), profile)
 
     ordered = sorted(
         found.values(),
         key=lambda pr: (pr.support(), pr.alice_probs, pr.bob_probs),
     )
-    return ordered, diagnostics
+    return ordered, notes
+
+
+def _unequal_notes(matrix: CostBimatrix):
+    """``(pair key, note)`` for each unequal support pair with a singular system.
+
+    No unequal pair solves uniquely on both sides, so no sign or
+    best-response test is needed: the systems are only classified.
+    """
+    size = matrix.size
+    a, b, _, _ = matrix.scaled_costs
+    b_t = [list(col) for col in zip(*b)]
+    supports = [combo for r in range(1, size + 1) for combo in itertools.combinations(range(size), r)]
+    notes = []
+    for sup_a, sup_b in itertools.product(supports, supports):
+        if len(sup_a) != len(sup_b):
+            side, _ = _pair_systems(a, b_t, sup_a, sup_b)
+            if side is not None:
+                notes.append((_pair_key(sup_a, sup_b), _support_note(matrix, sup_a, sup_b, side)))
+    return notes
+
+
+def _merged_notes(*keyed_notes) -> list[str]:
+    """The notes of both passes in size-then-index order of their pairs."""
+    return [note for _, note in sorted(itertools.chain(*keyed_notes))]
 
 
 def _support_note(matrix, sup_a, sup_b, side) -> str:
@@ -444,9 +531,11 @@ def solve(matrix: CostBimatrix) -> EquilibriumResult:
     else nothing. Reading ``selected`` or ``selected_by`` runs
     :func:`dominance_select`, and only if that leaves more than one cell
     the strict :func:`pure_nash` scan, and only if that finds no unique
-    strict equilibrium :func:`support_enumeration`. ``strict_pure`` and
-    ``weak_pure`` run their own scan, and ``mixed`` and ``diagnostics``
-    share the one enumeration. A matrix larger than ``MAX_MIXED_SIZE``
-    raises :class:`DomainError` here, not at the first read.
+    strict equilibrium the square pass of support enumeration (the weak
+    scan and the square support pairs). ``strict_pure`` and ``weak_pure``
+    run their own scan, ``mixed`` reads the square pass, and
+    ``diagnostics`` adds the unequal pairs' classification to it. A
+    matrix larger than ``MAX_MIXED_SIZE`` raises :class:`DomainError`
+    here, not at the first read.
     """
     return EquilibriumResult(matrix)

@@ -313,15 +313,16 @@ def outcome_grid(strategies, gamma: float) -> tuple:
     The whole grid is one :func:`~pigouq.ewl.outcome_table` evaluation,
     whose bits equal those of running the protocol pair by pair. The
     nearness test to the snap targets is vectorised with the same float
-    arithmetic as :func:`snap_probability`, which then runs on the hits
-    only.
+    arithmetic as :func:`snap_probability`, and each hit takes the target
+    the test found: the targets are 1/4 apart and the tolerance is far
+    smaller, so at most one target is near any probability.
     """
     matrices = [resolve(s) for s in strategies]
     table = outcome_table(matrices, matrices, gamma)
-    hits = (np.abs(table[..., None] - _SNAP_TARGET_VALUES) <= PROB_SNAP_TOL).any(axis=-1)
+    near = np.abs(table[..., None] - _SNAP_TARGET_VALUES) <= PROB_SNAP_TOL
     grid = table.tolist()
-    for i, j, o in zip(*np.nonzero(hits)):
-        grid[i][j][o] = snap_probability(grid[i][j][o])
+    for i, j, o, t in zip(*np.nonzero(near)):
+        grid[i][j][o] = PROB_SNAP_TARGETS[t]
     return tuple(tuple(map(tuple, row)) for row in grid)
 
 

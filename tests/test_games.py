@@ -18,7 +18,8 @@ from pigouq.games import (
     outcome_grid,
     snap_probability,
 )
-from pigouq.strategies import StrategyAngles
+from pigouq.ewl import outcome_table
+from pigouq.strategies import STRATEGY_TAGS, StrategyAngles, resolve
 
 ONE = F(1)
 HALF = F(1, 2)
@@ -42,6 +43,20 @@ def test_outcome_grid_snaps_only_within_the_tolerance(monkeypatch, offset, snaps
         assert cell == tuple(probs[0, 0].tolist()) and all(type(p) is float for p in cell)
     assert cell == tuple(snap_probability(p) for p in probs[0, 0].tolist())
 
+
+
+@pytest.mark.parametrize("gamma", [0.0, 1e-6, 2e-5, 3e-5, 0.4, math.pi / 4, math.pi / 2])
+def test_outcome_grid_is_the_protocol_snapped_cell_by_cell(gamma):
+    rng = np.random.default_rng(11)
+    custom = tuple(StrategyAngles(rng.uniform(0, math.pi), rng.uniform(0, math.pi / 2)) for _ in range(3))
+    for strategies in (STRATEGY_TAGS, custom):
+        matrices = [resolve(s) for s in strategies]
+        want = [
+            [tuple(snap_probability(p) for p in probs) for probs in row]
+            for row in outcome_table(matrices, matrices, gamma).tolist()
+        ]
+        got = outcome_grid(strategies, gamma)
+        assert repr(got) == repr(tuple(map(tuple, want)))  # values and types
 
 class TestGameSpecValidation:
     def test_two_person_fixes_n(self):

@@ -1,6 +1,7 @@
 """One protocol grid per k-sweep, and support enumeration only where the selection needs it.
 
-Counted protocol evaluations and support enumerations, and the per-k reference path.
+Counted protocol evaluations, square support passes and linear solves,
+and the per-k reference path.
 """
 
 import math
@@ -37,15 +38,29 @@ def protocol_runs(monkeypatch):
 
 @pytest.fixture
 def enumerations(monkeypatch):
-    """One entry per support enumeration run: the size of the matrix it enumerated."""
+    """One entry per square support pass (the pass ``mixed`` reads): the size of its matrix."""
     runs = []
-    real = equilibria.support_enumeration
+    real = equilibria._square_pass
 
-    def counting(matrix):
+    def counting(matrix, weak_pure):
         runs.append(matrix.size)
-        return real(matrix)
+        return real(matrix, weak_pure)
 
-    monkeypatch.setattr(equilibria, "support_enumeration", counting)
+    monkeypatch.setattr(equilibria, "_square_pass", counting)
+    return runs
+
+
+@pytest.fixture
+def linear_solves(monkeypatch):
+    """One entry per indifference system solved."""
+    runs = []
+    real = equilibria._solve_integer
+
+    def counting(rows):
+        runs.append(len(rows))
+        return real(rows)
+
+    monkeypatch.setattr(equilibria, "_solve_integer", counting)
     return runs
 
 
@@ -165,3 +180,17 @@ def test_support_enumeration_runs_only_where_the_selection_needs_it(enumerations
     run()
     capsys.readouterr()
     assert len(enumerations) == count
+
+
+@pytest.mark.parametrize(
+    "matrix, read, count",
+    [
+        (bimatrix(GameSpec.quantum_k_person(10, 4, ("P1", "P2", "Q"))), lambda eq: eq.selected, 20),  # square pairs
+        (bimatrix(GameSpec.quantum_k_person(10, 4, ("P1", "P2", "Q"))), lambda eq: eq.to_json_obj(), 51),
+        (bimatrix(GameSpec.classical_two_person()), lambda eq: eq.to_json_obj(), 7),
+    ],
+    ids=["p1p2q-selected", "p1p2q-all-views", "classical-all-views"],
+)
+def test_each_support_pair_is_solved_at_most_once(linear_solves, matrix, read, count):
+    read(solve(matrix))
+    assert len(linear_solves) == count

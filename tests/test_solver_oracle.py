@@ -6,8 +6,9 @@ return identical ``(profiles, diagnostics)``: the same profiles in the
 same order with the same exact values, and the same skipped supports.
 
 Every game here also checks :func:`solve`, whose views are computed on
-first read, against an eager reference that runs every solver up front
-and spells out the selection convention.
+first read, against an eager reference that runs the pure scans,
+dominance and the oracle up front and spells out the selection
+convention.
 """
 
 import itertools
@@ -131,10 +132,15 @@ VIEWS = ("strict_pure", "weak_pure", "mixed", "selected", "selected_by", "diagno
 
 
 def eager_views(matrix):
-    """The six views of ``solve``, every solver run up front, the convention spelled out."""
+    """The six views of ``solve``, every solver run up front, the convention spelled out.
+
+    ``mixed`` and ``diagnostics`` come from the rational oracle, which
+    solves every support pair, so the views are checked against a
+    reference that skips none.
+    """
     strict = tuple(pure_nash(matrix, "strict"))
     weak = tuple(pure_nash(matrix, "weak"))
-    mixed, diagnostics = support_enumeration(matrix)
+    mixed, diagnostics = oracle_support_enumeration(matrix)
     dominant = dominance_select(matrix)
     if dominant is not None:
         selected, selected_by = dominant, "dominance"
@@ -150,13 +156,13 @@ def eager_views(matrix):
 def _lazy_views_match_eager(matrix):
     want = eager_views(matrix)
     results = []
-    for first in ("selected", "mixed"):  # the selection alone, then the enumeration first
+    for first in ("selected", "mixed", "diagnostics"):  # the selection alone, then either pass first
         eq = solve(matrix)
         read_first = getattr(eq, first)
         got = {view: read_first if view == first else getattr(eq, view) for view in VIEWS}
         assert repr(got) == repr(want)  # values and types
         results.append(eq)
-    assert results[0] == results[1] and hash(results[0]) == hash(results[1])
+    assert results[0] == results[1] == results[2] and len({hash(eq) for eq in results}) == 1
 
 
 NAMED_SETS = [s for r in (2, 3) for s in itertools.combinations(STRATEGY_TAGS, r)]
