@@ -12,7 +12,7 @@ exposes the same through ``matrix``, ``solve``, ``sweep`` and
 from .errors import DomainError
 from .strategies import STRATEGY_TAGS, StrategyAngles, is_unitary, resolve, strategy_label, unitary_from_angles
 from .ewl import GAMMA_MAX, entangler, outcome_table
-from .games import CostBimatrix, GameSpec, bimatrix, cost_assignment, pinned_bill, snap_probability
+from .games import CostBimatrix, GameSpec, bimatrix, cost_assignment, pinned_bill
 from .equilibria import (
     EquilibriumResult,
     MixedProfile,
@@ -71,7 +71,6 @@ __all__ = [
     "resolve",
     "series_to_csv",
     "series_to_json_obj",
-    "snap_probability",
     "solve",
     "split_cost",
     "strategy_label",

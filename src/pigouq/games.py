@@ -18,14 +18,29 @@ outcome distribution. Only the distributions differ. A classical pair
 plays its paths for sure, so the classical game's grid is the constant
 :data:`CLASSICAL_GRID` and no protocol runs. An entangled pair's
 distribution depends only on the pair and gamma, so :func:`outcome_grid`
-computes it once per strategy set and angle, as one batched protocol
-evaluation with the bits of the pair-by-pair runs, and every (n, k) can
-reuse it. Cell costs are exact ``fractions.Fraction`` values whenever
-every outcome probability snaps to a dyadic value (which covers the
-classical games and all named-strategy games at gamma in {0, pi/2});
-otherwise cells degrade to floats, each float probability times the
-float of its exact cost, which is what Fraction arithmetic computes for
-that product.
+builds it once per strategy set and angle, and every (n, k) can reuse it.
+
+For the named moves the distribution is affine in t = sin^2(gamma), the
+closed-form view of Eisert, Wilkens & Lewenstein (PRL 83, 3077, 1999):
+every probability is ``p0 + t * (p1 - p0)``, where p0 and p1 are the
+pair's distributions at gamma = 0 and gamma = pi/2, each a multiple of
+1/4. So the protocol runs twice per process, on first use, over the 36
+pairs of the catalog (one run per endpoint); each probability is
+rounded to its quarter, and a :class:`~pigouq.errors.DomainError` is
+raised if one lies more than 1e-12 off it. A named set's grid is then
+read off these two endpoint tables. The exactness rule: when the float
+t is exactly 0.0 or 1.0 (gamma = 0 or below about 1e-162, where t
+underflows, and every gamma within about 1e-8 of pi/2) the grid is the
+exact endpoint grid of ``fractions.Fraction`` values; otherwise every
+probability is the float ``p0 + t * (p1 - p0)``.
+A set with a custom :class:`~pigouq.strategies.StrategyAngles` runs the
+batched protocol at each angle and keeps its floats as they come.
+
+A grid is therefore all-``Fraction`` or all-float, and so is every game
+built on it: the classical games and the named sets at t in {0, 1} are
+exact, and every other game has float cells, each float probability
+times the float of its exact cost, which is what Fraction arithmetic
+computes for that product.
 
 A quirk worth knowing about the phase strategy Q: under maximal
 entanglement, Q against P1 lands both players on the lower edge while
@@ -40,14 +55,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Literal
 
 import numpy as np
 
 from .errors import DomainError
 from .ewl import GAMMA_MAX, outcome_table, validate_gamma
-from .strategies import resolve, strategy_label
+from .strategies import STRATEGY_TAGS, resolve, strategy_label
 
 __all__ = [
     "CLASSICAL_GRID",
@@ -57,35 +72,8 @@ __all__ = [
     "cost_assignment",
     "outcome_grid",
     "pinned_bill",
-    "snap_probability",
     "value_to_json",
 ]
-
-#: Probabilities the protocol produces exactly for named-strategy games.
-PROB_SNAP_TARGETS = (
-    Fraction(0),
-    Fraction(1, 4),
-    Fraction(1, 2),
-    Fraction(3, 4),
-    Fraction(1),
-)
-
-PROB_SNAP_TOL = 1e-10
-
-# The targets are exact in binary, so ``abs(p - float(t))`` has the bits of
-# the ``abs(p - t)`` that :func:`snap_probability` computes.
-_SNAP_TARGET_VALUES = np.array([float(t) for t in PROB_SNAP_TARGETS])
-
-
-def snap_probability(p: float):
-    """Replace ``p`` by the exact rational it is within ``PROB_SNAP_TOL`` of, if any.
-
-    Returns a :class:`Fraction` on a hit and the float unchanged otherwise.
-    """
-    for target in PROB_SNAP_TARGETS:
-        if abs(p - target) <= PROB_SNAP_TOL:
-            return target
-    return p
 
 
 @dataclass(frozen=True)
@@ -240,9 +228,9 @@ class CostBimatrix:
 
 
 def _scale_to_integers(grid):
-    cells = [[x if isinstance(x, Fraction) else Fraction(x) for x in row] for row in grid]
-    scale = math.lcm(*(x.denominator for row in cells for x in row))
-    return [[x.numerator * (scale // x.denominator) for x in row] for row in cells], scale
+    ratios = [[x.as_integer_ratio() for x in row] for row in grid]
+    scale = math.lcm(*(den for row in ratios for _, den in row))
+    return [[num * (scale // den) for num, den in row] for row in ratios], scale
 
 
 def format_value(x) -> str:
@@ -301,29 +289,74 @@ CLASSICAL_GRID = (
 )
 
 
+#: Largest distance an endpoint probability may lie from its multiple of 1/4.
+_ENDPOINT_TOL = 1e-12
+
+
+@cache
+def _endpoint_tables() -> tuple:
+    """The catalog's outcome grids at t = 0 and t = 1: ``(exact_0, exact_1, affine)``.
+
+    Each is indexed ``[i][j]`` by positions in :data:`STRATEGY_TAGS`.
+    ``exact_0[i][j]`` and ``exact_1[i][j]`` are the pair's four
+    probabilities at gamma = 0 and gamma = pi/2 as ``Fraction`` quarters;
+    ``affine[i][j]`` is ``(p0, p1 - p0)``, two float 4-tuples, both exact
+    since quarters are dyadic. Built by two protocol runs of 36 pairs on
+    the first call, not at import.
+    """
+    matrices = [resolve(tag) for tag in STRATEGY_TAGS]
+    exact = []
+    for gamma in (0.0, GAMMA_MAX):
+        table = outcome_table(matrices, matrices, gamma)
+        quarters = np.rint(table * 4)
+        off = np.abs(table - quarters / 4)
+        if off.max() > _ENDPOINT_TOL:
+            i, j, o = np.unravel_index(off.argmax(), off.shape)
+            raise DomainError(
+                f"the protocol at gamma = {gamma!r} gives {STRATEGY_TAGS[i]} vs {STRATEGY_TAGS[j]} "
+                f"outcome {o} probability {float(table[i, j, o])!r}, off every multiple of 1/4"
+            )
+        exact.append(
+            tuple(tuple(tuple(Fraction(int(q), 4) for q in cell) for cell in row) for row in quarters.tolist())
+        )
+    p0, p1 = exact
+    affine = tuple(
+        tuple((tuple(map(float, c0)), tuple(float(b - a) for a, b in zip(c0, c1))) for c0, c1 in zip(r0, r1))
+        for r0, r1 in zip(p0, p1)
+    )
+    return p0, p1, affine
+
+
 def outcome_grid(strategies, gamma: float) -> tuple:
-    """Snapped outcome distributions for every (row, column) strategy pair.
+    """Outcome distributions for every (row, column) strategy pair.
 
     ``grid[i][j]`` holds the four joint-path probabilities (00, 01, 10, 11)
-    when Alice plays ``strategies[i]`` and Bob ``strategies[j]``; each is
-    snapped by :func:`snap_probability`, so it is a Fraction on a hit and
-    a float otherwise. The protocol sees only the pair and ``gamma``, never
-    ``n`` or ``k``, so one grid serves every game of a k-sweep.
+    when Alice plays ``strategies[i]`` and Bob ``strategies[j]``. The
+    protocol sees only the pair and ``gamma``, never ``n`` or ``k``, so
+    one grid serves every game of a k-sweep.
 
-    The whole grid is one :func:`~pigouq.ewl.outcome_table` evaluation,
-    whose bits equal those of running the protocol pair by pair. The
-    nearness test to the snap targets is vectorised with the same float
-    arithmetic as :func:`snap_probability`, and each hit takes the target
-    the test found: the targets are 1/4 apart and the tolerance is far
-    smaller, so at most one target is near any probability.
+    A set of catalog tags runs no protocol: with ``t = math.sin(gamma) **
+    2``, each probability is ``p0 + t * (p1 - p0)`` over the exact
+    endpoint tables at gamma = 0 and pi/2 (see the module docstring).
+    When t is exactly 0.0 or 1.0 the grid is the endpoint grid of
+    ``Fraction`` quarters, so every exact game is exact; otherwise every
+    probability is that float. A set with a custom
+    :class:`~pigouq.strategies.StrategyAngles` is one
+    :func:`~pigouq.ewl.outcome_table` evaluation at ``gamma``, its floats
+    unchanged.
     """
-    matrices = [resolve(s) for s in strategies]
-    table = outcome_table(matrices, matrices, gamma)
-    near = np.abs(table[..., None] - _SNAP_TARGET_VALUES) <= PROB_SNAP_TOL
-    grid = table.tolist()
-    for i, j, o, t in zip(*np.nonzero(near)):
-        grid[i][j][o] = PROB_SNAP_TARGETS[t]
-    return tuple(tuple(map(tuple, row)) for row in grid)
+    matrices = [resolve(s) for s in strategies]  # rejects unknown tags too
+    if not all(isinstance(s, str) for s in strategies):
+        return tuple(tuple(map(tuple, row)) for row in outcome_table(matrices, matrices, gamma).tolist())
+    t = math.sin(validate_gamma(gamma)) ** 2
+    exact_0, exact_1, affine = _endpoint_tables()
+    index = [STRATEGY_TAGS.index(s) for s in strategies]
+    if t == 0.0 or t == 1.0:
+        table = exact_0 if t == 0.0 else exact_1
+        return tuple(tuple(table[i][j] for j in index) for i in index)
+    return tuple(
+        tuple(tuple([p + t * d for p, d in zip(*affine[i][j])]) for j in index) for i in index
+    )
 
 
 def bimatrix(spec: GameSpec, outcomes: tuple | None = None) -> CostBimatrix:
@@ -333,23 +366,25 @@ def bimatrix(spec: GameSpec, outcomes: tuple | None = None) -> CostBimatrix:
     pair's outcome distribution: :data:`CLASSICAL_GRID` for a classical
     spec, the :func:`outcome_grid` of its strategies at its ``gamma`` for
     a quantum one (pass ``outcomes`` to reuse one already built for
-    them). Zero probabilities are skipped: they are always the snapped
-    ``Fraction(0)``, and adding their zero products changes neither the
-    value nor the type of a sum, so a classical cell costs one product.
+    them). Zero probabilities are skipped: adding a zero product changes
+    neither the value nor the type of a sum, so a classical cell costs
+    one product.
     """
     if outcomes is None:
         outcomes = CLASSICAL_GRID if spec.mode == "classical" else outcome_grid(spec.strategies, spec.gamma)
-    # A float probability times a Fraction cost is computed by Fraction as
-    # float * float(cost); doing that product directly gives the same bits
-    # without the Fraction dispatch, so each cost is converted once here.
-    alice, bob = ([(c, float(c)) for c in side] for side in cost_assignment(spec))
+    alice, bob = cost_assignment(spec)
+    # A grid is all-Fraction or all-float. Fraction computes a float
+    # probability times a Fraction cost as float * float(cost), so a float
+    # grid takes its costs as floats once and gets the same bits.
+    if isinstance(outcomes[0][0][0], float):
+        alice, bob = tuple(map(float, alice)), tuple(map(float, bob))
     labels = spec.strategy_labels()
     rows = []
     for row_outcomes in outcomes:
         row = []
         for probs in row_outcomes:
-            ca = sum(p * cf if isinstance(p, float) else p * c for p, (c, cf) in zip(probs, alice) if p)
-            cb = sum(p * cf if isinstance(p, float) else p * c for p, (c, cf) in zip(probs, bob) if p)
+            ca = sum(p * c for p, c in zip(probs, alice) if p)
+            cb = sum(p * c for p, c in zip(probs, bob) if p)
             row.append((ca, cb))
         rows.append(tuple(row))
     return CostBimatrix(labels, labels, tuple(rows))

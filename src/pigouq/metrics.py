@@ -175,6 +175,10 @@ def profile_total(spec: GameSpec, matrix: CostBimatrix, profile):
 
 
 def _per_game_opt(spec: GameSpec, matrix: CostBimatrix):
+    if spec.mode == "quantum":
+        # The bill does not depend on the profile, and x -> x + bill is
+        # monotone (exact on exact cells), so the cheapest cell pair wins.
+        return min(a + b for row in matrix.cells for a, b in row) + pinned_bill(spec)
     totals = [
         profile_total(spec, matrix, PureProfile(i, j, matrix.row_labels[i], matrix.col_labels[j]))
         for i in range(matrix.size)

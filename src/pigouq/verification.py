@@ -22,7 +22,7 @@ import numpy as np
 
 from .equilibria import dominance_select, mixed_nash, optimal_outcome, solve
 from .ewl import GAMMA_MAX, outcome_table
-from .games import GameSpec, bimatrix, pinned_bill, snap_probability
+from .games import GameSpec, bimatrix, outcome_grid, pinned_bill
 from .metrics import analyze, classical_cost_ne, classical_pos_poa
 from .strategies import is_unitary, resolve, unitary_from_angles
 from .sweeps import sweep_k
@@ -128,11 +128,14 @@ def check_k_person_grids_closed_form() -> CheckResult:
 
 def check_protocol_outcome_vectors() -> CheckResult:
     problems = []
-    for moves, expected in ((("P1", "P1"), (ONE, 0, 0, 0)), (("M", "M"), (F(1, 4),) * 4)):
+    grid = outcome_grid(("P1", "M"), GAMMA_MAX)
+    for i, moves, expected in ((0, ("P1", "P1"), (ONE, 0, 0, 0)), (1, ("M", "M"), (F(1, 4),) * 4)):
         probs = tuple(outcome_table([resolve(moves[0])], [resolve(moves[1])], GAMMA_MAX)[0, 0].tolist())
-        snapped = tuple(snap_probability(p) for p in probs)
-        if any(abs(p - e) > 1e-12 for p, e in zip(probs, expected)) or snapped != expected:
+        if any(abs(p - e) > 1e-12 for p, e in zip(probs, expected)):
             problems.append(f"{moves} pair {probs}")
+        exact = grid[i][i]
+        if exact != expected or not all(isinstance(p, Fraction) for p in exact):
+            problems.append(f"{moves} exact grid row {exact}")
     # The same pair inside the n=10, k=1 game: per-player cost 5/8,
     # total 8.35, ratio against the over-k optimum near 1.17.
     spec = GameSpec.quantum_k_person(10, 1, ("P1", "P2", "M"))

@@ -7,56 +7,119 @@ import numpy as np
 import pytest
 
 import pigouq.games as games
+from pigouq.equilibria import solve
 from pigouq.errors import DomainError
 from pigouq.games import (
     CLASSICAL_GRID,
-    PROB_SNAP_TARGETS,
     CostBimatrix,
     GameSpec,
     bimatrix,
     cost_assignment,
     outcome_grid,
-    snap_probability,
 )
-from pigouq.ewl import outcome_table
+from pigouq.ewl import GAMMA_MAX, outcome_table
 from pigouq.strategies import STRATEGY_TAGS, StrategyAngles, resolve
 
 ONE = F(1)
 HALF = F(1, 2)
 
 
-def test_snap_probability():
-    assert snap_probability(0.25 + 1e-12) == F(1, 4)
-    assert snap_probability(1.0) == ONE
-    assert snap_probability(0.3) == 0.3  # not a snap target, stays float
-    assert isinstance(snap_probability(0.3), float)
+# 201 even samples plus the edges of the exactness rule
+ANGLES = sorted(
+    {0.0, 1e-6, 2e-5, math.pi / 4, math.pi / 2 - 1e-6, math.pi / 2}
+    | set(np.linspace(0.0, math.pi / 2, 201).tolist())
+)
 
 
-@pytest.mark.parametrize("offset, snaps", [(0.5e-10, True), (-0.5e-10, True), (2e-10, False), (-2e-10, False)])
-def test_outcome_grid_snaps_only_within_the_tolerance(monkeypatch, offset, snaps):
-    probs = np.array([[[float(t) + offset for t in PROB_SNAP_TARGETS]]])
-    monkeypatch.setattr(games, "outcome_table", lambda rows, cols, gamma: probs)
-    ((cell,),) = outcome_grid(("P1",), 0.0)
-    if snaps:
-        assert cell == PROB_SNAP_TARGETS and all(isinstance(p, F) for p in cell)
-    else:
-        assert cell == tuple(probs[0, 0].tolist()) and all(type(p) is float for p in cell)
-    assert cell == tuple(snap_probability(p) for p in probs[0, 0].tolist())
+@pytest.fixture
+def fresh_endpoints():
+    """Rebuild the endpoint tables on first use in the test, and after it."""
+    games._endpoint_tables.cache_clear()
+    yield
+    games._endpoint_tables.cache_clear()
 
 
+def test_tag_grid_is_the_protocol_at_every_angle():
+    # all 36 ordered pairs of the catalog, affine in sin^2(gamma)
+    matrices = [resolve(s) for s in STRATEGY_TAGS]
+    worst = max(
+        np.abs(np.array(outcome_grid(STRATEGY_TAGS, g), dtype=float) - outcome_table(matrices, matrices, g)).max()
+        for g in ANGLES
+    )
+    assert worst <= 1e-15
 
-@pytest.mark.parametrize("gamma", [0.0, 1e-6, 2e-5, 3e-5, 0.4, math.pi / 4, math.pi / 2])
-def test_outcome_grid_is_the_protocol_snapped_cell_by_cell(gamma):
+
+@pytest.mark.parametrize(
+    "gamma, exact",
+    [
+        (0.0, True),
+        (1e-200, True),  # sin(gamma) ** 2 underflows to 0.0
+        (1e-6, False),
+        (0.4, False),
+        (math.pi / 4, False),
+        (math.pi / 2 - 1e-6, False),
+        (math.pi / 2 - 1e-9, True),  # sin(gamma) rounds to 1.0
+        (math.pi / 2, True),
+    ],
+)
+def test_tag_grid_is_all_exact_at_t_0_or_1_and_all_float_otherwise(gamma, exact):
+    assert (math.sin(gamma) ** 2 in (0.0, 1.0)) == exact
+    grid = outcome_grid(STRATEGY_TAGS, gamma)
+    assert {type(p) for row in grid for cell in row for p in cell} == ({F} if exact else {float})
+    cells = bimatrix(GameSpec.quantum_k_person(10, 4, ("P1", "P2", "Q"), gamma)).cells
+    assert {type(x) for row in cells for cell in row for x in cell} == ({F} if exact else {float})
+
+
+@pytest.mark.parametrize("gamma", [0.0, 1e-6, 0.4, math.pi / 2])
+def test_custom_grid_is_the_protocol_bit_for_bit(gamma):
     rng = np.random.default_rng(11)
-    custom = tuple(StrategyAngles(rng.uniform(0, math.pi), rng.uniform(0, math.pi / 2)) for _ in range(3))
-    for strategies in (STRATEGY_TAGS, custom):
+    custom = (StrategyAngles(0.0, 0.0),) + tuple(
+        StrategyAngles(rng.uniform(0, math.pi), rng.uniform(0, math.pi / 2)) for _ in range(2)
+    )
+    for strategies in (custom, ("P1", custom[1], "M")):
         matrices = [resolve(s) for s in strategies]
-        want = [
-            [tuple(snap_probability(p) for p in probs) for probs in row]
-            for row in outcome_table(matrices, matrices, gamma).tolist()
-        ]
-        got = outcome_grid(strategies, gamma)
-        assert repr(got) == repr(tuple(map(tuple, want)))  # values and types
+        want = tuple(tuple(map(tuple, row)) for row in outcome_table(matrices, matrices, gamma).tolist())
+        assert repr(outcome_grid(strategies, gamma)) == repr(want)  # values and types: never snapped
+
+
+@pytest.mark.parametrize("offset, raises", [(2e-12, True), (-2e-12, True), (0.5e-12, False)])
+def test_endpoint_off_a_quarter_raises(monkeypatch, fresh_endpoints, offset, raises):
+    real = games.outcome_table
+
+    def nudged(rows, cols, gamma):
+        table = real(rows, cols, gamma)
+        if gamma == GAMMA_MAX:
+            table[3, 3, 2] += offset  # M vs M, outcome 10: 1/4
+        return table
+
+    monkeypatch.setattr(games, "outcome_table", nudged)
+    if raises:
+        with pytest.raises(DomainError, match="M vs M outcome 2 probability"):
+            outcome_grid(("P1", "M"), 0.3)
+    else:
+        assert outcome_grid(("P1", "M"), GAMMA_MAX)[1][1] == (F(1, 4),) * 4
+
+
+def test_tiny_gamma_is_not_the_unentangled_game():
+    # Rounding probabilities that lie within 1e-10 of a quarter would make
+    # gamma = 1e-6 and 1e-5 the gamma = 0 game, which selects (P2, P2).
+    names = ("P1", "P2", "M")
+    unentangled = solve(bimatrix(GameSpec.quantum_two_person(names, 0.0)))
+    assert (unentangled.selected.row_label, unentangled.selected.col_label, unentangled.selected_by) == (
+        "P2", "P2", "dominance"
+    )
+    for gamma in (1e-6, 1e-5):
+        assert solve(bimatrix(GameSpec.quantum_two_person(names, gamma))).selected is None
+    # the exact game at t = sin^2(gamma) = 1/10^9, built from the endpoint grids, agrees
+    t = F(1, 10**9)
+    p0, p1 = outcome_grid(names, 0.0), outcome_grid(names, GAMMA_MAX)
+    exact = tuple(
+        tuple(tuple(a + t * (b - a) for a, b in zip(c0, c1)) for c0, c1 in zip(r0, r1)) for r0, r1 in zip(p0, p1)
+    )
+    matrix = bimatrix(GameSpec.quantum_two_person(names, 1e-6), exact)
+    assert all(type(x) is F for row in matrix.cells for cell in row for x in cell)
+    assert solve(matrix).selected is None
+
 
 class TestGameSpecValidation:
     def test_two_person_fixes_n(self):
@@ -135,8 +198,9 @@ def test_k_person_classical_grid():
 
 @pytest.mark.parametrize("gamma", [0.0, 1e-6, 2e-5, 0.4, math.pi / 2])
 def test_skipping_exact_zeros_keeps_every_bit_and_type(gamma):
-    # the cell sum drops the snapped Fraction(0) probabilities; the full
-    # Fraction-dispatched sum over all four outcomes must give the same cells
+    # the cell sum drops the zero probabilities and multiplies float ones by
+    # float costs; the full Fraction-dispatched sum over all four outcomes
+    # must give the same cells
     rng = np.random.default_rng(7)
     custom = tuple(StrategyAngles(rng.uniform(0, math.pi), rng.uniform(0, math.pi / 2)) for _ in range(2))
     for strategies in (("P1", "P2", "Q"), ("P1", "P2", "M"), ("S1", "S2"), custom):

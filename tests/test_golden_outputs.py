@@ -1,8 +1,11 @@
-"""Byte-for-byte CLI outputs on exact games, pinned in ``tests/golden/``.
+"""Byte-for-byte CLI outputs, pinned in ``tests/golden/``.
 
 Exact games print ``Fraction`` values and correctly rounded floats, so
-these bytes do not depend on numpy's matmul rounding. A change meant to
-keep outputs byte-identical must leave every file here untouched.
+these bytes do not depend on numpy's matmul rounding. The float cells of
+a named-strategy gamma sweep come from ``math.sin`` and IEEE multiplies
+and adds over the exact endpoint tables, never from the protocol's
+matmuls, so one such sweep is pinned too. A change meant to keep outputs
+byte-identical must leave every file here untouched.
 
 Regenerate (only when an output change is intended and explained)::
 
@@ -37,6 +40,10 @@ for _fmt in ("csv", "json"):
         CASES[f"sweep_over_k_{_set}_n12.{_fmt}"] = [
             "sweep", "--game", "quantumk", "--strategies", _set, "--n", "12", "--over", "k", "--format", _fmt,
         ]
+    CASES[f"sweep_over_gamma_p1p2q_n10_k4.{_fmt}"] = [
+        "sweep", "--game", "quantumk", "--strategies", "p1p2q", "--n", "10", "--k", "4",
+        "--over", "gamma", "--gamma-steps", "101", "--format", _fmt,
+    ]
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

@@ -1,4 +1,4 @@
-"""One protocol grid per k-sweep, and support enumeration only where the selection needs it.
+"""No protocol run per game for named sets, and support enumeration only where the selection needs it.
 
 Counted protocol evaluations, square support passes and linear solves,
 and the per-k reference path.
@@ -16,15 +16,22 @@ from pigouq.cli import main
 from pigouq.equilibria import solve
 from pigouq.games import GameSpec, bimatrix
 from pigouq.metrics import MetricsReport, analyze, format_equilibrium_label, profile_total, report, solve_over_k
+from pigouq.strategies import StrategyAngles
 from pigouq.sweeps import sweep_gamma, sweep_k
 
 GAMMA_MAX = math.pi / 2
 SETS = [("P1", "P2", "Q"), ("P1", "P2", "M")]
+# The two endpoint tables of the catalog: 36 pairs at gamma = 0 and at pi/2.
+ENDPOINT_RUNS = [36, 36]
 
 
 @pytest.fixture
 def protocol_runs(monkeypatch):
-    """One entry per batched protocol evaluation made through the games layer: the pairs it ran."""
+    """One entry per batched protocol evaluation made through the games layer: the pairs it ran.
+
+    The endpoint tables are dropped first, so the first named-set grid of
+    a test counts their two runs whatever ran before it.
+    """
     runs = []
     real = games.outcome_table
 
@@ -33,7 +40,9 @@ def protocol_runs(monkeypatch):
         return real(rows, cols, gamma)
 
     monkeypatch.setattr(games, "outcome_table", counting)
-    return runs
+    games._endpoint_tables.cache_clear()
+    yield runs
+    games._endpoint_tables.cache_clear()
 
 
 @pytest.fixture
@@ -92,16 +101,19 @@ def per_k_reports(points):
 @pytest.mark.parametrize("n", [4, 10, 31])
 def test_sweep_k_runs_the_protocol_once_per_strategy_pair(protocol_runs, names, n):
     series = sweep_k("quantum", names, n, gamma=GAMMA_MAX)
-    assert protocol_runs == [9]
+    assert protocol_runs == ENDPOINT_RUNS
+    protocol_runs.clear()
+    assert sweep_k("quantum", names, n, gamma=GAMMA_MAX) == series
+    assert protocol_runs == []
     assert series.reports == per_k_reports(per_k_points("quantum", names, n, range(1, n - 2), GAMMA_MAX))
 
 
 @pytest.mark.parametrize("k_values", [range(0, 8), [6, 7], [4], [7, 0, 3, 3]])
 def test_sweep_k_with_explicit_range_matches_per_k_path(protocol_runs, k_values):
-    for names in SETS:
+    for first, names in enumerate(SETS, start=1):
         protocol_runs.clear()
         series = sweep_k("quantum", names, 10, k_values, gamma=GAMMA_MAX)
-        assert protocol_runs == [9]
+        assert protocol_runs == (ENDPOINT_RUNS if first == 1 else [])
         ks = sorted(set(k_values))
         assert series.values == tuple(ks)
         assert series.reports == per_k_reports(per_k_points("quantum", names, 10, ks, GAMMA_MAX))
@@ -109,7 +121,7 @@ def test_sweep_k_with_explicit_range_matches_per_k_path(protocol_runs, k_values)
 
 def test_float_gamma_sweep_matches_per_k_path(protocol_runs):
     series = sweep_k("quantum", ("P1", "P2", "M"), 9, gamma=0.9)
-    assert protocol_runs == [9]
+    assert protocol_runs == ENDPOINT_RUNS
     assert series.reports == per_k_reports(per_k_points("quantum", ("P1", "P2", "M"), 9, range(1, 7), 0.9))
 
 
@@ -128,22 +140,22 @@ def test_report_runs_the_protocol_once_per_strategy_pair(protocol_runs, names, n
     eq = solve(matrix)
     protocol_runs.clear()
     got = report(spec, eq, matrix=matrix)
-    assert protocol_runs == [9]
+    assert protocol_runs == []
     points = per_k_points("quantum", names, n, range(0, n - 2), GAMMA_MAX)
     opt = min(total for _, _, total in points if total is not None)
     total = profile_total(spec, matrix, eq.selected)
     assert got == MetricsReport(total, opt, total / opt, total / opt, k, format_equilibrium_label(eq.selected))
     protocol_runs.clear()
     assert analyze(spec) == (matrix, eq, got)
-    assert protocol_runs == [9]
+    assert protocol_runs == []
 
 
 def test_solve_over_k_matches_per_k_path(protocol_runs):
     names = ("P1", "P2", "Q")
-    for ks in ([6, 7], [0, 4], range(0, 8)):
+    for first, ks in enumerate(([6, 7], [0, 4], range(0, 8)), start=1):
         protocol_runs.clear()
         points, opt = solve_over_k("quantum", names, 10, ks, GAMMA_MAX)
-        assert protocol_runs == [9]
+        assert protocol_runs == (ENDPOINT_RUNS if first == 1 else [])
         want = per_k_points("quantum", names, 10, ks, GAMMA_MAX)
         assert [(spec, eq, total) for spec, _, eq, total in points] == want
         assert opt == min(total for _, _, total in want if total is not None)
@@ -155,8 +167,20 @@ def test_cli_solve_makes_one_over_k_pass(protocol_runs, monkeypatch, capsys):
     monkeypatch.setattr(metrics, "solve", lambda matrix: solves.append(matrix) or real(matrix))
     assert main(["solve", "--game", "quantumk", "--strategies", "p1p2q", "--n", "9", "--k", "3"]) == 0
     capsys.readouterr()
-    assert protocol_runs == [9]  # one 3x3 outcome grid
+    assert protocol_runs == ENDPOINT_RUNS  # read off the endpoint tables, built once
     assert len(solves) == 7  # one solve per k in 0..6
+
+
+def test_gamma_sweep_runs_the_protocol_per_angle_only_for_custom_sets(protocol_runs):
+    gammas = [0.0, 0.3, 0.9, GAMMA_MAX]
+    sweep_gamma(("P1", "P2", "M"), gammas)
+    assert protocol_runs == ENDPOINT_RUNS
+    protocol_runs.clear()
+    sweep_gamma(("P1", "P2", "Q"), gammas, n=10, k=4)
+    assert protocol_runs == []
+    custom = (StrategyAngles(0.0, 0.0), StrategyAngles(math.pi, 0.0), StrategyAngles(math.pi / 2, math.pi / 2))
+    sweep_gamma(custom, gammas)
+    assert protocol_runs == [9] * len(gammas)
 
 
 def _cli_solve(strategies):
