@@ -49,6 +49,55 @@ def test_tag_grid_is_the_protocol_at_every_angle():
     assert worst <= 1e-15
 
 
+def test_snap_probability(monkeypatch, fresh_endpoints):
+    # The endpoint build snaps each protocol probability to its quarter: a
+    # float within 1e-12 of one becomes that exact Fraction, and a float off
+    # every quarter is an error, never a float left in an exact game.
+    real = games.outcome_table
+    nudges = {(GAMMA_MAX, 3, 3, 2): 0.25 + 1e-13}  # M vs M, outcome 10: 1/4
+
+    def nudged(rows, cols, gamma):
+        table = real(rows, cols, gamma)
+        for (at, i, j, o), value in nudges.items():
+            if gamma == at:
+                table[i, j, o] = value
+        return table
+
+    monkeypatch.setattr(games, "outcome_table", nudged)
+    (((*_, p10, _),),) = outcome_grid(("M",), GAMMA_MAX)
+    assert p10 == F(1, 4) and type(p10) is F
+    ((cell,),) = outcome_grid(("P1",), 0.0)
+    assert cell == (ONE, 0, 0, 0) and all(type(p) is F for p in cell)
+    games._endpoint_tables.cache_clear()
+    nudges[(0.0, 0, 0, 0)] = 0.3  # P1 vs P1, outcome 00: 1
+    with pytest.raises(DomainError, match="P1 vs P1 outcome 0 probability 0.3,"):
+        outcome_grid(("P1",), 0.4)
+
+
+@pytest.mark.parametrize("gamma", [0.0, 1e-6, 2e-5, 3e-5, 0.4, math.pi / 4, math.pi / 2])
+def test_outcome_grid_is_the_protocol_snapped_cell_by_cell(gamma):
+    # A tag set's grid is the protocol with every probability snapped to its
+    # quarter where t = sin^2(gamma) is exactly 0 or 1, and the protocol
+    # within 1e-15 in floats at every other angle, however close to an
+    # endpoint; a custom set's grid is the protocol, never snapped.
+    matrices = [resolve(s) for s in STRATEGY_TAGS]
+    table = outcome_table(matrices, matrices, gamma)
+    got = outcome_grid(STRATEGY_TAGS, gamma)
+    if math.sin(gamma) ** 2 in (0.0, 1.0):
+        quarters = np.rint(table * 4)
+        assert np.abs(table - quarters / 4).max() <= 1e-12
+        want = tuple(tuple(tuple(F(int(q), 4) for q in cell) for cell in row) for row in quarters.tolist())
+        assert repr(got) == repr(want)  # values and types
+    else:
+        assert {type(p) for row in got for cell in row for p in cell} == {float}
+        assert np.abs(np.array(got) - table).max() <= 1e-15
+    rng = np.random.default_rng(11)
+    custom = tuple(StrategyAngles(rng.uniform(0, math.pi), rng.uniform(0, math.pi / 2)) for _ in range(3))
+    matrices = [resolve(s) for s in custom]
+    want = tuple(tuple(map(tuple, row)) for row in outcome_table(matrices, matrices, gamma).tolist())
+    assert repr(outcome_grid(custom, gamma)) == repr(want)
+
+
 @pytest.mark.parametrize(
     "gamma, exact",
     [
