@@ -37,15 +37,19 @@ exact cells have denominators dividing 4n, and a float cell is a dyadic
 rational, so the scale is a divisor of 4n times a power of two. A positive
 scale per player changes no comparison between that player's costs, and
 it changes the solution of an indifference system only by scaling the
-common cost value, which is divided back out. Each system is solved by
-fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22, 1968):
-a row is eliminated as ``pivot * row - factor * pivot_row`` and divided
-by the gcd of its entries, which keeps it a nonzero multiple of the row
-rational elimination would give. Zero tests, pivot choices and the
-rank-based classification (unique, inconsistent, singular) are therefore
-the same as in rational arithmetic, and the probabilities are exactly
-the same rationals; ``Fraction`` values are built only for candidates
-whose probabilities pass the integer sign test.
+common cost value, which is divided back out.
+
+Each indifference system is solved in closed form. Subtracting the
+first chooser row from the others leaves ``D q = 0`` with ``sum(q) = 1``
+for the mixer's probabilities q, D an integer difference matrix. The
+system is inconsistent when the all-ones row lies in D's row space, else
+singular when rank(D) is below the mixer's support size less one, else
+unique; ranks of integer matrices are exact, so this is the classification
+rational elimination gives. For a square pair, q is D's signed maximal
+minors over their sum (Cramer's rule). The probabilities and the common
+cost share that sum, made positive, as denominator: the sign and
+best-response tests compare integers, and ``Fraction`` values are built
+only for the profiles that pass both.
 
 Everything is deterministic: cells in row-major order, supports in
 size-then-index order, results sorted by support and probabilities.
@@ -54,7 +58,6 @@ size-then-index order, results sorted by support and probabilities.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -161,6 +164,11 @@ class EquilibriumResult:
 
     @cached_property
     def diagnostics(self) -> tuple[str, ...]:
+        """The "singular ..., skipped" notes of :func:`support_enumeration`.
+
+        Notes from unequal support pairs are structural; only notes from
+        square pairs can signal a degenerate game.
+        """
         return tuple(_merged_notes(self._square[1], _unequal_notes(self.matrix)))
 
     @cached_property
@@ -279,89 +287,68 @@ def dominance_select(matrix: CostBimatrix) -> PureProfile | None:
     return None
 
 
-def _solve_integer(m: list[list[int]]):
-    """Fraction-free Gauss-Jordan on integer augmented rows, in place.
+def _det(m) -> int:
+    """Determinant of a small square integer matrix, by cofactor expansion on the first row."""
+    if len(m) <= 1:
+        return m[0][0] if m else 1
+    return sum((-1) ** j * x * _det([row[:j] + row[j + 1 :] for row in m[1:]]) for j, x in enumerate(m[0]) if x)
 
-    Eliminating column c replaces each other row by ``pivot * row - m[i][c]
-    * pivot_row`` and divides the result by the gcd of its entries, so every
-    row stays a nonzero multiple of the row rational elimination would
-    hold. Zero patterns, pivot choices and the rank classification are the
-    same as with rational arithmetic. Returns ``("unique", solution)`` with
-    ``solution[c] = (numerator, denominator)`` unreduced,
-    ``("inconsistent", None)`` or ``("singular", None)``.
-    """
-    n_rows = len(m)
-    n_unknowns = len(m[0]) - 1
-    rank = 0
-    for c in range(n_unknowns):
-        for pivot in range(rank, n_rows):
-            if m[pivot][c]:
-                break
-        else:
-            continue
-        pivot_row = m[pivot]
-        m[pivot] = m[rank]
-        m[rank] = pivot_row
-        p = pivot_row[c]
-        for i, row in enumerate(m):
-            f = row[c]
-            if f and i != rank:
-                row = [p * x - f * y for x, y in zip(row, pivot_row)]
-                g = math.gcd(*row)
-                m[i] = [x // g for x in row] if g > 1 else row
-        rank += 1
-        if rank == n_rows:
-            break
-    if any(m[i][-1] for i in range(rank, n_rows)):
-        return "inconsistent", None
-    if rank < n_unknowns:
-        return "singular", None
-    # Full rank: row c pivots on column c and is zero in every other unknown.
-    return "unique", [(m[c][-1], m[c][c]) for c in range(n_unknowns)]
+
+def _rank(rows, n_cols: int) -> int:
+    """Rank of a small integer matrix: the order of its largest nonzero minor."""
+    for r in range(min(len(rows), n_cols), 0, -1):
+        for sub in itertools.combinations(rows, r):
+            if any(_det([[row[c] for c in cols] for row in sub]) for cols in itertools.combinations(range(n_cols), r)):
+                return r
+    return 0
 
 
 def _indifference_mix(costs, chooser_support, mixer_support):
     """Opponent mix making ``chooser_support`` strategies equally costly.
 
     ``costs[i][j]`` is the chooser's integer-scaled cost when the chooser
-    plays i and the mixer plays j. Unknowns: one probability per
-    mixer-support strategy plus the common (scaled) cost value. Returns
-    ``(status, solution)`` as :func:`_solve_integer` does.
+    plays i and the mixer plays j. Returns ``(status, solution)``, with
+    ``status`` one of ``"unique"``, ``"inconsistent"`` and ``"singular"``
+    by the rank rules of the module docstring. ``solution`` is ``(weights,
+    value, denominator)`` for a unique square system: the mixer plays
+    ``mixer_support[j]`` with probability ``weights[j] / denominator``, the
+    common cost is ``value / denominator``, and the denominator is
+    positive. It is ``None`` otherwise.
     """
+    first, *others = ([costs[i][j] for j in mixer_support] for i in chooser_support)
+    diff = [[x - y for x, y in zip(row, first)] for row in others]
     n_mix = len(mixer_support)
-    # sum_j costs[i][j] * q_j - v = 0 for each supported i; the q_j sum to 1.
-    rows = [[costs[i][j] for j in mixer_support] + [-1, 0] for i in chooser_support]
-    rows.append([1] * n_mix + [0, 1])
-    return _solve_integer(rows)
+    if len(diff) == n_mix - 1:
+        # Square: D's signed maximal minors span D's kernel when rank(D) = n_mix - 1 (Cramer's rule).
+        weights = [(-1) ** j * _det([row[:j] + row[j + 1 :] for row in diff]) for j in range(n_mix)]
+        total = sum(weights)
+        if total:
+            if total < 0:
+                weights, total = [-w for w in weights], -total
+            return "unique", (weights, sum(c * w for c, w in zip(first, weights)), total)
+    rank = _rank(diff, n_mix)
+    if _rank(diff + [[1] * n_mix], n_mix) == rank:
+        return "inconsistent", None
+    return ("singular" if rank < n_mix - 1 else "unique"), None
 
 
-def _nonnegative(solution) -> bool:
-    """Whether every probability (all but the trailing value) is >= 0."""
-    return all(num == 0 or (num > 0) == (den > 0) for num, den in solution[:-1])
-
-
-def _full_mix(solution, support, size):
-    """Exact probabilities over all ``size`` strategies, plus the scaled value."""
-    probs = [Fraction(0)] * size
-    for idx, i in enumerate(support):
-        probs[i] = Fraction(*solution[idx])
-    return probs, Fraction(*solution[-1])
-
-
-def _beaten(costs, probs, value, support) -> bool:
+def _beaten(costs, weights, value, support, mixer_support) -> bool:
     """Whether a strategy outside ``support`` costs strictly less than ``value``.
 
-    ``costs[i][j]`` is the integer-scaled chooser cost, ``probs`` the
-    opponent's mix and ``value`` the support's common scaled cost.
+    ``weights`` (the opponent's mix over ``mixer_support``) and ``value``
+    share one positive denominator, so integer costs compare directly.
     """
-    den = math.lcm(*(p.denominator for p in probs))
-    weights = [p.numerator * (den // p.denominator) for p in probs]
-    bound = value * den
     return any(
-        sum(c * w for c, w in zip(costs[r], weights)) < bound
-        for r in range(len(costs))
+        sum(row[j] * w for j, w in zip(mixer_support, weights)) < value
+        for r, row in enumerate(costs)
         if r not in support
     )
+
+
+def _full_mix(weights, denominator, support, size):
+    """Exact probabilities over all ``size`` strategies."""
+    mix = dict(zip(support, weights))
+    return tuple(Fraction(mix.get(i, 0), denominator) for i in range(size))
 
 
 def mixed_nash(matrix: CostBimatrix) -> list[MixedProfile]:
@@ -390,7 +377,10 @@ def support_enumeration(matrix: CostBimatrix):
     strictly lower expected cost, merges duplicates, and sorts the
     result by support then probabilities. Supports whose indifference
     system is singular are skipped and recorded in the returned
-    diagnostics list, in size-then-index order of the pairs.
+    diagnostics list, in size-then-index order of the pairs. The notes of
+    unequal pairs are structural, since an underdetermined system is
+    singular in almost every game; only the notes of square pairs can
+    signal a degenerate game.
 
     Two facts split the work into two passes, each pair solved once:
 
@@ -459,15 +449,18 @@ def _square_pass(matrix: CostBimatrix, weak_pure):
                 notes.append((_pair_key(sup_a, sup_b), _support_note(matrix, sup_a, sup_b, side)))
             if solutions is None:
                 continue
-            sol_p, sol_q = solutions
-            if not (_nonnegative(sol_p) and _nonnegative(sol_q)):
+            (w_p, value_b, den_p), (w_q, value_a, den_q) = solutions
+            if min(w_p) < 0 or min(w_q) < 0:
                 continue
-            p_full, value_b = _full_mix(sol_p, sup_a, size)
-            q_full, value_a = _full_mix(sol_q, sup_b, size)
             # No unsupported strategy may beat the support's common cost.
-            if _beaten(a, q_full, value_a, sup_a) or _beaten(b_t, p_full, value_b, sup_b):
+            if _beaten(a, w_q, value_a, sup_a, sup_b) or _beaten(b_t, w_p, value_b, sup_b, sup_a):
                 continue
-            profile = MixedProfile(tuple(p_full), tuple(q_full), value_a / scale_a, value_b / scale_b)
+            profile = MixedProfile(
+                _full_mix(w_p, den_p, sup_a, size),
+                _full_mix(w_q, den_q, sup_b, size),
+                Fraction(value_a, den_q * scale_a),
+                Fraction(value_b, den_p * scale_b),
+            )
             found.setdefault((profile.alice_probs, profile.bob_probs), profile)
 
     ordered = sorted(

@@ -65,14 +65,18 @@ def sweep_k(
 ) -> SweepSeries:
     """Solve the n-traveler game for every requested k.
 
-    ``k_values`` defaults to 1..n-3 inclusive; 0 is accepted when asked
-    for. The per-point optimal cost is shared: the minimum equilibrium
-    total over the requested range. ``gamma`` is required for quantum
-    mode and forbidden for classical.
+    ``k_values`` defaults to 1..n-3 inclusive, which is empty at n = 3;
+    0 is accepted when asked for. The per-point optimal cost is shared:
+    the minimum equilibrium total over the requested range. ``gamma`` is
+    required for quantum mode and forbidden for classical.
     """
     if n < 3:
         raise DomainError("the k-person game requires n >= 3")
     if k_values is None:
+        if n == 3:
+            raise DomainError(
+                "the default k range 1..n-3 is empty for n=3; ask for k = 0 with k_values=[0] (--k-range 0..0)"
+            )
         k_values = range(1, n - 2)
     ks = sorted(set(int(k) for k in k_values))
     if any(not (0 <= k < n - 2) for k in ks):

@@ -185,6 +185,17 @@ class TestDomainErrors:
         assert captured.out == ""
         assert captured.err == "error: the k-person game requires n >= 3\n"
 
+    def test_k_sweep_default_range_empty_at_three_travelers(self, capsys):
+        code = main(["sweep", "--game", "classicalk", "--n", "3", "--over", "k"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "1..n-3 is empty for n=3" in captured.err
+        assert "--k-range 0..0" in captured.err
+        # The range the message names works.
+        assert main(["sweep", "--game", "classicalk", "--n", "3", "--over", "k", "--k-range", "0..0"]) == 0
+        assert capsys.readouterr().out.splitlines()[1] == "k,0,2.3333333333333335,2.3333333333333335,1.0,1.0,pure:(P2,P2)"
+
 
 def test_out_redirects_payload_only(tmp_path, capsys):
     target = tmp_path / "grid.txt"

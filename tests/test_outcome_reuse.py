@@ -63,13 +63,13 @@ def enumerations(monkeypatch):
 def linear_solves(monkeypatch):
     """One entry per indifference system solved."""
     runs = []
-    real = equilibria._solve_integer
+    real = equilibria._indifference_mix
 
-    def counting(rows):
-        runs.append(len(rows))
-        return real(rows)
+    def counting(costs, chooser_support, mixer_support):
+        runs.append((chooser_support, mixer_support))
+        return real(costs, chooser_support, mixer_support)
 
-    monkeypatch.setattr(equilibria, "_solve_integer", counting)
+    monkeypatch.setattr(equilibria, "_indifference_mix", counting)
     return runs
 
 

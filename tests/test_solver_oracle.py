@@ -4,6 +4,9 @@ The oracle below is the straightforward solver the integer one replaced:
 Gauss-Jordan on ``Fraction`` rows for every support pair. Both must
 return identical ``(profiles, diagnostics)``: the same profiles in the
 same order with the same exact values, and the same skipped supports.
+Each game also holds every closed-form indifference solve to the
+oracle's, for every support pair and both of its systems, so a wrong row
+system cannot hide behind an inconsistent column system.
 
 Every game here also checks :func:`solve`, whose views are computed on
 first read, against an eager reference that runs the pure scans,
@@ -18,7 +21,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from pigouq.equilibria import MixedProfile, dominance_select, pure_nash, solve, support_enumeration
+from pigouq.equilibria import MixedProfile, _indifference_mix, dominance_select, pure_nash, solve, support_enumeration
 from pigouq.games import CostBimatrix, GameSpec, bimatrix
 from pigouq.strategies import STRATEGY_TAGS, StrategyAngles
 
@@ -116,6 +119,30 @@ def oracle_support_enumeration(matrix):
     return ordered, diagnostics
 
 
+def _systems_match_oracle(matrix):
+    """Every support pair's column and row system, each against the rational oracle.
+
+    Square systems must agree in status and, when unique, in the exact
+    mix and value; unequal systems in status. Both sides get the same
+    integer-scaled costs, so the values compare exactly.
+    """
+    a, b, _, _ = matrix.scaled_costs
+    b_t = [list(col) for col in zip(*b)]
+    supports = [c for r in range(1, matrix.size + 1) for c in itertools.combinations(range(matrix.size), r)]
+    statuses = set()
+    for sup_a, sup_b in itertools.product(supports, supports):
+        for costs, chooser, mixer in ((a, sup_a, sup_b), (b_t, sup_b, sup_a)):
+            status, solution = _indifference_mix(costs, chooser, mixer)
+            want, q, v = _oracle_indifference_mix([[F(x) for x in row] for row in costs], chooser, mixer)
+            assert status == want, (chooser, mixer)
+            if len(chooser) == len(mixer) and status == "unique":
+                weights, value, denominator = solution
+                assert denominator > 0
+                assert [F(w, denominator) for w in weights] == q and F(value, denominator) == v
+            statuses.add((len(chooser) == len(mixer), status))
+    return statuses
+
+
 def _same_as_oracle(matrix):
     got = support_enumeration(matrix)
     want = oracle_support_enumeration(matrix)
@@ -126,6 +153,7 @@ def _same_as_oracle(matrix):
         assert all(type(x) is F for x in values)
         assert repr(g) == repr(w)
     _lazy_views_match_eager(matrix)
+    return _systems_match_oracle(matrix)
 
 
 VIEWS = ("strict_pure", "weak_pure", "mixed", "selected", "selected_by", "diagnostics")
@@ -187,12 +215,19 @@ def test_headline_sweep_games_match_oracle():
 
 def test_float_gamma_games_match_oracle():
     rng = random.Random(2465)
+    bits = 0
     for _ in range(12):
         names = rng.choice([("P1", "P2", "Q"), ("P1", "P2", "M"), ("Q", "M"), ("S1", "S2")])
         gamma = rng.uniform(0.0, GAMMA_MAX)
-        _same_as_oracle(bimatrix(GameSpec.quantum_two_person(names, gamma)))
         n = rng.randrange(3, 31)
-        _same_as_oracle(bimatrix(GameSpec.quantum_k_person(n, rng.randrange(n - 2), names, gamma)))
+        for spec in (
+            GameSpec.quantum_two_person(names, gamma),
+            GameSpec.quantum_k_person(n, rng.randrange(n - 2), names, gamma),
+        ):
+            matrix = bimatrix(spec)
+            bits = max(bits, max(x for row in matrix.scaled_costs[0] for x in row).bit_length())
+            _same_as_oracle(matrix)
+    assert bits > 50  # float cells scale to integers of about 2^60
 
 
 def test_strategy_angle_games_match_oracle():
@@ -214,6 +249,7 @@ def test_classical_games_match_oracle():
 def test_degenerate_integer_games_match_oracle():
     """Small integer costs with many ties: singular and inconsistent systems abound."""
     rng = random.Random(1968)
+    statuses = set()
     for _ in range(60):
         size = rng.choice((2, 3))
         labels = tuple("ABC"[:size])
@@ -221,7 +257,10 @@ def test_degenerate_integer_games_match_oracle():
             tuple((F(rng.randint(1, 3), rng.choice((1, 2))), F(rng.randint(1, 3))) for _ in labels)
             for _ in labels
         )
-        _same_as_oracle(CostBimatrix(labels, labels, cells))
+        statuses |= _same_as_oracle(CostBimatrix(labels, labels, cells))
+    # Every status occurs on square and on unequal systems (an unequal
+    # system is unique only when the chooser has the larger support).
+    assert statuses == {(square, s) for square in (True, False) for s in ("unique", "inconsistent", "singular")}
 
 
 def test_classical_continuum_reports_three_points():
