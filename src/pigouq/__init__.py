@@ -18,20 +18,16 @@ from .equilibria import (
     MixedProfile,
     PureProfile,
     dominance_select,
-    mixed_nash,
     optimal_outcome,
     pure_nash,
     solve,
 )
 from .metrics import (
-    GLOBAL_OVER_K,
-    PER_GAME,
     MetricsReport,
     analyze,
     classical_cost_ne,
     classical_opt,
     classical_pos_poa,
-    report,
     split_cost,
 )
 from .sweeps import CSV_HEADER, SweepSeries, series_to_csv, series_to_json_obj, sweep_gamma, sweep_k
@@ -44,11 +40,9 @@ __all__ = [
     "DomainError",
     "EquilibriumResult",
     "GAMMA_MAX",
-    "GLOBAL_OVER_K",
     "GameSpec",
     "MetricsReport",
     "MixedProfile",
-    "PER_GAME",
     "PureProfile",
     "STRATEGY_TAGS",
     "StrategyAngles",
@@ -62,12 +56,10 @@ __all__ = [
     "dominance_select",
     "entangler",
     "is_unitary",
-    "mixed_nash",
     "optimal_outcome",
     "outcome_table",
     "pinned_bill",
     "pure_nash",
-    "report",
     "resolve",
     "series_to_csv",
     "series_to_json_obj",

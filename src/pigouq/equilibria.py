@@ -2,8 +2,8 @@
 
 Costs are minimized throughout: a profile is a weak pure equilibrium
 when no unilateral deviation strictly lowers the deviator's cost, and a
-strict one when every deviation strictly raises it. Three views are
-exposed because they genuinely differ on these games:
+strict one when every deviation strictly raises it. Three solvers are
+used because they genuinely differ on these games:
 
 * :func:`pure_nash` scans every cell;
 * :func:`dominance_select` iteratively removes weakly dominated
@@ -11,7 +11,8 @@ exposed because they genuinely differ on these games:
   selection the narrative "the equilibrium is X" claims of small
   congestion games rely on, since those cells are often only weak
   equilibria;
-* :func:`mixed_nash` runs exact support enumeration.
+* exact support enumeration, read through the ``mixed`` and
+  ``diagnostics`` views of :func:`solve`.
 
 Support enumeration splits along two facts. A support pair with
 ``|S_a| != |S_b|`` has one indifference system with more unknowns than
@@ -70,7 +71,6 @@ __all__ = [
     "MixedProfile",
     "PureProfile",
     "dominance_select",
-    "mixed_nash",
     "optimal_outcome",
     "pure_nash",
     "solve",
@@ -143,7 +143,8 @@ class EquilibriumResult:
     matrix: CostBimatrix
 
     def __post_init__(self):
-        _check_mixed_size(self.matrix)
+        if self.matrix.size > MAX_MIXED_SIZE:
+            raise DomainError(f"support enumeration is limited to {MAX_MIXED_SIZE}x{MAX_MIXED_SIZE} games")
 
     @cached_property
     def strict_pure(self) -> tuple[PureProfile, ...]:
@@ -164,7 +165,7 @@ class EquilibriumResult:
 
     @cached_property
     def diagnostics(self) -> tuple[str, ...]:
-        """The "singular ..., skipped" notes of :func:`support_enumeration`.
+        """A "singular ..., skipped" note per singular support pair, in size-then-index order.
 
         Notes from unequal support pairs are structural; only notes from
         square pairs can signal a degenerate game.
@@ -349,55 +350,6 @@ def _full_mix(weights, denominator, support, size):
     """Exact probabilities over all ``size`` strategies."""
     mix = dict(zip(support, weights))
     return tuple(Fraction(mix.get(i, 0), denominator) for i in range(size))
-
-
-def mixed_nash(matrix: CostBimatrix) -> list[MixedProfile]:
-    """All mixed equilibria, from the square support pairs alone.
-
-    This is the square pass of :func:`support_enumeration`: its profiles
-    are exactly that function's, because an unequal support pair never
-    yields one. The 1x1 pairs are the weak :func:`pure_nash` scan.
-    """
-    _check_mixed_size(matrix)
-    profiles, _ = _square_pass(matrix, pure_nash(matrix, "weak"))
-    return profiles
-
-
-def _check_mixed_size(matrix: CostBimatrix) -> None:
-    if matrix.size > MAX_MIXED_SIZE:
-        raise DomainError(f"support enumeration is limited to {MAX_MIXED_SIZE}x{MAX_MIXED_SIZE} games")
-
-
-def support_enumeration(matrix: CostBimatrix):
-    """Support enumeration with diagnostics.
-
-    Covers every pair of nonempty supports; on each, solves the two
-    cost-indifference systems exactly, keeps solutions with nonnegative
-    probabilities where no strategy outside the support achieves a
-    strictly lower expected cost, merges duplicates, and sorts the
-    result by support then probabilities. Supports whose indifference
-    system is singular are skipped and recorded in the returned
-    diagnostics list, in size-then-index order of the pairs. The notes of
-    unequal pairs are structural, since an underdetermined system is
-    singular in almost every game; only the notes of square pairs can
-    signal a degenerate game.
-
-    Two facts split the work into two passes, each pair solved once:
-
-    * a pair with ``|S_a| != |S_b|`` has one system with more unknowns
-      than equations, which is never uniquely solvable, so such a pair
-      can only add a note. :func:`_unequal_notes` classifies those pairs
-      and nothing else;
-    * a 1x1 pair always solves uniquely (``q = 1``, ``v = a_ij``), and
-      the test that no outside strategy beats it is then the weak
-      best-response test, so the 1x1 pairs add no note and yield exactly
-      the weak pure equilibria. :func:`_square_pass` takes them from the
-      weak :func:`pure_nash` scan and solves the square pairs of size 2
-      and up.
-    """
-    _check_mixed_size(matrix)
-    profiles, notes = _square_pass(matrix, pure_nash(matrix, "weak"))
-    return profiles, _merged_notes(notes, _unequal_notes(matrix))
 
 
 def _pair_systems(a, b_t, sup_a, sup_b):

@@ -53,6 +53,7 @@ derivation.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
@@ -76,6 +77,14 @@ __all__ = [
 ]
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as an int; a float or any other non-integer raises :class:`DomainError`."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class GameSpec:
     """Which game to build: variant, population, entanglement, strategy set."""
@@ -90,6 +99,9 @@ class GameSpec:
     def __post_init__(self):
         if self.variant not in ("two_person", "k_person"):
             raise DomainError(f"unknown variant {self.variant!r}")
+        _integer("n", self.n)
+        if self.k is not None:
+            _integer("k", self.k)
         if self.mode not in ("classical", "quantum"):
             raise DomainError(f"unknown mode {self.mode!r}")
         if self.variant == "two_person":

@@ -16,10 +16,12 @@ Anarchy uses the worst equilibrium. Under the selection convention the
 equilibrium-cost set has a single element, so the two ratios coincide
 whenever they are defined.
 
-Two optimal-cost conventions exist because the headline claims use
-both: ``per_game`` takes the cheapest cell of the matrix at hand, and
-``global_over_k`` takes the cheapest equilibrium total across the whole
-admissible range of k for the same strategy set.
+The optimal cost follows the game, because the headline claims quote
+each number in its own context: a two-person game, and every point of a
+gamma sweep, is priced against the cheapest cell of the matrix at hand;
+a k-person game against the cheapest equilibrium total across the whole
+admissible range of k for the same strategy set (a k sweep: across the
+range it was asked for).
 """
 
 from __future__ import annotations
@@ -33,22 +35,17 @@ from .errors import DomainError
 from .games import CostBimatrix, GameSpec, bimatrix, format_value, outcome_grid, pinned_bill, value_to_json
 
 __all__ = [
-    "GLOBAL_OVER_K",
-    "PER_GAME",
     "MetricsReport",
     "analyze",
     "classical_cost_ne",
     "classical_opt",
     "classical_pos_poa",
+    "describe_metrics",
     "format_equilibrium_label",
     "profile_total",
-    "report",
     "solve_over_k",
     "split_cost",
 ]
-
-PER_GAME = "per_game"
-GLOBAL_OVER_K = "global_over_k"
 
 
 def _check_k_bounds(n: int, k: int) -> None:
@@ -179,12 +176,11 @@ def _per_game_opt(spec: GameSpec, matrix: CostBimatrix):
         # The bill does not depend on the profile, and x -> x + bill is
         # monotone (exact on exact cells), so the cheapest cell pair wins.
         return min(a + b for row in matrix.cells for a, b in row) + pinned_bill(spec)
-    totals = [
+    return min(
         profile_total(spec, matrix, PureProfile(i, j, matrix.row_labels[i], matrix.col_labels[j]))
         for i in range(matrix.size)
         for j in range(matrix.size)
-    ]
-    return min(totals)
+    )
 
 
 def solve_over_k(mode: str, strategies, n: int, ks: Iterable[int], gamma: float | None = None):
@@ -215,70 +211,34 @@ def solve_over_k(mode: str, strategies, n: int, ks: Iterable[int], gamma: float 
     return points, min(totals)
 
 
-def _opt_convention(spec: GameSpec, opt_convention: str | None) -> str:
-    if opt_convention is None:
-        opt_convention = PER_GAME if spec.variant == "two_person" else GLOBAL_OVER_K
-    if opt_convention not in (PER_GAME, GLOBAL_OVER_K):
-        raise DomainError(f"unknown optimal-cost convention {opt_convention!r}")
-    if opt_convention == GLOBAL_OVER_K and spec.variant != "k_person":
-        raise DomainError("the over-k optimum applies to the k-person variant only")
-    return opt_convention
-
-
-def _over_k(spec: GameSpec):
-    """The over-k pass of ``spec``'s game: its points and their cheapest total."""
-    return solve_over_k(spec.mode, spec.strategies, spec.n, range(0, spec.n - 2), spec.gamma)
-
-
 def _metrics_report(spec: GameSpec, eq: EquilibriumResult, cost_ne, cost_opt) -> MetricsReport:
     if eq.selected is None:
         return MetricsReport(None, cost_opt, None, None, spec.k, None)
     ratio = cost_ne / cost_opt
-    return MetricsReport(
-        cost_ne=cost_ne,
-        cost_opt=cost_opt,
-        pos=ratio,
-        poa=ratio,
-        k=spec.k,
-        equilibrium=format_equilibrium_label(eq.selected),
-    )
+    return MetricsReport(cost_ne, cost_opt, ratio, ratio, spec.k, format_equilibrium_label(eq.selected))
 
 
-def report(
-    spec: GameSpec,
-    eq: EquilibriumResult,
-    opt_convention: str | None = None,
-    matrix: CostBimatrix | None = None,
-) -> MetricsReport:
-    """Assemble the metrics for a solved game.
-
-    ``opt_convention`` defaults to ``per_game`` for the two-person
-    variant and ``global_over_k`` for the k-person one, matching the
-    context each headline number is quoted in.
-    """
-    if matrix is None:
-        matrix = bimatrix(spec)
-    if _opt_convention(spec, opt_convention) == PER_GAME:
-        cost_opt = _per_game_opt(spec, matrix)
-    else:
-        cost_opt = _over_k(spec)[1]
-    cost_ne = profile_total(spec, matrix, eq.selected) if eq.selected is not None else None
-    return _metrics_report(spec, eq, cost_ne, cost_opt)
-
-
-def analyze(spec: GameSpec, opt_convention: str | None = None):
-    """Convenience bundle: (bimatrix, equilibria, metrics) for a spec.
-
-    Under the over-k optimum the game at ``spec.k`` is one point of the
-    over-k pass, so its matrix, equilibria and total come from there.
-    """
-    if _opt_convention(spec, opt_convention) == GLOBAL_OVER_K:
-        points, cost_opt = _over_k(spec)
-        _, matrix, eq, cost_ne = points[spec.k]
-        return matrix, eq, _metrics_report(spec, eq, cost_ne, cost_opt)
+def _per_game(spec: GameSpec):
+    """(bimatrix, equilibria, metrics) of ``spec``'s game, priced against its own cheapest cell."""
     matrix = bimatrix(spec)
     eq = solve(matrix)
-    return matrix, eq, report(spec, eq, PER_GAME, matrix=matrix)
+    cost_ne = profile_total(spec, matrix, eq.selected) if eq.selected is not None else None
+    return matrix, eq, _metrics_report(spec, eq, cost_ne, _per_game_opt(spec, matrix))
+
+
+def analyze(spec: GameSpec):
+    """(bimatrix, equilibria, metrics) for a spec.
+
+    A two-person game is priced against its own cheapest cell. A k-person
+    game is priced against the cheapest equilibrium total over k = 0..n-3,
+    and the game at ``spec.k`` is one point of that over-k pass, so its
+    matrix, equilibria and total come from there.
+    """
+    if spec.variant == "two_person":
+        return _per_game(spec)
+    points, cost_opt = solve_over_k(spec.mode, spec.strategies, spec.n, range(0, spec.n - 2), spec.gamma)
+    _, matrix, eq, cost_ne = points[spec.k]
+    return matrix, eq, _metrics_report(spec, eq, cost_ne, cost_opt)
 
 
 def describe_metrics(metrics: MetricsReport) -> str:

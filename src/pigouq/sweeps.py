@@ -16,11 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .equilibria import solve
 from .errors import DomainError
 from .ewl import validate_gamma
-from .games import GameSpec, bimatrix, value_to_json
-from .metrics import PER_GAME, MetricsReport, _metrics_report, report, solve_over_k
+from .games import GameSpec, _integer, value_to_json
+from .metrics import MetricsReport, _metrics_report, _per_game, solve_over_k
 
 __all__ = [
     "CSV_HEADER",
@@ -70,6 +69,7 @@ def sweep_k(
     the minimum equilibrium total over the requested range. ``gamma`` is
     required for quantum mode and forbidden for classical.
     """
+    n = _integer("n", n)
     if n < 3:
         raise DomainError("the k-person game requires n >= 3")
     if k_values is None:
@@ -78,7 +78,7 @@ def sweep_k(
                 "the default k range 1..n-3 is empty for n=3; ask for k = 0 with k_values=[0] (--k-range 0..0)"
             )
         k_values = range(1, n - 2)
-    ks = sorted(set(int(k) for k in k_values))
+    ks = sorted(set(_integer("k", k) for k in k_values))
     if any(not (0 <= k < n - 2) for k in ks):
         raise DomainError(f"k range must lie within 0..{n - 3} for n={n}")
 
@@ -110,11 +110,7 @@ def sweep_gamma(
     specs = [
         GameSpec(variant=variant, mode="quantum", n=n, k=k, gamma=g, strategies=tuple(strategies)) for g in gammas
     ]
-    reports = []
-    for spec in specs:
-        matrix = bimatrix(spec)
-        eq = solve(matrix)
-        reports.append(report(spec, eq, PER_GAME, matrix=matrix))
+    reports = [_per_game(spec)[2] for spec in specs]
     meta = _meta(mode="quantum", variant=variant, n=n, k=k, strategies=specs[0].strategy_labels())
     return SweepSeries("gamma", tuple(gammas), tuple(reports), meta)
 

@@ -20,7 +20,7 @@ from itertools import product
 
 import numpy as np
 
-from .equilibria import dominance_select, mixed_nash, optimal_outcome, solve
+from .equilibria import dominance_select, optimal_outcome, solve
 from .ewl import GAMMA_MAX, outcome_table
 from .games import GameSpec, bimatrix, outcome_grid, pinned_bill
 from .metrics import analyze, classical_cost_ne, classical_pos_poa
@@ -155,16 +155,13 @@ def check_protocol_outcome_vectors() -> CheckResult:
 def check_mixed_equilibrium_closed_form() -> CheckResult:
     problems = []
     n = 10
-    spec = GameSpec.quantum_k_person(n, 1, ("P1", "P2", "Q"))
-    matrix = bimatrix(spec)
-    profiles = mixed_nash(matrix)
-    full = [p for p in profiles if len(p.support()[0]) == 3 and len(p.support()[1]) == 3]
+    _, eq, metrics = analyze(GameSpec.quantum_k_person(n, 1, ("P1", "P2", "Q")))
+    full = [p for p in eq.mixed if len(p.support()[0]) == 3 and len(p.support()[1]) == 3]
     expected = (F(7, 29), F(7, 29), F(15, 29))
     if len(full) != 1 or full[0].alice_probs != expected or full[0].bob_probs != expected:
         problems.append(f"full-support profiles {full}")
     elif full[0].expected_cost_alice != F(37, 58) or full[0].expected_cost_bob != F(37, 58):
         problems.append(f"expected cost {full[0].expected_cost_alice}")
-    _, _, metrics = analyze(spec)
     if metrics.cost_ne != F(2429, 290):
         problems.append(f"total {metrics.cost_ne}")
     if metrics.cost_ne is None or abs(float(metrics.cost_ne) - 8.38) > 0.005:
@@ -175,7 +172,7 @@ def check_mixed_equilibrium_closed_form() -> CheckResult:
         m = n - k - 2
         share = F(m, 4 * m + 1)
         expected_k = (share, share, 1 - 2 * share)
-        profiles_k = mixed_nash(bimatrix(GameSpec.quantum_k_person(n, k, ("P1", "P2", "Q"))))
+        profiles_k = solve(bimatrix(GameSpec.quantum_k_person(n, k, ("P1", "P2", "Q")))).mixed
         if len(profiles_k) != 1 or (profiles_k[0].alice_probs, profiles_k[0].bob_probs) != (expected_k,) * 2:
             problems.append(f"k={k}: {profiles_k}")
     return _result("mixed equilibrium closed form across k", not problems, "; ".join(problems))
@@ -208,7 +205,7 @@ def check_phase_strategy_sweep_series() -> CheckResult:
     argmin = {k for k, c in zip(series.values, costs) if c == min(costs)}
     if argmin != {4}:
         problems.append(f"argmin {argmin}")
-    profiles = mixed_nash(bimatrix(GameSpec.quantum_k_person(10, 4, ("P1", "P2", "Q"))))
+    profiles = solve(bimatrix(GameSpec.quantum_k_person(10, 4, ("P1", "P2", "Q")))).mixed
     expected = (F(4, 17), F(4, 17), F(9, 17))
     if len(profiles) != 1 or profiles[0].alice_probs != expected:
         problems.append(f"k=4 profile {profiles}")
@@ -333,7 +330,7 @@ def check_mixed_profiles_against_grid_oracle() -> CheckResult:
     problems = []
     for spec in _all_reference_specs():
         matrix = bimatrix(spec)
-        for profile in mixed_nash(matrix):
+        for profile in solve(matrix).mixed:
             gap = _grid_deviation_gap(matrix, profile)
             if gap > 1e-9:
                 problems.append(f"{spec.describe()}: gap {gap}")

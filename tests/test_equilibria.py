@@ -6,11 +6,9 @@ import pytest
 from pigouq.equilibria import (
     MixedProfile,
     dominance_select,
-    mixed_nash,
     optimal_outcome,
     pure_nash,
     solve,
-    support_enumeration,
 )
 from pigouq.errors import DomainError
 from pigouq.games import CostBimatrix, GameSpec, bimatrix
@@ -96,7 +94,7 @@ class TestDominance:
 class TestMixedNash:
     def test_full_support_profile_n10_k1(self):
         m = bimatrix(GameSpec.quantum_k_person(10, 1, ("P1", "P2", "Q")))
-        profiles = mixed_nash(m)
+        profiles = solve(m).mixed
         assert len(profiles) == 1
         p = profiles[0]
         assert p.alice_probs == (F(7, 29), F(7, 29), F(15, 29))
@@ -106,7 +104,7 @@ class TestMixedNash:
 
     def test_full_support_profile_n10_k4(self):
         m = bimatrix(GameSpec.quantum_k_person(10, 4, ("P1", "P2", "Q")))
-        profiles = mixed_nash(m)
+        profiles = solve(m).mixed
         assert len(profiles) == 1
         assert profiles[0].alice_probs == (F(4, 17), F(4, 17), F(9, 17))
 
@@ -115,12 +113,12 @@ class TestMixedNash:
         for k in range(1, 8):
             m_free = n - k - 2
             share = F(m_free, 4 * m_free + 1)
-            profiles = mixed_nash(bimatrix(GameSpec.quantum_k_person(n, k, ("P1", "P2", "Q"))))
+            profiles = solve(bimatrix(GameSpec.quantum_k_person(n, k, ("P1", "P2", "Q")))).mixed
             assert len(profiles) == 1
             assert profiles[0].alice_probs == (share, share, 1 - 2 * share)
 
     def test_degenerate_pure_profile_in_classical_game(self):
-        profiles = mixed_nash(CLASSICAL_2P)
+        profiles = solve(CLASSICAL_2P).mixed
         pure_supports = [p for p in profiles if p.is_pure()]
         flip_flip = [p for p in pure_supports if p.alice_probs == (F(0), ONE) and p.bob_probs == (F(0), ONE)]
         assert len(flip_flip) == 1
@@ -129,7 +127,7 @@ class TestMixedNash:
 
     def test_indifference_within_support(self):
         m = bimatrix(GameSpec.quantum_k_person(10, 2, ("P1", "P2", "Q")))
-        (profile,) = mixed_nash(m)
+        (profile,) = solve(m).mixed
         sup_a, sup_b = profile.support()
         for i in sup_a:
             cost = sum(m.cost_a(i, j) * profile.bob_probs[j] for j in range(m.size))
@@ -144,19 +142,14 @@ class TestMixedNash:
             matrices.append(bimatrix(GameSpec.quantum_k_person(10, k, ("P1", "P2", "Q"))))
             matrices.append(bimatrix(GameSpec.quantum_k_person(10, k, ("P1", "P2", "M"))))
         for m in matrices:
-            for profile in mixed_nash(m):
+            for profile in solve(m).mixed:
                 assert grid_deviation_gap(m, profile.alice_probs, profile.bob_probs) <= 1e-9
 
     def test_degenerate_supports_are_recorded_not_raised(self):
-        profiles, diagnostics = support_enumeration(CLASSICAL_2P)
+        eq = solve(CLASSICAL_2P)
+        profiles, diagnostics = eq.mixed, eq.diagnostics
         assert profiles
         assert any("singular" in note for note in diagnostics)
-
-    def test_size_limit(self):
-        labels = ("A", "B", "C", "D")
-        cells_4 = tuple(tuple((ONE, ONE) for _ in labels) for _ in labels)
-        with pytest.raises(DomainError):
-            mixed_nash(CostBimatrix(labels, labels, cells_4))
 
 
 class TestOptimalOutcome:
@@ -199,8 +192,11 @@ class TestSolveSelection:
 
     def test_oversized_game_is_refused_at_the_call(self):
         four = bimatrix(GameSpec.quantum_two_person(("P1", "P2", "Q", "M")))
-        with pytest.raises(DomainError, match="limited to 3x3"):
-            solve(four)
+        labels = ("A", "B", "C", "D")
+        all_ones = CostBimatrix(labels, labels, tuple(tuple((ONE, ONE) for _ in labels) for _ in labels))
+        for matrix in (four, all_ones):
+            with pytest.raises(DomainError, match="limited to 3x3"):
+                solve(matrix)
 
     def test_equality_compares_views_not_matrices(self):
         # Row/column A strictly dominates; (B,B) costs differ but every view agrees.

@@ -186,6 +186,17 @@ class TestGameSpecValidation:
             with pytest.raises(DomainError):
                 GameSpec.classical_k_person(10, bad_k)
 
+    @pytest.mark.parametrize("n, k", [(10, 2.5), (10, 2.0), (10.0, 2), (F(10), 2)])
+    def test_population_and_pinned_count_are_integers(self, n, k):
+        with pytest.raises(DomainError, match="must be an integer"):
+            GameSpec.classical_k_person(n, k)
+        with pytest.raises(DomainError, match="must be an integer"):
+            GameSpec.quantum_k_person(n, k)
+
+    def test_two_person_population_is_an_integer(self):
+        with pytest.raises(DomainError, match=r"^n must be an integer, got 2\.0$"):
+            GameSpec(variant="two_person", mode="classical", n=2.0)
+
     def test_classical_strategies_limited_to_paths(self):
         with pytest.raises(DomainError):
             GameSpec(variant="two_person", mode="classical", n=2, strategies=("P1", "Q"))

@@ -2,10 +2,11 @@
 
 Exact games print ``Fraction`` values and correctly rounded floats, so
 these bytes do not depend on numpy's matmul rounding. The float cells of
-a named-strategy gamma sweep come from ``math.sin`` and IEEE multiplies
-and adds over the exact endpoint tables, never from the protocol's
-matmuls, so one such sweep is pinned too. A change meant to keep outputs
-byte-identical must leave every file here untouched.
+a named-strategy game at any angle come from ``math.sin`` and IEEE
+multiplies and adds over the exact endpoint tables, never from the
+protocol's matmuls, so two such gamma sweeps and one such solve are
+pinned too. A change meant to keep outputs byte-identical must leave
+every file here untouched.
 
 Regenerate (only when an output change is intended and explained)::
 
@@ -30,6 +31,11 @@ CASES = {
         "solve", "--game", "quantumk", "--strategies", "p1p2m", "--n", "9", "--k", "3", "--format", "json",
     ],
     "solve_quantum2_p1p2q.json": ["solve", "--game", "quantum2", "--strategies", "p1p2q", "--format", "json"],
+    # A float game in which no rule selects a profile.
+    "solve_quantum2_p1p2m_gamma0.3.json": [
+        "solve", "--game", "quantum2", "--strategies", "p1p2m", "--gamma", "0.3", "--format", "json",
+    ],
+    "solve_p1p2q_n9_k3.txt": ["solve", "--game", "quantumk", "--strategies", "p1p2q", "--n", "9", "--k", "3"],
     "verify.txt": ["verify"],
 }
 for _fmt in ("csv", "json"):
@@ -43,6 +49,9 @@ for _fmt in ("csv", "json"):
     CASES[f"sweep_over_gamma_p1p2q_n10_k4.{_fmt}"] = [
         "sweep", "--game", "quantumk", "--strategies", "p1p2q", "--n", "10", "--k", "4",
         "--over", "gamma", "--gamma-steps", "101", "--format", _fmt,
+    ]
+    CASES[f"sweep_over_gamma_quantum2_p1p2m.{_fmt}"] = [
+        "sweep", "--game", "quantum2", "--strategies", "p1p2m", "--over", "gamma", "--gamma-steps", "13", "--format", _fmt,
     ]
 
 

@@ -2,21 +2,20 @@ from fractions import Fraction as F
 
 import pytest
 
-from pigouq.equilibria import PureProfile, mixed_nash, solve
+from pigouq.equilibria import PureProfile, solve
 from pigouq.errors import DomainError
+from pigouq.ewl import GAMMA_MAX
 from pigouq.games import GameSpec, bimatrix, pinned_bill
 from pigouq.metrics import (
-    GLOBAL_OVER_K,
-    PER_GAME,
     analyze,
     classical_cost_ne,
     classical_opt,
     classical_pos_poa,
     format_equilibrium_label,
     profile_total,
-    report,
     split_cost,
 )
+from pigouq.sweeps import sweep_gamma
 
 
 def _pure(matrix, i, j):
@@ -44,7 +43,7 @@ def test_profile_total_examples():
     assert profile_total(miracle, m, _pure(m, 2, 2)) == F(167, 20)  # 8.35
     phase = GameSpec.quantum_k_person(10, 1, ("P1", "P2", "Q"))
     m = bimatrix(phase)
-    (mixed,) = mixed_nash(m)
+    (mixed,) = solve(m).mixed
     assert (mixed.expected_cost_alice, mixed.expected_cost_bob) == (F(37, 58), F(37, 58))
     mixed_total = profile_total(phase, m, mixed)
     assert mixed_total == F(2429, 290)
@@ -74,7 +73,7 @@ def test_classical_totals_bill_the_realized_load():
                 want = _realized_load_total(spec, m, unit[:i] + [F(1)] + unit[i + 1:], unit[:j] + [F(1)] + unit[j + 1:])
                 assert (got, type(got)) == (want, F), (spec.describe(), i, j)
                 checked += 1
-        for profile in mixed_nash(m):
+        for profile in solve(m).mixed:
             got = profile_total(spec, m, profile)
             want = _realized_load_total(spec, m, profile.alice_probs, profile.bob_probs)
             assert (got, type(got)) == (want, F), (spec.describe(), profile)
@@ -102,11 +101,8 @@ def test_equilibrium_total_matches_matrix_path():
     # the closed form equals costing the equilibrium cell with realized loads
     for n in (5, 10, 20):
         for k in range(0, n - 2):
-            spec = GameSpec.classical_k_person(n, k)
-            matrix = bimatrix(spec)
-            eq = solve(matrix)
+            _, eq, rep = analyze(GameSpec.classical_k_person(n, k))
             assert (eq.selected.row_label, eq.selected.col_label) == ("P2", "P2")
-            rep = report(spec, eq, GLOBAL_OVER_K, matrix=matrix)
             assert rep.cost_ne == classical_cost_ne(n, k)
 
 
@@ -145,26 +141,22 @@ def test_k_person_quantum_reports_over_k():
 
 
 def test_mixed_labels_name_both_players_when_they_differ():
-    classical = mixed_nash(bimatrix(GameSpec.classical_two_person()))
+    classical = solve(bimatrix(GameSpec.classical_two_person())).mixed
     assert [format_equilibrium_label(p) for p in classical] == ["mixed:(1,0|0,1)", "mixed:(0,1|1,0)", "mixed:(0,1)"]
-    (phase,) = mixed_nash(bimatrix(GameSpec.quantum_k_person(10, 4, ("P1", "P2", "Q"))))
+    (phase,) = solve(bimatrix(GameSpec.quantum_k_person(10, 4, ("P1", "P2", "Q")))).mixed
     assert format_equilibrium_label(phase) == "mixed:(4/17,4/17,9/17)"
 
 
 def test_per_game_convention():
-    spec = GameSpec.quantum_k_person(10, 1, ("P1", "P2", "Q"))
-    matrix = bimatrix(spec)
-    rep = report(spec, solve(matrix), PER_GAME, matrix=matrix)
+    # A gamma sweep prices a k-person game against its own cheapest cell.
+    (rep,) = sweep_gamma(("P1", "P2", "Q"), [GAMMA_MAX], n=10, k=1).reports
     # cheapest cell pair total is 3/5, plus the pinned players' 71/10
     assert rep.cost_opt == F(3, 5) + F(71, 10)
 
 
 def test_report_without_selection_leaves_fields_unset():
-    spec = GameSpec.quantum_two_person(("P1", "P2", "M"), 0.3)
-    matrix = bimatrix(spec)
-    empty = solve(matrix)
+    _, empty, rep = analyze(GameSpec.quantum_two_person(("P1", "P2", "M"), 0.3))
     assert empty.selected is None
-    rep = report(spec, empty, PER_GAME, matrix=matrix)
     assert rep.cost_ne is None and rep.pos is None and rep.poa is None
     assert rep.cost_opt == F(3, 2)
 
@@ -179,12 +171,3 @@ def test_pos_never_exceeds_poa():
         _, _, rep = analyze(spec)
         assert rep.pos <= rep.poa
 
-
-def test_convention_validation():
-    spec = GameSpec.classical_two_person()
-    matrix = bimatrix(spec)
-    eq = solve(matrix)
-    with pytest.raises(DomainError):
-        report(spec, eq, "per_k", matrix=matrix)
-    with pytest.raises(DomainError):
-        report(spec, eq, GLOBAL_OVER_K, matrix=matrix)  # two-person has no k to range over

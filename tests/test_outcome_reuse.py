@@ -15,7 +15,7 @@ import pigouq.metrics as metrics
 from pigouq.cli import main
 from pigouq.equilibria import solve
 from pigouq.games import GameSpec, bimatrix
-from pigouq.metrics import MetricsReport, analyze, format_equilibrium_label, profile_total, report, solve_over_k
+from pigouq.metrics import MetricsReport, analyze, format_equilibrium_label, profile_total, solve_over_k
 from pigouq.strategies import StrategyAngles
 from pigouq.sweeps import sweep_gamma, sweep_k
 
@@ -139,7 +139,7 @@ def test_report_runs_the_protocol_once_per_strategy_pair(protocol_runs, names, n
     matrix = bimatrix(spec)
     eq = solve(matrix)
     protocol_runs.clear()
-    got = report(spec, eq, matrix=matrix)
+    _, _, got = analyze(spec)
     assert protocol_runs == []
     points = per_k_points("quantum", names, n, range(0, n - 2), GAMMA_MAX)
     opt = min(total for _, _, total in points if total is not None)

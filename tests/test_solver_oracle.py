@@ -1,9 +1,10 @@
 """Differential test: the integer support enumeration against a rational oracle.
 
 The oracle below is the straightforward solver the integer one replaced:
-Gauss-Jordan on ``Fraction`` rows for every support pair. Both must
-return identical ``(profiles, diagnostics)``: the same profiles in the
-same order with the same exact values, and the same skipped supports.
+Gauss-Jordan on ``Fraction`` rows for every support pair. The ``mixed``
+and ``diagnostics`` views of :func:`solve` must equal its ``(profiles,
+diagnostics)``: the same profiles in the same order with the same exact
+values, and the same skipped supports.
 Each game also holds every closed-form indifference solve to the
 oracle's, for every support pair and both of its systems, so a wrong row
 system cannot hide behind an inconsistent column system.
@@ -21,7 +22,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from pigouq.equilibria import MixedProfile, _indifference_mix, dominance_select, pure_nash, solve, support_enumeration
+from pigouq.equilibria import MixedProfile, _indifference_mix, dominance_select, pure_nash, solve
 from pigouq.games import CostBimatrix, GameSpec, bimatrix
 from pigouq.strategies import STRATEGY_TAGS, StrategyAngles
 
@@ -75,7 +76,7 @@ def _note(matrix, sup_a, sup_b, side):
     return f"support ({{{rows}}},{{{cols}}}): singular {side}-mix indifference system, skipped"
 
 
-def oracle_support_enumeration(matrix):
+def oracle_enumeration(matrix):
     """Rational Gauss-Jordan support enumeration, the reference for the integer solver."""
     size = matrix.size
     a = [[F(matrix.cost_a(i, j)) for j in range(size)] for i in range(size)]
@@ -144,8 +145,9 @@ def _systems_match_oracle(matrix):
 
 
 def _same_as_oracle(matrix):
-    got = support_enumeration(matrix)
-    want = oracle_support_enumeration(matrix)
+    eq = solve(matrix)
+    got = (list(eq.mixed), list(eq.diagnostics))
+    want = oracle_enumeration(matrix)
     assert got == want
     # Equal Fractions compare equal across types; pin the exact types too.
     for g, w in zip(got[0], want[0]):
@@ -168,7 +170,7 @@ def eager_views(matrix):
     """
     strict = tuple(pure_nash(matrix, "strict"))
     weak = tuple(pure_nash(matrix, "weak"))
-    mixed, diagnostics = oracle_support_enumeration(matrix)
+    mixed, diagnostics = oracle_enumeration(matrix)
     dominant = dominance_select(matrix)
     if dominant is not None:
         selected, selected_by = dominant, "dominance"
@@ -264,13 +266,15 @@ def test_degenerate_integer_games_match_oracle():
 
 
 def test_classical_continuum_reports_three_points():
-    profiles, diagnostics = support_enumeration(bimatrix(GameSpec.classical_two_person()))
+    eq = solve(bimatrix(GameSpec.classical_two_person()))
+    profiles, diagnostics = eq.mixed, eq.diagnostics
     assert len(profiles) == 3
     assert diagnostics
 
 
 def test_headline_phase_game_skips_sixteen_supports():
-    profiles, diagnostics = support_enumeration(bimatrix(GameSpec.quantum_k_person(10, 4, ("P1", "P2", "Q"))))
+    eq = solve(bimatrix(GameSpec.quantum_k_person(10, 4, ("P1", "P2", "Q"))))
+    profiles, diagnostics = eq.mixed, eq.diagnostics
     assert len(diagnostics) == 16
     assert [p.alice_probs for p in profiles] == [(F(4, 17), F(4, 17), F(9, 17))]
     assert [p.bob_probs for p in profiles] == [(F(4, 17), F(4, 17), F(9, 17))]

@@ -7,7 +7,7 @@ from pigouq.equilibria import solve
 from pigouq.errors import DomainError
 from pigouq.ewl import GAMMA_MAX, KET_00
 from pigouq.games import GameSpec, bimatrix
-from pigouq.metrics import profile_total, report
+from pigouq.metrics import analyze, profile_total
 from pigouq.strategies import resolve
 from pigouq.sweeps import CSV_HEADER, series_to_json_obj, sweep_gamma, sweep_k
 
@@ -47,6 +47,11 @@ def test_k_range_validation():
         sweep_k("classical", ("P1", "P2"), 10, [])
     with pytest.raises(DomainError):
         sweep_k("classical", ("P1", "P2"), 10, [8])
+    with pytest.raises(DomainError, match=r"^k must be an integer, got 2\.7$"):
+        sweep_k("classical", ("P1", "P2"), 10, [2.7])  # once reported as k = 2
+    with pytest.raises(DomainError, match=r"^n must be an integer, got 10\.0$"):
+        sweep_k("classical", ("P1", "P2"), 10.0)
+    assert sweep_k("classical", ("P1", "P2"), 10, np.arange(1, 3)).values == (1, 2)
 
 
 @pytest.mark.parametrize(
@@ -71,7 +76,7 @@ def test_sweep_points_match_direct_module_calls():
         matrix = bimatrix(spec)
         eq = solve(matrix)
         assert rep.cost_ne == profile_total(spec, matrix, eq.selected)
-        direct = report(spec, eq, matrix=matrix)  # over the full 0..n-3 range
+        _, _, direct = analyze(spec)  # over the full 0..n-3 range
         assert rep.cost_opt == direct.cost_opt  # interior minimum, so ranges agree
         assert rep.pos == direct.pos
 
