@@ -14,23 +14,24 @@ used because they genuinely differ on these games:
 * exact support enumeration, read through the ``mixed`` and
   ``diagnostics`` views of :func:`solve`.
 
-Support enumeration splits along two facts. A support pair with
-``|S_a| != |S_b|`` has one indifference system with more unknowns than
-equations, so it never solves uniquely on both sides: such a pair can
-only add a "singular ..., skipped" note, never a profile. A 1x1 pair
-always solves uniquely, and no strategy outside it beats it exactly
-when it is a weak pure equilibrium: it adds no note, and the 1x1 pairs
-yield exactly the weak :func:`pure_nash` profiles. So the profiles come
-from one *square pass* (the weak pure scan plus the square pairs of size
-2 and up, whose notes it keeps), and the diagnostics add only a
-classification of the unequal pairs. Each pair is solved at most once.
+Support enumeration visits only the square support pairs, those with
+``|S_a| == |S_b|``. In a nondegenerate game every equilibrium has
+supports of equal size (von Stengel, "Computing equilibria for
+two-person games", Handbook of Game Theory 3, 2002), and an unequal
+pair has one indifference system with more unknowns than equations, so
+it never solves uniquely on both sides and yields no profile. A 1x1
+pair always solves uniquely, and no strategy outside it beats it
+exactly when it is a weak pure equilibrium, so the 1x1 pairs yield
+exactly the weak :func:`pure_nash` profiles. The profiles and the
+"singular ..., skipped" notes therefore come from one *square pass*:
+the weak pure scan plus the square pairs of size 2 and up, each solved
+once.
 
 :func:`solve` returns an :class:`EquilibriumResult` that runs each of
 them the first time a view needs it. Its selection convention asks
 dominance first and a unique strict pure equilibrium second, so the
 square pass, by far the costliest of the three, runs for the selection
-only when both fail to decide, and the unequal pairs only when the
-diagnostics are read.
+only when both fail to decide.
 
 All three work on integers. Each player's costs are multiplied once by
 the LCM of their denominators (:attr:`CostBimatrix.scaled_costs`):
@@ -42,13 +43,14 @@ common cost value, which is divided back out.
 
 Each indifference system is solved in closed form. Subtracting the
 first chooser row from the others leaves ``D q = 0`` with ``sum(q) = 1``
-for the mixer's probabilities q, D an integer difference matrix. The
-system is inconsistent when the all-ones row lies in D's row space, else
-singular when rank(D) is below the mixer's support size less one, else
-unique; ranks of integer matrices are exact, so this is the classification
-rational elimination gives. For a square pair, q is D's signed maximal
-minors over their sum (Cramer's rule). The probabilities and the common
-cost share that sum, made positive, as denominator: the sign and
+for the mixer's probabilities q, D an integer difference matrix with one
+row fewer than columns. D's signed maximal minors span its kernel when
+it has full rank, so the system is unique exactly when their sum is
+nonzero, and q is the minors over their sum (Cramer's rule). Otherwise
+it is inconsistent when the all-ones row lies in D's row space and
+singular when not; ranks of integer matrices are exact, so this is the
+classification rational elimination gives. The probabilities and the
+common cost share the sum, made positive, as denominator: the sign and
 best-response tests compare integers, and ``Fraction`` values are built
 only for the profiles that pass both.
 
@@ -130,11 +132,10 @@ class EquilibriumResult:
     """The equilibria of one bimatrix, each view solved the first time it is read.
 
     ``strict_pure`` and ``weak_pure`` each run one :func:`pure_nash` scan.
-    ``mixed`` runs the square pass of support enumeration on top of
-    ``weak_pure``, which stands in for the 1x1 pairs; ``diagnostics``
-    merges that pass's notes with a classification of the unequal
-    support pairs, which yield no profile. Reading every view solves each
-    support pair at most once. ``selected`` and ``selected_by`` apply the
+    ``mixed`` and ``diagnostics`` read the square pass of support
+    enumeration, run on top of ``weak_pure``, which stands in for the 1x1
+    pairs. Reading every view solves each square support pair at most
+    once, and no unequal pair. ``selected`` and ``selected_by`` apply the
     selection convention and stop at the first rule that decides:
     :func:`dominance_select`, then ``strict_pure``, then ``mixed``.
     Equality and hashing compare the six views, not the matrices.
@@ -155,9 +156,9 @@ class EquilibriumResult:
         return tuple(pure_nash(self.matrix, "weak"))
 
     @cached_property
-    def _square(self) -> tuple[tuple[MixedProfile, ...], list]:
+    def _square(self) -> tuple[tuple[MixedProfile, ...], tuple[str, ...]]:
         profiles, notes = _square_pass(self.matrix, self.weak_pure)
-        return tuple(profiles), notes
+        return tuple(profiles), tuple(notes)
 
     @cached_property
     def mixed(self) -> tuple[MixedProfile, ...]:
@@ -165,12 +166,11 @@ class EquilibriumResult:
 
     @cached_property
     def diagnostics(self) -> tuple[str, ...]:
-        """A "singular ..., skipped" note per singular support pair, in size-then-index order.
+        """A "singular ..., skipped" note per singular square support pair, in size-then-index order.
 
-        Notes from unequal support pairs are structural; only notes from
-        square pairs can signal a degenerate game.
+        Unequal support pairs are not enumerated, so they add no note.
         """
-        return tuple(_merged_notes(self._square[1], _unequal_notes(self.matrix)))
+        return self._square[1]
 
     @cached_property
     def _selection(self) -> tuple:
@@ -308,10 +308,11 @@ def _indifference_mix(costs, chooser_support, mixer_support):
     """Opponent mix making ``chooser_support`` strategies equally costly.
 
     ``costs[i][j]`` is the chooser's integer-scaled cost when the chooser
-    plays i and the mixer plays j. Returns ``(status, solution)``, with
+    plays i and the mixer plays j. The system must be square: both
+    supports have the same size. Returns ``(status, solution)``, with
     ``status`` one of ``"unique"``, ``"inconsistent"`` and ``"singular"``
-    by the rank rules of the module docstring. ``solution`` is ``(weights,
-    value, denominator)`` for a unique square system: the mixer plays
+    by the rules of the module docstring. ``solution`` is ``(weights,
+    value, denominator)`` for a unique system: the mixer plays
     ``mixer_support[j]`` with probability ``weights[j] / denominator``, the
     common cost is ``value / denominator``, and the denominator is
     positive. It is ``None`` otherwise.
@@ -319,18 +320,15 @@ def _indifference_mix(costs, chooser_support, mixer_support):
     first, *others = ([costs[i][j] for j in mixer_support] for i in chooser_support)
     diff = [[x - y for x, y in zip(row, first)] for row in others]
     n_mix = len(mixer_support)
-    if len(diff) == n_mix - 1:
-        # Square: D's signed maximal minors span D's kernel when rank(D) = n_mix - 1 (Cramer's rule).
-        weights = [(-1) ** j * _det([row[:j] + row[j + 1 :] for row in diff]) for j in range(n_mix)]
-        total = sum(weights)
-        if total:
-            if total < 0:
-                weights, total = [-w for w in weights], -total
-            return "unique", (weights, sum(c * w for c, w in zip(first, weights)), total)
-    rank = _rank(diff, n_mix)
-    if _rank(diff + [[1] * n_mix], n_mix) == rank:
+    weights = [(-1) ** j * _det([row[:j] + row[j + 1 :] for row in diff]) for j in range(n_mix)]
+    total = sum(weights)
+    if total:
+        if total < 0:
+            weights, total = [-w for w in weights], -total
+        return "unique", (weights, sum(c * w for c, w in zip(first, weights)), total)
+    if _rank(diff + [[1] * n_mix], n_mix) == _rank(diff, n_mix):
         return "inconsistent", None
-    return ("singular" if rank < n_mix - 1 else "unique"), None
+    return "singular", None
 
 
 def _beaten(costs, weights, value, support, mixer_support) -> bool:
@@ -352,35 +350,14 @@ def _full_mix(weights, denominator, support, size):
     return tuple(Fraction(mix.get(i, 0), denominator) for i in range(size))
 
 
-def _pair_systems(a, b_t, sup_a, sup_b):
-    """Solve one support pair's column-mix system, then its row-mix system.
-
-    Returns ``(side, solutions)``: ``side`` is ``"column"`` or ``"row"``
-    when that system is singular (the pair is skipped with a note) and
-    ``None`` otherwise; ``solutions`` is ``(sol_p, sol_q)`` when both
-    systems solve uniquely and ``None`` otherwise. The row system is
-    solved only when the column system is unique.
-    """
-    status_q, sol_q = _indifference_mix(a, sup_a, sup_b)
-    if status_q != "unique":
-        return ("column" if status_q == "singular" else None), None
-    status_p, sol_p = _indifference_mix(b_t, sup_b, sup_a)
-    if status_p != "unique":
-        return ("row" if status_p == "singular" else None), None
-    return None, (sol_p, sol_q)
-
-
-def _pair_key(sup_a, sup_b):
-    """Position of a support pair in size-then-index order."""
-    return len(sup_a), sup_a, len(sup_b), sup_b
-
-
 def _square_pass(matrix: CostBimatrix, weak_pure):
     """Equilibria of the square support pairs, with the notes those pairs add.
 
     ``weak_pure`` is the weak :func:`pure_nash` scan of ``matrix``, which
-    stands in for the 1x1 pairs. Returns the sorted profiles and a list
-    of ``(pair key, note)`` for :func:`_merged_notes`.
+    stands in for the 1x1 pairs. Returns the sorted profiles and the
+    notes in size-then-index order of their pairs. Each pair solves its
+    column-mix system, then, only when that is unique, its row-mix system;
+    a singular system skips the pair with a note.
     """
     size = matrix.size
     a, b, scale_a, scale_b = matrix.scaled_costs
@@ -396,12 +373,16 @@ def _square_pass(matrix: CostBimatrix, weak_pure):
     notes = []
     for r in range(2, size + 1):
         for sup_a, sup_b in itertools.product(itertools.combinations(range(size), r), repeat=2):
-            side, solutions = _pair_systems(a, b_t, sup_a, sup_b)
-            if side is not None:
-                notes.append((_pair_key(sup_a, sup_b), _support_note(matrix, sup_a, sup_b, side)))
-            if solutions is None:
+            status, sol_q = _indifference_mix(a, sup_a, sup_b)
+            side = "column"
+            if status == "unique":
+                status, sol_p = _indifference_mix(b_t, sup_b, sup_a)
+                side = "row"
+            if status == "singular":
+                notes.append(_support_note(matrix, sup_a, sup_b, side))
+            if status != "unique":
                 continue
-            (w_p, value_b, den_p), (w_q, value_a, den_q) = solutions
+            (w_p, value_b, den_p), (w_q, value_a, den_q) = sol_p, sol_q
             if min(w_p) < 0 or min(w_q) < 0:
                 continue
             # No unsupported strategy may beat the support's common cost.
@@ -422,30 +403,6 @@ def _square_pass(matrix: CostBimatrix, weak_pure):
     return ordered, notes
 
 
-def _unequal_notes(matrix: CostBimatrix):
-    """``(pair key, note)`` for each unequal support pair with a singular system.
-
-    No unequal pair solves uniquely on both sides, so no sign or
-    best-response test is needed: the systems are only classified.
-    """
-    size = matrix.size
-    a, b, _, _ = matrix.scaled_costs
-    b_t = [list(col) for col in zip(*b)]
-    supports = [combo for r in range(1, size + 1) for combo in itertools.combinations(range(size), r)]
-    notes = []
-    for sup_a, sup_b in itertools.product(supports, supports):
-        if len(sup_a) != len(sup_b):
-            side, _ = _pair_systems(a, b_t, sup_a, sup_b)
-            if side is not None:
-                notes.append((_pair_key(sup_a, sup_b), _support_note(matrix, sup_a, sup_b, side)))
-    return notes
-
-
-def _merged_notes(*keyed_notes) -> list[str]:
-    """The notes of both passes in size-then-index order of their pairs."""
-    return [note for _, note in sorted(itertools.chain(*keyed_notes))]
-
-
 def _support_note(matrix, sup_a, sup_b, side) -> str:
     rows = ",".join(matrix.row_labels[i] for i in sup_a)
     cols = ",".join(matrix.col_labels[j] for j in sup_b)
@@ -454,17 +411,9 @@ def _support_note(matrix, sup_a, sup_b, side) -> str:
 
 def optimal_outcome(matrix: CostBimatrix):
     """Cells minimizing the two players' combined cost, with that minimum."""
-    totals = [
-        [matrix.cost_a(i, j) + matrix.cost_b(i, j) for j in range(matrix.size)]
-        for i in range(matrix.size)
-    ]
-    best = min(t for row in totals for t in row)
-    cells = [
-        _profile(matrix, i, j)
-        for i in range(matrix.size)
-        for j in range(matrix.size)
-        if totals[i][j] == best
-    ]
+    totals = [[a + b for a, b in row] for row in matrix.cells]
+    best = min(map(min, totals))
+    cells = [_profile(matrix, i, j) for i, row in enumerate(totals) for j, t in enumerate(row) if t == best]
     return cells, best
 
 
@@ -478,9 +427,8 @@ def solve(matrix: CostBimatrix) -> EquilibriumResult:
     the strict :func:`pure_nash` scan, and only if that finds no unique
     strict equilibrium the square pass of support enumeration (the weak
     scan and the square support pairs). ``strict_pure`` and ``weak_pure``
-    run their own scan, ``mixed`` reads the square pass, and
-    ``diagnostics`` adds the unequal pairs' classification to it. A
-    matrix larger than ``MAX_MIXED_SIZE`` raises :class:`DomainError`
-    here, not at the first read.
+    run their own scan, and ``mixed`` and ``diagnostics`` read the square
+    pass. A matrix larger than ``MAX_MIXED_SIZE`` raises
+    :class:`DomainError` here, not at the first read.
     """
     return EquilibriumResult(matrix)

@@ -87,7 +87,10 @@ def _integer(name: str, value) -> int:
 
 @dataclass(frozen=True)
 class GameSpec:
-    """Which game to build: variant, population, entanglement, strategy set."""
+    """Which game to build: variant, population, entanglement, strategy set.
+
+    A quantum spec keeps ``gamma`` as the float :func:`~pigouq.ewl.validate_gamma` returns.
+    """
 
     variant: Literal["two_person", "k_person"]
     mode: Literal["classical", "quantum"]
@@ -131,7 +134,7 @@ class GameSpec:
         else:
             if self.gamma is None:
                 raise DomainError("quantum games require an entanglement angle")
-            validate_gamma(self.gamma)
+            object.__setattr__(self, "gamma", validate_gamma(self.gamma))
 
     @classmethod
     def classical_two_person(cls) -> "GameSpec":
@@ -187,7 +190,11 @@ class CostBimatrix:
             raise DomainError("cell grid does not match strategy labels")
         for row in self.cells:
             for a, b in row:
-                if not (0 < a < math.inf and 0 < b < math.inf):
+                try:
+                    ok = 0 < a < math.inf and 0 < b < math.inf
+                except TypeError:  # a str or complex cost has no order
+                    ok = False
+                if not ok:
                     raise DomainError(f"cost entries must be positive and finite, got ({a}, {b})")
 
     @property

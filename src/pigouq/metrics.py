@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .equilibria import EquilibriumResult, MixedProfile, PureProfile, solve
+from .equilibria import EquilibriumResult, MixedProfile, PureProfile, optimal_outcome, solve
 from .errors import DomainError
 from .games import CostBimatrix, GameSpec, bimatrix, format_value, outcome_grid, pinned_bill, value_to_json
 
@@ -172,15 +172,11 @@ def profile_total(spec: GameSpec, matrix: CostBimatrix, profile):
 
 
 def _per_game_opt(spec: GameSpec, matrix: CostBimatrix):
-    if spec.mode == "quantum":
-        # The bill does not depend on the profile, and x -> x + bill is
-        # monotone (exact on exact cells), so the cheapest cell pair wins.
-        return min(a + b for row in matrix.cells for a, b in row) + pinned_bill(spec)
-    return min(
-        profile_total(spec, matrix, PureProfile(i, j, matrix.row_labels[i], matrix.col_labels[j]))
-        for i in range(matrix.size)
-        for j in range(matrix.size)
-    )
+    # Every spec priced per game has a profile-independent bill: quantum
+    # bills never depend on the profile, and the one classical spec priced
+    # per game, the two-person game, has no pinned players. x -> x + bill
+    # is monotone (exact on exact cells), so the cheapest cell wins.
+    return optimal_outcome(matrix)[1] + pinned_bill(spec)
 
 
 def solve_over_k(mode: str, strategies, n: int, ks: Iterable[int], gamma: float | None = None):

@@ -100,11 +100,9 @@ def sweep_gamma(
     n-traveler game at the given k. Each point is priced against its own
     matrix (per-game optimum).
     """
-    gammas = sorted(set(float(g) for g in gamma_values))
+    gammas = sorted(set(validate_gamma(g) for g in gamma_values))
     if not gammas:
         raise DomainError("empty gamma range")
-    for g in gammas:
-        validate_gamma(g)
 
     variant = "two_person" if k is None else "k_person"
     specs = [

@@ -219,6 +219,17 @@ class TestGameSpecValidation:
         with pytest.raises(DomainError):
             GameSpec.quantum_two_person(gamma=math.pi)
 
+    @pytest.mark.parametrize("gamma", ["0.5", "max", 0.5j, [0.5]])
+    def test_quantum_gamma_is_a_real_number(self, gamma):
+        with pytest.raises(DomainError, match="must be a real number"):
+            GameSpec.quantum_two_person(gamma=gamma)
+
+    @pytest.mark.parametrize("gamma", [F(1, 2), 1, np.float32(0.5)])
+    def test_quantum_gamma_is_kept_as_a_float(self, gamma):
+        spec = GameSpec.quantum_k_person(10, 4, gamma=gamma)
+        assert type(spec.gamma) is float and spec.gamma == float(gamma)
+        assert f"gamma={float(gamma):.6g}" in spec.describe()
+
     def test_duplicate_strategies_rejected(self):
         with pytest.raises(DomainError):
             GameSpec.quantum_two_person(("P1", "P1"))
@@ -371,8 +382,8 @@ def test_bimatrix_type_rejects_nonsquare_and_nonpositive():
         CostBimatrix(("A",), ("A",), (((F(0), ONE),),))
 
 
-@pytest.mark.parametrize("bad", [math.inf, math.nan])
+@pytest.mark.parametrize("bad", [math.inf, math.nan, "1/2", 0.5j, None])
 def test_bimatrix_type_rejects_nonfinite_costs(bad):
     cells = (((ONE, ONE), (ONE, F(1, 2))), ((F(1, 2), ONE), (bad, ONE)))
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="positive and finite"):
         CostBimatrix(("P1", "P2"), ("P1", "P2"), cells)

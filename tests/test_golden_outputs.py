@@ -61,6 +61,11 @@ def test_cli_output_matches_golden(name, capsys):
     assert capsys.readouterr().out == (GOLDEN / name).read_text()
 
 
+def test_every_golden_file_is_a_case():
+    """A renamed or dropped case must not leave its old output behind, unchecked."""
+    assert sorted(path.name for path in GOLDEN.iterdir()) == sorted(CASES)
+
+
 if __name__ == "__main__":
     import contextlib
     import io

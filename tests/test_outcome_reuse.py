@@ -210,8 +210,8 @@ def test_support_enumeration_runs_only_where_the_selection_needs_it(enumerations
     "matrix, read, count",
     [
         (bimatrix(GameSpec.quantum_k_person(10, 4, ("P1", "P2", "Q"))), lambda eq: eq.selected, 20),  # square pairs
-        (bimatrix(GameSpec.quantum_k_person(10, 4, ("P1", "P2", "Q"))), lambda eq: eq.to_json_obj(), 51),
-        (bimatrix(GameSpec.classical_two_person()), lambda eq: eq.to_json_obj(), 7),
+        (bimatrix(GameSpec.quantum_k_person(10, 4, ("P1", "P2", "Q"))), lambda eq: eq.to_json_obj(), 20),
+        (bimatrix(GameSpec.classical_two_person()), lambda eq: eq.to_json_obj(), 2),
     ],
     ids=["p1p2q-selected", "p1p2q-all-views", "classical-all-views"],
 )

@@ -2,12 +2,14 @@
 
 The oracle below is the straightforward solver the integer one replaced:
 Gauss-Jordan on ``Fraction`` rows for every support pair. The ``mixed``
-and ``diagnostics`` views of :func:`solve` must equal its ``(profiles,
-diagnostics)``: the same profiles in the same order with the same exact
-values, and the same skipped supports.
+view of :func:`solve` must equal its profiles: the same profiles in the
+same order with the same exact values. The ``diagnostics`` view must
+equal its notes of equal-size support pairs, the only pairs the solver
+enumerates; the oracle still solves the unequal pairs too, and finds no
+profile there.
 Each game also holds every closed-form indifference solve to the
-oracle's, for every support pair and both of its systems, so a wrong row
-system cannot hide behind an inconsistent column system.
+oracle's, for every square support pair and both of its systems, so a
+wrong row system cannot hide behind an inconsistent column system.
 
 Every game here also checks :func:`solve`, whose views are computed on
 first read, against an eager reference that runs the pure scans,
@@ -120,34 +122,51 @@ def oracle_enumeration(matrix):
     return ordered, diagnostics
 
 
-def _systems_match_oracle(matrix):
-    """Every support pair's column and row system, each against the rational oracle.
+def _square_pairs(size):
+    """Every support pair with two supports of the same size, in size-then-index order."""
+    return [
+        pair
+        for r in range(1, size + 1)
+        for pair in itertools.product(itertools.combinations(range(size), r), repeat=2)
+    ]
 
-    Square systems must agree in status and, when unique, in the exact
-    mix and value; unequal systems in status. Both sides get the same
-    integer-scaled costs, so the values compare exactly.
+
+def square_oracle_enumeration(matrix):
+    """The oracle's profiles, and its notes restricted to equal-size support pairs."""
+    profiles, notes = oracle_enumeration(matrix)
+    square = {
+        _note(matrix, sup_a, sup_b, side) for sup_a, sup_b in _square_pairs(matrix.size) for side in ("column", "row")
+    }
+    return profiles, [note for note in notes if note in square]
+
+
+def _systems_match_oracle(matrix):
+    """Every square support pair's column and row system, each against the rational oracle.
+
+    Each system must agree in status and, when unique, in the exact mix
+    and value. Both sides get the same integer-scaled costs, so the
+    values compare exactly. Returns the statuses seen.
     """
     a, b, _, _ = matrix.scaled_costs
     b_t = [list(col) for col in zip(*b)]
-    supports = [c for r in range(1, matrix.size + 1) for c in itertools.combinations(range(matrix.size), r)]
     statuses = set()
-    for sup_a, sup_b in itertools.product(supports, supports):
+    for sup_a, sup_b in _square_pairs(matrix.size):
         for costs, chooser, mixer in ((a, sup_a, sup_b), (b_t, sup_b, sup_a)):
             status, solution = _indifference_mix(costs, chooser, mixer)
             want, q, v = _oracle_indifference_mix([[F(x) for x in row] for row in costs], chooser, mixer)
             assert status == want, (chooser, mixer)
-            if len(chooser) == len(mixer) and status == "unique":
+            if status == "unique":
                 weights, value, denominator = solution
                 assert denominator > 0
                 assert [F(w, denominator) for w in weights] == q and F(value, denominator) == v
-            statuses.add((len(chooser) == len(mixer), status))
+            statuses.add(status)
     return statuses
 
 
 def _same_as_oracle(matrix):
     eq = solve(matrix)
     got = (list(eq.mixed), list(eq.diagnostics))
-    want = oracle_enumeration(matrix)
+    want = square_oracle_enumeration(matrix)
     assert got == want
     # Equal Fractions compare equal across types; pin the exact types too.
     for g, w in zip(got[0], want[0]):
@@ -166,11 +185,11 @@ def eager_views(matrix):
 
     ``mixed`` and ``diagnostics`` come from the rational oracle, which
     solves every support pair, so the views are checked against a
-    reference that skips none.
+    reference that skips none; its notes are kept for equal-size pairs.
     """
     strict = tuple(pure_nash(matrix, "strict"))
     weak = tuple(pure_nash(matrix, "weak"))
-    mixed, diagnostics = oracle_enumeration(matrix)
+    mixed, diagnostics = square_oracle_enumeration(matrix)
     dominant = dominance_select(matrix)
     if dominant is not None:
         selected, selected_by = dominant, "dominance"
@@ -260,21 +279,23 @@ def test_degenerate_integer_games_match_oracle():
             for _ in labels
         )
         statuses |= _same_as_oracle(CostBimatrix(labels, labels, cells))
-    # Every status occurs on square and on unequal systems (an unequal
-    # system is unique only when the chooser has the larger support).
-    assert statuses == {(square, s) for square in (True, False) for s in ("unique", "inconsistent", "singular")}
+    # Every status occurs on the square systems the solver enumerates.
+    assert statuses == {"unique", "inconsistent", "singular"}
 
 
 def test_classical_continuum_reports_three_points():
     eq = solve(bimatrix(GameSpec.classical_two_person()))
     profiles, diagnostics = eq.mixed, eq.diagnostics
     assert len(profiles) == 3
-    assert diagnostics
+    # The continuum (P2, any mix) shows as three points and no square pair
+    # is singular, so it stays unflagged until vertex enumeration replaces
+    # support enumeration and certifies equilibrium sets.
+    assert diagnostics == ()
 
 
 def test_headline_phase_game_skips_sixteen_supports():
     eq = solve(bimatrix(GameSpec.quantum_k_person(10, 4, ("P1", "P2", "Q"))))
     profiles, diagnostics = eq.mixed, eq.diagnostics
-    assert len(diagnostics) == 16
+    assert diagnostics == ()  # its 16 singular supports are unequal pairs, which are not enumerated
     assert [p.alice_probs for p in profiles] == [(F(4, 17), F(4, 17), F(9, 17))]
     assert [p.bob_probs for p in profiles] == [(F(4, 17), F(4, 17), F(9, 17))]

@@ -113,6 +113,8 @@ def test_gamma_validation():
         sweep_gamma(("P1", "P2"), [-0.2, 0.5])
     with pytest.raises(DomainError):
         sweep_gamma(("P1", "P2"), [0.5, GAMMA_MAX + 0.2])
+    with pytest.raises(DomainError, match="must be a real number"):
+        sweep_gamma(("P1", "P2"), [0.5, "0.7"])
 
 
 def test_gamma_sweep_k_person_endpoint_matches_k_sweep():
