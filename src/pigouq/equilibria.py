@@ -33,12 +33,14 @@ dominance first and a unique strict pure equilibrium second, so the
 square pass, by far the costliest of the three, runs for the selection
 only when both fail to decide.
 
-All three work on integers. Each player's costs are multiplied once by
-the LCM of their denominators (:attr:`CostBimatrix.scaled_costs`):
-exact cells have denominators dividing 4n, and a float cell is a dyadic
-rational, so the scale is a divisor of 4n times a power of two. A positive
-scale per player changes no comparison between that player's costs, and
-it changes the solution of an indifference system only by scaling the
+All three work on integers, each player's costs times a positive scale
+(:attr:`CostBimatrix.scaled_costs`). An exact game is built as integer
+grids over n times the LCM of its probability denominators, a divisor
+of 4n for the network's grids. A float game's cells are dyadic
+rationals, each player's multiplied once by the LCM of their
+denominators, a power of two times a divisor of 4n. A positive scale
+per player changes no comparison between that player's costs, and it
+changes the solution of an indifference system only by scaling the
 common cost value, which is divided back out.
 
 Each indifference system is solved in closed form. Subtracting the
@@ -409,10 +411,15 @@ def _support_note(matrix, sup_a, sup_b, side) -> str:
     return f"support ({{{rows}}},{{{cols}}}): singular {side}-mix indifference system, skipped"
 
 
+def _combined_costs(matrix: CostBimatrix):
+    """Both players' summed cost in every cell, and the least of those sums."""
+    totals = [[a + b for a, b in row] for row in matrix.cells]
+    return totals, min(map(min, totals))
+
+
 def optimal_outcome(matrix: CostBimatrix):
     """Cells minimizing the two players' combined cost, with that minimum."""
-    totals = [[a + b for a, b in row] for row in matrix.cells]
-    best = min(map(min, totals))
+    totals, best = _combined_costs(matrix)
     cells = [_profile(matrix, i, j) for i, row in enumerate(totals) for j, t in enumerate(row) if t == best]
     return cells, best
 

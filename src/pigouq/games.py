@@ -40,7 +40,14 @@ A grid is therefore all-``Fraction`` or all-float, and so is every game
 built on it: the classical games and the named sets at t in {0, 1} are
 exact, and every other game has float cells, each float probability
 times the float of its exact cost, which is what Fraction arithmetic
-computes for that product.
+computes for that product. An exact game is built without ``Fraction``
+arithmetic: every per-outcome cost is an integer load over n and every
+probability a count of quarters, so 4n times a cell is an integer (n
+times the LCM of the probability denominators, for any exact grid), and
+:func:`bimatrix` computes both players' integer grids directly. They
+are the :class:`CostBimatrix`'s data and the solver's input
+(:attr:`CostBimatrix.scaled_costs`); its ``Fraction`` cells are a view
+built from them when printed or summed.
 
 A quirk worth knowing about the phase strategy Q: under maximal
 entanglement, Q against P1 lands both players on the lower edge while
@@ -54,7 +61,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from typing import Literal
@@ -170,25 +177,23 @@ class GameSpec:
         return " ".join(bits)
 
 
-@dataclass(frozen=True)
 class CostBimatrix:
     """Square grid of (row cost, column cost) pairs over a strategy list.
 
-    Entries are Fractions where exact, floats otherwise; all positive and finite.
+    Entries are Fractions where exact, floats otherwise; all positive and
+    finite. ``CostBimatrix(row_labels, col_labels, cells)`` stores the
+    cells and derives :attr:`scaled_costs` from them when first read. An
+    exact game from :func:`bimatrix` is stored the other way round: its
+    integer grids are the data, ``cells`` is the ``Fraction`` view built
+    from them on first read, and :meth:`cell`, :meth:`cost_a` and
+    :meth:`cost_b` build only the entry asked for. Either way the matrix
+    is immutable, and equality and hashing compare labels and cells, so
+    they do not depend on how it was built.
     """
 
-    row_labels: tuple[str, ...]
-    col_labels: tuple[str, ...]
-    cells: tuple  # cells[i][j] = (cost_row, cost_col)
-
-    def __post_init__(self):
-        if len(self.row_labels) != len(self.col_labels):
-            raise DomainError("cost bimatrix must be square")
-        if len(self.cells) != len(self.row_labels) or any(
-            len(row) != len(self.col_labels) for row in self.cells
-        ):
-            raise DomainError("cell grid does not match strategy labels")
-        for row in self.cells:
+    def __init__(self, row_labels: tuple, col_labels: tuple, cells: tuple):
+        _check_shape(row_labels, col_labels, cells)
+        for row in cells:
             for a, b in row:
                 try:
                     ok = 0 < a < math.inf and 0 < b < math.inf
@@ -196,32 +201,84 @@ class CostBimatrix:
                     ok = False
                 if not ok:
                     raise DomainError(f"cost entries must be positive and finite, got ({a}, {b})")
+        self.__dict__.update(row_labels=row_labels, col_labels=col_labels, cells=cells)
+
+    @classmethod
+    def _exact(cls, labels: tuple, a: list, b: list, scale: int) -> "CostBimatrix":
+        """An exact matrix stored as square integer grids: ``cost_a(i, j) == a[i][j] / scale``, likewise for b."""
+        if min(map(min, a)) <= 0 or min(map(min, b)) <= 0:
+            x, y = next((x, y) for ra, rb in zip(a, b) for x, y in zip(ra, rb) if x <= 0 or y <= 0)
+            raise DomainError(
+                f"cost entries must be positive and finite, got ({Fraction(x, scale)}, {Fraction(y, scale)})"
+            )
+        matrix = cls.__new__(cls)
+        matrix.__dict__.update(row_labels=labels, col_labels=labels, scaled_costs=(a, b, scale, scale))
+        return matrix
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def _key(self) -> tuple:
+        return self.row_labels, self.col_labels, self.cells
+
+    def __eq__(self, other):
+        if not isinstance(other, CostBimatrix):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return f"CostBimatrix(row_labels={self.row_labels!r}, col_labels={self.col_labels!r}, cells={self.cells!r})"
 
     @property
     def size(self) -> int:
         return len(self.row_labels)
 
+    @cached_property
+    def cells(self) -> tuple:
+        """``cells[i][j] = (cost_row, cost_col)``."""
+        a, b, scale_a, scale_b = self.scaled_costs
+        return tuple(
+            tuple((Fraction(x, scale_a), Fraction(y, scale_b)) for x, y in zip(row_a, row_b))
+            for row_a, row_b in zip(a, b)
+        )
+
     def cell(self, i: int, j: int):
-        return self.cells[i][j]
+        return self.cost_a(i, j), self.cost_b(i, j)
 
     def cost_a(self, i: int, j: int):
-        return self.cells[i][j][0]
+        return self._cost(i, j, 0)
 
     def cost_b(self, i: int, j: int):
-        return self.cells[i][j][1]
+        return self._cost(i, j, 1)
+
+    def _cost(self, i: int, j: int, player: int):
+        cells = self.__dict__.get("cells")
+        if cells is not None:
+            return cells[i][j][player]
+        grids = self.scaled_costs
+        return Fraction(grids[player][i][j], grids[player + 2])
 
     @cached_property
     def scaled_costs(self) -> tuple:
         """Both players' cost grids as exact integers: ``(a, b, scale_a, scale_b)``.
 
-        ``a[i][j] == scale_a * cost_a(i, j)`` exactly, where ``scale_a`` is
-        the LCM of the denominators of Alice's cells; likewise for Bob.
-        Floats count by their exact binary value. In the network's games
-        exact cells have denominators dividing 4n and float cells are
-        dyadic rationals, so a scale is a divisor of 4n times a power of
-        two. A positive scale per player keeps every comparison between
-        one player's costs what it was, and scales the common value of
-        an indifference system in them without changing its probabilities.
+        ``a[i][j] == scale_a * cost_a(i, j)`` exactly; likewise for Bob.
+        An exact game from :func:`bimatrix` is built as these grids, with
+        one scale for both players: n times the LCM of its outcome grid's
+        probability denominators, which divides 4n for the classical and
+        named-set grids. Otherwise ``scale_a`` is the LCM of the
+        denominators of Alice's cells, floats counting by their exact
+        binary value: float cells are dyadic rationals, so a float game's
+        scale is a power of two times a divisor of 4n. A positive scale
+        per player keeps every comparison between one player's costs what
+        it was, and scales the common value of an indifference system in
+        them without changing its probabilities.
         """
         a, scale_a = _scale_to_integers([[cost for cost, _ in row] for row in self.cells])
         b, scale_b = _scale_to_integers([[cost for _, cost in row] for row in self.cells])
@@ -244,6 +301,13 @@ class CostBimatrix:
         table = [headers] + [[label] + line for label, line in zip(self.row_labels, body)]
         widths = [max(len(r[c]) for r in table) for c in range(len(headers))]
         return "\n".join("  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip() for r in table)
+
+
+def _check_shape(row_labels, col_labels, grid) -> None:
+    if len(row_labels) != len(col_labels):
+        raise DomainError("cost bimatrix must be square")
+    if len(grid) != len(row_labels) or any(len(row) != len(col_labels) for row in grid):
+        raise DomainError("cell grid does not match strategy labels")
 
 
 def _scale_to_integers(grid):
@@ -277,9 +341,14 @@ def cost_assignment(spec: GameSpec) -> tuple[tuple, tuple]:
     game is the k=0, n=2 instance (a lone lower-edge user pays 1/2,
     everything else costs 1).
     """
-    k = spec.k or 0
-    one, lone, shared = Fraction(1), Fraction(k + 1, spec.n), Fraction(k + 2, spec.n)
-    return (one, one, lone, shared), (one, lone, one, shared)
+    n, alice, bob = _outcome_loads(spec)
+    return tuple(Fraction(c, n) for c in alice), tuple(Fraction(c, n) for c in bob)
+
+
+def _outcome_loads(spec: GameSpec) -> tuple:
+    """:func:`cost_assignment` times n, in integers: ``(n, alice, bob)``."""
+    n, k = spec.n, spec.k or 0
+    return n, (n, n, k + 1, k + 2), (n, k + 1, n, k + 2)
 
 
 def pinned_bill(spec: GameSpec, lower=0) -> Fraction:
@@ -385,25 +454,50 @@ def bimatrix(spec: GameSpec, outcomes: tuple | None = None) -> CostBimatrix:
     pair's outcome distribution: :data:`CLASSICAL_GRID` for a classical
     spec, the :func:`outcome_grid` of its strategies at its ``gamma`` for
     a quantum one (pass ``outcomes`` to reuse one already built for
-    them). Zero probabilities are skipped: adding a zero product changes
-    neither the value nor the type of a sum, so a classical cell costs
-    one product.
+    them). A grid is all-``Fraction`` or all-float, and the first
+    probability tells which.
+
+    An exact grid is built in integers and no ``Fraction`` is formed:
+    with L the LCM of the grid's probability denominators, each
+    probability is ``q / L`` for an integer count q, and each per-outcome
+    cost is an integer load over n, so n * L times a cell is the integer
+    ``sum(q * load)`` (see :attr:`CostBimatrix.scaled_costs`).
+
+    A float grid sums float probability times float cost. Fraction
+    arithmetic computes a float times a Fraction as float * float(cost),
+    so these are the bits an exact-cost sum would give. Zero probabilities
+    are skipped: adding a zero product changes neither the value nor the
+    type of a sum.
     """
     if outcomes is None:
         outcomes = CLASSICAL_GRID if spec.mode == "classical" else outcome_grid(spec.strategies, spec.gamma)
-    alice, bob = cost_assignment(spec)
-    # A grid is all-Fraction or all-float. Fraction computes a float
-    # probability times a Fraction cost as float * float(cost), so a float
-    # grid takes its costs as floats once and gets the same bits.
-    if isinstance(outcomes[0][0][0], float):
-        alice, bob = tuple(map(float, alice)), tuple(map(float, bob))
     labels = spec.strategy_labels()
-    rows = []
-    for row_outcomes in outcomes:
-        row = []
-        for probs in row_outcomes:
-            ca = sum(p * c for p, c in zip(probs, alice) if p)
-            cb = sum(p * c for p, c in zip(probs, bob) if p)
-            row.append((ca, cb))
-        rows.append(tuple(row))
-    return CostBimatrix(labels, labels, tuple(rows))
+    n, alice, bob = _outcome_loads(spec)
+    if isinstance(outcomes[0][0][0], float):
+        # int / int is the correctly rounded float of the cost's Fraction
+        alice, bob = tuple(c / n for c in alice), tuple(c / n for c in bob)
+        rows = []
+        for row_outcomes in outcomes:
+            row = []
+            for probs in row_outcomes:
+                ca = sum(p * c for p, c in zip(probs, alice) if p)
+                cb = sum(p * c for p, c in zip(probs, bob) if p)
+                row.append((ca, cb))
+            rows.append(tuple(row))
+        return CostBimatrix(labels, labels, tuple(rows))
+    _check_shape(labels, labels, outcomes)
+    size = len(labels)
+    if {len(cell) for row in outcomes for cell in row} != {4}:
+        raise DomainError("every outcome distribution must have four probabilities")
+    try:
+        ratios = [p.as_integer_ratio() for row in outcomes for cell in row for p in cell]
+    except AttributeError:
+        raise DomainError("outcome probabilities must be numbers") from None
+    lcm = math.lcm(*{den for _, den in ratios})
+    counts = iter([num * (lcm // den) for num, den in ratios])
+    by_cell = list(zip(counts, counts, counts, counts))  # (q00, q01, q10, q11) of each cell, row-major
+    (a00, a01, a10, a11), (b00, b01, b10, b11) = alice, bob
+    a = [q00 * a00 + q01 * a01 + q10 * a10 + q11 * a11 for q00, q01, q10, q11 in by_cell]
+    b = [q00 * b00 + q01 * b01 + q10 * b10 + q11 * b11 for q00, q01, q10, q11 in by_cell]
+    rows = [slice(r, r + size) for r in range(0, size * size, size)]
+    return CostBimatrix._exact(labels, [a[r] for r in rows], [b[r] for r in rows], n * lcm)

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .equilibria import EquilibriumResult, MixedProfile, PureProfile, optimal_outcome, solve
+from .equilibria import EquilibriumResult, MixedProfile, PureProfile, _combined_costs, solve
 from .errors import DomainError
 from .games import CostBimatrix, GameSpec, bimatrix, format_value, outcome_grid, pinned_bill, value_to_json
 
@@ -175,8 +175,9 @@ def _per_game_opt(spec: GameSpec, matrix: CostBimatrix):
     # Every spec priced per game has a profile-independent bill: quantum
     # bills never depend on the profile, and the one classical spec priced
     # per game, the two-person game, has no pinned players. x -> x + bill
-    # is monotone (exact on exact cells), so the cheapest cell wins.
-    return optimal_outcome(matrix)[1] + pinned_bill(spec)
+    # is monotone (exact on exact cells), so the cheapest cell wins; its
+    # minimum is all that is needed, not the cells that reach it.
+    return _combined_costs(matrix)[1] + pinned_bill(spec)
 
 
 def solve_over_k(mode: str, strategies, n: int, ks: Iterable[int], gamma: float | None = None):

@@ -1,12 +1,13 @@
 import json
 import math
 from fractions import Fraction as F
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 import pytest
 
 import pigouq.games as games
+from pigouq.cli import STRATEGY_SETS
 from pigouq.equilibria import solve
 from pigouq.errors import DomainError
 from pigouq.games import (
@@ -387,3 +388,113 @@ def test_bimatrix_type_rejects_nonfinite_costs(bad):
     cells = (((ONE, ONE), (ONE, F(1, 2))), ((F(1, 2), ONE), (bad, ONE)))
     with pytest.raises(DomainError, match="positive and finite"):
         CostBimatrix(("P1", "P2"), ("P1", "P2"), cells)
+
+
+# --- the integer build of exact games, against the Fraction cell loop ---
+
+
+def fraction_cells(spec, outcomes):
+    """The oracle: each cell as the Fraction sum of probability times cost, zeros skipped."""
+    alice, bob = cost_assignment(spec)
+    return tuple(
+        tuple(
+            (sum(p * c for p, c in zip(probs, alice) if p), sum(p * c for p, c in zip(probs, bob) if p))
+            for probs in row
+        )
+        for row in outcomes
+    )
+
+
+def assert_matches_fraction_loop(spec, outcomes=None):
+    matrix = bimatrix(spec, outcomes)
+    if outcomes is None:
+        outcomes = CLASSICAL_GRID if spec.mode == "classical" else outcome_grid(spec.strategies, spec.gamma)
+    want = fraction_cells(spec, outcomes)
+    # the integer grids are exact multiples of the costs, read before any cells view exists
+    a, b, scale_a, scale_b = matrix.scaled_costs
+    for i, j in product(range(matrix.size), repeat=2):
+        assert a[i][j] == scale_a * matrix.cost_a(i, j) and b[i][j] == scale_b * matrix.cost_b(i, j)
+        assert matrix.cell(i, j) == want[i][j]
+    assert matrix.cells == want
+    assert all(type(x) is F for row in matrix.cells for cell in row for x in cell)
+    labels = spec.strategy_labels()
+    built = CostBimatrix(labels, labels, want)
+    assert matrix == built and built == matrix and hash(matrix) == hash(built)
+    assert matrix.to_json_obj() == built.to_json_obj()
+    assert matrix.to_text_table() == built.to_text_table()
+    assert repr(matrix) == repr(built)
+
+
+def test_classical_integer_build_is_the_fraction_loop():
+    assert_matches_fraction_loop(GameSpec.classical_two_person())
+    for n in range(3, 25):
+        for k in range(n - 2):
+            assert_matches_fraction_loop(GameSpec.classical_k_person(n, k))
+
+
+#: The CLI's named sets and every pair of catalog tags.
+NAMED_SETS = sorted(set(STRATEGY_SETS.values()) | set(combinations(STRATEGY_TAGS, 2)))
+
+
+@pytest.mark.parametrize("strategies", NAMED_SETS, ids=",".join)
+@pytest.mark.parametrize("gamma", [0.0, GAMMA_MAX])
+def test_named_set_integer_build_is_the_fraction_loop(strategies, gamma):
+    outcomes = outcome_grid(strategies, gamma)
+    assert_matches_fraction_loop(GameSpec.quantum_two_person(strategies, gamma))
+    for n in range(3, 18):
+        for k in range(n - 2):
+            assert_matches_fraction_loop(GameSpec.quantum_k_person(n, k, strategies, gamma), outcomes)
+
+
+def test_integer_build_takes_any_exact_denominator():
+    # thirds and sixths next to quarters: the scale is n times the LCM of
+    # the probability denominators, not 4n
+    third, sixth, quarter = F(1, 3), F(1, 6), F(1, 4)
+    outcomes = (
+        ((third, third, third, F(0)), (quarter,) * 4, (F(0), F(1, 2), third, sixth)),
+        ((sixth, F(1, 2), F(0), third), (F(1), F(0), F(0), F(0)), (third, sixth, sixth, third)),
+        ((F(0), F(0), F(2, 3), third), (F(1, 12), F(5, 12), quarter, quarter), (F(0), F(0), F(0), F(1))),
+    )
+    for spec in (GameSpec.quantum_two_person(("P1", "P2", "M")), GameSpec.quantum_k_person(10, 3, ("P1", "P2", "M"))):
+        assert_matches_fraction_loop(spec, outcomes)
+        assert bimatrix(spec, outcomes).scaled_costs[2] == spec.n * 12
+
+
+def test_reading_one_cost_builds_no_cells_view():
+    matrix = bimatrix(GameSpec.quantum_k_person(10, 4, ("P1", "P2", "Q")))
+    assert matrix.cell(2, 0) == (F(3, 5), F(3, 5)) and matrix.cost_b(1, 2) == F(1, 2)
+    assert "cells" not in vars(matrix)
+    assert matrix.cells[2][0] == (F(3, 5), F(3, 5))
+
+
+def test_integer_build_rejects_a_nonpositive_cost():
+    # a negative probability drives Alice's P2-vs-P1 cost to -3 + 4 * 1/2 = -1
+    outcomes = (CLASSICAL_GRID[0], ((F(-3), F(0), F(4), F(0)), CLASSICAL_GRID[1][1]))
+    with pytest.raises(DomainError, match=r"positive and finite, got \(-1, 1\)$"):
+        bimatrix(GameSpec.quantum_two_person(("P1", "P2"), 0.0), outcomes)
+
+
+_ROW_OF_3 = CLASSICAL_GRID[0] + CLASSICAL_GRID[1][:1]
+
+
+@pytest.mark.parametrize(
+    "outcomes",
+    [CLASSICAL_GRID, (CLASSICAL_GRID[0],) * 3, (_ROW_OF_3, _ROW_OF_3, CLASSICAL_GRID[0]), (_ROW_OF_3,) * 4],
+    ids=["2x2", "3x2", "ragged", "4x3"],
+)
+def test_integer_build_rejects_a_grid_of_the_wrong_shape(outcomes):
+    with pytest.raises(DomainError, match="cell grid does not match strategy labels"):
+        bimatrix(GameSpec.quantum_two_person(("P1", "P2", "Q"), 0.0), outcomes)
+
+
+def test_integer_build_rejects_a_distribution_of_the_wrong_length():
+    # three probabilities in one cell and five in the next, so the total is right
+    outcomes = ((CLASSICAL_GRID[0][0][:3], CLASSICAL_GRID[0][1] + (F(0),)), CLASSICAL_GRID[1])
+    with pytest.raises(DomainError, match="four probabilities"):
+        bimatrix(GameSpec.classical_two_person(), outcomes)
+
+
+def test_integer_build_rejects_a_probability_that_is_not_a_number():
+    outcomes = (CLASSICAL_GRID[0], ((F(0), F(0), "1", F(0)), CLASSICAL_GRID[1][1]))
+    with pytest.raises(DomainError, match="outcome probabilities must be numbers"):
+        bimatrix(GameSpec.classical_two_person(), outcomes)

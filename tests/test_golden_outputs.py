@@ -13,11 +13,18 @@ Regenerate (only when an output change is intended and explained)::
     PYTHONPATH=src python tests/test_golden_outputs.py
 """
 
+import hashlib
+import json
+import math
 from pathlib import Path
 
 import pytest
 
-from pigouq.cli import main
+from pigouq.cli import STRATEGY_SETS, main
+from pigouq.equilibria import solve
+from pigouq.games import GameSpec, bimatrix
+from pigouq.metrics import analyze, solve_over_k
+from pigouq.sweeps import sweep_k
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -59,6 +66,58 @@ for _fmt in ("csv", "json"):
 def test_cli_output_matches_golden(name, capsys):
     assert main(list(CASES[name])) == 0
     assert capsys.readouterr().out == (GOLDEN / name).read_text()
+
+
+#: Named-set games of the digest corpus: gamma = 0 and pi/2 (exact) and three float angles.
+CORPUS_ANGLES = (0.0, 0.3, math.pi / 4, 1.2, math.pi / 2)
+CORPUS_DIGEST = "41b0770ba84984df061986b84f50fd7372598c32a19e89ec44ea027ab0afa68d"
+
+
+def corpus_records():
+    """JSON-ready records of every game in the digest corpus, in a fixed order.
+
+    Each game contributes its bimatrix, its ``solve`` views and its metrics.
+    Two-person games take their metrics from :func:`analyze`; a k-person
+    game from a full-range ``sweep_k``, which prices every k against the
+    cheapest total over k = 0..n-3, as :func:`analyze` does, with one solve
+    per k instead of one over-k pass per k.
+    """
+    games = [("classical", ("P1", "P2"), None, range(3, 25))]
+    games += [
+        ("quantum", STRATEGY_SETS[name], gamma, range(3, 18))
+        for name in sorted(STRATEGY_SETS)
+        for gamma in CORPUS_ANGLES
+    ]
+    for mode, strategies, gamma, populations in games:
+        if mode == "classical":
+            spec = GameSpec.classical_two_person()
+        else:
+            spec = GameSpec.quantum_two_person(strategies, gamma)
+        matrix, eq, metrics = analyze(spec)
+        yield [spec.describe(), matrix.to_json_obj(), eq.to_json_obj(), metrics.to_json_obj()]
+        for n in populations:
+            ks = range(0, n - 2)
+            points, _ = solve_over_k(mode, strategies, n, ks, gamma)
+            reports = sweep_k(mode, strategies, n, ks, gamma).reports
+            for (spec, matrix, eq, _), metrics in zip(points, reports):
+                yield [spec.describe(), matrix.to_json_obj(), eq.to_json_obj(), metrics.to_json_obj()]
+
+
+def corpus_digest() -> str:
+    sha = hashlib.sha256()
+    for record in corpus_records():
+        sha.update(json.dumps(record, sort_keys=True, separators=(",", ":")).encode())
+        sha.update(b"\n")
+    return sha.hexdigest()
+
+
+def test_digest_corpus_is_unchanged():
+    """Matrices, equilibria and metrics of about 2,700 games, pinned by one SHA-256.
+
+    Regenerate, only with an intended and explained output change, by
+    printing :func:`corpus_digest`.
+    """
+    assert corpus_digest() == CORPUS_DIGEST
 
 
 def test_every_golden_file_is_a_case():
