@@ -26,13 +26,17 @@ the basis |00>, |01>, |10>, |11> (:data:`KET_00` is the first), with
 Alice's qubit first, so ``np.kron(U_A, U_B)`` is the joint move.
 
 :func:`outcome_table` runs the protocol for every pair of two strategy
-stacks in one numpy evaluation: it validates gamma and each stack once,
-forms all Kronecker products by one broadcast multiplication, and
-applies J and its conjugate transpose as stacked matrix products in the
-association ``J^dag @ (K @ (J @ |00>))``. Each cell therefore sees the
-float operations of a single run, and its bits equal those of the
-pairs evaluated one at a time. One pair is the 1x1 case,
-``outcome_table([ua], [ub], gamma)[0, 0]``.
+stacks in one numpy evaluation: it validates gamma and each stack once
+and forms all Kronecker products by one broadcast multiplication. The
+private paired entry ``_paired_outcomes`` runs stacks of draws instead,
+draw i's U_A against draw i's U_B at draw i's angle, with one J per
+draw; the random-draw check of :mod:`pigouq.verification` uses it. The
+two entries share one kernel, which applies J and its conjugate
+transpose as stacked matrix products in the association
+``J^dag @ (K @ (J @ |00>))``. Each cell or draw therefore sees the float
+operations of a single run, and its bits equal those of the pair
+evaluated one at a time: a paired entry has the bits of
+``outcome_table([ua], [ub], gamma)[0, 0]``, the 1x1 case.
 """
 
 from __future__ import annotations
@@ -127,12 +131,41 @@ def outcome_table(rows, cols, gamma: float) -> np.ndarray:
     a = _strategy_stack(rows, "Alice")
     b = a if cols is rows else _strategy_stack(cols, "Bob")
 
-    j = _entangler(g)
     # kron[i, j, 2p+r, 2q+s] = a[i, p, q] * b[j, r, s], i.e. np.kron(a[i], b[j]);
     # np.einsum would round some of these products differently.
     kron = (a[:, None, :, None, :, None] * b[None, :, None, :, None, :]).reshape(len(a), len(b), 4, 4)
-    psi = (j.conj().T @ (kron @ (j @ KET_00))[..., None])[..., 0]
-    probs = np.abs(psi) ** 2
+    return _protocol(kron, _entangler(g))
+
+
+def _paired_outcomes(rows, cols, gammas) -> np.ndarray:
+    """Run the protocol for draw i's pair, ``rows[i]`` against ``cols[i]``, at ``gammas[i]``.
+
+    The stacks are not validated. Entry ``[i]`` has the bits of
+    ``outcome_table([rows[i]], [cols[i]], gammas[i])[0, 0]``: each J is
+    built from ``math.cos``/``math.sin`` as :func:`_entangler` builds it,
+    and the rest is the kernel :func:`outcome_table` runs.
+    """
+    a = np.asarray(rows, dtype=complex)
+    b = np.asarray(cols, dtype=complex)
+    halves = (np.asarray(gammas, dtype=float) / 2).tolist()
+    cos = np.array([math.cos(h) for h in halves])[:, None, None]
+    sin = np.array([math.sin(h) for h in halves])[:, None, None]
+    j = cos * np.eye(4) - 1j * sin * _P2_TENSOR_P2
+    # kron[i] = np.kron(a[i], b[i]), by the broadcast product outcome_table uses.
+    kron = (a[:, :, None, :, None] * b[:, None, :, None, :]).reshape(len(a), 4, 4)
+    return _protocol(kron, j)
+
+
+def _protocol(kron: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """``|J^dag @ (kron @ (J @ |00>))|^2`` for a stack of joint moves, clipped to [0, 1].
+
+    ``kron`` has shape ``(..., 4, 4)``; ``j`` is one 4x4 J or a stack of
+    them that broadcasts against it. Every run sees the float operations
+    of a single-pair run.
+    """
+    j_ket = (j @ KET_00)[..., None]
+    j_dag = j.conj().swapaxes(-1, -2)
+    probs = np.abs((j_dag @ (kron @ j_ket))[..., 0]) ** 2
     totals = probs.sum(axis=-1)
     off = np.abs(totals - 1.0) > _NORMALIZATION_TOL
     if off.any():

@@ -1,0 +1,136 @@
+"""The random-draw check of pigouq.verification, against the per-draw loop it replaced."""
+
+import math
+
+import numpy as np
+import pytest
+
+from pigouq import verification
+from pigouq.ewl import GAMMA_MAX, _paired_outcomes, outcome_table
+from pigouq.strategies import unitary_from_angles
+
+SEED = 20250811
+DRAWS = 1000
+
+
+def loop_draws():
+    """(theta_a, theta_b, phi_a, phi_b, gamma) of each draw, as the per-draw loop drew them."""
+    rng = np.random.default_rng(SEED)
+    draws = []
+    for _ in range(DRAWS):
+        theta_a, theta_b = rng.uniform(0, math.pi, size=2)
+        phi_a, phi_b = rng.uniform(0, math.pi / 2, size=2)
+        gamma = rng.uniform(0, GAMMA_MAX)
+        draws.append((theta_a, theta_b, phi_a, phi_b, gamma))
+    return draws
+
+
+@pytest.fixture(scope="module")
+def draws():
+    return loop_draws()
+
+
+def record_inputs(monkeypatch):
+    """Spy on the check's calls: the (theta, phi) of each matrix and the angles of each paired run."""
+    angles, gammas = [], []
+
+    def spy_unitary(theta, phi):
+        angles.append((theta, phi))
+        return unitary_from_angles(theta, phi)
+
+    def spy_paired(rows, cols, gamma):
+        gammas.extend(gamma)
+        return _paired_outcomes(rows, cols, gamma)
+
+    monkeypatch.setattr(verification, "unitary_from_angles", spy_unitary)
+    monkeypatch.setattr(verification, "_paired_outcomes", spy_paired)
+    return angles, gammas
+
+
+def test_check_draws_the_inputs_of_the_per_draw_loop(monkeypatch, draws):
+    angles, gammas = record_inputs(monkeypatch)
+    assert verification.check_random_unitarity_and_normalization().passed
+    alice = [(ta, pa) for ta, _, pa, _, _ in draws]
+    bob = [(tb, pb) for _, tb, _, pb, _ in draws]
+    # Alice's and Bob's matrices are built block by block, so compare the calls as a multiset.
+    assert sorted(angles) == sorted(alice + bob)
+    assert gammas == [g for *_, g in draws]
+
+
+def test_paired_run_has_the_bits_of_outcome_table(draws):
+    ua = np.array([unitary_from_angles(ta, pa) for ta, _, pa, _, _ in draws])
+    ub = np.array([unitary_from_angles(tb, pb) for _, tb, _, pb, _ in draws])
+    gammas = [g for *_, g in draws]
+    want = np.array([outcome_table([a], [b], g)[0, 0] for a, b, g in zip(ua, ub, gammas)])
+    assert np.array_equal(_paired_outcomes(ua, ub, gammas), want)
+    for start in range(0, DRAWS, 250):
+        block = slice(start, start + 250)
+        assert np.array_equal(_paired_outcomes(ua[block], ub[block], gammas[block]), want[block])
+
+
+def break_unitarity(monkeypatch, draws, index, player):
+    """Make the matrix of ``player`` at draw ``index`` non-unitary; return the check's detail."""
+    theta_a, theta_b, phi_a, phi_b, _ = draws[index]
+    target = (theta_a, phi_a) if player == "alice" else (theta_b, phi_b)
+    wrapped = verification.unitary_from_angles
+
+    def broken(theta, phi):
+        m = wrapped(theta, phi)
+        return 2 * m if (theta, phi) == target else m
+
+    monkeypatch.setattr(verification, "unitary_from_angles", broken)
+    return f"non-unitary at ({theta_a}, {phi_a})"
+
+
+def break_normalization(monkeypatch, draws, index):
+    """Make the paired run's distribution at draw ``index`` sum to about 1 + 1e-9; return the check's detail."""
+    theta_a, theta_b, phi_a, phi_b, target = draws[index]
+    row = outcome_table([unitary_from_angles(theta_a, phi_a)], [unitary_from_angles(theta_b, phi_b)], target)[0, 0]
+    row[0] += 1e-9
+    total = sum(row.tolist())
+    assert abs(total - 1 - 1e-9) < 1e-12
+    wrapped = verification._paired_outcomes
+
+    def off(rows, cols, gammas):
+        probs = wrapped(rows, cols, gammas)
+        probs[[g == target for g in gammas], 0] += 1e-9
+        return probs
+
+    monkeypatch.setattr(verification, "_paired_outcomes", off)
+    return f"normalization {total!r}"
+
+
+def assert_fails_with(detail):
+    result = verification.check_random_unitarity_and_normalization()
+    assert not result.passed
+    assert result.detail == detail
+    batch = verification.check_property_batch()
+    assert not batch.passed
+    assert batch.detail == f"{result.name}: {detail}"
+
+
+@pytest.mark.parametrize("player", ["alice", "bob"])
+@pytest.mark.parametrize("index", [0, 613, DRAWS - 1])
+def test_a_non_unitary_draw_fails_the_check(monkeypatch, draws, index, player):
+    assert_fails_with(break_unitarity(monkeypatch, draws, index, player))
+
+
+@pytest.mark.parametrize("index", [0, 250, 613, DRAWS - 1])
+def test_a_distribution_off_one_fails_the_check(monkeypatch, draws, index):
+    assert_fails_with(break_normalization(monkeypatch, draws, index))
+
+
+FAULTS = {
+    "alice non-unitary": lambda monkeypatch, draws, index: break_unitarity(monkeypatch, draws, index, "alice"),
+    "bob non-unitary": lambda monkeypatch, draws, index: break_unitarity(monkeypatch, draws, index, "bob"),
+    "off one": break_normalization,
+}
+
+
+@pytest.mark.parametrize(("earlier", "later"), [(300, 700), (260, 480)], ids=["two blocks", "one block"])
+@pytest.mark.parametrize("second", FAULTS)
+@pytest.mark.parametrize("first", FAULTS)
+def test_the_first_failing_draw_is_named(monkeypatch, draws, first, second, earlier, later):
+    FAULTS[second](monkeypatch, draws, later)
+    detail = FAULTS[first](monkeypatch, draws, earlier)
+    assert verification.check_random_unitarity_and_normalization().detail == detail
