@@ -133,7 +133,7 @@ class MixedProfile:
 class EquilibriumResult:
     """The equilibria of one bimatrix, each view solved the first time it is read.
 
-    ``strict_pure`` and ``weak_pure`` each run one :func:`pure_nash` scan.
+    ``strict_pure`` and ``weak_pure`` read one pure scan of the cells.
     ``mixed`` and ``diagnostics`` read the square pass of support
     enumeration, run on top of ``weak_pure``, which stands in for the 1x1
     pairs. Reading every view solves each square support pair at most
@@ -150,12 +150,16 @@ class EquilibriumResult:
             raise DomainError(f"support enumeration is limited to {MAX_MIXED_SIZE}x{MAX_MIXED_SIZE} games")
 
     @cached_property
+    def _pure(self) -> dict[str, tuple[PureProfile, ...]]:
+        return _pure_scan(self.matrix)
+
+    @cached_property
     def strict_pure(self) -> tuple[PureProfile, ...]:
-        return tuple(pure_nash(self.matrix, "strict"))
+        return self._pure["strict"]
 
     @cached_property
     def weak_pure(self) -> tuple[PureProfile, ...]:
-        return tuple(pure_nash(self.matrix, "weak"))
+        return self._pure["weak"]
 
     @cached_property
     def _square(self) -> tuple[tuple[MixedProfile, ...], tuple[str, ...]]:
@@ -205,14 +209,11 @@ class EquilibriumResult:
         return hash(self._views())
 
     def to_json_obj(self) -> dict:
-        selected = None
-        if self.selected is not None:
-            selected = self.selected.to_json_obj()
         return {
             "strict_pure": [p.to_json_obj() for p in self.strict_pure],
             "weak_pure": [p.to_json_obj() for p in self.weak_pure],
             "mixed": [m.to_json_obj() for m in self.mixed],
-            "selected": selected,
+            "selected": None if self.selected is None else self.selected.to_json_obj(),
             "selected_by": self.selected_by,
             "diagnostics": list(self.diagnostics),
         }
@@ -220,6 +221,25 @@ class EquilibriumResult:
 
 def _profile(matrix: CostBimatrix, i: int, j: int) -> PureProfile:
     return PureProfile(i, j, matrix.row_labels[i], matrix.col_labels[j])
+
+
+def _pure_scan(matrix: CostBimatrix) -> dict[str, tuple[PureProfile, ...]]:
+    """The ``"weak"`` and ``"strict"`` pure equilibria, from one row-major pass over the cells.
+
+    A cell is weak when its cost is the least of its column of ``a`` and
+    of its row of ``b``, and strict when that least cost is unique in both.
+    """
+    a, b, _, _ = matrix.scaled_costs
+    cols_a = list(zip(*a))
+    best_a, best_b = [min(col) for col in cols_a], [min(row) for row in b]
+    found = {"weak": [], "strict": []}
+    for i, j in itertools.product(range(matrix.size), repeat=2):
+        if a[i][j] == best_a[j] and b[i][j] == best_b[i]:
+            profile = _profile(matrix, i, j)
+            found["weak"].append(profile)
+            if cols_a[j].count(best_a[j]) == 1 and b[i].count(best_b[i]) == 1:
+                found["strict"].append(profile)
+    return {mode: tuple(profiles) for mode, profiles in found.items()}
 
 
 def pure_nash(matrix: CostBimatrix, mode: str = "weak") -> list[PureProfile]:
@@ -230,31 +250,13 @@ def pure_nash(matrix: CostBimatrix, mode: str = "weak") -> list[PureProfile]:
     """
     if mode not in ("weak", "strict"):
         raise DomainError(f"mode must be 'weak' or 'strict', got {mode!r}")
-    a, b, _, _ = matrix.scaled_costs
-    size = matrix.size
-    found = []
-    for i in range(size):
-        for j in range(size):
-            if mode == "weak":
-                ok_a = all(a[r][j] >= a[i][j] for r in range(size))
-                ok_b = all(b[i][c] >= b[i][j] for c in range(size))
-            else:
-                ok_a = all(a[r][j] > a[i][j] for r in range(size) if r != i)
-                ok_b = all(b[i][c] > b[i][j] for c in range(size) if c != j)
-            if ok_a and ok_b:
-                found.append(_profile(matrix, i, j))
-    return found
+    return list(_pure_scan(matrix)[mode])
 
 
-def _weakly_dominates_row(a, r_new, r_old, cols) -> bool:
-    le = all(a[r_new][c] <= a[r_old][c] for c in cols)
-    lt = any(a[r_new][c] < a[r_old][c] for c in cols)
-    return le and lt
-
-
-def _weakly_dominates_col(b, c_new, c_old, rows) -> bool:
-    le = all(b[r][c_new] <= b[r][c_old] for r in rows)
-    lt = any(b[r][c_new] < b[r][c_old] for r in rows)
+def _weakly_dominates(costs, new, old, others) -> bool:
+    """Whether strategy ``new`` weakly dominates ``old``; ``costs[s][o]`` is the chooser's cost at s against o."""
+    le = all(costs[new][o] <= costs[old][o] for o in others)
+    lt = any(costs[new][o] < costs[old][o] for o in others)
     return le and lt
 
 
@@ -268,19 +270,12 @@ def dominance_select(matrix: CostBimatrix) -> PureProfile | None:
     than one cell survives.
     """
     a, b, _, _ = matrix.scaled_costs
+    b_t = list(zip(*b))
     rows = list(range(matrix.size))
     cols = list(range(matrix.size))
     while True:
-        dead_rows = [
-            r
-            for r in rows
-            if any(r2 != r and _weakly_dominates_row(a, r2, r, cols) for r2 in rows)
-        ]
-        dead_cols = [
-            c
-            for c in cols
-            if any(c2 != c and _weakly_dominates_col(b, c2, c, rows) for c2 in cols)
-        ]
+        dead_rows = [r for r in rows if any(r2 != r and _weakly_dominates(a, r2, r, cols) for r2 in rows)]
+        dead_cols = [c for c in cols if any(c2 != c and _weakly_dominates(b_t, c2, c, rows) for c2 in cols)]
         if not dead_rows and not dead_cols:
             break
         rows = [r for r in rows if r not in dead_rows]
@@ -431,11 +426,11 @@ def solve(matrix: CostBimatrix) -> EquilibriumResult:
     unique strict pure equilibrium, else the unique mixed equilibrium,
     else nothing. Reading ``selected`` or ``selected_by`` runs
     :func:`dominance_select`, and only if that leaves more than one cell
-    the strict :func:`pure_nash` scan, and only if that finds no unique
-    strict equilibrium the square pass of support enumeration (the weak
-    scan and the square support pairs). ``strict_pure`` and ``weak_pure``
-    run their own scan, and ``mixed`` and ``diagnostics`` read the square
-    pass. A matrix larger than ``MAX_MIXED_SIZE`` raises
+    the pure scan, which finds the strict and the weak pure equilibria at
+    once, and only if that finds no unique strict equilibrium the square
+    support pairs of support enumeration. ``strict_pure`` and
+    ``weak_pure`` read the pure scan, and ``mixed`` and ``diagnostics``
+    the square pass. A matrix larger than ``MAX_MIXED_SIZE`` raises
     :class:`DomainError` here, not at the first read.
     """
     return EquilibriumResult(matrix)

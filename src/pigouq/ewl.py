@@ -29,8 +29,9 @@ Alice's qubit first, so ``np.kron(U_A, U_B)`` is the joint move.
 stacks in one numpy evaluation: it validates gamma and each stack once
 and forms all Kronecker products by one broadcast multiplication. The
 private paired entry ``_paired_outcomes`` runs stacks of draws instead,
-draw i's U_A against draw i's U_B at draw i's angle, with one J per
-draw; the random-draw check of :mod:`pigouq.verification` uses it. The
+draw i's U_A against draw i's U_B at draw i's angle, with one J per draw,
+for the random-draw check of :mod:`pigouq.verification`, which judges
+the sums that only :func:`outcome_table` checks. The
 two entries share one kernel, which applies J and its conjugate
 transpose as stacked matrix products in the association
 ``J^dag @ (K @ (J @ |00>))``. Each cell or draw therefore sees the float
@@ -134,16 +135,23 @@ def outcome_table(rows, cols, gamma: float) -> np.ndarray:
     # kron[i, j, 2p+r, 2q+s] = a[i, p, q] * b[j, r, s], i.e. np.kron(a[i], b[j]);
     # np.einsum would round some of these products differently.
     kron = (a[:, None, :, None, :, None] * b[None, :, None, :, None, :]).reshape(len(a), len(b), 4, 4)
-    return _protocol(kron, _entangler(g))
+    probs = _protocol(kron, _entangler(g))
+    totals = probs.sum(axis=-1)
+    off = np.abs(totals - 1.0) > _NORMALIZATION_TOL
+    if off.any():
+        raise DomainError(
+            f"outcome probabilities sum to {float(totals[off][0])!r}; strategy matrices are too far from unitary"
+        )
+    return np.clip(probs, 0.0, 1.0)
 
 
 def _paired_outcomes(rows, cols, gammas) -> np.ndarray:
     """Run the protocol for draw i's pair, ``rows[i]`` against ``cols[i]``, at ``gammas[i]``.
 
-    The stacks are not validated. Entry ``[i]`` has the bits of
+    Neither the stacks nor the sums are checked: the caller judges
+    normalization. Entry ``[i]`` otherwise has the bits of
     ``outcome_table([rows[i]], [cols[i]], gammas[i])[0, 0]``: each J is
-    built from ``math.cos``/``math.sin`` as :func:`_entangler` builds it,
-    and the rest is the kernel :func:`outcome_table` runs.
+    built as :func:`_entangler` builds it, then the same kernel and clip.
     """
     a = np.asarray(rows, dtype=complex)
     b = np.asarray(cols, dtype=complex)
@@ -153,11 +161,11 @@ def _paired_outcomes(rows, cols, gammas) -> np.ndarray:
     j = cos * np.eye(4) - 1j * sin * _P2_TENSOR_P2
     # kron[i] = np.kron(a[i], b[i]), by the broadcast product outcome_table uses.
     kron = (a[:, :, None, :, None] * b[:, None, :, None, :]).reshape(len(a), 4, 4)
-    return _protocol(kron, j)
+    return np.clip(_protocol(kron, j), 0.0, 1.0)
 
 
 def _protocol(kron: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """``|J^dag @ (kron @ (J @ |00>))|^2`` for a stack of joint moves, clipped to [0, 1].
+    """``|J^dag @ (kron @ (J @ |00>))|^2`` for a stack of joint moves, neither checked nor clipped.
 
     ``kron`` has shape ``(..., 4, 4)``; ``j`` is one 4x4 J or a stack of
     them that broadcasts against it. Every run sees the float operations
@@ -165,14 +173,7 @@ def _protocol(kron: np.ndarray, j: np.ndarray) -> np.ndarray:
     """
     j_ket = (j @ KET_00)[..., None]
     j_dag = j.conj().swapaxes(-1, -2)
-    probs = np.abs((j_dag @ (kron @ j_ket))[..., 0]) ** 2
-    totals = probs.sum(axis=-1)
-    off = np.abs(totals - 1.0) > _NORMALIZATION_TOL
-    if off.any():
-        raise DomainError(
-            f"outcome probabilities sum to {float(totals[off][0])!r}; strategy matrices are too far from unitary"
-        )
-    return np.clip(probs, 0.0, 1.0)
+    return np.abs((j_dag @ (kron @ j_ket))[..., 0]) ** 2
 
 
 def _strategy_stack(matrices, player: str) -> np.ndarray:

@@ -19,20 +19,20 @@ whenever they are defined.
 The optimal cost follows the game, because the headline claims quote
 each number in its own context: a two-person game, and every point of a
 gamma sweep, is priced against the cheapest cell of the matrix at hand;
-a k-person game against the cheapest equilibrium total across the whole
-admissible range of k for the same strategy set (a k sweep: across the
-range it was asked for).
+an n-traveler game at any k against the cheapest equilibrium total over
+k = 0..n-3 for the same strategy set, n and gamma, which
+:func:`solve_over_k` computes. :func:`analyze` and every k sweep read
+that one number, whatever k or range of k they report.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
 
 from .equilibria import EquilibriumResult, MixedProfile, PureProfile, _combined_costs, solve
 from .errors import DomainError
-from .games import CostBimatrix, GameSpec, bimatrix, format_value, outcome_grid, pinned_bill, value_to_json
+from .games import CostBimatrix, GameSpec, _integer, bimatrix, format_value, outcome_grid, pinned_bill, value_to_json
 
 __all__ = [
     "MetricsReport",
@@ -180,21 +180,21 @@ def _per_game_opt(spec: GameSpec, matrix: CostBimatrix):
     return _combined_costs(matrix)[1] + pinned_bill(spec)
 
 
-def solve_over_k(mode: str, strategies, n: int, ks: Iterable[int], gamma: float | None = None):
-    """Solve the n-traveler game at every k of ``ks``, in the given order.
+def solve_over_k(mode: str, strategies, n: int, gamma: float | None = None):
+    """Solve the n-traveler game at every k = 0..n-3, in order.
 
     Quantum games share one :func:`outcome_grid` across all k, since the
     protocol never sees k. Returns ``(points, opt)``: one ``(spec,
-    matrix, equilibria, total)`` per k, where ``total`` is the selected
-    equilibrium's social cost (None when nothing is selected), and
-    ``opt``, the cheapest of those totals.
+    matrix, equilibria, total)`` per k, indexed by k, where ``total`` is
+    the selected equilibrium's social cost (None when nothing is
+    selected), and ``opt``, the cheapest of those totals.
     """
     specs = [
         GameSpec(variant="k_person", mode=mode, n=n, k=k, gamma=gamma, strategies=tuple(strategies))
-        for k in ks
+        for k in range(_integer("n", n) - 2)
     ]
     if not specs:
-        raise DomainError("empty k range")
+        raise DomainError("the k-person game requires n >= 3")
     outcomes = outcome_grid(specs[0].strategies, gamma) if mode == "quantum" else None
     points = []
     for spec in specs:
@@ -233,7 +233,7 @@ def analyze(spec: GameSpec):
     """
     if spec.variant == "two_person":
         return _per_game(spec)
-    points, cost_opt = solve_over_k(spec.mode, spec.strategies, spec.n, range(0, spec.n - 2), spec.gamma)
+    points, cost_opt = solve_over_k(spec.mode, spec.strategies, spec.n, spec.gamma)
     _, matrix, eq, cost_ne = points[spec.k]
     return matrix, eq, _metrics_report(spec, eq, cost_ne, cost_opt)
 

@@ -6,9 +6,9 @@ Sweeps emit figure-ready data, not figures: CSV with the fixed header
 
 and a JSON mirror that keeps full-precision rationals. Points are
 independent pure computations, so reruns are byte-identical; a k-sweep's
-optimal cost is the cheapest equilibrium total across the requested
-range (the over-k convention), while a gamma-sweep prices each matrix
-against its own cheapest cell.
+optimal cost is the cheapest equilibrium total over k = 0..n-3 (the
+over-k convention of :mod:`pigouq.metrics`), whatever range it reports,
+while a gamma-sweep prices each matrix against its own cheapest cell.
 """
 
 from __future__ import annotations
@@ -65,9 +65,10 @@ def sweep_k(
     """Solve the n-traveler game for every requested k.
 
     ``k_values`` defaults to 1..n-3 inclusive, which is empty at n = 3;
-    0 is accepted when asked for. The per-point optimal cost is shared:
-    the minimum equilibrium total over the requested range. ``gamma`` is
-    required for quantum mode and forbidden for classical.
+    0 is accepted when asked for. The rows are read off one
+    :func:`~pigouq.metrics.solve_over_k` pass, so each k is priced as
+    ``analyze`` prices it. ``gamma`` is required for quantum mode and
+    forbidden for classical.
     """
     n = _integer("n", n)
     if n < 3:
@@ -79,11 +80,13 @@ def sweep_k(
             )
         k_values = range(1, n - 2)
     ks = sorted(set(_integer("k", k) for k in k_values))
+    if not ks:
+        raise DomainError("empty k range")
     if any(not (0 <= k < n - 2) for k in ks):
         raise DomainError(f"k range must lie within 0..{n - 3} for n={n}")
 
-    points, opt = solve_over_k(mode, strategies, n, ks, gamma)
-    reports = [_metrics_report(spec, eq, total, opt) for spec, _, eq, total in points]
+    points, opt = solve_over_k(mode, strategies, n, gamma)
+    reports = [_metrics_report(spec, eq, total, opt) for spec, _, eq, total in (points[k] for k in ks)]
     meta = _meta(mode=mode, variant="k_person", n=n, gamma=gamma, strategies=points[0][0].strategy_labels())
     return SweepSeries("k", tuple(ks), tuple(reports), meta)
 

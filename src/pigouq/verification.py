@@ -266,7 +266,7 @@ def _first_draw_problem(draws: np.ndarray) -> str:
     """The detail of the first of ``draws`` to fail unitarity or normalization, or ``""``."""
     theta_a, theta_b, phi_a, phi_b, gamma = draws.T
     ua, ub = _unitary_stack(theta_a, phi_a), _unitary_stack(theta_b, phi_b)
-    # Only the draws before the first non-unitary one reach the protocol, whose own guard may raise on it.
+    # Only the draws before the first non-unitary one can fail first on normalization.
     good = len(draws)
     if not (is_unitary(ua, 1e-12) and is_unitary(ub, 1e-12)):
         good = next(i for i, (a, b) in enumerate(zip(ua, ub)) if not (is_unitary(a, 1e-12) and is_unitary(b, 1e-12)))

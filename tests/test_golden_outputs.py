@@ -97,7 +97,7 @@ def corpus_records():
         yield [spec.describe(), matrix.to_json_obj(), eq.to_json_obj(), metrics.to_json_obj()]
         for n in populations:
             ks = range(0, n - 2)
-            points, _ = solve_over_k(mode, strategies, n, ks, gamma)
+            points, _ = solve_over_k(mode, strategies, n, gamma)
             reports = sweep_k(mode, strategies, n, ks, gamma).reports
             for (spec, matrix, eq, _), metrics in zip(points, reports):
                 yield [spec.describe(), matrix.to_json_obj(), eq.to_json_obj(), metrics.to_json_obj()]

@@ -14,6 +14,7 @@ import pigouq.games as games
 import pigouq.metrics as metrics
 from pigouq.cli import main
 from pigouq.equilibria import solve
+from pigouq.errors import DomainError
 from pigouq.games import GameSpec, bimatrix
 from pigouq.metrics import MetricsReport, analyze, format_equilibrium_label, profile_total, solve_over_k
 from pigouq.strategies import StrategyAngles
@@ -86,7 +87,10 @@ def per_k_points(mode, names, n, ks, gamma):
 
 
 def per_k_reports(points):
-    opt = min(total for _, _, total in points if total is not None)
+    """The points' reports, each priced against the cheapest total over k = 0..n-3 of the same game."""
+    spec = points[0][0]
+    full = per_k_points(spec.mode, spec.strategies, spec.n, range(0, spec.n - 2), spec.gamma)
+    opt = min(total for _, _, total in full if total is not None)
     reports = []
     for spec, eq, total in points:
         if total is None:
@@ -152,13 +156,17 @@ def test_report_runs_the_protocol_once_per_strategy_pair(protocol_runs, names, n
 
 def test_solve_over_k_matches_per_k_path(protocol_runs):
     names = ("P1", "P2", "Q")
-    for first, ks in enumerate(([6, 7], [0, 4], range(0, 8)), start=1):
+    for first, n in enumerate((3, 4, 10), start=1):
         protocol_runs.clear()
-        points, opt = solve_over_k("quantum", names, 10, ks, GAMMA_MAX)
+        points, opt = solve_over_k("quantum", names, n, GAMMA_MAX)
         assert protocol_runs == (ENDPOINT_RUNS if first == 1 else [])
-        want = per_k_points("quantum", names, 10, ks, GAMMA_MAX)
+        want = per_k_points("quantum", names, n, range(0, n - 2), GAMMA_MAX)
         assert [(spec, eq, total) for spec, _, eq, total in points] == want
         assert opt == min(total for _, _, total in want if total is not None)
+    with pytest.raises(DomainError, match=r"^the k-person game requires n >= 3$"):
+        solve_over_k("quantum", names, 2, GAMMA_MAX)
+    with pytest.raises(DomainError, match=r"^n must be an integer, got 10\.0$"):
+        solve_over_k("quantum", names, 10.0, GAMMA_MAX)
 
 
 def test_cli_solve_makes_one_over_k_pass(protocol_runs, monkeypatch, capsys):
@@ -192,7 +200,7 @@ def _cli_solve(strategies):
     [
         (lambda: sweep_k("classical", ("P1", "P2"), 10), 0),  # dominance decides every k
         (lambda: sweep_k("quantum", ("P1", "P2", "M"), 10, gamma=GAMMA_MAX), 0),
-        (lambda: sweep_k("quantum", ("P1", "P2", "Q"), 10, gamma=GAMMA_MAX), 7),  # k = 1..7
+        (lambda: sweep_k("quantum", ("P1", "P2", "Q"), 10, gamma=GAMMA_MAX), 8),  # k = 0..7, for the rows 1..7
         (lambda: _cli_solve("p1p2q"), 7),  # the over-k pass k = 0..6; the printed k is read from it
         (lambda: _cli_solve("p1p2m"), 1),  # only the printed k, for its mixed line
         (lambda: sweep_gamma(("P1", "P2", "M"), [float(g) for g in np.linspace(0, GAMMA_MAX, 201)]), 99),

@@ -3,6 +3,8 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+import pigouq.metrics as metrics
+import pigouq.sweeps as sweeps
 from pigouq.equilibria import solve
 from pigouq.errors import DomainError
 from pigouq.ewl import GAMMA_MAX, KET_00
@@ -77,7 +79,7 @@ def test_sweep_points_match_direct_module_calls():
         eq = solve(matrix)
         assert rep.cost_ne == profile_total(spec, matrix, eq.selected)
         _, _, direct = analyze(spec)  # over the full 0..n-3 range
-        assert rep.cost_opt == direct.cost_opt  # interior minimum, so ranges agree
+        assert rep.cost_opt == direct.cost_opt  # one optimum over k = 0..n-3 for both
         assert rep.pos == direct.pos
 
 
@@ -151,3 +153,45 @@ def test_json_mirror_keeps_rationals():
 def test_axis_must_increase():
     series = sweep_k("classical", ("P1", "P2"), 10, [3, 1, 2])
     assert series.values == (1, 2, 3)  # sorted and deduped
+
+
+
+REFERENCE_SETS = [
+    ("classical", ("P1", "P2"), None),
+    ("quantum", ("P1", "P2", "Q"), GAMMA_MAX),
+    ("quantum", ("P1", "P2", "M"), GAMMA_MAX),
+]
+
+
+@pytest.fixture
+def remembered_passes(monkeypatch):
+    """Run each distinct over-k pass once, for ``analyze`` and ``sweep_k`` alike.
+
+    The test compares how the two read the pass; rerunning it per call
+    would take about 15 s. A reader that asks for another pass than the
+    other's still gets another result.
+    """
+    real, memo = metrics.solve_over_k, {}
+
+    def remembered(*args, **kwargs):
+        key = repr((args, sorted(kwargs.items())))
+        if key not in memo:
+            memo[key] = real(*args, **kwargs)
+        return memo[key]
+
+    monkeypatch.setattr(metrics, "solve_over_k", remembered)
+    monkeypatch.setattr(sweeps, "solve_over_k", remembered)
+
+
+@pytest.mark.parametrize("mode, strategies, gamma", REFERENCE_SETS, ids=["classical", "p1p2q", "p1p2m"])
+def test_every_k_sweep_prices_each_k_as_analyze_does(remembered_passes, mode, strategies, gamma):
+    # One optimum per (strategy set, n, gamma), whatever range a sweep reports:
+    # at n = 10 {P1,P2,Q} a sweep over 6..7 once priced k = 6 at PoS 1.
+    for n in range(3, 31):
+        specs = [GameSpec("k_person", mode, n, k, gamma, strategies) for k in range(n - 2)]
+        direct = [analyze(spec)[2] for spec in specs]
+        ranges = [[k] for k in range(n - 2)] + [[k, k + 1] for k in range(n - 3)]
+        ranges.append([0] if n == 3 else None)
+        for ks in ranges:
+            series = sweep_k(mode, strategies, n, ks, gamma=gamma)
+            assert series.reports == tuple(direct[k] for k in series.values), (n, ks)

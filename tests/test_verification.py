@@ -134,3 +134,15 @@ def test_the_first_failing_draw_is_named(monkeypatch, draws, first, second, earl
     FAULTS[second](monkeypatch, draws, later)
     detail = FAULTS[first](monkeypatch, draws, earlier)
     assert verification.check_random_unitarity_and_normalization().detail == detail
+
+
+def test_matrices_slightly_off_unitary_fail_on_normalization(monkeypatch):
+    # Scaled by 1 + 4e-13, every matrix still passes is_unitary at 1e-12, but each
+    # distribution sums to about 1 + 1.6e-12: the check itself reports it.
+    wrapped = verification.unitary_from_angles
+    monkeypatch.setattr(verification, "unitary_from_angles", lambda theta, phi: (1 + 4e-13) * wrapped(theta, phi))
+    batch = verification.check_property_batch()
+    assert not batch.passed
+    name = verification.check_random_unitarity_and_normalization().name
+    assert batch.detail.startswith(f"{name}: normalization 1.0000000000")
+    assert ";" not in batch.detail and "DomainError" not in batch.detail
