@@ -23,7 +23,7 @@ for gamma, rep in zip(series.values, series.reports):
     opt = f"{float(rep.cost_opt):.4f}"
     label = rep.equilibrium
     if label is None:
-        spec = GameSpec(variant="two_person", mode="quantum", n=2, gamma=gamma, strategies=("P1", "P2", "M"))
+        spec = GameSpec(mode="quantum", n=2, gamma=gamma, strategies=("P1", "P2", "M"))
         strict = solve(bimatrix(spec)).strict_pure
         label = "tied: " + ", ".join(f"({p.row_label},{p.col_label})" for p in strict)
     print(f"{gamma:>10.4f} {ne:>10} {opt:>10} {pos:>8}  {label}")

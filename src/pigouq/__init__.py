@@ -19,7 +19,6 @@ from .equilibria import (
     PureProfile,
     dominance_select,
     optimal_outcome,
-    pure_nash,
     solve,
 )
 from .metrics import (
@@ -59,7 +58,6 @@ __all__ = [
     "optimal_outcome",
     "outcome_table",
     "pinned_bill",
-    "pure_nash",
     "resolve",
     "series_to_csv",
     "series_to_json_obj",

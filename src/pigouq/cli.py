@@ -31,7 +31,7 @@ from .verification import run_all
 
 __all__ = ["main", "run"]
 
-#: ``--game`` value -> (mode, variant) of its GameSpec.
+#: ``--game`` value -> the mode and :attr:`GameSpec.variant` of the game it names.
 GAMES = {
     "classical2": ("classical", "two_person"),
     "classicalk": ("classical", "k_person"),
@@ -141,7 +141,7 @@ def _build_spec(args, parser) -> GameSpec:
     if variant == "k_person" and args.k is None:
         parser.error(f"--k is required for {args.game}")
     n = args.n if variant == "k_person" else 2
-    return GameSpec(variant=variant, mode=mode, n=n, k=args.k, gamma=gamma, strategies=strategies)
+    return GameSpec(mode=mode, n=n, k=args.k, gamma=gamma, strategies=strategies)
 
 
 def _matrix_payload(spec: GameSpec, fmt: str) -> str:
@@ -169,7 +169,7 @@ def _solve_payload(spec: GameSpec, fmt: str) -> str:
         }
         return json.dumps(payload, indent=2) + "\n"
     if fmt == "csv":
-        if spec.variant == "k_person":
+        if spec.k is not None:
             axis, value = "k", spec.k
         else:
             # The classical two-person game is the gamma = 0 limit.

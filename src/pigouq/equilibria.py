@@ -5,7 +5,8 @@ when no unilateral deviation strictly lowers the deviator's cost, and a
 strict one when every deviation strictly raises it. Three solvers are
 used because they genuinely differ on these games:
 
-* :func:`pure_nash` scans every cell;
+* the pure scan tries every cell, read through the ``strict_pure`` and
+  ``weak_pure`` views of :func:`solve`;
 * :func:`dominance_select` iteratively removes weakly dominated
   strategies and reports the surviving cell when it is unique -- the
   selection the narrative "the equilibrium is X" claims of small
@@ -22,7 +23,7 @@ pair has one indifference system with more unknowns than equations, so
 it never solves uniquely on both sides and yields no profile. A 1x1
 pair always solves uniquely, and no strategy outside it beats it
 exactly when it is a weak pure equilibrium, so the 1x1 pairs yield
-exactly the weak :func:`pure_nash` profiles. The profiles and the
+exactly the weak pure equilibria. The profiles and the
 "singular ..., skipped" notes therefore come from one *square pass*:
 the weak pure scan plus the square pairs of size 2 and up, each solved
 once.
@@ -76,7 +77,6 @@ __all__ = [
     "PureProfile",
     "dominance_select",
     "optimal_outcome",
-    "pure_nash",
     "solve",
 ]
 
@@ -150,16 +150,16 @@ class EquilibriumResult:
             raise DomainError(f"support enumeration is limited to {MAX_MIXED_SIZE}x{MAX_MIXED_SIZE} games")
 
     @cached_property
-    def _pure(self) -> dict[str, tuple[PureProfile, ...]]:
+    def _pure(self) -> tuple[tuple[PureProfile, ...], tuple[PureProfile, ...]]:
         return _pure_scan(self.matrix)
 
     @cached_property
     def strict_pure(self) -> tuple[PureProfile, ...]:
-        return self._pure["strict"]
+        return self._pure[1]
 
     @cached_property
     def weak_pure(self) -> tuple[PureProfile, ...]:
-        return self._pure["weak"]
+        return self._pure[0]
 
     @cached_property
     def _square(self) -> tuple[tuple[MixedProfile, ...], tuple[str, ...]]:
@@ -223,8 +223,8 @@ def _profile(matrix: CostBimatrix, i: int, j: int) -> PureProfile:
     return PureProfile(i, j, matrix.row_labels[i], matrix.col_labels[j])
 
 
-def _pure_scan(matrix: CostBimatrix) -> dict[str, tuple[PureProfile, ...]]:
-    """The ``"weak"`` and ``"strict"`` pure equilibria, from one row-major pass over the cells.
+def _pure_scan(matrix: CostBimatrix) -> tuple[tuple[PureProfile, ...], tuple[PureProfile, ...]]:
+    """The ``(weak, strict)`` pure equilibria, from one row-major pass over the cells.
 
     A cell is weak when its cost is the least of its column of ``a`` and
     of its row of ``b``, and strict when that least cost is unique in both.
@@ -232,25 +232,14 @@ def _pure_scan(matrix: CostBimatrix) -> dict[str, tuple[PureProfile, ...]]:
     a, b, _, _ = matrix.scaled_costs
     cols_a = list(zip(*a))
     best_a, best_b = [min(col) for col in cols_a], [min(row) for row in b]
-    found = {"weak": [], "strict": []}
+    weak, strict = [], []
     for i, j in itertools.product(range(matrix.size), repeat=2):
         if a[i][j] == best_a[j] and b[i][j] == best_b[i]:
             profile = _profile(matrix, i, j)
-            found["weak"].append(profile)
+            weak.append(profile)
             if cols_a[j].count(best_a[j]) == 1 and b[i].count(best_b[i]) == 1:
-                found["strict"].append(profile)
-    return {mode: tuple(profiles) for mode, profiles in found.items()}
-
-
-def pure_nash(matrix: CostBimatrix, mode: str = "weak") -> list[PureProfile]:
-    """All pure equilibria, scanned cell by cell in row-major order.
-
-    ``mode="weak"``: no unilateral deviation strictly lowers the
-    deviator's cost. ``mode="strict"``: every deviation strictly raises it.
-    """
-    if mode not in ("weak", "strict"):
-        raise DomainError(f"mode must be 'weak' or 'strict', got {mode!r}")
-    return list(_pure_scan(matrix)[mode])
+                strict.append(profile)
+    return tuple(weak), tuple(strict)
 
 
 def _weakly_dominates(costs, new, old, others) -> bool:
@@ -350,7 +339,7 @@ def _full_mix(weights, denominator, support, size):
 def _square_pass(matrix: CostBimatrix, weak_pure):
     """Equilibria of the square support pairs, with the notes those pairs add.
 
-    ``weak_pure`` is the weak :func:`pure_nash` scan of ``matrix``, which
+    ``weak_pure`` is the weak pure scan of ``matrix``, which
     stands in for the 1x1 pairs. Returns the sorted profiles and the
     notes in size-then-index order of their pairs. Each pair solves its
     column-mix system, then, only when that is unique, its row-mix system;

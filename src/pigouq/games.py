@@ -94,12 +94,13 @@ def _integer(name: str, value) -> int:
 
 @dataclass(frozen=True)
 class GameSpec:
-    """Which game to build: variant, population, entanglement, strategy set.
+    """Which game to build: mode, population, pinned count, entanglement, strategy set.
 
-    A quantum spec keeps ``gamma`` as the float :func:`~pigouq.ewl.validate_gamma` returns.
+    A spec without ``k`` is the two-person game, which fixes n = 2; a spec
+    with ``k`` is the n-traveler game. A quantum spec keeps ``gamma`` as the
+    float :func:`~pigouq.ewl.validate_gamma` returns.
     """
 
-    variant: Literal["two_person", "k_person"]
     mode: Literal["classical", "quantum"]
     n: int
     k: int | None = None
@@ -107,27 +108,18 @@ class GameSpec:
     strategies: tuple = ("P1", "P2")
 
     def __post_init__(self):
-        if self.variant not in ("two_person", "k_person"):
-            raise DomainError(f"unknown variant {self.variant!r}")
         _integer("n", self.n)
         if self.k is not None:
             _integer("k", self.k)
         if self.mode not in ("classical", "quantum"):
             raise DomainError(f"unknown mode {self.mode!r}")
-        if self.variant == "two_person":
+        if self.k is None:
             if self.n != 2:
-                raise DomainError("the two-person game fixes n = 2")
-            if self.k is not None:
-                raise DomainError("the two-person game takes no pinned-player count k")
-        else:
-            if self.k is None:
-                raise DomainError("the k-person game requires k")
-            if self.n < 3:
-                raise DomainError("the k-person game requires n >= 3")
-            if not (0 <= self.k < self.n - 2):
-                raise DomainError(
-                    f"pinned lower-edge count must satisfy 0 <= k < n-2, got k={self.k}, n={self.n}"
-                )
+                raise DomainError(f"a game without k is the two-person game, which fixes n = 2; got n={self.n}")
+        elif self.n < 3:
+            raise DomainError("the k-person game requires n >= 3")
+        elif not (0 <= self.k < self.n - 2):
+            raise DomainError(f"pinned lower-edge count must satisfy 0 <= k < n-2, got k={self.k}, n={self.n}")
         if not self.strategies:
             raise DomainError("strategy list must be nonempty")
         labels = [strategy_label(s) for s in self.strategies]
@@ -143,25 +135,28 @@ class GameSpec:
                 raise DomainError("quantum games require an entanglement angle")
             object.__setattr__(self, "gamma", validate_gamma(self.gamma))
 
+    @property
+    def variant(self) -> Literal["two_person", "k_person"]:
+        """``"two_person"`` for a spec without ``k``, ``"k_person"`` for one with it."""
+        return "two_person" if self.k is None else "k_person"
+
     @classmethod
     def classical_two_person(cls) -> "GameSpec":
-        return cls(variant="two_person", mode="classical", n=2)
+        return cls(mode="classical", n=2)
 
     @classmethod
     def classical_k_person(cls, n: int, k: int) -> "GameSpec":
-        return cls(variant="k_person", mode="classical", n=n, k=k)
+        return cls(mode="classical", n=n, k=k)
 
     @classmethod
     def quantum_two_person(cls, strategies=("P1", "P2", "Q"), gamma: float = GAMMA_MAX) -> "GameSpec":
-        return cls(variant="two_person", mode="quantum", n=2, gamma=gamma, strategies=tuple(strategies))
+        return cls(mode="quantum", n=2, gamma=gamma, strategies=tuple(strategies))
 
     @classmethod
     def quantum_k_person(
         cls, n: int, k: int, strategies=("P1", "P2", "Q"), gamma: float = GAMMA_MAX
     ) -> "GameSpec":
-        return cls(
-            variant="k_person", mode="quantum", n=n, k=k, gamma=gamma, strategies=tuple(strategies)
-        )
+        return cls(mode="quantum", n=n, k=k, gamma=gamma, strategies=tuple(strategies))
 
     def strategy_labels(self) -> tuple[str, ...]:
         return tuple(strategy_label(s) for s in self.strategies)

@@ -17,12 +17,14 @@ equilibrium-cost set has a single element, so the two ratios coincide
 whenever they are defined.
 
 The optimal cost follows the game, because the headline claims quote
-each number in its own context: a two-person game, and every point of a
-gamma sweep, is priced against the cheapest cell of the matrix at hand;
-an n-traveler game at any k against the cheapest equilibrium total over
-k = 0..n-3 for the same strategy set, n and gamma, which
-:func:`solve_over_k` computes. :func:`analyze` and every k sweep read
-that one number, whatever k or range of k they report.
+each number in its own context: a two-person game is priced against the
+cheapest cell of the matrix at hand; an n-traveler game at any k against
+the cheapest equilibrium total over k = 0..n-3 for the same strategy
+set, n and gamma, which :func:`solve_over_k` computes (None, with the
+ratios, when no k selects an equilibrium). :func:`analyze` and every k
+sweep read that one number, whatever k or range of k they report. A
+gamma sweep is the exception: it prices every point per game, k-person
+points included (see :func:`~pigouq.sweeps.sweep_gamma`).
 """
 
 from __future__ import annotations
@@ -187,10 +189,11 @@ def solve_over_k(mode: str, strategies, n: int, gamma: float | None = None):
     protocol never sees k. Returns ``(points, opt)``: one ``(spec,
     matrix, equilibria, total)`` per k, indexed by k, where ``total`` is
     the selected equilibrium's social cost (None when nothing is
-    selected), and ``opt``, the cheapest of those totals.
+    selected), and ``opt``, the cheapest of those totals (None when no k
+    selects an equilibrium).
     """
     specs = [
-        GameSpec(variant="k_person", mode=mode, n=n, k=k, gamma=gamma, strategies=tuple(strategies))
+        GameSpec(mode=mode, n=n, k=k, gamma=gamma, strategies=tuple(strategies))
         for k in range(_integer("n", n) - 2)
     ]
     if not specs:
@@ -202,10 +205,7 @@ def solve_over_k(mode: str, strategies, n: int, gamma: float | None = None):
         eq = solve(matrix)
         total = profile_total(spec, matrix, eq.selected) if eq.selected is not None else None
         points.append((spec, matrix, eq, total))
-    totals = [total for *_, total in points if total is not None]
-    if not totals:
-        raise DomainError("no k in the range yields a selected equilibrium")
-    return points, min(totals)
+    return points, min((total for *_, total in points if total is not None), default=None)
 
 
 def _metrics_report(spec: GameSpec, eq: EquilibriumResult, cost_ne, cost_opt) -> MetricsReport:
@@ -231,7 +231,7 @@ def analyze(spec: GameSpec):
     and the game at ``spec.k`` is one point of that over-k pass, so its
     matrix, equilibria and total come from there.
     """
-    if spec.variant == "two_person":
+    if spec.k is None:
         return _per_game(spec)
     points, cost_opt = solve_over_k(spec.mode, spec.strategies, spec.n, spec.gamma)
     _, matrix, eq, cost_ne = points[spec.k]

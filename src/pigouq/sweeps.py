@@ -5,10 +5,12 @@ Sweeps emit figure-ready data, not figures: CSV with the fixed header
     axis,value,cost_ne,cost_opt,pos,poa,equilibrium
 
 and a JSON mirror that keeps full-precision rationals. Points are
-independent pure computations, so reruns are byte-identical; a k-sweep's
+independent pure computations, so reruns are byte-identical. A k-sweep's
 optimal cost is the cheapest equilibrium total over k = 0..n-3 (the
-over-k convention of :mod:`pigouq.metrics`), whatever range it reports,
-while a gamma-sweep prices each matrix against its own cheapest cell.
+over-k convention of :mod:`pigouq.metrics`), whatever range it reports.
+A gamma-sweep prices each point per game, against its own matrix's
+cheapest cell plus the pinned bill, so a k-person gamma row can differ
+from :func:`~pigouq.metrics.analyze` at the same k.
 """
 
 from __future__ import annotations
@@ -99,20 +101,19 @@ def sweep_gamma(
 ) -> SweepSeries:
     """Solve the quantum game across entanglement angles.
 
-    ``n=2`` with ``k=None`` runs the two-person game; otherwise the
-    n-traveler game at the given k. Each point is priced against its own
-    matrix (per-game optimum).
+    ``k=None`` runs the two-person game, which fixes ``n=2``; otherwise the
+    n-traveler game at the given k. Each point is priced per game: its
+    optimal cost is its own matrix's cheapest cell plus the pinned bill,
+    not the over-k optimum that :func:`~pigouq.metrics.analyze` and
+    :func:`sweep_k` use.
     """
     gammas = sorted(set(validate_gamma(g) for g in gamma_values))
     if not gammas:
         raise DomainError("empty gamma range")
 
-    variant = "two_person" if k is None else "k_person"
-    specs = [
-        GameSpec(variant=variant, mode="quantum", n=n, k=k, gamma=g, strategies=tuple(strategies)) for g in gammas
-    ]
+    specs = [GameSpec(mode="quantum", n=n, k=k, gamma=g, strategies=tuple(strategies)) for g in gammas]
     reports = [_per_game(spec)[2] for spec in specs]
-    meta = _meta(mode="quantum", variant=variant, n=n, k=k, strategies=specs[0].strategy_labels())
+    meta = _meta(mode="quantum", variant=specs[0].variant, n=n, k=k, strategies=specs[0].strategy_labels())
     return SweepSeries("gamma", tuple(gammas), tuple(reports), meta)
 
 

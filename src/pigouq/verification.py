@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -287,13 +286,13 @@ def _unitary_stack(thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
 
 
 def check_classical_limit() -> CheckResult:
-    quantum = bimatrix(GameSpec(variant="two_person", mode="quantum", n=2, gamma=0.0, strategies=("P1", "P2")))
+    quantum = bimatrix(GameSpec(mode="quantum", n=2, gamma=0.0, strategies=("P1", "P2")))
     classical = bimatrix(GameSpec.classical_two_person())
     ok = quantum.cells == classical.cells
     detail = f"{quantum.cells} vs {classical.cells}"
     if ok:
         for n, k in ((10, 1), (10, 4), (10, 7), (7, 2), (5, 2)):
-            q = bimatrix(GameSpec(variant="k_person", mode="quantum", n=n, k=k, gamma=0.0, strategies=("P1", "P2")))
+            q = bimatrix(GameSpec(mode="quantum", n=n, k=k, gamma=0.0, strategies=("P1", "P2")))
             c = bimatrix(GameSpec.classical_k_person(n, k))
             if q.cells != c.cells:
                 ok, detail = False, f"n={n}, k={k}"
@@ -328,48 +327,40 @@ def check_bimatrix_symmetry() -> CheckResult:
     return _result("cost grids are exchange-symmetric", not problems, "; ".join(problems[:4]))
 
 
-#: The deviation oracle tries every mixed strategy whose weights are multiples of 1/_GRID_STEP.
-_GRID_STEP = 200
+def _profile_problems(matrix, profile) -> list[str]:
+    """What keeps ``profile`` from being an equilibrium of ``matrix`` with the costs it reports.
 
-
-@lru_cache(maxsize=None)
-def _simplex_grid(size: int) -> np.ndarray:
-    """Every mixed strategy over ``size`` (2 or 3) moves with 1/_GRID_STEP-multiple weights."""
-    step = _GRID_STEP
-    if size == 2:
-        i = np.arange(step + 1)
-        return np.stack([i / step, 1 - i / step], axis=1)
-    i, i_plus_j = np.triu_indices(step + 1)  # every i <= i + j <= step, i major
-    j = i_plus_j - i
-    return np.stack([i / step, j / step, (step - i - j) / step], axis=1)
-
-
-def _grid_deviation_gap(matrix, profile) -> float:
-    """Largest cost saving any 1/_GRID_STEP-grid deviation offers either player."""
+    Exact ``Fraction`` arithmetic over the cells (``Fraction`` of a float
+    cell is its exact value): each player's reported expected cost must
+    equal ``p @ A @ q`` and ``p @ B @ q``, and no pure deviation may cost
+    less. A linear cost's minimum over a simplex is at a vertex, so no
+    mixed deviation costs less either.
+    """
     size = matrix.size
-    a = np.array([[float(matrix.cost_a(i, j)) for j in range(size)] for i in range(size)])
-    b = np.array([[float(matrix.cost_b(i, j)) for j in range(size)] for i in range(size)])
-    p = np.array([float(x) for x in profile.alice_probs])
-    q = np.array([float(x) for x in profile.bob_probs])
-    grid = _simplex_grid(size)
-    row_costs = a @ q  # Alice's pure-strategy costs against Bob's mix
-    col_costs = b.T @ p  # Bob's pure-strategy costs against Alice's mix
-    gap_a = float(p @ row_costs - np.min(grid @ row_costs))
-    gap_b = float(q @ col_costs - np.min(grid @ col_costs))
-    return max(gap_a, gap_b)
+    p, q = profile.alice_probs, profile.bob_probs
+    rows = [sum(Fraction(matrix.cost_a(i, j)) * q[j] for j in range(size) if q[j]) for i in range(size)]
+    cols = [sum(Fraction(matrix.cost_b(i, j)) * p[i] for i in range(size) if p[i]) for j in range(size)]
+    problems = []
+    for player, mix, pure, reported in (
+        ("Alice", p, rows, profile.expected_cost_alice),
+        ("Bob", q, cols, profile.expected_cost_bob),
+    ):
+        cost = sum(x * c for x, c in zip(mix, pure))
+        if cost != reported:
+            problems.append(f"{player}'s expected cost is {cost}, reported {reported}")
+        if min(pure) < cost:
+            problems.append(f"{player} saves {cost - min(pure)} by a pure deviation")
+    return problems
 
 
-def check_mixed_profiles_against_grid_oracle() -> CheckResult:
+def check_mixed_profiles_best_responses() -> CheckResult:
     problems = []
     for spec in _all_reference_specs():
         matrix = bimatrix(spec)
         for profile in solve(matrix).mixed:
-            gap = _grid_deviation_gap(matrix, profile)
-            if gap > 1e-9:
-                problems.append(f"{spec.describe()}: gap {gap}")
-    return _result(
-        f"every mixed profile survives the 1/{_GRID_STEP}-grid deviation oracle", not problems, "; ".join(problems)
-    )
+            problems += [f"{spec.describe()}: {problem}" for problem in _profile_problems(matrix, profile)]
+    name = "every mixed profile reports its exact costs and no pure deviation is cheaper"
+    return _result(name, not problems, "; ".join(problems))
 
 
 def check_ratio_identity() -> CheckResult:
@@ -388,12 +379,12 @@ def check_property_batch() -> CheckResult:
         check_random_unitarity_and_normalization(),
         check_classical_limit(),
         check_bimatrix_symmetry(),
-        check_mixed_profiles_against_grid_oracle(),
+        check_mixed_profiles_best_responses(),
         check_ratio_identity(),
     ]
     bad = [p for p in parts if not p.passed]
     return _result(
-        "property batch: normalization, classical limit, symmetry, grid oracle, ratio identity",
+        "property batch: normalization, classical limit, symmetry, best response, ratio identity",
         not bad,
         "; ".join(f"{p.name}: {p.detail}" for p in bad),
     )

@@ -197,6 +197,38 @@ class TestDomainErrors:
         assert capsys.readouterr().out.splitlines()[1] == "k,0,2.3333333333333335,2.3333333333333335,1.0,1.0,pure:(P2,P2)"
 
 
+class TestNoSelectedEquilibrium:
+    """An n-traveler game in which no k selects an equilibrium leaves its metrics unset, as a two-person one does."""
+
+    def test_solve_table(self, capsys):
+        code, out, err = run_cli(
+            capsys, "solve", "--game", "quantumk", "--strategies", "p1p2m", "--n", "3", "--k", "0", "--gamma", "0.8"
+        )
+        assert (code, err) == (0, "")
+        assert "selected equilibrium:   none\n" in out
+        assert out.endswith("cost(NE) = -, cost(OPT) = -, PoS = -, PoA = -\n")
+
+    def test_solve_json(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "solve", "--game", "quantumk", "--strategies", "p1p2q", "--n", "6", "--k", "2",
+            "--gamma", "1.114", "--format", "json",
+        )
+        assert code == 0
+        obj = json.loads(out)
+        assert obj["equilibria"]["selected"] is None
+        assert obj["metrics"] == {
+            "cost_ne": None, "cost_opt": None, "pos": None, "poa": None, "k": 2, "equilibrium": None,
+        }
+
+    def test_sweep_over_k(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "sweep", "--game", "quantumk", "--strategies", "p1p2q", "--n", "6", "--gamma", "1.114",
+            "--over", "k",
+        )
+        assert code == 0
+        assert out.splitlines()[1:] == ["k,1,,,,,", "k,2,,,,,", "k,3,,,,,"]
+
+
 def test_out_redirects_payload_only(tmp_path, capsys):
     target = tmp_path / "grid.txt"
     code = main(["matrix", "--game", "classical2", "--out", str(target)])

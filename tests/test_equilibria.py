@@ -7,7 +7,6 @@ from pigouq.equilibria import (
     MixedProfile,
     dominance_select,
     optimal_outcome,
-    pure_nash,
     solve,
 )
 from pigouq.errors import DomainError
@@ -52,22 +51,18 @@ def grid_deviation_gap(matrix, alice_probs, bob_probs, step=200):
 
 class TestPureNash:
     def test_strict_scan_of_miracle_game(self):
-        assert cells(pure_nash(MIRACLE_2P, "strict")) == [("M", "M")]
+        assert cells(solve(MIRACLE_2P).strict_pure) == [("M", "M")]
 
     def test_weak_includes_the_double_flip(self):
-        assert ("P2", "P2") in cells(pure_nash(CLASSICAL_2P, "weak"))
+        assert ("P2", "P2") in cells(solve(CLASSICAL_2P).weak_pure)
 
     def test_total_indifference(self):
-        assert pure_nash(ALL_TIES, "strict") == []
-        assert len(pure_nash(ALL_TIES, "weak")) == 4
+        assert solve(ALL_TIES).strict_pure == ()
+        assert len(solve(ALL_TIES).weak_pure) == 4
 
     def test_phase_game_has_no_strict_equilibria(self):
-        assert pure_nash(PHASE_2P, "strict") == []
-        assert cells(pure_nash(PHASE_2P, "weak")) == [("P2", "Q"), ("Q", "P2"), ("Q", "Q")]
-
-    def test_mode_validation(self):
-        with pytest.raises(DomainError):
-            pure_nash(CLASSICAL_2P, "loose")
+        assert solve(PHASE_2P).strict_pure == ()
+        assert cells(solve(PHASE_2P).weak_pure) == [("P2", "Q"), ("Q", "P2"), ("Q", "Q")]
 
 
 class TestDominance:
@@ -224,5 +219,5 @@ def test_strict_set_invariant_under_affine_rescaling():
         tuple((3 * a + 1, 3 * b + 1) for a, b in row) for row in MIRACLE_2P.cells
     )
     scaled = CostBimatrix(MIRACLE_2P.row_labels, MIRACLE_2P.col_labels, scaled_cells)
-    assert cells(pure_nash(scaled, "strict")) == cells(pure_nash(MIRACLE_2P, "strict"))
-    assert cells(pure_nash(scaled, "weak")) == cells(pure_nash(MIRACLE_2P, "weak"))
+    assert cells(solve(scaled).strict_pure) == cells(solve(MIRACLE_2P).strict_pure)
+    assert cells(solve(scaled).weak_pure) == cells(solve(MIRACLE_2P).weak_pure)

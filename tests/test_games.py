@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from fractions import Fraction as F
@@ -173,12 +174,21 @@ def test_tiny_gamma_is_not_the_unentangled_game():
 
 class TestGameSpecValidation:
     def test_two_person_fixes_n(self):
-        with pytest.raises(DomainError):
-            GameSpec(variant="two_person", mode="classical", n=3)
+        with pytest.raises(DomainError, match=r"^a game without k is the two-person game, which fixes n = 2; got n=3$"):
+            GameSpec(mode="classical", n=3)
 
     def test_two_person_takes_no_k(self):
-        with pytest.raises(DomainError):
-            GameSpec(variant="two_person", mode="classical", n=2, k=1)
+        # A spec with k is the n-traveler game, which n = 2 cannot hold.
+        with pytest.raises(DomainError, match=r"^the k-person game requires n >= 3$"):
+            GameSpec(mode="classical", n=2, k=1)
+
+    def test_variant_is_derived_from_k(self):
+        assert [f.name for f in dataclasses.fields(GameSpec)] == ["mode", "n", "k", "gamma", "strategies"]
+        assert GameSpec.classical_two_person().variant == "two_person"
+        assert GameSpec.quantum_k_person(10, 0).variant == "k_person"
+        assert GameSpec.classical_k_person(10, 3).describe() == "classical k-person n=10 k=3 strategies=P1,P2"
+        with pytest.raises(AttributeError):
+            GameSpec.classical_two_person().variant = "k_person"
 
     def test_k_bounds(self):
         GameSpec.classical_k_person(10, 0)
@@ -196,25 +206,25 @@ class TestGameSpecValidation:
 
     def test_two_person_population_is_an_integer(self):
         with pytest.raises(DomainError, match=r"^n must be an integer, got 2\.0$"):
-            GameSpec(variant="two_person", mode="classical", n=2.0)
+            GameSpec(mode="classical", n=2.0)
 
     def test_classical_strategies_limited_to_paths(self):
         with pytest.raises(DomainError):
-            GameSpec(variant="two_person", mode="classical", n=2, strategies=("P1", "Q"))
+            GameSpec(mode="classical", n=2, strategies=("P1", "Q"))
 
     @pytest.mark.parametrize("strategies", [("P2", "P1"), ("P1",), ("P2",)])
     def test_classical_strategies_are_both_paths_in_grid_order(self, strategies):
         # CLASSICAL_GRID is laid out over (P1, P2), so no other list may label it
         with pytest.raises(DomainError, match="exactly P1 and P2"):
-            GameSpec(variant="k_person", mode="classical", n=10, k=3, strategies=strategies)
+            GameSpec(mode="classical", n=10, k=3, strategies=strategies)
 
     def test_classical_takes_no_gamma(self):
         with pytest.raises(DomainError):
-            GameSpec(variant="two_person", mode="classical", n=2, gamma=0.5)
+            GameSpec(mode="classical", n=2, gamma=0.5)
 
     def test_quantum_requires_gamma(self):
         with pytest.raises(DomainError):
-            GameSpec(variant="two_person", mode="quantum", n=2, strategies=("P1", "P2"))
+            GameSpec(mode="quantum", n=2, strategies=("P1", "P2"))
 
     def test_quantum_gamma_range(self):
         with pytest.raises(DomainError):
@@ -312,17 +322,17 @@ def test_k_person_phase_cross_cell():
 
 def test_unentangled_restriction_equals_classical():
     assert outcome_grid(("P1", "P2"), 0.0) == CLASSICAL_GRID
-    q2 = bimatrix(GameSpec(variant="two_person", mode="quantum", n=2, gamma=0.0, strategies=("P1", "P2")))
+    q2 = bimatrix(GameSpec(mode="quantum", n=2, gamma=0.0, strategies=("P1", "P2")))
     c2 = bimatrix(GameSpec.classical_two_person())
     assert q2.cells == c2.cells
     for n, k in ((10, 1), (10, 5), (6, 2)):
-        qk = bimatrix(GameSpec(variant="k_person", mode="quantum", n=n, k=k, gamma=0.0, strategies=("P1", "P2")))
+        qk = bimatrix(GameSpec(mode="quantum", n=n, k=k, gamma=0.0, strategies=("P1", "P2")))
         ck = bimatrix(GameSpec.classical_k_person(n, k))
         assert qk.cells == ck.cells
 
 
 def test_generic_gamma_cells_are_floats():
-    m = bimatrix(GameSpec(variant="two_person", mode="quantum", n=2, gamma=0.4, strategies=("P1", "P2", "M")))
+    m = bimatrix(GameSpec(mode="quantum", n=2, gamma=0.4, strategies=("P1", "P2", "M")))
     kinds = {type(v) for row in m.cells for cell in row for v in cell}
     assert float in kinds  # partial entanglement leaves non-dyadic outcomes
 

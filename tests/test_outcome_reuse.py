@@ -78,7 +78,7 @@ def per_k_points(mode, names, n, ks, gamma):
     """(spec, equilibria, total) per k, each k built and solved on its own."""
     points = []
     for k in ks:
-        spec = GameSpec(variant="k_person", mode=mode, n=n, k=k, gamma=gamma, strategies=names)
+        spec = GameSpec(mode=mode, n=n, k=k, gamma=gamma, strategies=names)
         matrix = bimatrix(spec)
         eq = solve(matrix)
         total = profile_total(spec, matrix, eq.selected) if eq.selected is not None else None

@@ -12,8 +12,8 @@ oracle's, for every square support pair and both of its systems, so a
 wrong row system cannot hide behind an inconsistent column system.
 
 Every game here also checks :func:`solve`, whose views are computed on
-first read, against an eager reference that runs the pure scans,
-dominance and the oracle up front and spells out the selection
+first read, against an eager reference that runs a brute-force pure
+scan, dominance and the oracle up front and spells out the selection
 convention.
 """
 
@@ -24,7 +24,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from pigouq.equilibria import MixedProfile, _indifference_mix, dominance_select, pure_nash, solve
+from pigouq.equilibria import MixedProfile, PureProfile, _indifference_mix, dominance_select, solve
 from pigouq.games import CostBimatrix, GameSpec, bimatrix
 from pigouq.strategies import STRATEGY_TAGS, StrategyAngles
 
@@ -180,6 +180,21 @@ def _same_as_oracle(matrix):
 VIEWS = ("strict_pure", "weak_pure", "mixed", "selected", "selected_by", "diagnostics")
 
 
+def brute_force_pure(matrix):
+    """``(strict, weak)`` pure equilibria: every unilateral deviation from every cell, tried on the cells themselves."""
+    strict, weak = [], []
+    for i, j in itertools.product(range(matrix.size), repeat=2):
+        a, b = matrix.cell(i, j)
+        deviations = [(matrix.cost_a(r, j), a) for r in range(matrix.size) if r != i]
+        deviations += [(matrix.cost_b(i, c), b) for c in range(matrix.size) if c != j]
+        if all(cost >= stay for cost, stay in deviations):
+            profile = PureProfile(i, j, matrix.row_labels[i], matrix.col_labels[j])
+            weak.append(profile)
+            if all(cost > stay for cost, stay in deviations):
+                strict.append(profile)
+    return tuple(strict), tuple(weak)
+
+
 def eager_views(matrix):
     """The six views of ``solve``, every solver run up front, the convention spelled out.
 
@@ -187,8 +202,7 @@ def eager_views(matrix):
     solves every support pair, so the views are checked against a
     reference that skips none; its notes are kept for equal-size pairs.
     """
-    strict = tuple(pure_nash(matrix, "strict"))
-    weak = tuple(pure_nash(matrix, "weak"))
+    strict, weak = brute_force_pure(matrix)
     mixed, diagnostics = square_oracle_enumeration(matrix)
     dominant = dominance_select(matrix)
     if dominant is not None:

@@ -102,7 +102,7 @@ def test_unentangled_miracle_cell_matches_hand_evolution():
     costs_alice = [1, 1, 0.5, 1]
     expected = float(np.dot(probs, costs_alice))
     cell = bimatrix(
-        GameSpec(variant="two_person", mode="quantum", n=2, gamma=0.0, strategies=("P1", "P2", "M"))
+        GameSpec(mode="quantum", n=2, gamma=0.0, strategies=("P1", "P2", "M"))
     ).cell(2, 2)
     assert cell[0] == F(7, 8)
     assert abs(float(cell[0]) - expected) < 1e-12
@@ -123,6 +123,23 @@ def test_gamma_sweep_k_person_endpoint_matches_k_sweep():
     g = sweep_gamma(("P1", "P2", "M"), [GAMMA_MAX], n=10, k=4)
     rep = g.reports[0]
     assert rep.cost_ne == F(143, 20)
+
+
+def test_gamma_sweep_prices_a_k_person_point_per_game():
+    # A k-person gamma row is priced against its own matrix, analyze against
+    # the cheapest total over k = 0..n-3, so the two differ at the same game.
+    (row,) = sweep_gamma(("P1", "P2", "Q"), [GAMMA_MAX], n=10, k=4).reports
+    direct = analyze(GameSpec.quantum_k_person(10, 4, ("P1", "P2", "Q")))[2]
+    assert row.cost_ne == direct.cost_ne == F(122, 17)
+    assert (row.cost_opt, row.pos) == (F(34, 5), F(305, 289))
+    assert (direct.cost_opt, direct.pos) == (F(122, 17), 1)
+
+
+def test_gamma_sweep_without_k_is_the_two_person_game():
+    assert dict(sweep_gamma(("P1", "P2"), [0.5]).meta)["variant"] == "two_person"
+    assert dict(sweep_gamma(("P1", "P2"), [0.5], n=10, k=4).meta)["variant"] == "k_person"
+    with pytest.raises(DomainError, match="a game without k is the two-person game"):
+        sweep_gamma(("P1", "P2"), [0.5], n=10)
 
 
 def test_csv_is_deterministic_and_well_formed():
@@ -188,7 +205,7 @@ def test_every_k_sweep_prices_each_k_as_analyze_does(remembered_passes, mode, st
     # One optimum per (strategy set, n, gamma), whatever range a sweep reports:
     # at n = 10 {P1,P2,Q} a sweep over 6..7 once priced k = 6 at PoS 1.
     for n in range(3, 31):
-        specs = [GameSpec("k_person", mode, n, k, gamma, strategies) for k in range(n - 2)]
+        specs = [GameSpec(mode, n, k, gamma, strategies) for k in range(n - 2)]
         direct = [analyze(spec)[2] for spec in specs]
         ranges = [[k] for k in range(n - 2)] + [[k, k + 1] for k in range(n - 3)]
         ranges.append([0] if n == 3 else None)

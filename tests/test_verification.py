@@ -1,12 +1,17 @@
-"""The random-draw check of pigouq.verification, against the per-draw loop it replaced."""
+"""Two checks of pigouq.verification: the random-draw check, against the per-draw loop it
+replaced, and the exact best-response check."""
 
 import math
+from fractions import Fraction as F
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from pigouq import verification
+from pigouq.equilibria import MixedProfile, solve
 from pigouq.ewl import GAMMA_MAX, _paired_outcomes, outcome_table
+from pigouq.games import GameSpec, bimatrix
 from pigouq.strategies import unitary_from_angles
 
 SEED = 20250811
@@ -146,3 +151,55 @@ def test_matrices_slightly_off_unitary_fail_on_normalization(monkeypatch):
     name = verification.check_random_unitarity_and_normalization().name
     assert batch.detail.startswith(f"{name}: normalization 1.0000000000")
     assert ";" not in batch.detail and "DomainError" not in batch.detail
+
+
+# --- the exact best-response check --------------------------------------------------
+
+PHASE_GAME = GameSpec.quantum_k_person(10, 4, ("P1", "P2", "Q"))
+EPSILON = F(1e-12)  # the float's exact value
+
+
+def nudged(matrix, profile):
+    """``profile`` with EPSILON of Alice's weight moved from her second move to her first, costs recomputed exactly."""
+    p = (profile.alice_probs[0] + EPSILON, profile.alice_probs[1] - EPSILON) + profile.alice_probs[2:]
+    q = profile.bob_probs
+    size = matrix.size
+    cost_a = sum(F(matrix.cost_a(i, j)) * p[i] * q[j] for i in range(size) for j in range(size))
+    cost_b = sum(F(matrix.cost_b(i, j)) * p[i] * q[j] for i in range(size) for j in range(size))
+    return MixedProfile(p, q, cost_a, cost_b)
+
+
+def test_a_profile_off_by_1e_12_fails():
+    matrix = bimatrix(PHASE_GAME)
+    (profile,) = solve(matrix).mixed
+    assert profile.alice_probs == (F(4, 17), F(4, 17), F(9, 17))
+    assert verification._profile_problems(matrix, profile) == []
+    (problem,) = verification._profile_problems(matrix, nudged(matrix, profile))
+    assert problem.startswith("Bob saves ")
+    saving = F(problem.split()[2])
+    # A 1e-9 slack, the float grid oracle's, would have passed this profile.
+    assert 0 < saving < 1e-9
+
+
+def test_a_reported_cost_off_by_1e_12_fails():
+    matrix = bimatrix(GameSpec.quantum_two_person(("P1", "P2", "M")))
+    mm = next(p for p in solve(matrix).mixed if p.alice_probs == (0, 0, 1) and p.bob_probs == (0, 0, 1))
+    off = MixedProfile(mm.alice_probs, mm.bob_probs, mm.expected_cost_alice + EPSILON, mm.expected_cost_bob)
+    assert verification._profile_problems(matrix, off) == [
+        f"Alice's expected cost is 7/8, reported {F(7, 8) + EPSILON}"
+    ]
+
+
+def test_the_property_batch_names_the_failing_profile(monkeypatch):
+    target, real = bimatrix(PHASE_GAME), verification.solve
+
+    def solve_with_a_nudge(matrix):
+        mixed = real(matrix).mixed
+        return SimpleNamespace(mixed=tuple(nudged(matrix, p) for p in mixed) if matrix == target else mixed)
+
+    monkeypatch.setattr(verification, "solve", solve_with_a_nudge)
+    result = verification.check_mixed_profiles_best_responses()
+    assert not result.passed
+    assert result.detail.startswith(f"{PHASE_GAME.describe()}: Bob saves ")
+    batch = verification.check_property_batch()
+    assert not batch.passed and batch.detail == f"{result.name}: {result.detail}"
