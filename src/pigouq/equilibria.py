@@ -34,13 +34,13 @@ dominance first and a unique strict pure equilibrium second, so the
 square pass, by far the costliest of the three, runs for the selection
 only when both fail to decide.
 
-All three work on integers, each player's costs times a positive scale
-(:attr:`CostBimatrix.scaled_costs`). An exact game is built as integer
-grids over n times the LCM of its probability denominators, a divisor
-of 4n for the network's grids. A float game's cells are dyadic
-rationals, each player's multiplied once by the LCM of their
-denominators, a power of two times a divisor of 4n. A positive scale
-per player changes no comparison between that player's costs, and it
+All three work on integers, both players' costs times one positive
+scale (:attr:`CostBimatrix.scaled_costs`); none assumes Bob's grid is
+Alice's transposed. An exact game is built as integer grids over n
+times the LCM of its probability denominators, a divisor of 4n for the
+network's grids. A float game's cells are dyadic rationals, multiplied
+once by the LCM of their denominators, a power of two times a divisor
+of 4n. A positive scale changes no comparison between costs, and it
 changes the solution of an indifference system only by scaling the
 common cost value, which is divided back out.
 
@@ -229,7 +229,7 @@ def _pure_scan(matrix: CostBimatrix) -> tuple[tuple[PureProfile, ...], tuple[Pur
     A cell is weak when its cost is the least of its column of ``a`` and
     of its row of ``b``, and strict when that least cost is unique in both.
     """
-    a, b, _, _ = matrix.scaled_costs
+    a, b, _ = matrix.scaled_costs
     cols_a = list(zip(*a))
     best_a, best_b = [min(col) for col in cols_a], [min(row) for row in b]
     weak, strict = [], []
@@ -258,7 +258,7 @@ def dominance_select(matrix: CostBimatrix) -> PureProfile | None:
     dominated. Returns the unique surviving cell, or ``None`` when more
     than one cell survives.
     """
-    a, b, _, _ = matrix.scaled_costs
+    a, b, _ = matrix.scaled_costs
     b_t = list(zip(*b))
     rows = list(range(matrix.size))
     cols = list(range(matrix.size))
@@ -346,7 +346,7 @@ def _square_pass(matrix: CostBimatrix, weak_pure):
     a singular system skips the pair with a note.
     """
     size = matrix.size
-    a, b, scale_a, scale_b = matrix.scaled_costs
+    a, b, scale = matrix.scaled_costs
     # Bob chooses columns; his cost as chooser is indexed [col][row].
     b_t = [list(col) for col in zip(*b)]
 
@@ -355,7 +355,7 @@ def _square_pass(matrix: CostBimatrix, weak_pure):
         i, j = pure.row, pure.col
         p_full = tuple(Fraction(int(r == i)) for r in range(size))
         q_full = tuple(Fraction(int(c == j)) for c in range(size))
-        found[p_full, q_full] = MixedProfile(p_full, q_full, Fraction(a[i][j], scale_a), Fraction(b[i][j], scale_b))
+        found[p_full, q_full] = MixedProfile(p_full, q_full, Fraction(a[i][j], scale), Fraction(b[i][j], scale))
     notes = []
     for r in range(2, size + 1):
         for sup_a, sup_b in itertools.product(itertools.combinations(range(size), r), repeat=2):
@@ -377,8 +377,8 @@ def _square_pass(matrix: CostBimatrix, weak_pure):
             profile = MixedProfile(
                 _full_mix(w_p, den_p, sup_a, size),
                 _full_mix(w_q, den_q, sup_b, size),
-                Fraction(value_a, den_q * scale_a),
-                Fraction(value_b, den_p * scale_b),
+                Fraction(value_a, den_q * scale),
+                Fraction(value_b, den_p * scale),
             )
             found.setdefault((profile.alice_probs, profile.bob_probs), profile)
 

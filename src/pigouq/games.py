@@ -13,8 +13,9 @@ The whole cost model lives here, in two functions:
 :func:`cost_assignment` gives the free players' costs for each joint
 path outcome (00, 01, 10, 11), and :func:`pinned_bill` gives the pinned
 players' total. Every game, classical or entangled, is the same map:
-:func:`bimatrix` weights the per-outcome costs by each strategy pair's
-outcome distribution. Only the distributions differ. A classical pair
+:func:`bimatrix` weights Alice's per-outcome costs by each strategy
+pair's outcome distribution, and Bob's grid is hers transposed, since
+every game is symmetric. Only the distributions differ. A classical pair
 plays its paths for sure, so the classical game's grid is the constant
 :data:`CLASSICAL_GRID` and no protocol runs. An entangled pair's
 distribution depends only on the pair and gamma, so :func:`outcome_grid`
@@ -44,10 +45,10 @@ computes for that product. An exact game is built without ``Fraction``
 arithmetic: every per-outcome cost is an integer load over n and every
 probability a count of quarters, so 4n times a cell is an integer (n
 times the LCM of the probability denominators, for any exact grid), and
-:func:`bimatrix` computes both players' integer grids directly. They
-are the :class:`CostBimatrix`'s data and the solver's input
-(:attr:`CostBimatrix.scaled_costs`); its ``Fraction`` cells are a view
-built from them when printed or summed.
+:func:`bimatrix` computes Alice's integer grid directly. It and its
+transpose, Bob's, are the :class:`CostBimatrix`'s data and the solver's
+input, under one scale (:attr:`CostBimatrix.scaled_costs`); its
+``Fraction`` cells are a view built from them when printed or summed.
 
 A quirk worth knowing about the phase strategy Q: under maximal
 entanglement, Q against P1 lands both players on the lower edge while
@@ -177,12 +178,12 @@ class CostBimatrix:
 
     Entries are Fractions where exact, floats otherwise; all positive and
     finite. ``CostBimatrix(row_labels, col_labels, cells)`` stores the
-    cells and derives :attr:`scaled_costs` from them when first read. An
-    exact game from :func:`bimatrix` is stored the other way round: its
-    integer grids are the data, ``cells`` is the ``Fraction`` view built
-    from them on first read, and :meth:`cell`, :meth:`cost_a` and
-    :meth:`cost_b` build only the entry asked for. Either way the matrix
-    is immutable, and equality and hashing compare labels and cells, so
+    cells, symmetric or not, and derives :attr:`scaled_costs` from them
+    when first read. An exact game from :func:`bimatrix` is stored the
+    other way round: Alice's integer grid and its transpose are the data,
+    ``cells`` is the ``Fraction`` view built from them on first read, and
+    :meth:`cell`, :meth:`cost_a` and :meth:`cost_b` build only the entry
+    asked for. Either way the matrix is immutable, and equality and hashing compare labels and cells, so
     they do not depend on how it was built.
     """
 
@@ -199,15 +200,19 @@ class CostBimatrix:
         self.__dict__.update(row_labels=row_labels, col_labels=col_labels, cells=cells)
 
     @classmethod
-    def _exact(cls, labels: tuple, a: list, b: list, scale: int) -> "CostBimatrix":
-        """An exact matrix stored as square integer grids: ``cost_a(i, j) == a[i][j] / scale``, likewise for b."""
-        if min(map(min, a)) <= 0 or min(map(min, b)) <= 0:
+    def _exact(cls, labels: tuple, a: list, scale: int) -> "CostBimatrix":
+        """An exact matrix stored as Alice's square integer grid and its transpose, Bob's.
+
+        ``cost_a(i, j) == a[i][j] / scale == cost_b(j, i)``.
+        """
+        b = [list(col) for col in zip(*a)]
+        if min(map(min, a)) <= 0:  # b is a permutation of a
             x, y = next((x, y) for ra, rb in zip(a, b) for x, y in zip(ra, rb) if x <= 0 or y <= 0)
             raise DomainError(
                 f"cost entries must be positive and finite, got ({Fraction(x, scale)}, {Fraction(y, scale)})"
             )
         matrix = cls.__new__(cls)
-        matrix.__dict__.update(row_labels=labels, col_labels=labels, scaled_costs=(a, b, scale, scale))
+        matrix.__dict__.update(row_labels=labels, col_labels=labels, scaled_costs=(a, b, scale))
         return matrix
 
     def __setattr__(self, name, value):
@@ -237,9 +242,9 @@ class CostBimatrix:
     @cached_property
     def cells(self) -> tuple:
         """``cells[i][j] = (cost_row, cost_col)``."""
-        a, b, scale_a, scale_b = self.scaled_costs
+        a, b, scale = self.scaled_costs
         return tuple(
-            tuple((Fraction(x, scale_a), Fraction(y, scale_b)) for x, y in zip(row_a, row_b))
+            tuple((Fraction(x, scale), Fraction(y, scale)) for x, y in zip(row_a, row_b))
             for row_a, row_b in zip(a, b)
         )
 
@@ -257,27 +262,26 @@ class CostBimatrix:
         if cells is not None:
             return cells[i][j][player]
         grids = self.scaled_costs
-        return Fraction(grids[player][i][j], grids[player + 2])
+        return Fraction(grids[player][i][j], grids[2])
 
     @cached_property
     def scaled_costs(self) -> tuple:
-        """Both players' cost grids as exact integers: ``(a, b, scale_a, scale_b)``.
+        """Both players' cost grids as exact integers over one scale: ``(a, b, scale)``.
 
-        ``a[i][j] == scale_a * cost_a(i, j)`` exactly; likewise for Bob.
-        An exact game from :func:`bimatrix` is built as these grids, with
-        one scale for both players: n times the LCM of its outcome grid's
-        probability denominators, which divides 4n for the classical and
-        named-set grids. Otherwise ``scale_a`` is the LCM of the
-        denominators of Alice's cells, floats counting by their exact
-        binary value: float cells are dyadic rationals, so a float game's
-        scale is a power of two times a divisor of 4n. A positive scale
-        per player keeps every comparison between one player's costs what
-        it was, and scales the common value of an indifference system in
-        them without changing its probabilities.
+        ``a[i][j] == scale * cost_a(i, j)`` and ``b[i][j] == scale *
+        cost_b(i, j)`` exactly. An exact game from :func:`bimatrix` is built
+        as Alice's grid, with ``b`` its transpose: ``scale`` is n times the
+        LCM of its outcome grid's probability denominators, which divides 4n
+        for the classical and named-set grids. Otherwise ``scale`` is the
+        LCM of the denominators of both players' cells, floats counting by
+        their exact binary value: float cells are dyadic rationals, so a
+        float game's scale is a power of two times a divisor of 4n (its
+        ``b`` is a permutation of ``a``, so Alice's cells alone give the
+        same LCM). A positive scale keeps every comparison between costs
+        what it was, and scales the common value of an indifference system
+        in them without changing its probabilities.
         """
-        a, scale_a = _scale_to_integers([[cost for cost, _ in row] for row in self.cells])
-        b, scale_b = _scale_to_integers([[cost for _, cost in row] for row in self.cells])
-        return a, b, scale_a, scale_b
+        return _scale_to_integers(*([[cell[p] for cell in row] for row in self.cells] for p in (0, 1)))
 
     def to_json_obj(self) -> dict:
         return {
@@ -305,10 +309,10 @@ def _check_shape(row_labels, col_labels, grid) -> None:
         raise DomainError("cell grid does not match strategy labels")
 
 
-def _scale_to_integers(grid):
-    ratios = [[x.as_integer_ratio() for x in row] for row in grid]
-    scale = math.lcm(*(den for row in ratios for _, den in row))
-    return [[num * (scale // den) for num, den in row] for row in ratios], scale
+def _scale_to_integers(a, b):
+    ratios = [[[x.as_integer_ratio() for x in row] for row in grid] for grid in (a, b)]
+    scale = math.lcm(*(den for grid in ratios for row in grid for _, den in row))
+    return *([[num * (scale // den) for num, den in row] for row in grid] for grid in ratios), scale
 
 
 def format_value(x) -> str:
@@ -336,14 +340,15 @@ def cost_assignment(spec: GameSpec) -> tuple[tuple, tuple]:
     game is the k=0, n=2 instance (a lone lower-edge user pays 1/2,
     everything else costs 1).
     """
-    n, alice, bob = _outcome_loads(spec)
-    return tuple(Fraction(c, n) for c in alice), tuple(Fraction(c, n) for c in bob)
+    n, loads = _outcome_loads(spec)
+    alice = tuple(Fraction(c, n) for c in loads)
+    return alice, tuple(alice[o] for o in (0, 2, 1, 3))  # Bob's path is the second bit: 01 and 10 swap
 
 
 def _outcome_loads(spec: GameSpec) -> tuple:
-    """:func:`cost_assignment` times n, in integers: ``(n, alice, bob)``."""
+    """Alice's :func:`cost_assignment` times n, in integers: ``(n, alice)``."""
     n, k = spec.n, spec.k or 0
-    return n, (n, n, k + 1, k + 2), (n, k + 1, n, k + 2)
+    return n, (n, n, k + 1, k + 2)
 
 
 def pinned_bill(spec: GameSpec, lower=0) -> Fraction:
@@ -445,12 +450,15 @@ def outcome_grid(strategies, gamma: float) -> tuple:
 def bimatrix(spec: GameSpec, outcomes: tuple | None = None) -> CostBimatrix:
     """The spec's expected-cost grid over its strategy set.
 
-    Each cell weights the :func:`cost_assignment` of the spec by the
+    Each of Alice's cells weights her :func:`cost_assignment` by the
     pair's outcome distribution: :data:`CLASSICAL_GRID` for a classical
     spec, the :func:`outcome_grid` of its strategies at its ``gamma`` for
     a quantum one (pass ``outcomes`` to reuse one already built for
-    them). A grid is all-``Fraction`` or all-float, and the first
-    probability tells which.
+    them). Bob's cost at (i, j) is Alice's at (j, i), so ``outcomes`` must
+    be mirrored, unchecked: ``outcomes[j][i]`` is ``outcomes[i][j]`` with
+    outcomes 01 and 10 exchanged, as in every :func:`outcome_grid` and
+    :data:`CLASSICAL_GRID`. A grid is all-``Fraction`` or all-float, and
+    the first probability tells which.
 
     An exact grid is built in integers and no ``Fraction`` is formed:
     with L the LCM of the grid's probability denominators, each
@@ -467,23 +475,16 @@ def bimatrix(spec: GameSpec, outcomes: tuple | None = None) -> CostBimatrix:
     if outcomes is None:
         outcomes = CLASSICAL_GRID if spec.mode == "classical" else outcome_grid(spec.strategies, spec.gamma)
     labels = spec.strategy_labels()
-    n, alice, bob = _outcome_loads(spec)
-    if isinstance(outcomes[0][0][0], float):
-        # int / int is the correctly rounded float of the cost's Fraction
-        alice, bob = tuple(c / n for c in alice), tuple(c / n for c in bob)
-        rows = []
-        for row_outcomes in outcomes:
-            row = []
-            for probs in row_outcomes:
-                ca = sum(p * c for p, c in zip(probs, alice) if p)
-                cb = sum(p * c for p, c in zip(probs, bob) if p)
-                row.append((ca, cb))
-            rows.append(tuple(row))
-        return CostBimatrix(labels, labels, tuple(rows))
     _check_shape(labels, labels, outcomes)
-    size = len(labels)
     if {len(cell) for row in outcomes for cell in row} != {4}:
         raise DomainError("every outcome distribution must have four probabilities")
+    n, alice = _outcome_loads(spec)
+    if isinstance(outcomes[0][0][0], float):
+        # int / int is the correctly rounded float of the cost's Fraction
+        alice = tuple(c / n for c in alice)
+        a = [[sum(p * c for p, c in zip(probs, alice) if p) for probs in row] for row in outcomes]
+        return CostBimatrix(labels, labels, tuple(tuple(zip(row, col)) for row, col in zip(a, zip(*a))))
+    size = len(labels)
     try:
         ratios = [p.as_integer_ratio() for row in outcomes for cell in row for p in cell]
     except AttributeError:
@@ -491,8 +492,6 @@ def bimatrix(spec: GameSpec, outcomes: tuple | None = None) -> CostBimatrix:
     lcm = math.lcm(*{den for _, den in ratios})
     counts = iter([num * (lcm // den) for num, den in ratios])
     by_cell = list(zip(counts, counts, counts, counts))  # (q00, q01, q10, q11) of each cell, row-major
-    (a00, a01, a10, a11), (b00, b01, b10, b11) = alice, bob
-    a = [q00 * a00 + q01 * a01 + q10 * a10 + q11 * a11 for q00, q01, q10, q11 in by_cell]
-    b = [q00 * b00 + q01 * b01 + q10 * b10 + q11 * b11 for q00, q01, q10, q11 in by_cell]
-    rows = [slice(r, r + size) for r in range(0, size * size, size)]
-    return CostBimatrix._exact(labels, [a[r] for r in rows], [b[r] for r in rows], n * lcm)
+    c00, c01, c10, c11 = alice
+    a = [q00 * c00 + q01 * c01 + q10 * c10 + q11 * c11 for q00, q01, q10, q11 in by_cell]
+    return CostBimatrix._exact(labels, [a[r : r + size] for r in range(0, size * size, size)], n * lcm)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .equilibria import dominance_select, optimal_outcome, solve
 from .ewl import GAMMA_MAX, _paired_outcomes, outcome_table
-from .games import GameSpec, bimatrix, outcome_grid, pinned_bill
+from .games import CLASSICAL_GRID, GameSpec, bimatrix, outcome_grid, pinned_bill
 from .metrics import analyze, classical_cost_ne, classical_pos_poa
 from .strategies import is_unitary, resolve, unitary_from_angles
 from .sweeps import sweep_k
@@ -313,16 +313,15 @@ def _all_reference_specs():
 
 
 def check_bimatrix_symmetry() -> CheckResult:
+    # Exchanging the players swaps outcomes 01 and 10, so each outcome grid
+    # must be mirrored, and Bob's costs must be Alice's transposed, exactly.
     problems = []
     for spec in _all_reference_specs():
-        m = bimatrix(spec)
+        grid = CLASSICAL_GRID if spec.mode == "classical" else outcome_grid(spec.strategies, spec.gamma)
+        m = bimatrix(spec, grid)
         for i, j in product(range(m.size), repeat=2):
-            ca, cb = m.cost_a(i, j), m.cost_b(j, i)
-            if isinstance(ca, Fraction) and isinstance(cb, Fraction):
-                bad = ca != cb
-            else:
-                bad = abs(float(ca) - float(cb)) > 1e-12
-            if bad:
+            p00, p01, p10, p11 = grid[i][j]
+            if grid[j][i] != (p00, p10, p01, p11) or m.cost_b(j, i) != m.cost_a(i, j):
                 problems.append(f"{spec.describe()} at ({i},{j})")
     return _result("cost grids are exchange-symmetric", not problems, "; ".join(problems[:4]))
 

@@ -229,6 +229,16 @@ class TestNoSelectedEquilibrium:
         assert out.splitlines()[1:] == ["k,1,,,,,", "k,2,,,,,", "k,3,,,,,"]
 
 
+def test_float_game_is_symmetric_to_the_last_bit(capsys):
+    # Bob's float costs are Alice's transposed, not a sum of their own, so a
+    # symmetric cell reads one cost twice and the symmetric mixed equilibrium one mix
+    _, out, _ = run_cli(
+        capsys, "solve", "--game", "quantumk", "--strategies", "p1p2m", "--n", "3", "--k", "0", "--gamma", "0.8"
+    )
+    assert out.splitlines()[5].endswith("  (0.75, 0.75)")
+    assert "mixed:(0,0.9416009553974223,0.05839904460257769)," in out
+
+
 def test_out_redirects_payload_only(tmp_path, capsys):
     target = tmp_path / "grid.txt"
     code = main(["matrix", "--game", "classical2", "--out", str(target)])

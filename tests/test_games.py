@@ -280,19 +280,17 @@ def test_k_person_classical_grid():
 
 @pytest.mark.parametrize("gamma", [0.0, 1e-6, 2e-5, 0.4, math.pi / 2])
 def test_skipping_exact_zeros_keeps_every_bit_and_type(gamma):
-    # the cell sum drops the zero probabilities and multiplies float ones by
-    # float costs; the full Fraction-dispatched sum over all four outcomes
-    # must give the same cells
+    # Alice's cell sum drops the zero probabilities and multiplies float ones
+    # by float costs; the full Fraction-dispatched sum over all four outcomes
+    # must give the same cells, and Bob's cell (i, j) is Alice's (j, i)
     rng = np.random.default_rng(7)
     custom = tuple(StrategyAngles(rng.uniform(0, math.pi), rng.uniform(0, math.pi / 2)) for _ in range(2))
     for strategies in (("P1", "P2", "Q"), ("P1", "P2", "M"), ("S1", "S2"), custom):
         spec = GameSpec.quantum_k_person(9, 2, strategies, gamma)
         outcomes = outcome_grid(strategies, gamma)
-        alice, bob = cost_assignment(spec)
-        want = tuple(
-            tuple((sum(p * c for p, c in zip(probs, alice)), sum(p * c for p, c in zip(probs, bob))) for probs in row)
-            for row in outcomes
-        )
+        alice, _ = cost_assignment(spec)
+        a = [[sum(p * c for p, c in zip(probs, alice)) for probs in row] for row in outcomes]
+        want = tuple(tuple(zip(row, col)) for row, col in zip(a, zip(*a)))
         got = bimatrix(spec, outcomes).cells
         assert got == want
         assert [type(x) for row in got for cell in row for x in cell] == [
@@ -365,11 +363,76 @@ def test_miracle_grid_closed_forms():
 def test_grid_exchange_symmetry(spec):
     m = bimatrix(spec)
     for i, j in product(range(m.size), repeat=2):
-        a, b = m.cost_a(i, j), m.cost_b(j, i)
-        if isinstance(a, F) and isinstance(b, F):
-            assert a == b
-        else:
-            assert abs(float(a) - float(b)) < 1e-12
+        assert m.cost_b(i, j) == m.cost_a(j, i)
+
+
+def _mirrored(cell):
+    """The outcome distribution with the players exchanged: outcomes 01 and 10 swap."""
+    p00, p01, p10, p11 = cell
+    return p00, p10, p01, p11
+
+
+def _mirror_gap(grid) -> float:
+    return max(
+        abs(x - y)
+        for i, row in enumerate(grid)
+        for j, cell in enumerate(row)
+        for x, y in zip(cell, _mirrored(grid[j][i]))
+    )
+
+
+def test_endpoint_tables_are_mirrored_exactly():
+    # Bob's grid being Alice's transposed rests on this, for all 36 pairs at both endpoints
+    exact_0, exact_1, affine = games._endpoint_tables()
+    for table in (exact_0, exact_1):
+        for i, j in product(range(len(STRATEGY_TAGS)), repeat=2):
+            assert table[j][i] == _mirrored(table[i][j])
+    for i, j in product(range(len(STRATEGY_TAGS)), repeat=2):
+        assert affine[j][i] == tuple(map(_mirrored, affine[i][j]))
+
+
+def test_named_set_float_grids_are_mirrored_exactly():
+    rng = np.random.default_rng(23)
+    for gamma in rng.uniform(0.0, GAMMA_MAX, 50).tolist():
+        assert _mirror_gap(outcome_grid(STRATEGY_TAGS, gamma)) == 0.0
+
+
+def test_float_named_games_are_symmetric_exactly():
+    rng = np.random.default_rng(29)
+    names = sorted(set(STRATEGY_SETS.values()))
+    for gamma in rng.uniform(0.0, GAMMA_MAX, 50).tolist():
+        strategies = names[int(rng.integers(len(names)))]
+        n = int(rng.integers(3, 20))
+        for spec in (
+            GameSpec.quantum_two_person(strategies, gamma),
+            GameSpec.quantum_k_person(n, int(rng.integers(n - 2)), strategies, gamma),
+        ):
+            m = bimatrix(spec)
+            assert any(isinstance(x, float) for row in m.cells for cell in row for x in cell)
+            for i, j in product(range(m.size), repeat=2):
+                assert m.cost_b(i, j) == m.cost_a(j, i)
+
+
+def test_custom_angle_grids_are_mirrored_to_rounding():
+    # the batched protocol's matmuls round the exchanged pair differently, so
+    # a custom grid is mirrored only to within 1e-15, and Bob's transposed
+    # cells stay within 1e-12 of a sum over his own per-outcome costs
+    rng = np.random.default_rng(31)
+    inexact = 0
+    for _ in range(40):
+        strategies = tuple(StrategyAngles(rng.uniform(0, math.pi), rng.uniform(0, math.pi / 2)) for _ in range(5))
+        gamma = float(rng.uniform(0.0, GAMMA_MAX))
+        outcomes = outcome_grid(strategies, gamma)
+        gap = _mirror_gap(outcomes)
+        assert gap <= 1e-15
+        inexact += gap > 0
+        spec = GameSpec.quantum_k_person(9, 2, strategies, gamma)
+        _, bob = cost_assignment(spec)
+        m = bimatrix(spec, outcomes)
+        for i, j in product(range(m.size), repeat=2):
+            own = sum(p * float(c) for p, c in zip(outcomes[i][j], bob) if p)
+            assert abs(m.cost_b(i, j) - own) <= 1e-12
+    assert inexact  # the tolerance is needed: some grids are not mirrored exactly
 
 
 def test_json_serialization_uses_num_den():
@@ -404,7 +467,11 @@ def test_bimatrix_type_rejects_nonfinite_costs(bad):
 
 
 def fraction_cells(spec, outcomes):
-    """The oracle: each cell as the Fraction sum of probability times cost, zeros skipped."""
+    """The oracle: each player's cell as their own Fraction sum of probability times cost, zeros skipped.
+
+    Every grid passed here is mirrored, so Bob's sums must be Alice's
+    transposed, which :func:`bimatrix` assumes and never computes.
+    """
     alice, bob = cost_assignment(spec)
     return tuple(
         tuple(
@@ -420,10 +487,11 @@ def assert_matches_fraction_loop(spec, outcomes=None):
     if outcomes is None:
         outcomes = CLASSICAL_GRID if spec.mode == "classical" else outcome_grid(spec.strategies, spec.gamma)
     want = fraction_cells(spec, outcomes)
-    # the integer grids are exact multiples of the costs, read before any cells view exists
-    a, b, scale_a, scale_b = matrix.scaled_costs
+    # the integer grids are exact multiples of the costs over one scale, read before any cells view exists
+    a, b, scale = matrix.scaled_costs
     for i, j in product(range(matrix.size), repeat=2):
-        assert a[i][j] == scale_a * matrix.cost_a(i, j) and b[i][j] == scale_b * matrix.cost_b(i, j)
+        assert a[i][j] == scale * matrix.cost_a(i, j) and b[i][j] == scale * matrix.cost_b(i, j)
+        assert b[i][j] == a[j][i]
         assert matrix.cell(i, j) == want[i][j]
     assert matrix.cells == want
     assert all(type(x) is F for row in matrix.cells for cell in row for x in cell)
@@ -457,13 +525,19 @@ def test_named_set_integer_build_is_the_fraction_loop(strategies, gamma):
 
 
 def test_integer_build_takes_any_exact_denominator():
-    # thirds and sixths next to quarters: the scale is n times the LCM of
-    # the probability denominators, not 4n
+    # thirds, sixths and twelfths next to quarters, in a mirrored grid: the
+    # scale is n times the LCM of the probability denominators, not 4n
     third, sixth, quarter = F(1, 3), F(1, 6), F(1, 4)
-    outcomes = (
-        ((third, third, third, F(0)), (quarter,) * 4, (F(0), F(1, 2), third, sixth)),
-        ((sixth, F(1, 2), F(0), third), (F(1), F(0), F(0), F(0)), (third, sixth, sixth, third)),
-        ((F(0), F(0), F(2, 3), third), (F(1, 12), F(5, 12), quarter, quarter), (F(0), F(0), F(0), F(1))),
+    upper = {
+        (0, 0): (third, sixth, sixth, third),
+        (0, 1): (F(0), F(1, 2), third, sixth),
+        (0, 2): (F(1, 12), F(5, 12), quarter, quarter),
+        (1, 1): (quarter,) * 4,
+        (1, 2): (sixth, F(1, 2), F(0), third),
+        (2, 2): (F(0), third, third, third),
+    }
+    outcomes = tuple(
+        tuple(upper[i, j] if i <= j else _mirrored(upper[j, i]) for j in range(3)) for i in range(3)
     )
     for spec in (GameSpec.quantum_two_person(("P1", "P2", "M")), GameSpec.quantum_k_person(10, 3, ("P1", "P2", "M"))):
         assert_matches_fraction_loop(spec, outcomes)
@@ -478,9 +552,10 @@ def test_reading_one_cost_builds_no_cells_view():
 
 
 def test_integer_build_rejects_a_nonpositive_cost():
-    # a negative probability drives Alice's P2-vs-P1 cost to -3 + 4 * 1/2 = -1
+    # a negative probability drives Alice's P2-vs-P1 cost to -3 + 4 * 1/2 = -1, so
+    # Bob's P1-vs-P2 cost, its transpose, is the first bad cost in row-major order
     outcomes = (CLASSICAL_GRID[0], ((F(-3), F(0), F(4), F(0)), CLASSICAL_GRID[1][1]))
-    with pytest.raises(DomainError, match=r"positive and finite, got \(-1, 1\)$"):
+    with pytest.raises(DomainError, match=r"positive and finite, got \(1, -1\)$"):
         bimatrix(GameSpec.quantum_two_person(("P1", "P2"), 0.0), outcomes)
 
 
@@ -502,6 +577,13 @@ def test_integer_build_rejects_a_distribution_of_the_wrong_length():
     outcomes = ((CLASSICAL_GRID[0][0][:3], CLASSICAL_GRID[0][1] + (F(0),)), CLASSICAL_GRID[1])
     with pytest.raises(DomainError, match="four probabilities"):
         bimatrix(GameSpec.classical_two_person(), outcomes)
+
+
+def test_float_build_rejects_a_distribution_of_the_wrong_length():
+    # as in the exact build: a fifth probability is not dropped, nor a missing fourth read as zero
+    outcomes = (((1.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0)), ((0.0, 0.0, 1.0, 0.0), (0.0, 0.0, 0.0, 1.0, 0.5)))
+    with pytest.raises(DomainError, match="four probabilities"):
+        bimatrix(GameSpec.quantum_two_person(("P1", "P2"), 0.4), outcomes)
 
 
 def test_integer_build_rejects_a_probability_that_is_not_a_number():

@@ -70,7 +70,7 @@ def test_cli_output_matches_golden(name, capsys):
 
 #: Named-set games of the digest corpus: gamma = 0 and pi/2 (exact) and three float angles.
 CORPUS_ANGLES = (0.0, 0.3, math.pi / 4, 1.2, math.pi / 2)
-CORPUS_DIGEST = "41b0770ba84984df061986b84f50fd7372598c32a19e89ec44ea027ab0afa68d"
+CORPUS_DIGEST = "e99a8b8787ca574559f60eaa7e8b917db95c45f4de990d6bf63f3c9d09475603"
 
 
 def corpus_records():

@@ -147,7 +147,7 @@ def _systems_match_oracle(matrix):
     and value. Both sides get the same integer-scaled costs, so the
     values compare exactly. Returns the statuses seen.
     """
-    a, b, _, _ = matrix.scaled_costs
+    a, b, _ = matrix.scaled_costs
     b_t = [list(col) for col in zip(*b)]
     statuses = set()
     for sup_a, sup_b in _square_pairs(matrix.size):

@@ -1,5 +1,5 @@
-"""Two checks of pigouq.verification: the random-draw check, against the per-draw loop it
-replaced, and the exact best-response check."""
+"""Three checks of pigouq.verification: the random-draw check, against the per-draw loop it
+replaced, the exact best-response check and the exact symmetry check."""
 
 import math
 from fractions import Fraction as F
@@ -11,7 +11,7 @@ import pytest
 from pigouq import verification
 from pigouq.equilibria import MixedProfile, solve
 from pigouq.ewl import GAMMA_MAX, _paired_outcomes, outcome_table
-from pigouq.games import GameSpec, bimatrix
+from pigouq.games import CostBimatrix, GameSpec, bimatrix
 from pigouq.strategies import unitary_from_angles
 
 SEED = 20250811
@@ -203,3 +203,41 @@ def test_the_property_batch_names_the_failing_profile(monkeypatch):
     assert result.detail.startswith(f"{PHASE_GAME.describe()}: Bob saves ")
     batch = verification.check_property_batch()
     assert not batch.passed and batch.detail == f"{result.name}: {result.detail}"
+
+
+# --- the exact symmetry check -------------------------------------------------------
+
+FLOAT_GAME = GameSpec.quantum_two_person(("P1", "P2", "M"), gamma=0.3)
+
+
+def test_a_bob_cost_one_ulp_off_fails_the_symmetry_check(monkeypatch):
+    real = verification.bimatrix
+
+    def bob_nudged(spec, outcomes):
+        matrix = real(spec, outcomes)
+        if spec != FLOAT_GAME:
+            return matrix
+        cells = [list(row) for row in matrix.cells]
+        a, b = cells[0][2]
+        cells[0][2] = (a, math.nextafter(b, math.inf))
+        return CostBimatrix(matrix.row_labels, matrix.col_labels, tuple(map(tuple, cells)))
+
+    assert verification.check_bimatrix_symmetry().passed
+    monkeypatch.setattr(verification, "bimatrix", bob_nudged)
+    result = verification.check_bimatrix_symmetry()
+    assert not result.passed and result.detail == f"{FLOAT_GAME.describe()} at (2,0)"
+
+
+def test_an_unmirrored_outcome_grid_fails_the_symmetry_check(monkeypatch):
+    # bimatrix would still transpose Alice's grid, so only the grid check sees this
+    real = verification.outcome_grid
+
+    def unmirrored(strategies, gamma):
+        grid = [list(row) for row in real(strategies, gamma)]
+        p00, p01, p10, p11 = grid[1][2]
+        grid[1][2] = (p00, math.nextafter(p01, 0.0), p10, p11)
+        return tuple(map(tuple, grid)) if gamma == FLOAT_GAME.gamma else real(strategies, gamma)
+
+    monkeypatch.setattr(verification, "outcome_grid", unmirrored)
+    result = verification.check_bimatrix_symmetry()
+    assert not result.passed and result.detail == f"{FLOAT_GAME.describe()} at (1,2); {FLOAT_GAME.describe()} at (2,1)"
