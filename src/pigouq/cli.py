@@ -150,8 +150,8 @@ def _matrix_payload(spec: GameSpec, fmt: str) -> str:
         return m.to_text_table() + "\n"
     if fmt == "csv":
         lines = ["row,col,cost_row,cost_col"]
-        for i, rl in enumerate(m.row_labels):
-            for j, cl in enumerate(m.col_labels):
+        for i, rl in enumerate(m.labels):
+            for j, cl in enumerate(m.labels):
                 a, b = m.cell(i, j)
                 lines.append(f"{rl},{cl},{format_value(a)},{format_value(b)}")
         return "\n".join(lines) + "\n"

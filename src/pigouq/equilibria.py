@@ -34,15 +34,16 @@ dominance first and a unique strict pure equilibrium second, so the
 square pass, by far the costliest of the three, runs for the selection
 only when both fail to decide.
 
-All three work on integers, both players' costs times one positive
-scale (:attr:`CostBimatrix.scaled_costs`); none assumes Bob's grid is
-Alice's transposed. An exact game is built as integer grids over n
-times the LCM of its probability denominators, a divisor of 4n for the
-network's grids. A float game's cells are dyadic rationals, multiplied
-once by the LCM of their denominators, a power of two times a divisor
-of 4n. A positive scale changes no comparison between costs, and it
-changes the solution of an indifference system only by scaling the
-common cost value, which is divided back out.
+All three work on one integer grid ``a``, Alice's costs times one
+positive scale (:attr:`CostBimatrix.scaled_costs`): every game is
+symmetric, so Bob, choosing column c against row r, pays ``a[c][r]``.
+An exact game is built as an integer grid over n times the LCM of its
+probability denominators, a divisor of 4n for the network's grids. A
+float game's costs are dyadic rationals, multiplied once by the LCM of
+their denominators, a power of two times a divisor of 4n. A positive
+scale changes no comparison between costs, and it changes the solution
+of an indifference system only by scaling the common cost value, which
+is divided back out.
 
 Each indifference system is solved in closed form. Subtracting the
 first chooser row from the others leaves ``D q = 0`` with ``sum(q) = 1``
@@ -136,9 +137,10 @@ class EquilibriumResult:
     ``strict_pure`` and ``weak_pure`` read one pure scan of the cells.
     ``mixed`` and ``diagnostics`` read the square pass of support
     enumeration, run on top of ``weak_pure``, which stands in for the 1x1
-    pairs. Reading every view solves each square support pair at most
-    once, and no unequal pair. ``selected`` and ``selected_by`` apply the
-    selection convention and stop at the first rule that decides:
+    pairs. Reading every view solves each indifference system of the
+    square support pairs at most once, and none of an unequal pair.
+    ``selected`` and ``selected_by`` apply the selection convention and
+    stop at the first rule that decides:
     :func:`dominance_select`, then ``strict_pure``, then ``mixed``.
     Equality and hashing compare the six views, not the matrices.
     """
@@ -220,24 +222,24 @@ class EquilibriumResult:
 
 
 def _profile(matrix: CostBimatrix, i: int, j: int) -> PureProfile:
-    return PureProfile(i, j, matrix.row_labels[i], matrix.col_labels[j])
+    return PureProfile(i, j, matrix.labels[i], matrix.labels[j])
 
 
 def _pure_scan(matrix: CostBimatrix) -> tuple[tuple[PureProfile, ...], tuple[PureProfile, ...]]:
     """The ``(weak, strict)`` pure equilibria, from one row-major pass over the cells.
 
-    A cell is weak when its cost is the least of its column of ``a`` and
-    of its row of ``b``, and strict when that least cost is unique in both.
+    A cell (i, j) is weak when ``a[i][j]`` is the least of column j of ``a``
+    and Bob's ``a[j][i]`` the least of column i, and strict when both are unique.
     """
-    a, b, _ = matrix.scaled_costs
-    cols_a = list(zip(*a))
-    best_a, best_b = [min(col) for col in cols_a], [min(row) for row in b]
+    a, _ = matrix.scaled_costs
+    cols = list(zip(*a))
+    best = [min(col) for col in cols]
     weak, strict = [], []
     for i, j in itertools.product(range(matrix.size), repeat=2):
-        if a[i][j] == best_a[j] and b[i][j] == best_b[i]:
+        if a[i][j] == best[j] and a[j][i] == best[i]:
             profile = _profile(matrix, i, j)
             weak.append(profile)
-            if cols_a[j].count(best_a[j]) == 1 and b[i].count(best_b[i]) == 1:
+            if cols[i].count(best[i]) == 1 and cols[j].count(best[j]) == 1:
                 strict.append(profile)
     return tuple(weak), tuple(strict)
 
@@ -258,13 +260,12 @@ def dominance_select(matrix: CostBimatrix) -> PureProfile | None:
     dominated. Returns the unique surviving cell, or ``None`` when more
     than one cell survives.
     """
-    a, b, _ = matrix.scaled_costs
-    b_t = list(zip(*b))
+    a, _ = matrix.scaled_costs
     rows = list(range(matrix.size))
     cols = list(range(matrix.size))
     while True:
         dead_rows = [r for r in rows if any(r2 != r and _weakly_dominates(a, r2, r, cols) for r2 in rows)]
-        dead_cols = [c for c in cols if any(c2 != c and _weakly_dominates(b_t, c2, c, rows) for c2 in cols)]
+        dead_cols = [c for c in cols if any(c2 != c and _weakly_dominates(a, c2, c, rows) for c2 in cols)]
         if not dead_rows and not dead_cols:
             break
         rows = [r for r in rows if r not in dead_rows]
@@ -341,28 +342,30 @@ def _square_pass(matrix: CostBimatrix, weak_pure):
 
     ``weak_pure`` is the weak pure scan of ``matrix``, which
     stands in for the 1x1 pairs. Returns the sorted profiles and the
-    notes in size-then-index order of their pairs. Each pair solves its
+    notes in size-then-index order of their pairs. Each pair reads its
     column-mix system, then, only when that is unique, its row-mix system;
     a singular system skips the pair with a note.
     """
     size = matrix.size
-    a, b, scale = matrix.scaled_costs
-    # Bob chooses columns; his cost as chooser is indexed [col][row].
-    b_t = [list(col) for col in zip(*b)]
+    a, scale = matrix.scaled_costs
 
     found = {}
     for pure in weak_pure:
         i, j = pure.row, pure.col
         p_full = tuple(Fraction(int(r == i)) for r in range(size))
         q_full = tuple(Fraction(int(c == j)) for c in range(size))
-        found[p_full, q_full] = MixedProfile(p_full, q_full, Fraction(a[i][j], scale), Fraction(b[i][j], scale))
+        found[p_full, q_full] = MixedProfile(p_full, q_full, Fraction(a[i][j], scale), Fraction(a[j][i], scale))
     notes = []
     for r in range(2, size + 1):
-        for sup_a, sup_b in itertools.product(itertools.combinations(range(size), r), repeat=2):
-            status, sol_q = _indifference_mix(a, sup_a, sup_b)
+        # Bob's row-mix system of (S_a, S_b) is Alice's column-mix system of
+        # (S_b, S_a), which the pass reads anyway: one table serves both.
+        pairs = itertools.product(itertools.combinations(range(size), r), repeat=2)
+        systems = {pair: _indifference_mix(a, *pair) for pair in pairs}
+        for sup_a, sup_b in systems:
+            status, sol_q = systems[sup_a, sup_b]
             side = "column"
             if status == "unique":
-                status, sol_p = _indifference_mix(b_t, sup_b, sup_a)
+                status, sol_p = systems[sup_b, sup_a]
                 side = "row"
             if status == "singular":
                 notes.append(_support_note(matrix, sup_a, sup_b, side))
@@ -372,7 +375,7 @@ def _square_pass(matrix: CostBimatrix, weak_pure):
             if min(w_p) < 0 or min(w_q) < 0:
                 continue
             # No unsupported strategy may beat the support's common cost.
-            if _beaten(a, w_q, value_a, sup_a, sup_b) or _beaten(b_t, w_p, value_b, sup_b, sup_a):
+            if _beaten(a, w_q, value_a, sup_a, sup_b) or _beaten(a, w_p, value_b, sup_b, sup_a):
                 continue
             profile = MixedProfile(
                 _full_mix(w_p, den_p, sup_a, size),
@@ -390,8 +393,8 @@ def _square_pass(matrix: CostBimatrix, weak_pure):
 
 
 def _support_note(matrix, sup_a, sup_b, side) -> str:
-    rows = ",".join(matrix.row_labels[i] for i in sup_a)
-    cols = ",".join(matrix.col_labels[j] for j in sup_b)
+    rows = ",".join(matrix.labels[i] for i in sup_a)
+    cols = ",".join(matrix.labels[j] for j in sup_b)
     return f"support ({{{rows}}},{{{cols}}}): singular {side}-mix indifference system, skipped"
 
 

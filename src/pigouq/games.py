@@ -45,10 +45,10 @@ computes for that product. An exact game is built without ``Fraction``
 arithmetic: every per-outcome cost is an integer load over n and every
 probability a count of quarters, so 4n times a cell is an integer (n
 times the LCM of the probability denominators, for any exact grid), and
-:func:`bimatrix` computes Alice's integer grid directly. It and its
-transpose, Bob's, are the :class:`CostBimatrix`'s data and the solver's
-input, under one scale (:attr:`CostBimatrix.scaled_costs`); its
-``Fraction`` cells are a view built from them when printed or summed.
+:func:`bimatrix` computes Alice's integer grid directly. That grid, over
+one scale, is the :class:`CostBimatrix`'s data and the solver's input
+(:attr:`CostBimatrix.scaled_costs`); Bob's grid is its transpose, and
+the ``Fraction`` costs are a view built from it when printed or summed.
 
 A quirk worth knowing about the phase strategy Q: under maximal
 entanglement, Q against P1 lands both players on the lower edge while
@@ -93,6 +93,16 @@ def _integer(name: str, value) -> int:
         raise DomainError(f"{name} must be an integer, got {value!r}") from None
 
 
+def _check_k_person(n, k) -> None:
+    """The n-traveler game's rule: integers n and k with n >= 3 and 0 <= k < n-2."""
+    _integer("n", n)
+    _integer("k", k)
+    if n < 3:
+        raise DomainError("the k-person game requires n >= 3")
+    if not (0 <= k < n - 2):
+        raise DomainError(f"pinned lower-edge count must satisfy 0 <= k < n-2, got k={k}, n={n}")
+
+
 @dataclass(frozen=True)
 class GameSpec:
     """Which game to build: mode, population, pinned count, entanglement, strategy set.
@@ -109,18 +119,13 @@ class GameSpec:
     strategies: tuple = ("P1", "P2")
 
     def __post_init__(self):
-        _integer("n", self.n)
-        if self.k is not None:
-            _integer("k", self.k)
+        if self.k is None:
+            if _integer("n", self.n) != 2:
+                raise DomainError(f"a game without k is the two-person game, which fixes n = 2; got n={self.n}")
+        else:
+            _check_k_person(self.n, self.k)
         if self.mode not in ("classical", "quantum"):
             raise DomainError(f"unknown mode {self.mode!r}")
-        if self.k is None:
-            if self.n != 2:
-                raise DomainError(f"a game without k is the two-person game, which fixes n = 2; got n={self.n}")
-        elif self.n < 3:
-            raise DomainError("the k-person game requires n >= 3")
-        elif not (0 <= self.k < self.n - 2):
-            raise DomainError(f"pinned lower-edge count must satisfy 0 <= k < n-2, got k={self.k}, n={self.n}")
         if not self.strategies:
             raise DomainError("strategy list must be nonempty")
         labels = [strategy_label(s) for s in self.strategies]
@@ -174,45 +179,38 @@ class GameSpec:
 
 
 class CostBimatrix:
-    """Square grid of (row cost, column cost) pairs over a strategy list.
+    """A symmetric game over one strategy list: Alice's cost grid, and Bob's is its transpose.
 
-    Entries are Fractions where exact, floats otherwise; all positive and
-    finite. ``CostBimatrix(row_labels, col_labels, cells)`` stores the
-    cells, symmetric or not, and derives :attr:`scaled_costs` from them
-    when first read. An exact game from :func:`bimatrix` is stored the
-    other way round: Alice's integer grid and its transpose are the data,
-    ``cells`` is the ``Fraction`` view built from them on first read, and
-    :meth:`cell`, :meth:`cost_a` and :meth:`cost_b` build only the entry
-    asked for. Either way the matrix is immutable, and equality and hashing compare labels and cells, so
-    they do not depend on how it was built.
+    ``cost_b(i, j) == cost_a(j, i)``. Entries are Fractions where exact,
+    floats otherwise; all positive and finite. ``CostBimatrix(labels,
+    costs)`` stores Alice's grid and derives :attr:`scaled_costs` from it
+    when a solver first reads them. An exact game from :func:`bimatrix`
+    is stored the other way round: Alice's integer grid is the data,
+    ``costs`` the ``Fraction`` view built on first read, and :meth:`cell`,
+    :meth:`cost_a` and :meth:`cost_b` build only the entry asked for. The
+    matrix is immutable, and equality and hashing compare labels and
+    costs, so they do not depend on how it was built.
     """
 
-    def __init__(self, row_labels: tuple, col_labels: tuple, cells: tuple):
-        _check_shape(row_labels, col_labels, cells)
-        for row in cells:
-            for a, b in row:
-                try:
-                    ok = 0 < a < math.inf and 0 < b < math.inf
-                except TypeError:  # a str or complex cost has no order
-                    ok = False
-                if not ok:
-                    raise DomainError(f"cost entries must be positive and finite, got ({a}, {b})")
-        self.__dict__.update(row_labels=row_labels, col_labels=col_labels, cells=cells)
+    def __init__(self, labels: tuple, costs):
+        costs = tuple(map(tuple, costs))
+        _check_shape(labels, costs)
+        for x in (x for row in costs for x in row):
+            try:
+                ok = 0 < x < math.inf
+            except TypeError:  # a str or complex cost has no order
+                ok = False
+            if not ok:
+                raise DomainError(f"cost entries must be positive and finite, got {x}")
+        self.__dict__.update(labels=labels, costs=costs)
 
     @classmethod
     def _exact(cls, labels: tuple, a: list, scale: int) -> "CostBimatrix":
-        """An exact matrix stored as Alice's square integer grid and its transpose, Bob's.
-
-        ``cost_a(i, j) == a[i][j] / scale == cost_b(j, i)``.
-        """
-        b = [list(col) for col in zip(*a)]
-        if min(map(min, a)) <= 0:  # b is a permutation of a
-            x, y = next((x, y) for ra, rb in zip(a, b) for x, y in zip(ra, rb) if x <= 0 or y <= 0)
-            raise DomainError(
-                f"cost entries must be positive and finite, got ({Fraction(x, scale)}, {Fraction(y, scale)})"
-            )
+        """An exact matrix stored as Alice's square integer grid: ``cost_a(i, j) == a[i][j] / scale``."""
+        if (low := min(map(min, a))) <= 0:
+            raise DomainError(f"cost entries must be positive and finite, got {Fraction(low, scale)}")
         matrix = cls.__new__(cls)
-        matrix.__dict__.update(row_labels=labels, col_labels=labels, scaled_costs=(a, b, scale))
+        matrix.__dict__.update(labels=labels, scaled_costs=(a, scale))
         return matrix
 
     def __setattr__(self, name, value):
@@ -222,7 +220,7 @@ class CostBimatrix:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def _key(self) -> tuple:
-        return self.row_labels, self.col_labels, self.cells
+        return self.labels, self.costs
 
     def __eq__(self, other):
         if not isinstance(other, CostBimatrix):
@@ -233,60 +231,60 @@ class CostBimatrix:
         return hash(self._key())
 
     def __repr__(self):
-        return f"CostBimatrix(row_labels={self.row_labels!r}, col_labels={self.col_labels!r}, cells={self.cells!r})"
+        return f"CostBimatrix(labels={self.labels!r}, costs={self.costs!r})"
 
     @property
     def size(self) -> int:
-        return len(self.row_labels)
+        return len(self.labels)
+
+    @cached_property
+    def costs(self) -> tuple:
+        """Alice's grid: ``costs[i][j]`` is her cost when she plays ``labels[i]`` and Bob ``labels[j]``."""
+        a, scale = self.scaled_costs
+        return tuple(tuple(Fraction(x, scale) for x in row) for row in a)
 
     @cached_property
     def cells(self) -> tuple:
-        """``cells[i][j] = (cost_row, cost_col)``."""
-        a, b, scale = self.scaled_costs
-        return tuple(
-            tuple((Fraction(x, scale), Fraction(y, scale)) for x, y in zip(row_a, row_b))
-            for row_a, row_b in zip(a, b)
-        )
+        """``cells[i][j] = (cost_row, cost_col)``: Alice's grid paired with its transpose."""
+        costs = self.costs
+        return tuple(tuple(zip(row, col)) for row, col in zip(costs, zip(*costs)))
 
     def cell(self, i: int, j: int):
-        return self.cost_a(i, j), self.cost_b(i, j)
+        return self.cost_a(i, j), self.cost_a(j, i)
 
     def cost_a(self, i: int, j: int):
-        return self._cost(i, j, 0)
+        costs = self.__dict__.get("costs")
+        if costs is not None:
+            return costs[i][j]
+        a, scale = self.scaled_costs
+        return Fraction(a[i][j], scale)
 
     def cost_b(self, i: int, j: int):
-        return self._cost(i, j, 1)
-
-    def _cost(self, i: int, j: int, player: int):
-        cells = self.__dict__.get("cells")
-        if cells is not None:
-            return cells[i][j][player]
-        grids = self.scaled_costs
-        return Fraction(grids[player][i][j], grids[2])
+        return self.cost_a(j, i)
 
     @cached_property
     def scaled_costs(self) -> tuple:
-        """Both players' cost grids as exact integers over one scale: ``(a, b, scale)``.
+        """Alice's cost grid as exact integers over one scale: ``(a, scale)``.
 
-        ``a[i][j] == scale * cost_a(i, j)`` and ``b[i][j] == scale *
-        cost_b(i, j)`` exactly. An exact game from :func:`bimatrix` is built
-        as Alice's grid, with ``b`` its transpose: ``scale`` is n times the
-        LCM of its outcome grid's probability denominators, which divides 4n
-        for the classical and named-set grids. Otherwise ``scale`` is the
-        LCM of the denominators of both players' cells, floats counting by
-        their exact binary value: float cells are dyadic rationals, so a
-        float game's scale is a power of two times a divisor of 4n (its
-        ``b`` is a permutation of ``a``, so Alice's cells alone give the
-        same LCM). A positive scale keeps every comparison between costs
-        what it was, and scales the common value of an indifference system
-        in them without changing its probabilities.
+        ``a[i][j] == scale * cost_a(i, j)`` exactly; Bob's grid is ``a``
+        transposed. An exact game from :func:`bimatrix` is built this way:
+        ``scale`` is n times the LCM of its outcome grid's probability
+        denominators, which divides 4n for the classical and named-set
+        grids. Otherwise ``scale`` is the LCM of the denominators of the
+        costs, floats counting by their exact binary value, so a float
+        game's scale is a power of two times a divisor of 4n. A positive
+        scale keeps every comparison between costs what it was, and scales
+        the common value of an indifference system in them without
+        changing its probabilities.
         """
-        return _scale_to_integers(*([[cell[p] for cell in row] for row in self.cells] for p in (0, 1)))
+        ratios = [[x.as_integer_ratio() for x in row] for row in self.costs]
+        scale = math.lcm(*(den for row in ratios for _, den in row))
+        return [[num * (scale // den) for num, den in row] for row in ratios], scale
 
     def to_json_obj(self) -> dict:
         return {
-            "rows": list(self.row_labels),
-            "cols": list(self.col_labels),
+            "rows": list(self.labels),
+            "cols": list(self.labels),
             "cells": [
                 [{"a": value_to_json(a), "b": value_to_json(b)} for a, b in row]
                 for row in self.cells
@@ -296,23 +294,15 @@ class CostBimatrix:
     def to_text_table(self) -> str:
         """Aligned text rendering with exact entries."""
         body = [[f"({format_value(a)}, {format_value(b)})" for a, b in row] for row in self.cells]
-        headers = [""] + list(self.col_labels)
-        table = [headers] + [[label] + line for label, line in zip(self.row_labels, body)]
+        headers = [""] + list(self.labels)
+        table = [headers] + [[label] + line for label, line in zip(self.labels, body)]
         widths = [max(len(r[c]) for r in table) for c in range(len(headers))]
         return "\n".join("  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip() for r in table)
 
 
-def _check_shape(row_labels, col_labels, grid) -> None:
-    if len(row_labels) != len(col_labels):
-        raise DomainError("cost bimatrix must be square")
-    if len(grid) != len(row_labels) or any(len(row) != len(col_labels) for row in grid):
+def _check_shape(labels, grid) -> None:
+    if len(grid) != len(labels) or any(len(row) != len(labels) for row in grid):
         raise DomainError("cell grid does not match strategy labels")
-
-
-def _scale_to_integers(a, b):
-    ratios = [[[x.as_integer_ratio() for x in row] for row in grid] for grid in (a, b)]
-    scale = math.lcm(*(den for grid in ratios for row in grid for _, den in row))
-    return *([[num * (scale // den) for num, den in row] for row in grid] for grid in ratios), scale
 
 
 def format_value(x) -> str:
@@ -454,11 +444,13 @@ def bimatrix(spec: GameSpec, outcomes: tuple | None = None) -> CostBimatrix:
     pair's outcome distribution: :data:`CLASSICAL_GRID` for a classical
     spec, the :func:`outcome_grid` of its strategies at its ``gamma`` for
     a quantum one (pass ``outcomes`` to reuse one already built for
-    them). Bob's cost at (i, j) is Alice's at (j, i), so ``outcomes`` must
-    be mirrored, unchecked: ``outcomes[j][i]`` is ``outcomes[i][j]`` with
+    them). The :class:`CostBimatrix` holds Alice's grid alone and reads
+    Bob's cost at (i, j) as hers at (j, i), so ``outcomes`` must be
+    mirrored, unchecked: ``outcomes[j][i]`` is ``outcomes[i][j]`` with
     outcomes 01 and 10 exchanged, as in every :func:`outcome_grid` and
     :data:`CLASSICAL_GRID`. A grid is all-``Fraction`` or all-float, and
-    the first probability tells which.
+    the first probability tells which. An exact grid gives an exact game
+    stored as integers, a float grid a game of float costs.
 
     An exact grid is built in integers and no ``Fraction`` is formed:
     with L the LCM of the grid's probability denominators, each
@@ -475,7 +467,7 @@ def bimatrix(spec: GameSpec, outcomes: tuple | None = None) -> CostBimatrix:
     if outcomes is None:
         outcomes = CLASSICAL_GRID if spec.mode == "classical" else outcome_grid(spec.strategies, spec.gamma)
     labels = spec.strategy_labels()
-    _check_shape(labels, labels, outcomes)
+    _check_shape(labels, outcomes)
     if {len(cell) for row in outcomes for cell in row} != {4}:
         raise DomainError("every outcome distribution must have four probabilities")
     n, alice = _outcome_loads(spec)
@@ -483,7 +475,7 @@ def bimatrix(spec: GameSpec, outcomes: tuple | None = None) -> CostBimatrix:
         # int / int is the correctly rounded float of the cost's Fraction
         alice = tuple(c / n for c in alice)
         a = [[sum(p * c for p, c in zip(probs, alice) if p) for probs in row] for row in outcomes]
-        return CostBimatrix(labels, labels, tuple(tuple(zip(row, col)) for row, col in zip(a, zip(*a))))
+        return CostBimatrix(labels, a)
     size = len(labels)
     try:
         ratios = [p.as_integer_ratio() for row in outcomes for cell in row for p in cell]

@@ -34,7 +34,17 @@ from fractions import Fraction
 
 from .equilibria import EquilibriumResult, MixedProfile, PureProfile, _combined_costs, solve
 from .errors import DomainError
-from .games import CostBimatrix, GameSpec, _integer, bimatrix, format_value, outcome_grid, pinned_bill, value_to_json
+from .games import (
+    CostBimatrix,
+    GameSpec,
+    _check_k_person,
+    _integer,
+    bimatrix,
+    format_value,
+    outcome_grid,
+    pinned_bill,
+    value_to_json,
+)
 
 __all__ = [
     "MetricsReport",
@@ -50,18 +60,13 @@ __all__ = [
 ]
 
 
-def _check_k_bounds(n: int, k: int) -> None:
-    if n < 3 or not (0 <= k < n - 2):
-        raise DomainError(f"need 0 <= k < n-2, got k={k}, n={n}")
-
-
 def classical_cost_ne(n: int, k: int) -> Fraction:
     """Equilibrium total of the classical n-traveler game: (k+2)^2/n + (n-k-2).
 
     Both free players join the k pinned users on the lower edge, so all
     k+2 of them pay (k+2)/n while n-k-2 stay on the upper edge at 1.
     """
-    _check_k_bounds(n, k)
+    _check_k_person(n, k)
     return Fraction((k + 2) ** 2, n) + (n - k - 2)
 
 
@@ -71,7 +76,7 @@ def classical_pos_poa(n: int, k: int) -> Fraction:
     Equals ``classical_cost_ne(n, k) / (3n/4)`` exactly; the equilibrium
     is unique so both ratios coincide.
     """
-    _check_k_bounds(n, k)
+    _check_k_person(n, k)
     return Fraction(4 * (k * k - (n - 4) * k + n * n - 2 * n + 4), 3 * n * n)
 
 
@@ -89,7 +94,7 @@ def split_cost(n: int, upper_count) -> Fraction:
 
 def classical_opt(n: int) -> tuple[Fraction, Fraction]:
     """Optimal split and its total: half the traffic on each edge, cost 3n/4."""
-    if n < 2:
+    if _integer("n", n) < 2:
         raise DomainError(f"need n >= 2, got {n}")
     half = Fraction(n, 2)
     return half, split_cost(n, half)
@@ -166,7 +171,7 @@ def profile_total(spec: GameSpec, matrix: CostBimatrix, profile):
         lower = (profile.row_label, profile.col_label).count("P2")
     elif isinstance(profile, MixedProfile):
         a, b = profile.expected_cost_alice, profile.expected_cost_bob
-        moves = zip(matrix.row_labels + matrix.col_labels, profile.alice_probs + profile.bob_probs)
+        moves = zip(matrix.labels * 2, profile.alice_probs + profile.bob_probs)
         lower = sum(p for label, p in moves if label == "P2")
     else:
         raise DomainError(f"cannot cost a profile of type {type(profile).__name__}")
@@ -192,12 +197,8 @@ def solve_over_k(mode: str, strategies, n: int, gamma: float | None = None):
     selected), and ``opt``, the cheapest of those totals (None when no k
     selects an equilibrium).
     """
-    specs = [
-        GameSpec(mode=mode, n=n, k=k, gamma=gamma, strategies=tuple(strategies))
-        for k in range(_integer("n", n) - 2)
-    ]
-    if not specs:
-        raise DomainError("the k-person game requires n >= 3")
+    _check_k_person(n, 0)
+    specs = [GameSpec(mode=mode, n=n, k=k, gamma=gamma, strategies=tuple(strategies)) for k in range(n - 2)]
     outcomes = outcome_grid(specs[0].strategies, gamma) if mode == "quantum" else None
     points = []
     for spec in specs:

@@ -157,6 +157,7 @@ def strategy_label(strategy: str | StrategyAngles) -> str:
 
 
 # All catalog members must satisfy the unitarity guard; this runs once at
-# import and guards against literal typos.
+# import and guards against literal typos, also under ``python -O``.
 for _tag in STRATEGY_TAGS:
-    assert is_unitary(_NAMED[_tag], 1e-12), _tag
+    if not is_unitary(_NAMED[_tag], 1e-12):
+        raise DomainError(f"catalog strategy {_tag} is not unitary")

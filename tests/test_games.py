@@ -266,7 +266,7 @@ def test_k_person_cost_assignment():
 
 def test_two_person_classical_grid():
     m = bimatrix(GameSpec.classical_two_person())
-    assert m.row_labels == ("P1", "P2")
+    assert m.labels == ("P1", "P2")
     assert m.cells == (((ONE, ONE), (ONE, HALF)), ((HALF, ONE), (ONE, ONE)))
 
 
@@ -450,17 +450,19 @@ def test_text_table_lists_labels_and_entries():
 
 
 def test_bimatrix_type_rejects_nonsquare_and_nonpositive():
-    with pytest.raises(DomainError):
-        CostBimatrix(("A",), ("A", "B"), (((ONE, ONE), (ONE, ONE)),))
-    with pytest.raises(DomainError):
-        CostBimatrix(("A",), ("A",), (((F(0), ONE),),))
+    with pytest.raises(DomainError, match="cell grid does not match strategy labels"):
+        CostBimatrix(("A",), ((ONE, ONE),))
+    with pytest.raises(DomainError, match="cell grid does not match strategy labels"):
+        CostBimatrix(("A", "B"), ((ONE, ONE),))
+    with pytest.raises(DomainError, match="positive and finite, got 0$"):
+        CostBimatrix(("A",), ((F(0),),))
 
 
 @pytest.mark.parametrize("bad", [math.inf, math.nan, "1/2", 0.5j, None])
 def test_bimatrix_type_rejects_nonfinite_costs(bad):
-    cells = (((ONE, ONE), (ONE, F(1, 2))), ((F(1, 2), ONE), (bad, ONE)))
+    costs = ((ONE, ONE), (F(1, 2), bad))
     with pytest.raises(DomainError, match="positive and finite"):
-        CostBimatrix(("P1", "P2"), ("P1", "P2"), cells)
+        CostBimatrix(("P1", "P2"), costs)
 
 
 # --- the integer build of exact games, against the Fraction cell loop ---
@@ -487,16 +489,15 @@ def assert_matches_fraction_loop(spec, outcomes=None):
     if outcomes is None:
         outcomes = CLASSICAL_GRID if spec.mode == "classical" else outcome_grid(spec.strategies, spec.gamma)
     want = fraction_cells(spec, outcomes)
-    # the integer grids are exact multiples of the costs over one scale, read before any cells view exists
-    a, b, scale = matrix.scaled_costs
+    # Alice's integer grid is an exact multiple of the costs over one scale, read before any costs view exists
+    a, scale = matrix.scaled_costs
     for i, j in product(range(matrix.size), repeat=2):
-        assert a[i][j] == scale * matrix.cost_a(i, j) and b[i][j] == scale * matrix.cost_b(i, j)
-        assert b[i][j] == a[j][i]
+        assert a[i][j] == scale * matrix.cost_a(i, j) and a[j][i] == scale * matrix.cost_b(i, j)
         assert matrix.cell(i, j) == want[i][j]
     assert matrix.cells == want
     assert all(type(x) is F for row in matrix.cells for cell in row for x in cell)
     labels = spec.strategy_labels()
-    built = CostBimatrix(labels, labels, want)
+    built = CostBimatrix(labels, [[alice for alice, _ in row] for row in want])
     assert matrix == built and built == matrix and hash(matrix) == hash(built)
     assert matrix.to_json_obj() == built.to_json_obj()
     assert matrix.to_text_table() == built.to_text_table()
@@ -541,21 +542,21 @@ def test_integer_build_takes_any_exact_denominator():
     )
     for spec in (GameSpec.quantum_two_person(("P1", "P2", "M")), GameSpec.quantum_k_person(10, 3, ("P1", "P2", "M"))):
         assert_matches_fraction_loop(spec, outcomes)
-        assert bimatrix(spec, outcomes).scaled_costs[2] == spec.n * 12
+        assert bimatrix(spec, outcomes).scaled_costs[1] == spec.n * 12
 
 
 def test_reading_one_cost_builds_no_cells_view():
     matrix = bimatrix(GameSpec.quantum_k_person(10, 4, ("P1", "P2", "Q")))
     assert matrix.cell(2, 0) == (F(3, 5), F(3, 5)) and matrix.cost_b(1, 2) == F(1, 2)
-    assert "cells" not in vars(matrix)
+    assert "costs" not in vars(matrix) and "cells" not in vars(matrix)
     assert matrix.cells[2][0] == (F(3, 5), F(3, 5))
 
 
 def test_integer_build_rejects_a_nonpositive_cost():
-    # a negative probability drives Alice's P2-vs-P1 cost to -3 + 4 * 1/2 = -1, so
-    # Bob's P1-vs-P2 cost, its transpose, is the first bad cost in row-major order
+    # a negative probability drives Alice's P2-vs-P1 cost to -3 + 4 * 1/2 = -1, her
+    # first bad cost in row-major order; Bob's costs are her grid transposed
     outcomes = (CLASSICAL_GRID[0], ((F(-3), F(0), F(4), F(0)), CLASSICAL_GRID[1][1]))
-    with pytest.raises(DomainError, match=r"positive and finite, got \(1, -1\)$"):
+    with pytest.raises(DomainError, match=r"positive and finite, got -1$"):
         bimatrix(GameSpec.quantum_two_person(("P1", "P2"), 0.0), outcomes)
 
 

@@ -19,7 +19,7 @@ from pigouq.sweeps import sweep_gamma
 
 
 def _pure(matrix, i, j):
-    return PureProfile(i, j, matrix.row_labels[i], matrix.col_labels[j])
+    return PureProfile(i, j, matrix.labels[i], matrix.labels[j])
 
 
 def test_pinned_player_total():
@@ -54,7 +54,7 @@ def _realized_load_total(spec, matrix, alice_probs, bob_probs):
     """Expected classical total: every lower-edge user pays the realized load (P2 is the lower edge)."""
     n, k = spec.n, spec.k or 0
     return sum(
-        pa * qb * split_cost(n, n - k - (matrix.row_labels[i], matrix.col_labels[j]).count("P2"))
+        pa * qb * split_cost(n, n - k - (matrix.labels[i], matrix.labels[j]).count("P2"))
         for i, pa in enumerate(alice_probs)
         for j, qb in enumerate(bob_probs)
     )
@@ -87,6 +87,23 @@ def test_classical_equilibrium_total():
     assert classical_cost_ne(4, 0) == 3
     with pytest.raises(DomainError):
         classical_cost_ne(10, 8)
+
+
+@pytest.mark.parametrize("n, k", [(10, 2.5), (10, 2.0), (10.0, 2), (F(10), 2), (10, 8), (10, -1), (2, 0)])
+def test_closed_forms_take_the_game_spec_k_rule(n, k):
+    # the same error, message included, as the n-traveler spec they price
+    with pytest.raises(DomainError) as spec_error:
+        GameSpec.classical_k_person(n, k)
+    for closed_form in (classical_cost_ne, classical_pos_poa):
+        with pytest.raises(DomainError) as error:
+            closed_form(n, k)
+        assert str(error.value) == str(spec_error.value)
+
+
+@pytest.mark.parametrize("n", [10.5, 10.0, F(10)])
+def test_optimal_split_takes_an_integer_population(n):
+    with pytest.raises(DomainError, match="n must be an integer"):
+        classical_opt(n)
 
 
 def test_classical_ratio_closed_form():

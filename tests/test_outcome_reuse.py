@@ -217,12 +217,14 @@ def test_support_enumeration_runs_only_where_the_selection_needs_it(enumerations
 @pytest.mark.parametrize(
     "matrix, read, count",
     [
-        (bimatrix(GameSpec.quantum_k_person(10, 4, ("P1", "P2", "Q"))), lambda eq: eq.selected, 20),  # square pairs
-        (bimatrix(GameSpec.quantum_k_person(10, 4, ("P1", "P2", "Q"))), lambda eq: eq.to_json_obj(), 20),
-        (bimatrix(GameSpec.classical_two_person()), lambda eq: eq.to_json_obj(), 2),
+        # one solve per ordered pair of equal-size supports of size 2+: Bob's system
+        # for (S_a, S_b) is Alice's for (S_b, S_a), so 9 + 1 for a 3x3 game
+        (bimatrix(GameSpec.quantum_k_person(10, 4, ("P1", "P2", "Q"))), lambda eq: eq.selected, 10),
+        (bimatrix(GameSpec.quantum_k_person(10, 4, ("P1", "P2", "Q"))), lambda eq: eq.to_json_obj(), 10),
+        (bimatrix(GameSpec.classical_two_person()), lambda eq: eq.to_json_obj(), 1),
     ],
     ids=["p1p2q-selected", "p1p2q-all-views", "classical-all-views"],
 )
 def test_each_support_pair_is_solved_at_most_once(linear_solves, matrix, read, count):
     read(solve(matrix))
-    assert len(linear_solves) == count
+    assert len(linear_solves) == count == len(set(linear_solves))

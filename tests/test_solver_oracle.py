@@ -9,7 +9,10 @@ enumerates; the oracle still solves the unequal pairs too, and finds no
 profile there.
 Each game also holds every closed-form indifference solve to the
 oracle's, for every square support pair and both of its systems, so a
-wrong row system cannot hide behind an inconsistent column system.
+wrong row system cannot hide behind an inconsistent column system. The
+solver reads Bob's system as Alice's for the exchanged supports; the
+oracle builds Bob's costs from ``cost_b`` and solves his systems
+itself, so that sharing is checked, not assumed.
 
 Every game here also checks :func:`solve`, whose views are computed on
 first read, against an eager reference that runs a brute-force pure
@@ -73,8 +76,8 @@ def _oracle_indifference_mix(costs, chooser_support, mixer_support):
 
 
 def _note(matrix, sup_a, sup_b, side):
-    rows = ",".join(matrix.row_labels[i] for i in sup_a)
-    cols = ",".join(matrix.col_labels[j] for j in sup_b)
+    rows = ",".join(matrix.labels[i] for i in sup_a)
+    cols = ",".join(matrix.labels[j] for j in sup_b)
     return f"support ({{{rows}}},{{{cols}}}): singular {side}-mix indifference system, skipped"
 
 
@@ -143,17 +146,21 @@ def square_oracle_enumeration(matrix):
 def _systems_match_oracle(matrix):
     """Every square support pair's column and row system, each against the rational oracle.
 
-    Each system must agree in status and, when unique, in the exact mix
-    and value. Both sides get the same integer-scaled costs, so the
-    values compare exactly. Returns the statuses seen.
+    The solver solves both on Alice's integer grid ``a``, Bob's with the
+    supports exchanged; the oracle solves Bob's on his own costs, read
+    through ``cost_b`` and scaled like ``a``. Each system must agree in
+    status and, when unique, in the exact mix and value. Returns the
+    statuses seen.
     """
-    a, b, _ = matrix.scaled_costs
-    b_t = [list(col) for col in zip(*b)]
+    a, scale = matrix.scaled_costs
+    size = matrix.size
+    alice = [[F(x) for x in row] for row in a]
+    bob_as_chooser = [[scale * F(matrix.cost_b(r, c)) for r in range(size)] for c in range(size)]
     statuses = set()
-    for sup_a, sup_b in _square_pairs(matrix.size):
-        for costs, chooser, mixer in ((a, sup_a, sup_b), (b_t, sup_b, sup_a)):
-            status, solution = _indifference_mix(costs, chooser, mixer)
-            want, q, v = _oracle_indifference_mix([[F(x) for x in row] for row in costs], chooser, mixer)
+    for sup_a, sup_b in _square_pairs(size):
+        for oracle_costs, chooser, mixer in ((alice, sup_a, sup_b), (bob_as_chooser, sup_b, sup_a)):
+            status, solution = _indifference_mix(a, chooser, mixer)
+            want, q, v = _oracle_indifference_mix(oracle_costs, chooser, mixer)
             assert status == want, (chooser, mixer)
             if status == "unique":
                 weights, value, denominator = solution
@@ -188,7 +195,7 @@ def brute_force_pure(matrix):
         deviations = [(matrix.cost_a(r, j), a) for r in range(matrix.size) if r != i]
         deviations += [(matrix.cost_b(i, c), b) for c in range(matrix.size) if c != j]
         if all(cost >= stay for cost, stay in deviations):
-            profile = PureProfile(i, j, matrix.row_labels[i], matrix.col_labels[j])
+            profile = PureProfile(i, j, matrix.labels[i], matrix.labels[j])
             weak.append(profile)
             if all(cost > stay for cost, stay in deviations):
                 strict.append(profile)
@@ -282,17 +289,14 @@ def test_classical_games_match_oracle():
 
 
 def test_degenerate_integer_games_match_oracle():
-    """Small integer costs with many ties: singular and inconsistent systems abound."""
+    """Small symmetric games with many ties: singular and inconsistent systems abound."""
     rng = random.Random(1968)
     statuses = set()
     for _ in range(60):
         size = rng.choice((2, 3))
         labels = tuple("ABC"[:size])
-        cells = tuple(
-            tuple((F(rng.randint(1, 3), rng.choice((1, 2))), F(rng.randint(1, 3))) for _ in labels)
-            for _ in labels
-        )
-        statuses |= _same_as_oracle(CostBimatrix(labels, labels, cells))
+        costs = [[F(rng.randint(1, 3), rng.choice((1, 2))) for _ in labels] for _ in labels]
+        statuses |= _same_as_oracle(CostBimatrix(labels, costs))
     # Every status occurs on the square systems the solver enumerates.
     assert statuses == {"unique", "inconsistent", "singular"}
 

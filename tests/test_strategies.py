@@ -1,8 +1,10 @@
+import inspect
 import math
 
 import numpy as np
 import pytest
 
+from pigouq import strategies
 from pigouq.errors import DomainError
 from pigouq.strategies import (
     DEFINING_ANGLES,
@@ -84,3 +86,13 @@ def test_family_is_unitary_across_random_draws():
         theta = rng.uniform(0, math.pi)
         phi = rng.uniform(0, math.pi / 2)
         assert is_unitary(unitary_from_angles(theta, phi), 1e-12)
+
+
+def test_catalog_guard_survives_optimized_mode():
+    # The import-time unitarity guard, compiled as ``python -O`` compiles it
+    # (asserts stripped), still rejects a catalog entry that is not unitary.
+    source = inspect.getsource(strategies)
+    guard = source[source.index("for _tag in STRATEGY_TAGS:") :]
+    bad = {**strategies._NAMED, "Q": 2 * strategies._NAMED["Q"]}
+    with pytest.raises(DomainError, match="catalog strategy Q is not unitary"):
+        exec(compile(guard, strategies.__file__, "exec", optimize=2), {**vars(strategies), "_NAMED": bad})
