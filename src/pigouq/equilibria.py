@@ -11,7 +11,8 @@ used because they genuinely differ on these games:
   strategies and reports the surviving cell when it is unique -- the
   selection the narrative "the equilibrium is X" claims of small
   congestion games rely on, since those cells are often only weak
-  equilibria;
+  equilibria. The game is symmetric, so both players lose the same
+  strategies in every round, and one survivor list serves both;
 * exact support enumeration, read through the ``mixed`` and
   ``diagnostics`` views of :func:`solve`.
 
@@ -48,15 +49,17 @@ is divided back out.
 Each indifference system is solved in closed form. Subtracting the
 first chooser row from the others leaves ``D q = 0`` with ``sum(q) = 1``
 for the mixer's probabilities q, D an integer difference matrix with one
-row fewer than columns. D's signed maximal minors span its kernel when
-it has full rank, so the system is unique exactly when their sum is
-nonzero, and q is the minors over their sum (Cramer's rule). Otherwise
-it is inconsistent when the all-ones row lies in D's row space and
-singular when not; ranks of integer matrices are exact, so this is the
-classification rational elimination gives. The probabilities and the
-common cost share the sum, made positive, as denominator: the sign and
-best-response tests compare integers, and ``Fraction`` values are built
-only for the profiles that pass both.
+row fewer than columns: 1x2 or 2x3, since :data:`MAX_MIXED_SIZE` is 3.
+D's signed maximal minors, written out as straight-line cofactors, span
+its kernel when it has full rank, so the system is unique exactly when
+their sum is nonzero, and q is the minors over their sum (Cramer's
+rule). Otherwise it is inconsistent when the all-ones row lies in D's
+row space and singular when not; that test reads integer minors and
+entries, so it is exact, and it is the classification rational
+elimination gives. The probabilities and the common cost share the sum,
+made positive, as denominator: the sign and best-response tests compare
+integers, and ``Fraction`` values are built only for the profiles that
+pass both.
 
 Everything is deterministic: cells in row-major order, supports in
 size-then-index order, results sorted by support and probabilities.
@@ -245,50 +248,40 @@ def _pure_scan(matrix: CostBimatrix) -> tuple[tuple[PureProfile, ...], tuple[Pur
 
 
 def _weakly_dominates(costs, new, old, others) -> bool:
-    """Whether strategy ``new`` weakly dominates ``old``; ``costs[s][o]`` is the chooser's cost at s against o."""
-    le = all(costs[new][o] <= costs[old][o] for o in others)
-    lt = any(costs[new][o] < costs[old][o] for o in others)
-    return le and lt
+    """Whether strategy ``new`` weakly dominates ``old``; ``costs[s][o]`` is the chooser's cost at s against o.
+
+    One pass over ``others``, which stops at the first opponent strategy against which ``new`` costs more.
+    """
+    row_new, row_old = costs[new], costs[old]
+    strict = False
+    for o in others:
+        if row_new[o] > row_old[o]:
+            return False
+        strict = strict or row_new[o] < row_old[o]
+    return strict
 
 
 def dominance_select(matrix: CostBimatrix) -> PureProfile | None:
     """Iterated elimination of weakly dominated strategies.
 
-    Each round judges every row and every column against the matrix as
-    it stood at the start of the round (rows first, then columns, both
-    players simultaneously) and removes all strategies found weakly
-    dominated. Returns the unique surviving cell, or ``None`` when more
-    than one cell survives.
+    Each round judges every surviving strategy against the survivors as
+    they stood at the start of the round and removes all strategies found
+    weakly dominated. The game is symmetric, so Alice's rows and Bob's
+    columns read the same grid ``a`` against the same survivors, and the
+    two players lose the same strategies in every round: one survivor list
+    serves both. Returns the cell of the unique survivor, played by both,
+    or ``None`` when more than one strategy survives.
     """
     a, _ = matrix.scaled_costs
-    rows = list(range(matrix.size))
-    cols = list(range(matrix.size))
+    alive = list(range(matrix.size))
     while True:
-        dead_rows = [r for r in rows if any(r2 != r and _weakly_dominates(a, r2, r, cols) for r2 in rows)]
-        dead_cols = [c for c in cols if any(c2 != c and _weakly_dominates(a, c2, c, rows) for c2 in cols)]
-        if not dead_rows and not dead_cols:
+        dead = [s for s in alive if any(s2 != s and _weakly_dominates(a, s2, s, alive) for s2 in alive)]
+        if not dead:
             break
-        rows = [r for r in rows if r not in dead_rows]
-        cols = [c for c in cols if c not in dead_cols]
-    if len(rows) == 1 and len(cols) == 1:
-        return _profile(matrix, rows[0], cols[0])
+        alive = [s for s in alive if s not in dead]
+    if len(alive) == 1:
+        return _profile(matrix, alive[0], alive[0])
     return None
-
-
-def _det(m) -> int:
-    """Determinant of a small square integer matrix, by cofactor expansion on the first row."""
-    if len(m) <= 1:
-        return m[0][0] if m else 1
-    return sum((-1) ** j * x * _det([row[:j] + row[j + 1 :] for row in m[1:]]) for j, x in enumerate(m[0]) if x)
-
-
-def _rank(rows, n_cols: int) -> int:
-    """Rank of a small integer matrix: the order of its largest nonzero minor."""
-    for r in range(min(len(rows), n_cols), 0, -1):
-        for sub in itertools.combinations(rows, r):
-            if any(_det([[row[c] for c in cols] for row in sub]) for cols in itertools.combinations(range(n_cols), r)):
-                return r
-    return 0
 
 
 def _indifference_mix(costs, chooser_support, mixer_support):
@@ -296,24 +289,36 @@ def _indifference_mix(costs, chooser_support, mixer_support):
 
     ``costs[i][j]`` is the chooser's integer-scaled cost when the chooser
     plays i and the mixer plays j. The system must be square: both
-    supports have the same size. Returns ``(status, solution)``, with
-    ``status`` one of ``"unique"``, ``"inconsistent"`` and ``"singular"``
-    by the rules of the module docstring. ``solution`` is ``(weights,
-    value, denominator)`` for a unique system: the mixer plays
-    ``mixer_support[j]`` with probability ``weights[j] / denominator``, the
-    common cost is ``value / denominator``, and the denominator is
-    positive. It is ``None`` otherwise.
+    supports have the same size, 2 or 3 (:data:`MAX_MIXED_SIZE` caps it,
+    and the weak pure scan stands in for size 1), so D is one row
+    ``(d0, d1)`` or two rows u and v of three entries, and its signed
+    maximal minors are ``(d1, -d0)`` or the cross product u x v. Returns
+    ``(status, solution)``, with ``status`` one of ``"unique"``,
+    ``"inconsistent"`` and ``"singular"`` by the rules of the module
+    docstring. ``solution`` is ``(weights, value, denominator)`` for a
+    unique system: the mixer plays ``mixer_support[j]`` with probability
+    ``weights[j] / denominator``, the common cost is ``value /
+    denominator``, and the denominator is positive. It is ``None``
+    otherwise.
     """
     first, *others = ([costs[i][j] for j in mixer_support] for i in chooser_support)
     diff = [[x - y for x, y in zip(row, first)] for row in others]
-    n_mix = len(mixer_support)
-    weights = [(-1) ** j * _det([row[:j] + row[j + 1 :] for row in diff]) for j in range(n_mix)]
+    if len(diff) == 1:
+        ((d0, d1),) = diff
+        weights = [d1, -d0]
+    else:
+        (u0, u1, u2), (v0, v1, v2) = diff
+        weights = [u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0]
     total = sum(weights)
     if total:
         if total < 0:
             weights, total = [-w for w in weights], -total
         return "unique", (weights, sum(c * w for c, w in zip(first, weights)), total)
-    if _rank(diff + [[1] * n_mix], n_mix) == _rank(diff, n_mix):
+    # A zero sum. At full rank (some minor nonzero) D's row space is every
+    # row orthogonal to the minors, the all-ones row included. Below full
+    # rank the rows are parallel, and the all-ones row lies in their span
+    # exactly when some row is nonzero and every row is constant.
+    if any(weights) or (any(map(any, diff)) and all(len(set(row)) == 1 for row in diff)):
         return "inconsistent", None
     return "singular", None
 

@@ -263,6 +263,12 @@ class CostBimatrix:
         return self.cost_a(j, i)
 
     @cached_property
+    def _is_exact(self) -> bool:
+        """Whether no cost is a float, as in every game :func:`bimatrix` builds from an exact grid."""
+        costs = self.__dict__.get("costs")
+        return costs is None or not any(isinstance(x, float) for row in costs for x in row)
+
+    @cached_property
     def scaled_costs(self) -> tuple:
         """Alice's cost grid as exact integers over one scale: ``(a, scale)``.
 
@@ -330,15 +336,13 @@ def cost_assignment(spec: GameSpec) -> tuple[tuple, tuple]:
     game is the k=0, n=2 instance (a lone lower-edge user pays 1/2,
     everything else costs 1).
     """
-    n, loads = _outcome_loads(spec)
-    alice = tuple(Fraction(c, n) for c in loads)
+    alice = tuple(Fraction(c, spec.n) for c in _outcome_loads(spec.n, spec.k or 0))
     return alice, tuple(alice[o] for o in (0, 2, 1, 3))  # Bob's path is the second bit: 01 and 10 swap
 
 
-def _outcome_loads(spec: GameSpec) -> tuple:
-    """Alice's :func:`cost_assignment` times n, in integers: ``(n, alice)``."""
-    n, k = spec.n, spec.k or 0
-    return n, (n, n, k + 1, k + 2)
+def _outcome_loads(n: int, k: int) -> tuple:
+    """Alice's :func:`cost_assignment` times n, in integers; affine in k."""
+    return n, n, k + 1, k + 2
 
 
 def pinned_bill(spec: GameSpec, lower=0) -> Fraction:
@@ -350,10 +354,15 @@ def pinned_bill(spec: GameSpec, lower=0) -> Fraction:
     an expected count. Quantum games bill the pinned players as if the
     entangled pair were absent. The two-person game has no pinned players.
     """
-    k = spec.k or 0
-    bill = Fraction(k * k, spec.n) + (spec.n - k - 2)
+    return Fraction(_pinned_bill_times_n(spec, lower), spec.n)
+
+
+def _pinned_bill_times_n(spec: GameSpec, lower=0):
+    """n times :func:`pinned_bill`, an integer when ``lower`` is one."""
+    n, k = spec.n, spec.k or 0
+    bill = k * k + n * (n - k - 2)
     if spec.mode == "classical":
-        bill += Fraction(k, spec.n) * lower
+        bill += k * lower
     return bill
 
 
@@ -456,7 +465,10 @@ def bimatrix(spec: GameSpec, outcomes: tuple | None = None) -> CostBimatrix:
     with L the LCM of the grid's probability denominators, each
     probability is ``q / L`` for an integer count q, and each per-outcome
     cost is an integer load over n, so n * L times a cell is the integer
-    ``sum(q * load)`` (see :attr:`CostBimatrix.scaled_costs`).
+    ``sum(q * load)`` (see :attr:`CostBimatrix.scaled_costs`). The loads
+    are affine in k, so :func:`_exact_grid` builds that grid as ``a0 + k *
+    a1``, and :func:`~pigouq.metrics.solve_over_k` builds it once for
+    every k of a population.
 
     A float grid sums float probability times float cost. Fraction
     arithmetic computes a float times a Fraction as float * float(cost),
@@ -470,13 +482,27 @@ def bimatrix(spec: GameSpec, outcomes: tuple | None = None) -> CostBimatrix:
     _check_shape(labels, outcomes)
     if {len(cell) for row in outcomes for cell in row} != {4}:
         raise DomainError("every outcome distribution must have four probabilities")
-    n, alice = _outcome_loads(spec)
+    n, k = spec.n, spec.k or 0
     if isinstance(outcomes[0][0][0], float):
         # int / int is the correctly rounded float of the cost's Fraction
-        alice = tuple(c / n for c in alice)
+        alice = tuple(c / n for c in _outcome_loads(n, k))
         a = [[sum(p * c for p, c in zip(probs, alice) if p) for probs in row] for row in outcomes]
         return CostBimatrix(labels, a)
-    size = len(labels)
+    a0, a1, scale = _exact_grid(n, outcomes)
+    return CostBimatrix._exact(labels, [[x + k * y for x, y in zip(r0, r1)] for r0, r1 in zip(a0, a1)], scale)
+
+
+def _exact_grid(n: int, outcomes) -> tuple:
+    """Alice's integer grid over an exact outcome grid, affine in k: ``(a0, a1, scale)``.
+
+    With L the LCM of the grid's probability denominators, each
+    probability is ``q / L`` for an integer count q. Alice's per-outcome
+    loads (:func:`_outcome_loads`) are affine in k, so at pinned count k
+    her grid times ``scale = n * L`` is ``a0 + k * a1`` cell by cell:
+    ``a0`` sums q times her loads at k = 0, and ``a1`` sums q times their
+    step from k to k + 1. The scale does not depend on k, so one call
+    serves every k of a population.
+    """
     try:
         ratios = [p.as_integer_ratio() for row in outcomes for cell in row for p in cell]
     except AttributeError:
@@ -484,6 +510,11 @@ def bimatrix(spec: GameSpec, outcomes: tuple | None = None) -> CostBimatrix:
     lcm = math.lcm(*{den for _, den in ratios})
     counts = iter([num * (lcm // den) for num, den in ratios])
     by_cell = list(zip(counts, counts, counts, counts))  # (q00, q01, q10, q11) of each cell, row-major
-    c00, c01, c10, c11 = alice
-    a = [q00 * c00 + q01 * c01 + q10 * c10 + q11 * c11 for q00, q01, q10, q11 in by_cell]
-    return CostBimatrix._exact(labels, [a[r : r + size] for r in range(0, size * size, size)], n * lcm)
+    base = _outcome_loads(n, 0)
+    c00, c01, c10, c11 = base
+    s00, s01, s10, s11 = (y - x for x, y in zip(base, _outcome_loads(n, 1)))
+    a0 = [q00 * c00 + q01 * c01 + q10 * c10 + q11 * c11 for q00, q01, q10, q11 in by_cell]
+    a1 = [q00 * s00 + q01 * s01 + q10 * s10 + q11 * s11 for q00, q01, q10, q11 in by_cell]
+    size = len(outcomes)
+    rows = range(0, size * size, size)
+    return [a0[r : r + size] for r in rows], [a1[r : r + size] for r in rows], n * lcm

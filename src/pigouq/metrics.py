@@ -35,10 +35,13 @@ from fractions import Fraction
 from .equilibria import EquilibriumResult, MixedProfile, PureProfile, _combined_costs, solve
 from .errors import DomainError
 from .games import (
+    CLASSICAL_GRID,
     CostBimatrix,
     GameSpec,
     _check_k_person,
+    _exact_grid,
     _integer,
+    _pinned_bill_times_n,
     bimatrix,
     format_value,
     outcome_grid,
@@ -81,12 +84,13 @@ def classical_pos_poa(n: int, k: int) -> Fraction:
 
 
 def split_cost(n: int, upper_count) -> Fraction:
-    """Total cost when ``upper_count`` travelers use the constant edge.
+    """Total cost when ``upper_count`` of the n travelers use the constant edge.
 
     The remaining n - upper_count share the load-dependent edge:
-    f(p) = p + (n-p)^2 / n. Accepts fractional counts for plotting.
+    f(p) = p + (n-p)^2 / n. n must be an integer; ``upper_count`` may be
+    fractional, for plotting.
     """
-    if n < 2:
+    if _integer("n", n) < 2:
         raise DomainError(f"need n >= 2, got {n}")
     p = Fraction(upper_count) if not isinstance(upper_count, float) else upper_count
     return p + (n - p) * (n - p) / Fraction(n)
@@ -165,10 +169,22 @@ def profile_total(spec: GameSpec, matrix: CostBimatrix, profile):
     A mixed profile counts its expected costs, and the bill counts the
     expected number of free players on P2, the lower edge of the classical
     game (quantum bills do not depend on it).
+
+    A pure profile of an exact game is summed in integers: the cell's two
+    integers of :attr:`~pigouq.games.CostBimatrix.scaled_costs` times n,
+    plus n times the bill times the scale, over n times the scale, with
+    one ``Fraction`` built at the end. A float game's pure total is the
+    float sum of its two costs and the bill, and a mixed total the
+    ``Fraction`` sum of its expected costs and the bill.
     """
     if isinstance(profile, PureProfile):
-        a, b = matrix.cell(profile.row, profile.col)
+        i, j = profile.row, profile.col
         lower = (profile.row_label, profile.col_label).count("P2")
+        if matrix._is_exact:
+            a, scale = matrix.scaled_costs
+            bill = _pinned_bill_times_n(spec, lower)
+            return Fraction((a[i][j] + a[j][i]) * spec.n + bill * scale, spec.n * scale)
+        a, b = matrix.cell(i, j)
     elif isinstance(profile, MixedProfile):
         a, b = profile.expected_cost_alice, profile.expected_cost_bob
         moves = zip(matrix.labels * 2, profile.alice_probs + profile.bob_probs)
@@ -190,19 +206,33 @@ def _per_game_opt(spec: GameSpec, matrix: CostBimatrix):
 def solve_over_k(mode: str, strategies, n: int, gamma: float | None = None):
     """Solve the n-traveler game at every k = 0..n-3, in order.
 
-    Quantum games share one :func:`outcome_grid` across all k, since the
-    protocol never sees k. Returns ``(points, opt)``: one ``(spec,
+    Every k shares one outcome grid, :data:`~pigouq.games.CLASSICAL_GRID`
+    or the :func:`outcome_grid` of a quantum set, since the protocol never
+    sees k. An exact grid gives one integer build per pass: Alice's grid
+    at k is ``a0 + k * a1`` over one scale (``games._exact_grid``), so
+    each k's grid is the last one plus ``a1``, one integer add per cell,
+    and equals :func:`bimatrix` at that k. A float grid builds each k's
+    game with :func:`bimatrix`. Returns ``(points, opt)``: one ``(spec,
     matrix, equilibria, total)`` per k, indexed by k, where ``total`` is
-    the selected equilibrium's social cost (None when nothing is
-    selected), and ``opt``, the cheapest of those totals (None when no k
-    selects an equilibrium).
+    the selected equilibrium's social cost, :func:`profile_total`, in
+    integers for an exact game (None when nothing is selected), and
+    ``opt``, the cheapest of those totals (None when no k selects an
+    equilibrium).
     """
     _check_k_person(n, 0)
     specs = [GameSpec(mode=mode, n=n, k=k, gamma=gamma, strategies=tuple(strategies)) for k in range(n - 2)]
-    outcomes = outcome_grid(specs[0].strategies, gamma) if mode == "quantum" else None
+    outcomes = outcome_grid(specs[0].strategies, gamma) if mode == "quantum" else CLASSICAL_GRID
+    if isinstance(outcomes[0][0][0], float):
+        matrices = [bimatrix(spec, outcomes) for spec in specs]
+    else:
+        a, step, scale = _exact_grid(n, outcomes)
+        labels = specs[0].strategy_labels()
+        matrices = [CostBimatrix._exact(labels, a, scale)]
+        for _ in specs[1:]:
+            a = [[x + y for x, y in zip(row, dk)] for row, dk in zip(a, step)]
+            matrices.append(CostBimatrix._exact(labels, a, scale))
     points = []
-    for spec in specs:
-        matrix = bimatrix(spec, outcomes)
+    for spec, matrix in zip(specs, matrices):
         eq = solve(matrix)
         total = profile_total(spec, matrix, eq.selected) if eq.selected is not None else None
         points.append((spec, matrix, eq, total))

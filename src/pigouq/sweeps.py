@@ -20,7 +20,7 @@ from typing import Iterable
 
 from .errors import DomainError
 from .ewl import validate_gamma
-from .games import GameSpec, _integer, value_to_json
+from .games import GameSpec, _check_k_person, _integer, value_to_json
 from .metrics import MetricsReport, _metrics_report, _per_game, solve_over_k
 
 __all__ = [
@@ -73,8 +73,7 @@ def sweep_k(
     forbidden for classical.
     """
     n = _integer("n", n)
-    if n < 3:
-        raise DomainError("the k-person game requires n >= 3")
+    _check_k_person(n, 0)
     if k_values is None:
         if n == 3:
             raise DomainError(
@@ -84,8 +83,8 @@ def sweep_k(
     ks = sorted(set(_integer("k", k) for k in k_values))
     if not ks:
         raise DomainError("empty k range")
-    if any(not (0 <= k < n - 2) for k in ks):
-        raise DomainError(f"k range must lie within 0..{n - 3} for n={n}")
+    for k in ks:
+        _check_k_person(n, k)
 
     points, opt = solve_over_k(mode, strategies, n, gamma)
     reports = [_metrics_report(spec, eq, total, opt) for spec, _, eq, total in (points[k] for k in ks)]

@@ -5,7 +5,7 @@ import pytest
 from pigouq.equilibria import PureProfile, solve
 from pigouq.errors import DomainError
 from pigouq.ewl import GAMMA_MAX
-from pigouq.games import GameSpec, bimatrix, pinned_bill
+from pigouq.games import CLASSICAL_GRID, GameSpec, bimatrix, outcome_grid, pinned_bill
 from pigouq.metrics import (
     analyze,
     classical_cost_ne,
@@ -13,6 +13,7 @@ from pigouq.metrics import (
     classical_pos_poa,
     format_equilibrium_label,
     profile_total,
+    solve_over_k,
     split_cost,
 )
 from pigouq.sweeps import sweep_gamma
@@ -131,6 +132,65 @@ def test_balanced_split_is_optimal():
     costs = {p: split_cost(10, p) for p in range(0, 11)}
     assert min(costs, key=costs.get) == 5
     assert split_cost(10, 5) == F(15, 2)
+
+
+def test_split_cost_takes_an_integer_population_and_any_upper_count():
+    with pytest.raises(DomainError, match=r"^n must be an integer, got 10\.5$"):
+        split_cost(10.5, 5)
+    assert split_cost(10, F(9, 2)) == F(9, 2) + F(121, 40)
+    assert split_cost(10, 4.5) == 4.5 + 5.5 * 5.5 / 10
+
+
+def _fraction_total(spec, matrix, profile):
+    """Both free players' costs plus the pinned bill, summed as ``Fraction``s or floats, as the cells are."""
+    if isinstance(profile, PureProfile):
+        i, j = profile.row, profile.col
+        lower = (profile.row_label, profile.col_label).count("P2")
+        return matrix.cost_a(i, j) + matrix.cost_b(i, j) + pinned_bill(spec, lower)
+    moves = zip(matrix.labels * 2, profile.alice_probs + profile.bob_probs)
+    lower = sum(p for label, p in moves if label == "P2")
+    return profile.expected_cost_alice + profile.expected_cost_bob + pinned_bill(spec, lower)
+
+
+OVER_K_PASSES = [("classical", ("P1", "P2"), None, range(3, 25))] + [
+    ("quantum", names, gamma, range(3, 18))
+    for names in (("P1", "P2", "Q"), ("P1", "P2", "M"))
+    for gamma in (0.0, GAMMA_MAX)
+]
+
+
+@pytest.mark.parametrize("mode, names, gamma, populations", OVER_K_PASSES)
+def test_over_k_grids_and_totals_are_the_per_k_ones(mode, names, gamma, populations):
+    """Each over-k grid is ``bimatrix`` at its k, to the integer, and each total the ``Fraction`` sum."""
+    outcomes = CLASSICAL_GRID if mode == "classical" else outcome_grid(names, gamma)
+    kinds = set()
+    for n in populations:
+        points, _ = solve_over_k(mode, names, n, gamma)
+        assert [spec.k for spec, *_ in points] == list(range(n - 2))
+        for spec, matrix, eq, total in points:
+            direct = bimatrix(spec, outcomes)
+            assert matrix == direct and matrix.scaled_costs == direct.scaled_costs
+            if eq.selected is None:
+                assert total is None
+                continue
+            want = _fraction_total(spec, matrix, eq.selected)
+            assert (total, type(total)) == (want, F), spec.describe()
+            kinds.add(type(eq.selected).__name__)
+    # The phase set at maximal entanglement selects mixed profiles, the other passes pure ones.
+    assert kinds == ({"MixedProfile"} if (names, gamma) == (("P1", "P2", "Q"), GAMMA_MAX) else {"PureProfile"})
+
+
+def test_over_k_totals_of_a_float_game_are_the_float_sums():
+    pure = 0
+    for names in (("P1", "P2", "Q"), ("P1", "P2", "M")):
+        points, _ = solve_over_k("quantum", names, 9, 0.9)
+        for spec, matrix, eq, total in points:
+            assert matrix == bimatrix(spec)
+            if isinstance(eq.selected, PureProfile):
+                want = _fraction_total(spec, matrix, eq.selected)
+                assert (total, type(total)) == (want, float)
+                pure += 1
+    assert pure > 0
 
 
 def test_two_person_quantum_reports():

@@ -18,6 +18,12 @@ Every game here also checks :func:`solve`, whose views are computed on
 first read, against an eager reference that runs a brute-force pure
 scan, dominance and the oracle up front and spells out the selection
 convention.
+
+:func:`dominance_select` keeps one survivor list for both players, since
+every game is symmetric. A two-sided oracle, which eliminates Alice's
+rows on her costs and Bob's columns on his own, read through ``cost_b``,
+checks that sharing on random games with many ties and on every
+reference game.
 """
 
 import itertools
@@ -30,6 +36,7 @@ import pytest
 from pigouq.equilibria import MixedProfile, PureProfile, _indifference_mix, dominance_select, solve
 from pigouq.games import CostBimatrix, GameSpec, bimatrix
 from pigouq.strategies import STRATEGY_TAGS, StrategyAngles
+from pigouq.verification import _all_reference_specs
 
 GAMMA_MAX = math.pi / 2
 
@@ -144,20 +151,21 @@ def square_oracle_enumeration(matrix):
 
 
 def _systems_match_oracle(matrix):
-    """Every square support pair's column and row system, each against the rational oracle.
+    """Every column and row system the square pass solves, each against the rational oracle.
 
-    The solver solves both on Alice's integer grid ``a``, Bob's with the
-    supports exchanged; the oracle solves Bob's on his own costs, read
-    through ``cost_b`` and scaled like ``a``. Each system must agree in
-    status and, when unique, in the exact mix and value. Returns the
-    statuses seen.
+    Those are the systems of the square support pairs of size 2 and up;
+    the weak pure scan stands in for the 1x1 pairs. The solver solves
+    both on Alice's integer grid ``a``, Bob's with the supports exchanged;
+    the oracle solves Bob's on his own costs, read through ``cost_b`` and
+    scaled like ``a``. Each system must agree in status and, when unique,
+    in the exact mix and value. Returns the statuses seen.
     """
     a, scale = matrix.scaled_costs
     size = matrix.size
     alice = [[F(x) for x in row] for row in a]
     bob_as_chooser = [[scale * F(matrix.cost_b(r, c)) for r in range(size)] for c in range(size)]
     statuses = set()
-    for sup_a, sup_b in _square_pairs(size):
+    for sup_a, sup_b in (pair for pair in _square_pairs(size) if len(pair[0]) > 1):
         for oracle_costs, chooser, mixer in ((alice, sup_a, sup_b), (bob_as_chooser, sup_b, sup_a)):
             status, solution = _indifference_mix(a, chooser, mixer)
             want, q, v = _oracle_indifference_mix(oracle_costs, chooser, mixer)
@@ -317,3 +325,65 @@ def test_headline_phase_game_skips_sixteen_supports():
     assert diagnostics == ()  # its 16 singular supports are unequal pairs, which are not enumerated
     assert [p.alice_probs for p in profiles] == [(F(4, 17), F(4, 17), F(9, 17))]
     assert [p.bob_probs for p in profiles] == [(F(4, 17), F(4, 17), F(9, 17))]
+
+
+def two_sided_dominance(matrix):
+    """Iterated weak dominance, rows then columns, both players simultaneously.
+
+    Each round judges Alice's rows on her costs against the surviving
+    columns and Bob's columns on his costs against the surviving rows,
+    both against the matrix as it stood at the start of the round. Returns
+    the unique surviving cell, or ``None``.
+    """
+    size = matrix.size
+    a = [[matrix.cost_a(i, j) for j in range(size)] for i in range(size)]
+    b = [[matrix.cost_b(i, j) for j in range(size)] for i in range(size)]
+
+    def dominates(new, old):  # each a list of costs against the surviving opponent strategies
+        return all(x <= y for x, y in zip(new, old)) and any(x < y for x, y in zip(new, old))
+
+    rows, cols = list(range(size)), list(range(size))
+    while True:
+        alice = {r: [a[r][c] for c in cols] for r in rows}
+        bob = {c: [b[r][c] for r in rows] for c in cols}
+        dead_rows = [r for r in rows if any(r2 != r and dominates(alice[r2], alice[r]) for r2 in rows)]
+        dead_cols = [c for c in cols if any(c2 != c and dominates(bob[c2], bob[c]) for c2 in cols)]
+        if not dead_rows and not dead_cols:
+            break
+        rows = [r for r in rows if r not in dead_rows]
+        cols = [c for c in cols if c not in dead_cols]
+    if len(rows) == 1 and len(cols) == 1:
+        return PureProfile(rows[0], cols[0], matrix.labels[rows[0]], matrix.labels[cols[0]])
+    return None
+
+
+def test_one_sided_dominance_matches_two_sided_on_random_tied_games():
+    """Symmetric games of sizes 1 to 4 with costs in {1, 2, 3}, so ties abound."""
+    rng = random.Random(2002)
+    outcomes = {True: 0, False: 0}
+    sizes = set()
+    for _ in range(400):
+        size = rng.randint(1, 4)
+        labels = tuple("ABCD"[:size])
+        costs = [[F(rng.randint(1, 3)) for _ in labels] for _ in labels]
+        matrix = CostBimatrix(labels, costs)
+        want = two_sided_dominance(matrix)
+        assert dominance_select(matrix) == want, costs
+        outcomes[want is None] += 1
+        sizes.add(size)
+    # Both answers occur, and every size occurs.
+    assert min(outcomes.values()) > 50 and sizes == {1, 2, 3, 4}
+
+
+def test_one_sided_dominance_matches_two_sided_on_reference_games():
+    specs = list(_all_reference_specs())
+    four = ("P1", "P2", "Q", "M")  # dominance has no size cap
+    specs += [GameSpec.quantum_two_person(four), GameSpec.quantum_k_person(10, 4, four)]
+    decided = 0
+    for spec in specs:
+        matrix = bimatrix(spec)
+        want = two_sided_dominance(matrix)
+        assert dominance_select(matrix) == want, spec.describe()
+        decided += want is not None
+    assert 0 < decided < len(specs)
+    assert dominance_select(bimatrix(specs[-2])) == PureProfile(2, 2, "Q", "Q")

@@ -45,10 +45,15 @@ def test_miracle_strategy_series():
 
 
 def test_k_range_validation():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"^empty k range$"):
         sweep_k("classical", ("P1", "P2"), 10, [])
-    with pytest.raises(DomainError):
-        sweep_k("classical", ("P1", "P2"), 10, [8])
+    for n, k in ((10, 8), (10, -1), (4, 2)):  # the k rule GameSpec applies, with its message
+        with pytest.raises(DomainError) as spec_error:
+            GameSpec.classical_k_person(n, k)
+        assert str(spec_error.value) == f"pinned lower-edge count must satisfy 0 <= k < n-2, got k={k}, n={n}"
+        with pytest.raises(DomainError) as sweep_error:
+            sweep_k("classical", ("P1", "P2"), n, [k])
+        assert str(sweep_error.value) == str(spec_error.value)
     with pytest.raises(DomainError, match=r"^k must be an integer, got 2\.7$"):
         sweep_k("classical", ("P1", "P2"), 10, [2.7])  # once reported as k = 2
     with pytest.raises(DomainError, match=r"^n must be an integer, got 10\.0$"):
