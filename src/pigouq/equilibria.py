@@ -403,15 +403,10 @@ def _support_note(matrix, sup_a, sup_b, side) -> str:
     return f"support ({{{rows}}},{{{cols}}}): singular {side}-mix indifference system, skipped"
 
 
-def _combined_costs(matrix: CostBimatrix):
-    """Both players' summed cost in every cell, and the least of those sums."""
-    totals = [[a + b for a, b in row] for row in matrix.cells]
-    return totals, min(map(min, totals))
-
-
 def optimal_outcome(matrix: CostBimatrix):
     """Cells minimizing the two players' combined cost, with that minimum."""
-    totals, best = _combined_costs(matrix)
+    totals = [[a + b for a, b in row] for row in matrix.cells]
+    best = min(map(min, totals))
     cells = [_profile(matrix, i, j) for i, row in enumerate(totals) for j, t in enumerate(row) if t == best]
     return cells, best
 

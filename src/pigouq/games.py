@@ -45,10 +45,16 @@ computes for that product. An exact game is built without ``Fraction``
 arithmetic: every per-outcome cost is an integer load over n and every
 probability a count of quarters, so 4n times a cell is an integer (n
 times the LCM of the probability denominators, for any exact grid), and
-:func:`bimatrix` computes Alice's integer grid directly. That grid, over
-one scale, is the :class:`CostBimatrix`'s data and the solver's input
+Alice's integer grid is computed directly. That grid, over one scale, is
+the :class:`CostBimatrix`'s data and the solver's input
 (:attr:`CostBimatrix.scaled_costs`); Bob's grid is its transpose, and
 the ``Fraction`` costs are a view built from it when printed or summed.
+
+:func:`bimatrix` is the one way from a spec to its game, and
+:func:`bimatrices_over_k` builds the n-traveler game at every k of a
+population, for :func:`~pigouq.metrics.solve_over_k`. Both go through
+one private builder, which chooses the outcome grid and decides exact
+against float once, then builds the game at each k asked for.
 
 A quirk worth knowing about the phase strategy Q: under maximal
 entanglement, Q against P1 lands both players on the lower edge while
@@ -78,6 +84,7 @@ __all__ = [
     "CostBimatrix",
     "GameSpec",
     "bimatrix",
+    "bimatrices_over_k",
     "cost_assignment",
     "outcome_grid",
     "pinned_bill",
@@ -183,18 +190,22 @@ class CostBimatrix:
 
     ``cost_b(i, j) == cost_a(j, i)``. Entries are Fractions where exact,
     floats otherwise; all positive and finite. ``CostBimatrix(labels,
-    costs)`` stores Alice's grid and derives :attr:`scaled_costs` from it
-    when a solver first reads them. An exact game from :func:`bimatrix`
-    is stored the other way round: Alice's integer grid is the data,
+    costs)`` stores the labels as a tuple, at least one, and Alice's
+    grid, and derives :attr:`scaled_costs` from it when a solver first
+    reads them. An exact game from :func:`bimatrix` is stored the other
+    way round: Alice's integer grid is the data,
     ``costs`` the ``Fraction`` view built on first read, and :meth:`cell`,
     :meth:`cost_a` and :meth:`cost_b` build only the entry asked for. The
     matrix is immutable, and equality and hashing compare labels and
     costs, so they do not depend on how it was built.
     """
 
-    def __init__(self, labels: tuple, costs):
-        costs = tuple(map(tuple, costs))
-        _check_shape(labels, costs)
+    def __init__(self, labels, costs):
+        labels, costs = tuple(labels), tuple(map(tuple, costs))
+        if not labels:
+            raise DomainError("strategy list must be nonempty")
+        if len(costs) != len(labels) or any(len(row) != len(labels) for row in costs):
+            raise DomainError("cell grid does not match strategy labels")
         for x in (x for row in costs for x in row):
             try:
                 ok = 0 < x < math.inf
@@ -304,11 +315,6 @@ class CostBimatrix:
         table = [headers] + [[label] + line for label, line in zip(self.labels, body)]
         widths = [max(len(r[c]) for r in table) for c in range(len(headers))]
         return "\n".join("  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip() for r in table)
-
-
-def _check_shape(labels, grid) -> None:
-    if len(grid) != len(labels) or any(len(row) != len(labels) for row in grid):
-        raise DomainError("cell grid does not match strategy labels")
 
 
 def format_value(x) -> str:
@@ -446,29 +452,24 @@ def outcome_grid(strategies, gamma: float) -> tuple:
     )
 
 
-def bimatrix(spec: GameSpec, outcomes: tuple | None = None) -> CostBimatrix:
+def bimatrix(spec: GameSpec) -> CostBimatrix:
     """The spec's expected-cost grid over its strategy set.
 
     Each of Alice's cells weights her :func:`cost_assignment` by the
     pair's outcome distribution: :data:`CLASSICAL_GRID` for a classical
     spec, the :func:`outcome_grid` of its strategies at its ``gamma`` for
-    a quantum one (pass ``outcomes`` to reuse one already built for
-    them). The :class:`CostBimatrix` holds Alice's grid alone and reads
-    Bob's cost at (i, j) as hers at (j, i), so ``outcomes`` must be
-    mirrored, unchecked: ``outcomes[j][i]`` is ``outcomes[i][j]`` with
-    outcomes 01 and 10 exchanged, as in every :func:`outcome_grid` and
-    :data:`CLASSICAL_GRID`. A grid is all-``Fraction`` or all-float, and
-    the first probability tells which. An exact grid gives an exact game
-    stored as integers, a float grid a game of float costs.
+    a quantum one. The :class:`CostBimatrix` holds Alice's grid alone and
+    reads Bob's cost at (i, j) as hers at (j, i), which holds because
+    :data:`CLASSICAL_GRID` and every :func:`outcome_grid` are mirrored:
+    ``grid[j][i]`` is ``grid[i][j]`` with outcomes 01 and 10 exchanged
+    (``pigouq verify`` checks the reference grids). An exact
+    grid gives an exact game stored as integers, a float grid a game of
+    float costs.
 
     An exact grid is built in integers and no ``Fraction`` is formed:
-    with L the LCM of the grid's probability denominators, each
-    probability is ``q / L`` for an integer count q, and each per-outcome
-    cost is an integer load over n, so n * L times a cell is the integer
-    ``sum(q * load)`` (see :attr:`CostBimatrix.scaled_costs`). The loads
-    are affine in k, so :func:`_exact_grid` builds that grid as ``a0 + k *
-    a1``, and :func:`~pigouq.metrics.solve_over_k` builds it once for
-    every k of a population.
+    Alice's grid at k is ``a0 + k * a1`` over one scale, from
+    :func:`_exact_grid` (see :attr:`CostBimatrix.scaled_costs`), and
+    :func:`bimatrices_over_k` builds it once for every k of a population.
 
     A float grid sums float probability times float cost. Fraction
     arithmetic computes a float times a Fraction as float * float(cost),
@@ -476,20 +477,39 @@ def bimatrix(spec: GameSpec, outcomes: tuple | None = None) -> CostBimatrix:
     are skipped: adding a zero product changes neither the value nor the
     type of a sum.
     """
-    if outcomes is None:
-        outcomes = CLASSICAL_GRID if spec.mode == "classical" else outcome_grid(spec.strategies, spec.gamma)
+    return _bimatrices(spec, (spec.k or 0,))[0]
+
+
+def bimatrices_over_k(spec: GameSpec) -> list:
+    """:func:`bimatrix` of the n-traveler game at every k = 0..n-3, in order.
+
+    ``spec.k`` is ignored. Every k shares one outcome grid, since the
+    protocol never sees k, and an exact grid one integer build:
+    :func:`_exact_grid` once, then ``a0 + k * a1`` per k.
+    """
+    if spec.k is None:
+        raise DomainError("the two-person game has no pinned count to vary")
+    return _bimatrices(spec, range(spec.n - 2))
+
+
+def _bimatrices(spec: GameSpec, ks) -> list:
+    """The spec's game at each pinned count in ``ks``, over one outcome grid (see :func:`bimatrix`)."""
+    outcomes = CLASSICAL_GRID if spec.mode == "classical" else outcome_grid(spec.strategies, spec.gamma)
     labels = spec.strategy_labels()
-    _check_shape(labels, outcomes)
-    if {len(cell) for row in outcomes for cell in row} != {4}:
-        raise DomainError("every outcome distribution must have four probabilities")
-    n, k = spec.n, spec.k or 0
+    n = spec.n
     if isinstance(outcomes[0][0][0], float):
-        # int / int is the correctly rounded float of the cost's Fraction
-        alice = tuple(c / n for c in _outcome_loads(n, k))
-        a = [[sum(p * c for p, c in zip(probs, alice) if p) for probs in row] for row in outcomes]
-        return CostBimatrix(labels, a)
+        matrices = []
+        for k in ks:
+            # int / int is the correctly rounded float of the cost's Fraction
+            alice = tuple(c / n for c in _outcome_loads(n, k))
+            a = [[sum(p * c for p, c in zip(probs, alice) if p) for probs in row] for row in outcomes]
+            matrices.append(CostBimatrix(labels, a))
+        return matrices
     a0, a1, scale = _exact_grid(n, outcomes)
-    return CostBimatrix._exact(labels, [[x + k * y for x, y in zip(r0, r1)] for r0, r1 in zip(a0, a1)], scale)
+    return [
+        CostBimatrix._exact(labels, [[x + k * y for x, y in zip(r0, r1)] for r0, r1 in zip(a0, a1)], scale)
+        for k in ks
+    ]
 
 
 def _exact_grid(n: int, outcomes) -> tuple:
@@ -503,10 +523,7 @@ def _exact_grid(n: int, outcomes) -> tuple:
     step from k to k + 1. The scale does not depend on k, so one call
     serves every k of a population.
     """
-    try:
-        ratios = [p.as_integer_ratio() for row in outcomes for cell in row for p in cell]
-    except AttributeError:
-        raise DomainError("outcome probabilities must be numbers") from None
+    ratios = [p.as_integer_ratio() for row in outcomes for cell in row for p in cell]
     lcm = math.lcm(*{den for _, den in ratios})
     counts = iter([num * (lcm // den) for num, den in ratios])
     by_cell = list(zip(counts, counts, counts, counts))  # (q00, q01, q10, q11) of each cell, row-major

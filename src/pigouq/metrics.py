@@ -20,8 +20,9 @@ The optimal cost follows the game, because the headline claims quote
 each number in its own context: a two-person game is priced against the
 cheapest cell of the matrix at hand; an n-traveler game at any k against
 the cheapest equilibrium total over k = 0..n-3 for the same strategy
-set, n and gamma, which :func:`solve_over_k` computes (None, with the
-ratios, when no k selects an equilibrium). :func:`analyze` and every k
+set, n and gamma, which :func:`solve_over_k` computes over the games
+of :func:`~pigouq.games.bimatrices_over_k` (None, with the ratios, when
+no k selects an equilibrium). :func:`analyze` and every k
 sweep read that one number, whatever k or range of k they report. A
 gamma sweep is the exception: it prices every point per game, k-person
 points included (see :func:`~pigouq.sweeps.sweep_gamma`).
@@ -32,19 +33,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .equilibria import EquilibriumResult, MixedProfile, PureProfile, _combined_costs, solve
+from .equilibria import EquilibriumResult, MixedProfile, PureProfile, optimal_outcome, solve
 from .errors import DomainError
 from .games import (
-    CLASSICAL_GRID,
     CostBimatrix,
     GameSpec,
     _check_k_person,
-    _exact_grid,
     _integer,
     _pinned_bill_times_n,
+    bimatrices_over_k,
     bimatrix,
     format_value,
-    outcome_grid,
     pinned_bill,
     value_to_json,
 )
@@ -198,41 +197,25 @@ def _per_game_opt(spec: GameSpec, matrix: CostBimatrix):
     # Every spec priced per game has a profile-independent bill: quantum
     # bills never depend on the profile, and the one classical spec priced
     # per game, the two-person game, has no pinned players. x -> x + bill
-    # is monotone (exact on exact cells), so the cheapest cell wins; its
-    # minimum is all that is needed, not the cells that reach it.
-    return _combined_costs(matrix)[1] + pinned_bill(spec)
+    # is monotone (exact on exact cells), so the cheapest cell wins.
+    return optimal_outcome(matrix)[1] + pinned_bill(spec)
 
 
 def solve_over_k(mode: str, strategies, n: int, gamma: float | None = None):
     """Solve the n-traveler game at every k = 0..n-3, in order.
 
-    Every k shares one outcome grid, :data:`~pigouq.games.CLASSICAL_GRID`
-    or the :func:`outcome_grid` of a quantum set, since the protocol never
-    sees k. An exact grid gives one integer build per pass: Alice's grid
-    at k is ``a0 + k * a1`` over one scale (``games._exact_grid``), so
-    each k's grid is the last one plus ``a1``, one integer add per cell,
-    and equals :func:`bimatrix` at that k. A float grid builds each k's
-    game with :func:`bimatrix`. Returns ``(points, opt)``: one ``(spec,
-    matrix, equilibria, total)`` per k, indexed by k, where ``total`` is
-    the selected equilibrium's social cost, :func:`profile_total`, in
-    integers for an exact game (None when nothing is selected), and
-    ``opt``, the cheapest of those totals (None when no k selects an
-    equilibrium).
+    The games come from :func:`~pigouq.games.bimatrices_over_k`, which
+    builds them over one outcome grid, each equal to :func:`bimatrix` at
+    its k. Returns ``(points, opt)``: one ``(spec, matrix, equilibria,
+    total)`` per k, indexed by k, where ``total`` is the selected
+    equilibrium's social cost, :func:`profile_total`, in integers for an
+    exact game (None when nothing is selected), and ``opt``, the cheapest
+    of those totals (None when no k selects an equilibrium).
     """
     _check_k_person(n, 0)
     specs = [GameSpec(mode=mode, n=n, k=k, gamma=gamma, strategies=tuple(strategies)) for k in range(n - 2)]
-    outcomes = outcome_grid(specs[0].strategies, gamma) if mode == "quantum" else CLASSICAL_GRID
-    if isinstance(outcomes[0][0][0], float):
-        matrices = [bimatrix(spec, outcomes) for spec in specs]
-    else:
-        a, step, scale = _exact_grid(n, outcomes)
-        labels = specs[0].strategy_labels()
-        matrices = [CostBimatrix._exact(labels, a, scale)]
-        for _ in specs[1:]:
-            a = [[x + y for x, y in zip(row, dk)] for row, dk in zip(a, step)]
-            matrices.append(CostBimatrix._exact(labels, a, scale))
     points = []
-    for spec, matrix in zip(specs, matrices):
+    for spec, matrix in zip(specs, bimatrices_over_k(specs[0])):
         eq = solve(matrix)
         total = profile_total(spec, matrix, eq.selected) if eq.selected is not None else None
         points.append((spec, matrix, eq, total))

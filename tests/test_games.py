@@ -15,6 +15,7 @@ from pigouq.games import (
     CLASSICAL_GRID,
     CostBimatrix,
     GameSpec,
+    bimatrices_over_k,
     bimatrix,
     cost_assignment,
     outcome_grid,
@@ -161,13 +162,11 @@ def test_tiny_gamma_is_not_the_unentangled_game():
     )
     for gamma in (1e-6, 1e-5):
         assert solve(bimatrix(GameSpec.quantum_two_person(names, gamma))).selected is None
-    # the exact game at t = sin^2(gamma) = 1/10^9, built from the endpoint grids, agrees
+    # the exact game at t = sin^2(gamma) = 1/10^9 agrees; costs are affine in the
+    # probabilities, so it lies on the line between the two exact endpoint games
     t = F(1, 10**9)
-    p0, p1 = outcome_grid(names, 0.0), outcome_grid(names, GAMMA_MAX)
-    exact = tuple(
-        tuple(tuple(a + t * (b - a) for a, b in zip(c0, c1)) for c0, c1 in zip(r0, r1)) for r0, r1 in zip(p0, p1)
-    )
-    matrix = bimatrix(GameSpec.quantum_two_person(names, 1e-6), exact)
+    c0, c1 = (bimatrix(GameSpec.quantum_two_person(names, g)).costs for g in (0.0, GAMMA_MAX))
+    matrix = CostBimatrix(names, [[a + t * (b - a) for a, b in zip(r0, r1)] for r0, r1 in zip(c0, c1)])
     assert all(type(x) is F for row in matrix.cells for cell in row for x in cell)
     assert solve(matrix).selected is None
 
@@ -270,6 +269,11 @@ def test_two_person_classical_grid():
     assert m.cells == (((ONE, ONE), (ONE, HALF)), ((HALF, ONE), (ONE, ONE)))
 
 
+def test_over_k_family_needs_a_k_person_spec():
+    with pytest.raises(DomainError, match="^the two-person game has no pinned count to vary$"):
+        bimatrices_over_k(GameSpec.classical_two_person())
+
+
 def test_k_person_classical_grid():
     m = bimatrix(GameSpec.classical_k_person(10, 3))
     assert m.cell(1, 0) == (F(2, 5), ONE)
@@ -291,7 +295,7 @@ def test_skipping_exact_zeros_keeps_every_bit_and_type(gamma):
         alice, _ = cost_assignment(spec)
         a = [[sum(p * c for p, c in zip(probs, alice)) for probs in row] for row in outcomes]
         want = tuple(tuple(zip(row, col)) for row, col in zip(a, zip(*a)))
-        got = bimatrix(spec, outcomes).cells
+        got = bimatrix(spec).cells
         assert got == want
         assert [type(x) for row in got for cell in row for x in cell] == [
             type(x) for row in want for cell in row for x in cell
@@ -428,7 +432,7 @@ def test_custom_angle_grids_are_mirrored_to_rounding():
         inexact += gap > 0
         spec = GameSpec.quantum_k_person(9, 2, strategies, gamma)
         _, bob = cost_assignment(spec)
-        m = bimatrix(spec, outcomes)
+        m = bimatrix(spec)
         for i, j in product(range(m.size), repeat=2):
             own = sum(p * float(c) for p, c in zip(outcomes[i][j], bob) if p)
             assert abs(m.cost_b(i, j) - own) <= 1e-12
@@ -458,6 +462,18 @@ def test_bimatrix_type_rejects_nonsquare_and_nonpositive():
         CostBimatrix(("A",), ((F(0),),))
 
 
+def test_bimatrix_type_rejects_an_empty_game():
+    with pytest.raises(DomainError, match="^strategy list must be nonempty$"):
+        CostBimatrix((), ())
+
+
+def test_bimatrix_type_keeps_its_labels_as_a_tuple():
+    costs = ((ONE, HALF), (ONE, ONE))
+    listed, tupled = CostBimatrix(["A", "B"], costs), CostBimatrix(("A", "B"), costs)
+    assert listed.labels == ("A", "B")
+    assert listed == tupled and hash(listed) == hash(tupled)
+
+
 @pytest.mark.parametrize("bad", [math.inf, math.nan, "1/2", 0.5j, None])
 def test_bimatrix_type_rejects_nonfinite_costs(bad):
     costs = ((ONE, ONE), (F(1, 2), bad))
@@ -484,10 +500,9 @@ def fraction_cells(spec, outcomes):
     )
 
 
-def assert_matches_fraction_loop(spec, outcomes=None):
-    matrix = bimatrix(spec, outcomes)
-    if outcomes is None:
-        outcomes = CLASSICAL_GRID if spec.mode == "classical" else outcome_grid(spec.strategies, spec.gamma)
+def assert_matches_fraction_loop(spec):
+    matrix = bimatrix(spec)
+    outcomes = CLASSICAL_GRID if spec.mode == "classical" else outcome_grid(spec.strategies, spec.gamma)
     want = fraction_cells(spec, outcomes)
     # Alice's integer grid is an exact multiple of the costs over one scale, read before any costs view exists
     a, scale = matrix.scaled_costs
@@ -518,16 +533,16 @@ NAMED_SETS = sorted(set(STRATEGY_SETS.values()) | set(combinations(STRATEGY_TAGS
 @pytest.mark.parametrize("strategies", NAMED_SETS, ids=",".join)
 @pytest.mark.parametrize("gamma", [0.0, GAMMA_MAX])
 def test_named_set_integer_build_is_the_fraction_loop(strategies, gamma):
-    outcomes = outcome_grid(strategies, gamma)
     assert_matches_fraction_loop(GameSpec.quantum_two_person(strategies, gamma))
     for n in range(3, 18):
         for k in range(n - 2):
-            assert_matches_fraction_loop(GameSpec.quantum_k_person(n, k, strategies, gamma), outcomes)
+            assert_matches_fraction_loop(GameSpec.quantum_k_person(n, k, strategies, gamma))
 
 
 def test_integer_build_takes_any_exact_denominator():
     # thirds, sixths and twelfths next to quarters, in a mirrored grid: the
-    # scale is n times the LCM of the probability denominators, not 4n
+    # scale is n times the LCM of the probability denominators, not 4n, and
+    # a0 + k * a1 over it is Alice's Fraction grid at every k
     third, sixth, quarter = F(1, 3), F(1, 6), F(1, 4)
     upper = {
         (0, 0): (third, sixth, sixth, third),
@@ -540,9 +555,16 @@ def test_integer_build_takes_any_exact_denominator():
     outcomes = tuple(
         tuple(upper[i, j] if i <= j else _mirrored(upper[j, i]) for j in range(3)) for i in range(3)
     )
-    for spec in (GameSpec.quantum_two_person(("P1", "P2", "M")), GameSpec.quantum_k_person(10, 3, ("P1", "P2", "M"))):
-        assert_matches_fraction_loop(spec, outcomes)
-        assert bimatrix(spec, outcomes).scaled_costs[1] == spec.n * 12
+    names = ("P1", "P2", "M")
+    specs = [GameSpec.quantum_two_person(names)] + [GameSpec.quantum_k_person(10, k, names) for k in range(8)]
+    for spec in specs:
+        a0, a1, scale = games._exact_grid(spec.n, outcomes)
+        assert scale == spec.n * 12
+        k = spec.k or 0
+        grid = [[F(x + k * y, scale) for x, y in zip(r0, r1)] for r0, r1 in zip(a0, a1)]
+        want = fraction_cells(spec, outcomes)
+        assert grid == [[alice for alice, _ in row] for row in want]
+        assert [list(col) for col in zip(*grid)] == [[bob for _, bob in row] for row in want]
 
 
 def test_reading_one_cost_builds_no_cells_view():
@@ -553,41 +575,7 @@ def test_reading_one_cost_builds_no_cells_view():
 
 
 def test_integer_build_rejects_a_nonpositive_cost():
-    # a negative probability drives Alice's P2-vs-P1 cost to -3 + 4 * 1/2 = -1, her
-    # first bad cost in row-major order; Bob's costs are her grid transposed
-    outcomes = (CLASSICAL_GRID[0], ((F(-3), F(0), F(4), F(0)), CLASSICAL_GRID[1][1]))
+    # Alice's integer grid over scale 4 with two non-positive costs: the least,
+    # -4 / 4 = -1, is the one reported
     with pytest.raises(DomainError, match=r"positive and finite, got -1$"):
-        bimatrix(GameSpec.quantum_two_person(("P1", "P2"), 0.0), outcomes)
-
-
-_ROW_OF_3 = CLASSICAL_GRID[0] + CLASSICAL_GRID[1][:1]
-
-
-@pytest.mark.parametrize(
-    "outcomes",
-    [CLASSICAL_GRID, (CLASSICAL_GRID[0],) * 3, (_ROW_OF_3, _ROW_OF_3, CLASSICAL_GRID[0]), (_ROW_OF_3,) * 4],
-    ids=["2x2", "3x2", "ragged", "4x3"],
-)
-def test_integer_build_rejects_a_grid_of_the_wrong_shape(outcomes):
-    with pytest.raises(DomainError, match="cell grid does not match strategy labels"):
-        bimatrix(GameSpec.quantum_two_person(("P1", "P2", "Q"), 0.0), outcomes)
-
-
-def test_integer_build_rejects_a_distribution_of_the_wrong_length():
-    # three probabilities in one cell and five in the next, so the total is right
-    outcomes = ((CLASSICAL_GRID[0][0][:3], CLASSICAL_GRID[0][1] + (F(0),)), CLASSICAL_GRID[1])
-    with pytest.raises(DomainError, match="four probabilities"):
-        bimatrix(GameSpec.classical_two_person(), outcomes)
-
-
-def test_float_build_rejects_a_distribution_of_the_wrong_length():
-    # as in the exact build: a fifth probability is not dropped, nor a missing fourth read as zero
-    outcomes = (((1.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0)), ((0.0, 0.0, 1.0, 0.0), (0.0, 0.0, 0.0, 1.0, 0.5)))
-    with pytest.raises(DomainError, match="four probabilities"):
-        bimatrix(GameSpec.quantum_two_person(("P1", "P2"), 0.4), outcomes)
-
-
-def test_integer_build_rejects_a_probability_that_is_not_a_number():
-    outcomes = (CLASSICAL_GRID[0], ((F(0), F(0), "1", F(0)), CLASSICAL_GRID[1][1]))
-    with pytest.raises(DomainError, match="outcome probabilities must be numbers"):
-        bimatrix(GameSpec.classical_two_person(), outcomes)
+        CostBimatrix._exact(("P1", "P2"), [[4, 2], [-4, 0]], 4)

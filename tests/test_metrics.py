@@ -5,7 +5,7 @@ import pytest
 from pigouq.equilibria import PureProfile, solve
 from pigouq.errors import DomainError
 from pigouq.ewl import GAMMA_MAX
-from pigouq.games import CLASSICAL_GRID, GameSpec, bimatrix, outcome_grid, pinned_bill
+from pigouq.games import GameSpec, bimatrix, pinned_bill
 from pigouq.metrics import (
     analyze,
     classical_cost_ne,
@@ -162,13 +162,12 @@ OVER_K_PASSES = [("classical", ("P1", "P2"), None, range(3, 25))] + [
 @pytest.mark.parametrize("mode, names, gamma, populations", OVER_K_PASSES)
 def test_over_k_grids_and_totals_are_the_per_k_ones(mode, names, gamma, populations):
     """Each over-k grid is ``bimatrix`` at its k, to the integer, and each total the ``Fraction`` sum."""
-    outcomes = CLASSICAL_GRID if mode == "classical" else outcome_grid(names, gamma)
     kinds = set()
     for n in populations:
         points, _ = solve_over_k(mode, names, n, gamma)
         assert [spec.k for spec, *_ in points] == list(range(n - 2))
         for spec, matrix, eq, total in points:
-            direct = bimatrix(spec, outcomes)
+            direct = bimatrix(spec)
             assert matrix == direct and matrix.scaled_costs == direct.scaled_costs
             if eq.selected is None:
                 assert total is None

@@ -129,6 +129,16 @@ def test_float_gamma_sweep_matches_per_k_path(protocol_runs):
     assert series.reports == per_k_reports(per_k_points("quantum", ("P1", "P2", "M"), 9, range(1, 7), 0.9))
 
 
+CUSTOM = (StrategyAngles(0.0, 0.0), StrategyAngles(math.pi, 0.0), StrategyAngles(math.pi / 2, math.pi / 2))
+
+
+def test_float_gamma_sweep_of_a_custom_set_matches_per_k_path(protocol_runs):
+    # one outcome grid for the whole over-k pass: a single 3x3 protocol run
+    series = sweep_k("quantum", CUSTOM, 9, gamma=0.7)
+    assert protocol_runs == [9]
+    assert series.reports == per_k_reports(per_k_points("quantum", CUSTOM, 9, range(1, 7), 0.7))
+
+
 def test_classical_sweep_runs_no_protocol(protocol_runs):
     series = sweep_k("classical", ("P1", "P2"), 12, range(0, 10))
     assert protocol_runs == []
@@ -186,8 +196,7 @@ def test_gamma_sweep_runs_the_protocol_per_angle_only_for_custom_sets(protocol_r
     protocol_runs.clear()
     sweep_gamma(("P1", "P2", "Q"), gammas, n=10, k=4)
     assert protocol_runs == []
-    custom = (StrategyAngles(0.0, 0.0), StrategyAngles(math.pi, 0.0), StrategyAngles(math.pi / 2, math.pi / 2))
-    sweep_gamma(custom, gammas)
+    sweep_gamma(CUSTOM, gammas)
     assert protocol_runs == [9] * len(gammas)
 
 
