@@ -11,11 +11,16 @@ Exit codes: 0 success (or all checks pass), 1 usage error (an ``--out``
 file that cannot be written included), 2 domain error, 3 verification
 failure. Payload goes to stdout (or the ``--out`` file); diagnostics go
 to stderr.
+
+``main(argv)`` may be called repeatedly in one process: every call parses
+with one parser, built on the first call, and reads ``sys.stdout`` and
+``sys.stderr`` as they are at that call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -55,6 +60,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser for the ``pigouq`` command on every call."""
     parser = _Parser(prog="pigouq", description="Congestion games on the two-edge network, classical and entangled.")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
@@ -81,6 +87,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("verify", help="replay the reference-number checks")
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser :func:`main` reuses, built on first use rather than at import.
+
+    Reuse is safe: each parse keeps its state in the ``Namespace`` it
+    returns, and ``_Parser.error`` and ``print_usage`` look up
+    ``sys.stderr`` when they are called.
+    """
+    return build_parser()
 
 
 def _parse_gamma(text: str | None, parser) -> float | None:
@@ -222,7 +239,7 @@ def _sweep_payload(args, parser, fmt: str) -> str:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -75,14 +75,14 @@ _NORMALIZATION_TOL = 1e-12
 
 
 def validate_gamma(gamma: float) -> float:
-    """Check ``gamma`` is a real number in [0, pi/2] and return it as a float."""
+    """Check ``gamma`` is a real number in [0, pi/2] and return it as a float, -0.0 as 0.0."""
     # A float skips the ABC check, which costs about a microsecond.
     if type(gamma) is not float and not isinstance(gamma, numbers.Real):
         raise DomainError(f"entanglement angle must be a real number, got {gamma!r}")
     g = float(gamma)
     if not (0.0 <= g <= GAMMA_MAX):
         raise DomainError(f"entanglement angle must lie in [0, pi/2], got {gamma}")
-    return g
+    return g + 0.0  # -0.0 + 0.0 is +0.0; every other angle is unchanged
 
 
 def entangler(gamma: float) -> np.ndarray:

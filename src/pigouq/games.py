@@ -148,6 +148,16 @@ class GameSpec:
                 raise DomainError("quantum games require an entanglement angle")
             object.__setattr__(self, "gamma", validate_gamma(self.gamma))
 
+    def _at_k(self, k: int) -> "GameSpec":
+        """This validated k-person spec with pinned count ``k``, which must satisfy 0 <= k < n-2.
+
+        Skips ``__post_init__``: every other field is this spec's, checked
+        when it was built, and the caller checks ``k``.
+        """
+        spec = object.__new__(GameSpec)
+        spec.__dict__.update(self.__dict__, k=k)
+        return spec
+
     @property
     def variant(self) -> Literal["two_person", "k_person"]:
         """``"two_person"`` for a spec without ``k``, ``"k_person"`` for one with it."""

@@ -212,10 +212,10 @@ def solve_over_k(mode: str, strategies, n: int, gamma: float | None = None):
     exact game (None when nothing is selected), and ``opt``, the cheapest
     of those totals (None when no k selects an equilibrium).
     """
-    _check_k_person(n, 0)
-    specs = [GameSpec(mode=mode, n=n, k=k, gamma=gamma, strategies=tuple(strategies)) for k in range(n - 2)]
+    first = GameSpec(mode=mode, n=n, k=0, gamma=gamma, strategies=tuple(strategies))
+    specs = [first] + [first._at_k(k) for k in range(1, n - 2)]
     points = []
-    for spec, matrix in zip(specs, bimatrices_over_k(specs[0])):
+    for spec, matrix in zip(specs, bimatrices_over_k(first)):
         eq = solve(matrix)
         total = profile_total(spec, matrix, eq.selected) if eq.selected is not None else None
         points.append((spec, matrix, eq, total))

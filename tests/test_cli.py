@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -6,9 +8,12 @@ from pathlib import Path
 
 import pytest
 
+import pigouq.cli as cli
 from pigouq.cli import main
+from pigouq.sweeps import CSV_HEADER
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def run_cli(capsys, *argv):
@@ -126,6 +131,40 @@ def test_module_entry_point_runs_the_cli():
     assert "--n does not apply to classical2" in proc.stderr
 
 
+class TestParserReuse:
+    """``main`` parses every call with one parser, built on the first call."""
+
+    def test_main_builds_the_parser_once(self, monkeypatch, capsys):
+        built = []
+        real_build_parser = cli.build_parser
+
+        def counting_build_parser():
+            built.append(None)
+            return real_build_parser()
+
+        monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+        cli._parser.cache_clear()
+        assert main(["matrix", "--game", "classical2"]) == 0
+        assert main(["solve", "--game", "quantum2", "--strategies", "p1p2m", "--format", "csv"]) == 0
+        assert main(["solve", "--game", "nonsense"]) == 1
+        assert main(["sweep", "--game", "classicalk", "--n", "5", "--over", "k"]) == 0
+        capsys.readouterr()
+        assert len(built) == 1
+        # The public builder still hands out a fresh parser each call.
+        assert real_build_parser() is not real_build_parser()
+
+    def test_error_and_help_leave_the_next_request_intact(self, capsys):
+        assert main(["solve", "--game", "quantumk", "--n", "10"]) == 1
+        assert main(["--help"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: pigouq ")
+        assert "--k is required for quantumk" in captured.err
+        argv = ["solve", "--game", "quantumk", "--strategies", "p1p2q", "--n", "10", "--k", "4", "--format", "json"]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out == (GOLDEN / "solve_p1p2q_n10_k4.json").read_text()
+
+
 class TestUsageErrors:
     @pytest.mark.parametrize(
         "argv",
@@ -158,8 +197,38 @@ class TestUsageErrors:
     )
     def test_exit_code_1(self, capsys, argv):
         code = main(list(argv))
-        capsys.readouterr()
+        captured = capsys.readouterr()
         assert code == 1
+        assert ": error: " in captured.err
+
+    @pytest.mark.parametrize(
+        "argv, usage, message",
+        [
+            # rejected by argparse while parsing
+            (
+                ("matrix", "--game", "nonsense"),
+                "usage: pigouq matrix ",
+                "pigouq matrix: error: argument --game: invalid choice: 'nonsense'",
+            ),
+            # rejected by parser.error while dispatching
+            (
+                ("solve", "--game", "classical2", "--n", "5"),
+                "usage: pigouq ",
+                "pigouq: error: --n does not apply to classical2\n",
+            ),
+        ],
+    )
+    def test_message_reaches_the_stderr_of_each_call(self, capsys, argv, usage, message):
+        # The two calls print to different streams, so a parser that kept the
+        # stream of an earlier call would leave the second capture empty.
+        first = io.StringIO()
+        with contextlib.redirect_stderr(first):
+            assert main(list(argv)) == 1
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == first.getvalue()
+        assert err.startswith(usage)
+        assert message in err
 
 
 class TestDomainErrors:
@@ -237,6 +306,16 @@ def test_float_game_is_symmetric_to_the_last_bit(capsys):
     )
     assert out.splitlines()[5].endswith("  (0.75, 0.75)")
     assert "mixed:(0,0.9416009553974223,0.05839904460257769)," in out
+
+
+def test_negative_zero_gamma_prints_as_zero(capsys):
+    def solve(gamma, fmt):
+        return run_cli(capsys, "solve", "--game", "quantum2", "--gamma", gamma, "--format", fmt)
+
+    table, csv = solve("-0.0", "table"), solve("-0.0", "csv")
+    assert (table, csv) == (solve("0", "table"), solve("0", "csv"))
+    assert table[1].startswith("game: quantum two-person n=2 gamma=0 strategies=P1,P2\n")
+    assert csv[1].startswith(f"{CSV_HEADER}\ngamma,0.0,")
 
 
 def test_out_redirects_payload_only(tmp_path, capsys):

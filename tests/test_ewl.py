@@ -6,7 +6,7 @@ import pytest
 import scipy.linalg
 
 from pigouq.errors import DomainError
-from pigouq.ewl import GAMMA_MAX, KET_00, entangler, outcome_table
+from pigouq.ewl import GAMMA_MAX, KET_00, entangler, outcome_table, validate_gamma
 from pigouq.strategies import STRATEGY_TAGS, StrategyAngles, resolve, unitary_from_angles
 
 INV_SQRT2 = 1 / math.sqrt(2)
@@ -64,6 +64,12 @@ def test_out_of_range_gamma_rejected(gamma):
         entangler(gamma)
     with pytest.raises(DomainError):
         outcome_table([resolve("P1")], [resolve("P1")], gamma)
+
+
+def test_negative_zero_gamma_is_positive_zero():
+    for gamma in (-0.0, 0.0, 0, np.float64(-0.0)):
+        g = validate_gamma(gamma)
+        assert (g, type(g), math.copysign(1.0, g)) == (0.0, float, 1.0)
 
 
 def one_pair(tag_a, tag_b, gamma):

@@ -1,5 +1,7 @@
+import math
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from pigouq.equilibria import PureProfile, solve
@@ -16,6 +18,7 @@ from pigouq.metrics import (
     solve_over_k,
     split_cost,
 )
+from pigouq.strategies import StrategyAngles
 from pigouq.sweeps import sweep_gamma
 
 
@@ -190,6 +193,26 @@ def test_over_k_totals_of_a_float_game_are_the_float_sums():
                 assert (total, type(total)) == (want, float)
                 pure += 1
     assert pure > 0
+
+
+@pytest.mark.parametrize(
+    "mode, strategies, gamma",
+    [
+        ("classical", ("P1", "P2"), None),
+        ("quantum", ("P1", "P2", "Q"), GAMMA_MAX),
+        ("quantum", ["P1", "P2", "M"], np.float64(0.9)),
+        ("quantum", ("P1", StrategyAngles(math.pi / 2, math.pi / 2)), 0.0),
+    ],
+)
+def test_over_k_specs_are_the_validated_per_k_specs(mode, strategies, gamma):
+    """One spec of the pass is validated; the others, derived from it, are the specs built at their k."""
+    n = 7
+    points, _ = solve_over_k(mode, strategies, n, gamma)
+    for k, (spec, *_) in enumerate(points):
+        built = GameSpec(mode=mode, n=n, k=k, gamma=gamma, strategies=tuple(strategies))
+        assert spec == built and hash(spec) == hash(built)
+        assert spec.describe() == built.describe()
+        assert vars(spec) == vars(built) and type(spec.gamma) is type(built.gamma)
 
 
 def test_two_person_quantum_reports():

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as F
 
 import numpy as np
@@ -122,6 +123,13 @@ def test_gamma_validation():
         sweep_gamma(("P1", "P2"), [0.5, GAMMA_MAX + 0.2])
     with pytest.raises(DomainError, match="must be a real number"):
         sweep_gamma(("P1", "P2"), [0.5, "0.7"])
+
+
+def test_gamma_sweep_keeps_one_positive_zero():
+    for angles in ([0.0, -0.0, 0.5], [-0.0, 0.0, 0.5]):
+        values = sweep_gamma(("P1", "P2", "M"), angles).values
+        assert values == (0.0, 0.5)
+        assert math.copysign(1.0, values[0]) == 1.0
 
 
 def test_gamma_sweep_k_person_endpoint_matches_k_sweep():
