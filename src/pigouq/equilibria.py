@@ -56,10 +56,14 @@ their sum is nonzero, and q is the minors over their sum (Cramer's
 rule). Otherwise it is inconsistent when the all-ones row lies in D's
 row space and singular when not; that test reads integer minors and
 entries, so it is exact, and it is the classification rational
-elimination gives. The probabilities and the common cost share the sum,
-made positive, as denominator: the sign and best-response tests compare
-integers, and ``Fraction`` values are built only for the profiles that
-pass both.
+elimination gives. The square pass keeps one table per support size:
+it forms each chooser support's difference rows once, solves every
+mixer support's system from their columns, and judges whether the
+probabilities are nonnegative and no strategy outside the chooser's
+support beats the common cost. Both share the minors' sum, made
+positive, as denominator, so the tests compare integers. Profiles are
+deduplicated on their mixes in lowest integer terms, and ``Fraction``
+values are built only for the survivors.
 
 Everything is deterministic: cells in row-major order, supports in
 size-then-index order, results sorted by support and probabilities.
@@ -68,9 +72,10 @@ size-then-index order, results sorted by support and probabilities.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 
 from .errors import DomainError
 from .games import CostBimatrix, value_to_json
@@ -284,117 +289,112 @@ def dominance_select(matrix: CostBimatrix) -> PureProfile | None:
     return None
 
 
-def _indifference_mix(costs, chooser_support, mixer_support):
-    """Opponent mix making ``chooser_support`` strategies equally costly.
+@cache
+def _layout(size: int, r: int) -> tuple:
+    """The supports of r of ``size`` strategies in index order, and the strategies outside each."""
+    supports = tuple(itertools.combinations(range(size), r))
+    return supports, tuple(tuple(i for i in range(size) if i not in s) for s in supports)
 
-    ``costs[i][j]`` is the chooser's integer-scaled cost when the chooser
-    plays i and the mixer plays j. The system must be square: both
-    supports have the same size, 2 or 3 (:data:`MAX_MIXED_SIZE` caps it,
-    and the weak pure scan stands in for size 1), so D is one row
-    ``(d0, d1)`` or two rows u and v of three entries, and its signed
-    maximal minors are ``(d1, -d0)`` or the cross product u x v. Returns
-    ``(status, solution)``, with ``status`` one of ``"unique"``,
-    ``"inconsistent"`` and ``"singular"`` by the rules of the module
-    docstring. ``solution`` is ``(weights, value, denominator)`` for a
-    unique system: the mixer plays ``mixer_support[j]`` with probability
-    ``weights[j] / denominator``, the common cost is ``value /
-    denominator``, and the denominator is positive. It is ``None``
-    otherwise.
+
+def _systems(a, r: int) -> dict:
+    """Every r-by-r indifference system of the integer grid ``a``, each solved and judged once.
+
+    Keyed ``(chooser support, mixer support)``, where the chooser pays
+    ``a[i][j]`` playing i against the mixer's j; r is 2 or 3. Each chooser
+    support's difference rows are formed once, at full width, and each
+    mixer support reads its columns. A unique system's entry is
+    ``("unique", (weights, value, denominator), ok)``: the mixer plays its
+    support's j-th strategy with probability ``weights[j] / denominator``,
+    the common cost is ``value / denominator``, the denominator is
+    positive, and ``ok`` says the weights are nonnegative and no chooser
+    strategy outside the support costs less than that value. Any other
+    system's is ``(status, None, False)``.
     """
-    first, *others = ([costs[i][j] for j in mixer_support] for i in chooser_support)
-    diff = [[x - y for x, y in zip(row, first)] for row in others]
-    if len(diff) == 1:
-        ((d0, d1),) = diff
-        weights = [d1, -d0]
-    else:
-        (u0, u1, u2), (v0, v1, v2) = diff
-        weights = [u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0]
-    total = sum(weights)
-    if total:
-        if total < 0:
-            weights, total = [-w for w in weights], -total
-        return "unique", (weights, sum(c * w for c, w in zip(first, weights)), total)
-    # A zero sum. At full rank (some minor nonzero) D's row space is every
-    # row orthogonal to the minors, the all-ones row included. Below full
-    # rank the rows are parallel, and the all-ones row lies in their span
-    # exactly when some row is nonzero and every row is constant.
-    if any(weights) or (any(map(any, diff)) and all(len(set(row)) == 1 for row in diff)):
-        return "inconsistent", None
-    return "singular", None
+    supports, complements = _layout(len(a), r)
+    table = {}
+    for chooser, others in zip(supports, complements):
+        first = a[chooser[0]]
+        diff = [[x - y for x, y in zip(a[i], first)] for i in chooser[1:]]
+        outside = [a[o] for o in others]
+        for mixer in supports:  # written out per size: a loop per system costs more than its arithmetic
+            if r == 2:
+                j0, j1 = mixer
+                w0, w1 = diff[0][j1], -diff[0][j0]
+                if w0 + w1 < 0:
+                    w0, w1 = -w0, -w1
+                if not w0 + w1:  # a constant row: inconsistent when nonzero
+                    table[chooser, mixer] = ("inconsistent" if w0 else "singular", None, False)
+                    continue
+                value = first[j0] * w0 + first[j1] * w1
+                ok = w0 >= 0 and w1 >= 0 and all(row[j0] * w0 + row[j1] * w1 >= value for row in outside)
+                table[chooser, mixer] = ("unique", ((w0, w1), value, w0 + w1), ok)
+                continue
+            j0, j1, j2 = mixer
+            (u0, u1, u2), (v0, v1, v2) = ([row[j] for j in mixer] for row in diff)
+            w0, w1, w2 = u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0
+            if w0 + w1 + w2 < 0:
+                w0, w1, w2 = -w0, -w1, -w2
+            if not w0 + w1 + w2:
+                # A nonzero minor puts the all-ones row in D's row space; below full
+                # rank the rows are parallel, and it lies there when both are constant.
+                constant = u0 == u1 == u2 and v0 == v1 == v2 and (u0 or v0)
+                table[chooser, mixer] = ("inconsistent" if w0 or w1 or w2 or constant else "singular", None, False)
+                continue
+            value = first[j0] * w0 + first[j1] * w1 + first[j2] * w2
+            ok = min(w0, w1, w2) >= 0 and all(row[j0] * w0 + row[j1] * w1 + row[j2] * w2 >= value for row in outside)
+            table[chooser, mixer] = ("unique", ((w0, w1, w2), value, w0 + w1 + w2), ok)
+    return table
 
 
-def _beaten(costs, weights, value, support, mixer_support) -> bool:
-    """Whether a strategy outside ``support`` costs strictly less than ``value``.
-
-    ``weights`` (the opponent's mix over ``mixer_support``) and ``value``
-    share one positive denominator, so integer costs compare directly.
-    """
-    return any(
-        sum(row[j] * w for j, w in zip(mixer_support, weights)) < value
-        for r, row in enumerate(costs)
-        if r not in support
-    )
-
-
-def _full_mix(weights, denominator, support, size):
-    """Exact probabilities over all ``size`` strategies."""
+def _mix_key(support, weights, denominator, size) -> tuple:
+    """A mix over ``size`` strategies in lowest integer terms: ``(positive support, weights, denominator)``."""
+    g = math.gcd(denominator, *weights)
     mix = dict(zip(support, weights))
-    return tuple(Fraction(mix.get(i, 0), denominator) for i in range(size))
+    full = tuple(mix.get(i, 0) // g for i in range(size))
+    return tuple(i for i, w in enumerate(full) if w), full, denominator // g
 
 
 def _square_pass(matrix: CostBimatrix, weak_pure):
     """Equilibria of the square support pairs, with the notes those pairs add.
 
-    ``weak_pure`` is the weak pure scan of ``matrix``, which
-    stands in for the 1x1 pairs. Returns the sorted profiles and the
-    notes in size-then-index order of their pairs. Each pair reads its
-    column-mix system, then, only when that is unique, its row-mix system;
-    a singular system skips the pair with a note.
+    ``weak_pure`` is the weak pure scan of ``matrix``, which stands in
+    for the 1x1 pairs. Returns the sorted profiles and the notes in
+    size-then-index order of their pairs. Each support size of 2 and up
+    builds one :func:`_systems` table on Alice's grid. A pair (S_a, S_b)
+    reads its column-mix system at ``(S_a, S_b)`` and, only when that is
+    unique, its row-mix system at ``(S_b, S_a)``: Bob's system is Alice's
+    for the exchanged supports. A singular system skips the pair with a
+    note, and two unique systems that are both ``ok`` make a profile.
     """
     size = matrix.size
     a, scale = matrix.scaled_costs
-
-    found = {}
+    found = {}  # (Alice's mix key, Bob's) -> ((Alice's cost, its denominator), (Bob's cost, its denominator))
     for pure in weak_pure:
         i, j = pure.row, pure.col
-        p_full = tuple(Fraction(int(r == i)) for r in range(size))
-        q_full = tuple(Fraction(int(c == j)) for c in range(size))
-        found[p_full, q_full] = MixedProfile(p_full, q_full, Fraction(a[i][j], scale), Fraction(a[j][i], scale))
+        found[_mix_key((i,), (1,), 1, size), _mix_key((j,), (1,), 1, size)] = ((a[i][j], 1), (a[j][i], 1))
     notes = []
     for r in range(2, size + 1):
-        # Bob's row-mix system of (S_a, S_b) is Alice's column-mix system of
-        # (S_b, S_a), which the pass reads anyway: one table serves both.
-        pairs = itertools.product(itertools.combinations(range(size), r), repeat=2)
-        systems = {pair: _indifference_mix(a, *pair) for pair in pairs}
-        for sup_a, sup_b in systems:
-            status, sol_q = systems[sup_a, sup_b]
+        table = _systems(a, r)
+        for sup_a, sup_b in table:
+            status, sol_q, ok = table[sup_a, sup_b]
             side = "column"
             if status == "unique":
-                status, sol_p = systems[sup_b, sup_a]
-                side = "row"
+                status, sol_p, ok_p = table[sup_b, sup_a]
+                side, ok = "row", ok and ok_p
             if status == "singular":
                 notes.append(_support_note(matrix, sup_a, sup_b, side))
-            if status != "unique":
+            if status != "unique" or not ok:
                 continue
             (w_p, value_b, den_p), (w_q, value_a, den_q) = sol_p, sol_q
-            if min(w_p) < 0 or min(w_q) < 0:
-                continue
-            # No unsupported strategy may beat the support's common cost.
-            if _beaten(a, w_q, value_a, sup_a, sup_b) or _beaten(a, w_p, value_b, sup_b, sup_a):
-                continue
-            profile = MixedProfile(
-                _full_mix(w_p, den_p, sup_a, size),
-                _full_mix(w_q, den_q, sup_b, size),
-                Fraction(value_a, den_q * scale),
-                Fraction(value_b, den_p * scale),
-            )
-            found.setdefault((profile.alice_probs, profile.bob_probs), profile)
-
-    ordered = sorted(
-        found.values(),
-        key=lambda pr: (pr.support(), pr.alice_probs, pr.bob_probs),
-    )
-    return ordered, notes
+            key = _mix_key(sup_a, w_p, den_p, size), _mix_key(sup_b, w_q, den_q, size)
+            found.setdefault(key, ((value_a, den_q), (value_b, den_p)))
+    ordered = []
+    for (key_p, key_q), ((value_a, den_a), (value_b, den_b)) in found.items():
+        p, q = (tuple(Fraction(w, den) for w in weights) for _, weights, den in (key_p, key_q))
+        profile = MixedProfile(p, q, Fraction(value_a, den_a * scale), Fraction(value_b, den_b * scale))
+        ordered.append((key_p[0], key_q[0], p, q, profile))
+    ordered.sort(key=lambda entry: entry[:4])  # by integer supports; Fractions break ties
+    return [entry[4] for entry in ordered], notes
 
 
 def _support_note(matrix, sup_a, sup_b, side) -> str:

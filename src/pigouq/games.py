@@ -211,7 +211,9 @@ class CostBimatrix:
     """
 
     def __init__(self, labels, costs):
-        labels, costs = tuple(labels), tuple(map(tuple, costs))
+        labels = tuple(labels)
+        # A numpy integer becomes the int it equals, so it behaves as a Python int cost does.
+        costs = tuple(tuple(operator.index(x) if isinstance(x, np.integer) else x for x in row) for row in costs)
         if not labels:
             raise DomainError("strategy list must be nonempty")
         if len(costs) != len(labels) or any(len(row) != len(labels) for row in costs):

@@ -9,7 +9,7 @@ import pytest
 
 import pigouq.games as games
 from pigouq.cli import STRATEGY_SETS
-from pigouq.equilibria import solve
+from pigouq.equilibria import PureProfile, solve
 from pigouq.errors import DomainError
 from pigouq.games import (
     CLASSICAL_GRID,
@@ -472,6 +472,16 @@ def test_bimatrix_type_keeps_its_labels_as_a_tuple():
     listed, tupled = CostBimatrix(["A", "B"], costs), CostBimatrix(("A", "B"), costs)
     assert listed.labels == ("A", "B")
     assert listed == tupled and hash(listed) == hash(tupled)
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.int8, np.uint16])
+def test_bimatrix_type_takes_numpy_integer_costs_as_ints(dtype):
+    plain = CostBimatrix(("A", "B"), [[2, 1], [3, 2]])
+    matrix = CostBimatrix(("A", "B"), np.array([[2, 1], [3, 2]], dtype=dtype))
+    assert all(type(x) is int for row in matrix.costs for x in row)
+    assert matrix == plain and hash(matrix) == hash(plain) and repr(matrix) == repr(plain)
+    assert matrix.scaled_costs == plain.scaled_costs == ([[2, 1], [3, 2]], 1)
+    assert solve(matrix) == solve(plain) and solve(matrix).selected == PureProfile(0, 0, "A", "A")
 
 
 @pytest.mark.parametrize("bad", [math.inf, math.nan, "1/2", 0.5j, None])

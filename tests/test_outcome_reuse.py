@@ -62,15 +62,16 @@ def enumerations(monkeypatch):
 
 @pytest.fixture
 def linear_solves(monkeypatch):
-    """One entry per indifference system solved."""
+    """One entry per indifference system solved: the keys of each system table built."""
     runs = []
-    real = equilibria._indifference_mix
+    real = equilibria._systems
 
-    def counting(costs, chooser_support, mixer_support):
-        runs.append((chooser_support, mixer_support))
-        return real(costs, chooser_support, mixer_support)
+    def counting(a, r):
+        table = real(a, r)
+        runs.extend(table)
+        return table
 
-    monkeypatch.setattr(equilibria, "_indifference_mix", counting)
+    monkeypatch.setattr(equilibria, "_systems", counting)
     return runs
 
 

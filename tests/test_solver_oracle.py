@@ -7,8 +7,8 @@ same order with the same exact values. The ``diagnostics`` view must
 equal its notes of equal-size support pairs, the only pairs the solver
 enumerates; the oracle still solves the unequal pairs too, and finds no
 profile there.
-Each game also holds every closed-form indifference solve to the
-oracle's, for every square support pair and both of its systems, so a
+Each game also holds every entry of the solver's per-size system tables
+to the oracle's solve, whether or not a support pair reads it, so a
 wrong row system cannot hide behind an inconsistent column system. The
 solver reads Bob's system as Alice's for the exchanged supports; the
 oracle builds Bob's costs from ``cost_b`` and solves his systems
@@ -33,7 +33,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from pigouq.equilibria import MixedProfile, PureProfile, _indifference_mix, dominance_select, solve
+from pigouq.equilibria import MixedProfile, PureProfile, _systems, dominance_select, solve
 from pigouq.games import CostBimatrix, GameSpec, bimatrix
 from pigouq.strategies import STRATEGY_TAGS, StrategyAngles
 from pigouq.verification import _all_reference_specs
@@ -150,30 +150,42 @@ def square_oracle_enumeration(matrix):
     return profiles, [note for note in notes if note in square]
 
 
-def _systems_match_oracle(matrix):
-    """Every column and row system the square pass solves, each against the rational oracle.
+def _oracle_verdict(costs, chooser, mixer, q, v):
+    """Whether the mix ``q`` over ``mixer`` is nonnegative and no chooser strategy outside ``chooser`` beats ``v``."""
+    outside = [r for r in range(len(costs)) if r not in chooser]
+    return min(q) >= 0 and all(sum(costs[r][j] * x for j, x in zip(mixer, q)) >= v for r in outside)
 
-    Those are the systems of the square support pairs of size 2 and up;
-    the weak pure scan stands in for the 1x1 pairs. The solver solves
-    both on Alice's integer grid ``a``, Bob's with the supports exchanged;
-    the oracle solves Bob's on his own costs, read through ``cost_b`` and
-    scaled like ``a``. Each system must agree in status and, when unique,
-    in the exact mix and value. Returns the statuses seen.
+
+def _systems_match_oracle(matrix):
+    """Every entry of every system table the square pass builds, each against the rational oracle.
+
+    Those are the tables of support sizes 2 and up; the weak pure scan
+    stands in for the 1x1 pairs. An entry ``(chooser, mixer)`` is Alice's
+    column-mix system of the pair ``(chooser, mixer)`` and Bob's row-mix
+    system of ``(mixer, chooser)``, so it is checked as both: on Alice's
+    costs, and on Bob's, read through ``cost_b`` and scaled like ``a``.
+    Each must agree in status and, when unique, in the exact mix, value,
+    positive denominator and ``ok`` verdict. Returns the statuses seen.
     """
     a, scale = matrix.scaled_costs
     size = matrix.size
     alice = [[F(x) for x in row] for row in a]
     bob_as_chooser = [[scale * F(matrix.cost_b(r, c)) for r in range(size)] for c in range(size)]
     statuses = set()
-    for sup_a, sup_b in (pair for pair in _square_pairs(size) if len(pair[0]) > 1):
-        for oracle_costs, chooser, mixer in ((alice, sup_a, sup_b), (bob_as_chooser, sup_b, sup_a)):
-            status, solution = _indifference_mix(a, chooser, mixer)
-            want, q, v = _oracle_indifference_mix(oracle_costs, chooser, mixer)
-            assert status == want, (chooser, mixer)
-            if status == "unique":
-                weights, value, denominator = solution
-                assert denominator > 0
-                assert [F(w, denominator) for w in weights] == q and F(value, denominator) == v
+    for r in range(2, size + 1):
+        table = _systems(a, r)
+        assert list(table) == [pair for pair in _square_pairs(size) if len(pair[0]) == r]
+        for (chooser, mixer), (status, solution, ok) in table.items():
+            for oracle_costs in (alice, bob_as_chooser):
+                want, q, v = _oracle_indifference_mix(oracle_costs, chooser, mixer)
+                assert status == want, (chooser, mixer)
+                if status == "unique":
+                    weights, value, denominator = solution
+                    assert denominator > 0
+                    assert [F(w, denominator) for w in weights] == q and F(value, denominator) == v
+                    assert ok == _oracle_verdict(oracle_costs, chooser, mixer, q, v), (chooser, mixer)
+                else:
+                    assert (solution, ok) == (None, False)
             statuses.add(status)
     return statuses
 
@@ -309,6 +321,18 @@ def test_degenerate_integer_games_match_oracle():
     assert statuses == {"unique", "inconsistent", "singular"}
 
 
+@pytest.mark.parametrize(
+    "costs",
+    [((2, 6, 5), (6, 3, 5), (3, 5, 6)), ((1, 1, 4), (2, 4, 2), (3, 1, 1)), ((1, 4, 2), (4, 2, 2), (2, 3, 2))],
+)
+def test_profiles_sharing_supports_sort_by_probabilities(costs):
+    """Two profiles on one pair of supports, found from different support pairs in the other order."""
+    matrix = CostBimatrix(("A", "B", "C"), costs)
+    supports = [m.support() for m in solve(matrix).mixed]
+    assert len(set(supports)) < len(supports)
+    _same_as_oracle(matrix)
+
+
 def test_classical_continuum_reports_three_points():
     eq = solve(bimatrix(GameSpec.classical_two_person()))
     profiles, diagnostics = eq.mixed, eq.diagnostics
@@ -387,3 +411,35 @@ def test_one_sided_dominance_matches_two_sided_on_reference_games():
         decided += want is not None
     assert 0 < decided < len(specs)
     assert dominance_select(bimatrix(specs[-2])) == PureProfile(2, 2, "Q", "Q")
+
+
+def _tiny_alphabet_games(size, alphabet):
+    """Every symmetric game of ``size`` strategies with costs in ``alphabet``, in lexicographic order."""
+    labels = tuple("ABC"[:size])
+    for entries in itertools.product(alphabet, repeat=size * size):
+        yield CostBimatrix(labels, [entries[i : i + size] for i in range(0, size * size, size)])
+
+
+def test_every_tiny_alphabet_game_matches_oracle():
+    """Zero minor sums, parallel rows and constant rows, exhaustively: 81 2x2 games and 512 3x3 ones.
+
+    The 2x2 games have costs in {1, 2, 3} and the 3x3 games in {1, 2}.
+    Every game's system tables are held to the oracle entry by entry, and
+    its ``mixed`` view must be closed under exchanging the players of a
+    symmetric game: (p, q) with costs (cost_a, cost_b) maps to (q, p) with
+    (cost_b, cost_a). The full :func:`_same_as_oracle`, whose oracle solves
+    all 49 support pairs of a 3x3 game twice, runs on every 2x2 game and
+    on a fixed-seed sample of 48 of the 3x3 games, to keep the test near
+    3 s.
+    """
+    two, three = list(_tiny_alphabet_games(2, (1, 2, 3))), list(_tiny_alphabet_games(3, (1, 2)))
+    assert (len(two), len(three)) == (81, 512)
+    sampled = set(random.Random(1995).sample(range(len(three)), 48))
+    statuses = set()
+    for i, matrix in enumerate(two + three):
+        full = i < len(two) or i - len(two) in sampled
+        statuses |= _same_as_oracle(matrix) if full else _systems_match_oracle(matrix)
+        mixed = solve(matrix).mixed
+        exchanged = {MixedProfile(m.bob_probs, m.alice_probs, m.expected_cost_bob, m.expected_cost_alice) for m in mixed}
+        assert exchanged == set(mixed), matrix.costs
+    assert statuses == {"unique", "inconsistent", "singular"}
