@@ -212,8 +212,7 @@ class CostBimatrix:
 
     def __init__(self, labels, costs):
         labels = tuple(labels)
-        # A numpy integer becomes the int it equals, so it behaves as a Python int cost does.
-        costs = tuple(tuple(operator.index(x) if isinstance(x, np.integer) else x for x in row) for row in costs)
+        costs = tuple(tuple(_python_cost(x) if isinstance(x, np.generic) else x for x in row) for row in costs)
         if not labels:
             raise DomainError("strategy list must be nonempty")
         if len(costs) != len(labels) or any(len(row) != len(labels) for row in costs):
@@ -327,6 +326,25 @@ class CostBimatrix:
         table = [headers] + [[label] + line for label, line in zip(self.labels, body)]
         widths = [max(len(r[c]) for r in table) for c in range(len(headers))]
         return "\n".join("  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip() for r in table)
+
+
+def _python_cost(x: np.generic):
+    """A numpy number as the Python number it equals, so it behaves as a Python cost does.
+
+    A numpy integer becomes an int and a numpy float a float; a numpy bool
+    is no cost, nor is a float that no Python float equals. Any other
+    numpy scalar is returned as it is.
+    """
+    if isinstance(x, np.bool_):
+        raise DomainError(f"cost entries must be numbers, got {x!r}")
+    if isinstance(x, np.integer):
+        return operator.index(x)
+    if isinstance(x, np.floating):
+        value = float(x)
+        if value != x and not np.isnan(x):  # a long double finer than a float
+            raise DomainError(f"cost entries must be exact as Python floats, got {x!r}")
+        return value
+    return x
 
 
 def format_value(x) -> str:

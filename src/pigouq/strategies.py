@@ -24,6 +24,13 @@ flags and JSON output.
 :func:`is_unitary` is the unitarity guard for single matrices and for
 stacks of them: the catalog checks its literals with it at import, and
 the protocol checks every strategy stack with it before a run.
+
+The family's formula lives in one private assembly, :func:`_unitary`,
+which :func:`unitary_from_angles` calls on one angle pair's cosine,
+sine and phase, and the private :func:`_unitary_stack` on the arrays of
+many pairs' at once, for the verification's random draws. Each value
+comes from the same ``math``/``cmath`` call either way, so entry i of a
+stack has the bits of the scalar call at pair i.
 """
 
 from __future__ import annotations
@@ -93,9 +100,44 @@ def unitary_from_angles(theta: float, phi: float) -> np.ndarray:
         If the angles fall outside the family's box.
     """
     StrategyAngles(theta, phi)  # range validation
-    c = math.cos(theta / 2)
-    s = math.sin(theta / 2)
-    phase = cmath.exp(1j * phi)
+    return _unitary(math.cos(theta / 2), math.sin(theta / 2), cmath.exp(1j * phi))
+
+
+def _unitary_stack(thetas, phis) -> np.ndarray:
+    """:func:`unitary_from_angles` at each ``(thetas[i], phis[i])``, as one ``(m, 2, 2)`` stack.
+
+    Entry i has the bits of ``unitary_from_angles(thetas[i], phis[i])``:
+    each cosine, sine and phase is the same ``math``/``cmath`` call on
+    the same float, and :func:`_unitary` assembles the whole stack from
+    them. Every angle is range-checked first.
+
+    Raises
+    ------
+    DomainError
+        If an angle falls outside the family's box, as :class:`StrategyAngles`
+        raises it for the first such pair.
+    """
+    thetas = np.asarray(thetas, dtype=float)
+    phis = np.asarray(phis, dtype=float)
+    inside = (0.0 <= thetas) & (thetas <= THETA_MAX) & (0.0 <= phis) & (phis <= PHI_MAX)
+    if not inside.all():
+        first = int(np.argmin(inside))
+        StrategyAngles(float(thetas[first]), float(phis[first]))  # raises
+    halves = (thetas / 2).tolist()
+    c = np.array([math.cos(h) for h in halves])
+    s = np.array([math.sin(h) for h in halves])
+    phase = np.array([cmath.exp(1j * phi) for phi in phis.tolist()])
+    return np.ascontiguousarray(np.moveaxis(_unitary(c, s, phase), -1, 0))
+
+
+def _unitary(c, s, phase) -> np.ndarray:
+    """The family's matrix from ``cos(theta/2)``, ``sin(theta/2)`` and ``exp(i*phi)``.
+
+    Scalars give one 2x2 matrix; equal-length 1-D arrays give a
+    ``(2, 2, m)`` array, matrix i in ``[..., i]``. numpy multiplies a
+    complex by a float as CPython 3.10-3.13 does, as a complex with a
+    zero imaginary part, so either way each entry has the same bits.
+    """
     return np.array([[phase * c, s], [-s, phase.conjugate() * c]])
 
 

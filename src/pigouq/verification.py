@@ -13,6 +13,7 @@ rather than restating them.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -23,7 +24,7 @@ from .equilibria import dominance_select, optimal_outcome, solve
 from .ewl import GAMMA_MAX, _paired_outcomes, outcome_table
 from .games import CLASSICAL_GRID, GameSpec, bimatrix, outcome_grid, pinned_bill
 from .metrics import analyze, classical_cost_ne, classical_pos_poa
-from .strategies import is_unitary, resolve, unitary_from_angles
+from .strategies import _unitary_stack, is_unitary, resolve
 from .sweeps import sweep_k
 
 __all__ = ["CHECKS", "CheckResult", "run_all"]
@@ -245,10 +246,12 @@ def check_random_unitarity_and_normalization() -> CheckResult:
     ``rng.random`` call scaled column by column by pi, pi, pi/2, pi/2 and
     GAMMA_MAX: the same doubles as three ``rng.uniform`` calls per draw.
     The draws are checked 250 at a time, which keeps the temporaries
-    small: Alice's and Bob's matrices come from :func:`unitary_from_angles`
-    as two stacks, each checked by one :func:`is_unitary` call, and the
-    protocol runs draw i's pair at draw i's angle in one paired run. On
-    failure the detail names the first failing draw in draw order.
+    small. Per block, Alice's and Bob's matrices are two stacks from
+    :func:`~pigouq.strategies._unitary_stack`, entry i with the bits of
+    ``unitary_from_angles`` at draw i's angles, each stack checked by one
+    :func:`is_unitary` call, and the protocol runs draw i's pair at draw
+    i's angle in one paired run. On failure the detail names the first
+    failing draw in draw order.
     """
     rng = np.random.default_rng(20250811)
     draws = rng.random((_RANDOM_DRAWS, 5))
@@ -278,11 +281,6 @@ def _first_draw_problem(draws: np.ndarray) -> str:
     if good < len(draws):
         return f"non-unitary at ({float(theta_a[good])}, {float(phi_a[good])})"
     return ""
-
-
-def _unitary_stack(thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
-    """``unitary_from_angles`` at each (theta, phi), as one stack."""
-    return np.array([unitary_from_angles(theta, phi) for theta, phi in zip(thetas.tolist(), phis.tolist())])
 
 
 def check_classical_limit() -> CheckResult:
@@ -328,26 +326,45 @@ def check_bimatrix_symmetry() -> CheckResult:
 def _profile_problems(matrix, profile) -> list[str]:
     """What keeps ``profile`` from being an equilibrium of ``matrix`` with the costs it reports.
 
-    Exact ``Fraction`` arithmetic over the cells (``Fraction`` of a float
-    cell is its exact value): each player's reported expected cost must
-    equal ``p @ A @ q`` and ``p @ B @ q``, and no pure deviation may cost
-    less. A linear cost's minimum over a simplex is at a vertex, so no
-    mixed deviation costs less either.
+    Exact integer arithmetic over the cells' exact values (a float cell
+    counts by its binary value): each player's reported expected cost
+    must equal ``p @ A @ q`` and ``p @ B @ q``, and no pure deviation may
+    cost less. A linear cost's minimum over a simplex is at a vertex, so
+    no mixed deviation costs less either.
     """
-    size = matrix.size
-    p, q = profile.alice_probs, profile.bob_probs
-    rows = [sum(Fraction(matrix.cost_a(i, j)) * q[j] for j in range(size) if q[j]) for i in range(size)]
-    cols = [sum(Fraction(matrix.cost_b(i, j)) * p[i] for i in range(size) if p[i]) for j in range(size)]
+    a, scale = matrix.scaled_costs
+    alice, bob = _integer_mix(profile.alice_probs), _integer_mix(profile.bob_probs)
+    # Bob's cost of his move j against Alice's move i is a[j][i]: each player chooses a row of a.
+    return _player_problems("Alice", a, scale, alice, bob, profile.expected_cost_alice) + _player_problems(
+        "Bob", a, scale, bob, alice, profile.expected_cost_bob
+    )
+
+
+def _integer_mix(mix) -> tuple[list[int], int]:
+    """``(weights, den)`` with ``weights[i] / den == mix[i]`` exactly, ``den`` the LCM of the denominators."""
+    ratios = [x.as_integer_ratio() for x in mix]
+    den = math.lcm(*(d for _, d in ratios))
+    return [n * (den // d) for n, d in ratios], den
+
+
+def _player_problems(player: str, a, scale: int, mix, other, reported) -> list[str]:
+    """The problems of one player, whose cost of move i against move j is ``a[i][j] / scale``.
+
+    ``mix`` and ``other`` are her mix and her opponent's, each as
+    :func:`_integer_mix` gives it. Her cost of pure move i is then
+    ``pure[i] / (scale * other_den)`` and her expected cost
+    ``total / unit``. A ``Fraction`` is built only to word a problem.
+    """
+    (weights, den), (other_weights, other_den) = mix, other
+    pure = [sum(map(operator.mul, row, other_weights)) for row in a]
+    total = sum(map(operator.mul, weights, pure))
+    unit = den * scale * other_den
+    num, reported_den = reported.as_integer_ratio()
     problems = []
-    for player, mix, pure, reported in (
-        ("Alice", p, rows, profile.expected_cost_alice),
-        ("Bob", q, cols, profile.expected_cost_bob),
-    ):
-        cost = sum(x * c for x, c in zip(mix, pure))
-        if cost != reported:
-            problems.append(f"{player}'s expected cost is {cost}, reported {reported}")
-        if min(pure) < cost:
-            problems.append(f"{player} saves {cost - min(pure)} by a pure deviation")
+    if total * reported_den != num * unit:
+        problems.append(f"{player}'s expected cost is {Fraction(total, unit)}, reported {reported}")
+    if min(pure) * den < total:
+        problems.append(f"{player} saves {Fraction(total - min(pure) * den, unit)} by a pure deviation")
     return problems
 
 

@@ -21,6 +21,7 @@ from pigouq.games import (
     outcome_grid,
 )
 from pigouq.ewl import GAMMA_MAX, outcome_table
+from pigouq.metrics import profile_total
 from pigouq.strategies import STRATEGY_TAGS, StrategyAngles, resolve
 
 ONE = F(1)
@@ -484,7 +485,35 @@ def test_bimatrix_type_takes_numpy_integer_costs_as_ints(dtype):
     assert solve(matrix) == solve(plain) and solve(matrix).selected == PureProfile(0, 0, "A", "A")
 
 
-@pytest.mark.parametrize("bad", [math.inf, math.nan, "1/2", 0.5j, None])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32, np.float16])
+def test_bimatrix_type_takes_numpy_float_costs_as_floats(dtype):
+    plain = CostBimatrix(("A", "B"), [[2.5, 1.0], [3.0, 2.0]])
+    matrix = CostBimatrix(("A", "B"), np.array([[2.5, 1], [3, 2]], dtype=dtype))
+    assert all(type(x) is float for row in matrix.costs for x in row)
+    assert matrix == plain and hash(matrix) == hash(plain) and repr(matrix) == repr(plain)
+    assert matrix.scaled_costs == plain.scaled_costs == ([[5, 2], [6, 4]], 2)
+    # A float game's pure total is a float sum, not an exact Fraction.
+    total = profile_total(GameSpec.classical_two_person(), matrix, solve(matrix).selected)
+    assert type(total) is float and total == 5.0
+
+
+@pytest.mark.parametrize("costs", [np.array([[True, True], [True, True]]), [[1, 2], [np.True_, 1]]])
+def test_bimatrix_type_rejects_numpy_bool_costs(costs):
+    with pytest.raises(DomainError, match="cost entries must be numbers"):
+        CostBimatrix(("A", "B"), costs)
+
+
+def test_bimatrix_type_takes_a_long_double_cost_only_when_a_float_equals_it():
+    half, third = np.longdouble(1) / 2, np.longdouble(1) / 3
+    assert CostBimatrix(("A",), [[half]]).costs == ((0.5,),)
+    if float(third) == third:  # long double is a double on this platform
+        assert CostBimatrix(("A",), [[third]]).costs == ((1 / 3,),)
+    else:
+        with pytest.raises(DomainError, match="exact as Python floats"):
+            CostBimatrix(("A",), [[third]])
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan, "1/2", 0.5j, None, np.float32("nan"), np.float32("inf")])
 def test_bimatrix_type_rejects_nonfinite_costs(bad):
     costs = ((ONE, ONE), (F(1, 2), bad))
     with pytest.raises(DomainError, match="positive and finite"):

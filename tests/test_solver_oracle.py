@@ -200,7 +200,7 @@ def _same_as_oracle(matrix):
         values = g.alice_probs + g.bob_probs + (g.expected_cost_alice, g.expected_cost_bob)
         assert all(type(x) is F for x in values)
         assert repr(g) == repr(w)
-    _lazy_views_match_eager(matrix)
+    _lazy_views_match_eager(matrix, want)
     return _systems_match_oracle(matrix)
 
 
@@ -222,15 +222,16 @@ def brute_force_pure(matrix):
     return tuple(strict), tuple(weak)
 
 
-def eager_views(matrix):
+def eager_views(matrix, oracle):
     """The six views of ``solve``, every solver run up front, the convention spelled out.
 
-    ``mixed`` and ``diagnostics`` come from the rational oracle, which
-    solves every support pair, so the views are checked against a
-    reference that skips none; its notes are kept for equal-size pairs.
+    ``mixed`` and ``diagnostics`` come from ``oracle``, the rational
+    oracle's :func:`square_oracle_enumeration` of ``matrix``, which solves
+    every support pair, so the views are checked against a reference that
+    skips none; its notes are kept for equal-size pairs.
     """
     strict, weak = brute_force_pure(matrix)
-    mixed, diagnostics = square_oracle_enumeration(matrix)
+    mixed, diagnostics = oracle
     dominant = dominance_select(matrix)
     if dominant is not None:
         selected, selected_by = dominant, "dominance"
@@ -243,8 +244,8 @@ def eager_views(matrix):
     return dict(zip(VIEWS, (strict, weak, tuple(mixed), selected, selected_by, tuple(diagnostics))))
 
 
-def _lazy_views_match_eager(matrix):
-    want = eager_views(matrix)
+def _lazy_views_match_eager(matrix, oracle):
+    want = eager_views(matrix, oracle)
     results = []
     for first in ("selected", "mixed", "diagnostics"):  # the selection alone, then either pass first
         eq = solve(matrix)
@@ -428,13 +429,12 @@ def test_every_tiny_alphabet_game_matches_oracle():
     its ``mixed`` view must be closed under exchanging the players of a
     symmetric game: (p, q) with costs (cost_a, cost_b) maps to (q, p) with
     (cost_b, cost_a). The full :func:`_same_as_oracle`, whose oracle solves
-    all 49 support pairs of a 3x3 game twice, runs on every 2x2 game and
-    on a fixed-seed sample of 48 of the 3x3 games, to keep the test near
-    3 s.
+    all 49 support pairs of a 3x3 game, runs on every 2x2 game and on a
+    fixed-seed sample of 96 of the 3x3 games, to keep the test near 3 s.
     """
     two, three = list(_tiny_alphabet_games(2, (1, 2, 3))), list(_tiny_alphabet_games(3, (1, 2)))
     assert (len(two), len(three)) == (81, 512)
-    sampled = set(random.Random(1995).sample(range(len(three)), 48))
+    sampled = set(random.Random(1995).sample(range(len(three)), 96))
     statuses = set()
     for i, matrix in enumerate(two + three):
         full = i < len(two) or i - len(two) in sampled

@@ -35,18 +35,25 @@ def test_miracle_angles():
 
 @pytest.mark.parametrize(
     "theta,phi",
-    [(-0.1, 0.0), (math.pi + 0.1, 0.0), (0.0, -0.1), (0.0, math.pi / 2 + 0.1)],
+    [(-0.1, 0.0), (math.pi + 0.1, 0.0), (0.0, -0.1), (0.0, math.pi / 2 + 0.1), (math.nan, 0.0), (0.0, math.nan)],
 )
 def test_out_of_range_angles_rejected(theta, phi):
     with pytest.raises(DomainError):
         unitary_from_angles(theta, phi)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError) as want:
         StrategyAngles(theta, phi)
+    # A stack checks every angle and names the first bad pair as StrategyAngles does.
+    with pytest.raises(DomainError) as got:
+        strategies._unitary_stack(np.array([0.5, theta, 1.0, -1.0]), np.array([0.5, phi, 0.5, 0.5]))
+    assert str(got.value) == str(want.value)
 
 
 def test_angle_bounds_are_inclusive():
     unitary_from_angles(0.0, 0.0)
     unitary_from_angles(math.pi, math.pi / 2)
+    stack = strategies._unitary_stack(np.array([0.0, math.pi]), np.array([math.pi / 2, 0.0]))
+    corners = [unitary_from_angles(0.0, math.pi / 2), unitary_from_angles(math.pi, 0.0)]
+    assert stack.tobytes() == np.array(corners).tobytes()
 
 
 def test_named_literals():

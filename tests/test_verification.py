@@ -1,5 +1,6 @@
 """Three checks of pigouq.verification: the random-draw check, against the per-draw loop it
-replaced, the exact best-response check and the exact symmetry check."""
+replaced, the exact best-response check, against the Fraction oracle it replaced, and the
+exact symmetry check."""
 
 import math
 from fractions import Fraction as F
@@ -12,7 +13,7 @@ from pigouq import verification
 from pigouq.equilibria import MixedProfile, solve
 from pigouq.ewl import GAMMA_MAX, _paired_outcomes, outcome_table
 from pigouq.games import GameSpec, bimatrix
-from pigouq.strategies import unitary_from_angles
+from pigouq.strategies import _unitary_stack, unitary_from_angles
 
 SEED = 20250811
 DRAWS = 1000
@@ -36,18 +37,18 @@ def draws():
 
 
 def record_inputs(monkeypatch):
-    """Spy on the check's calls: the (theta, phi) of each matrix and the angles of each paired run."""
+    """Spy on the check's calls: the (theta, phi) of each stacked matrix and the angles of each paired run."""
     angles, gammas = [], []
 
-    def spy_unitary(theta, phi):
-        angles.append((theta, phi))
-        return unitary_from_angles(theta, phi)
+    def spy_stack(thetas, phis):
+        angles.extend(zip(thetas.tolist(), phis.tolist()))
+        return _unitary_stack(thetas, phis)
 
     def spy_paired(rows, cols, gamma):
         gammas.extend(gamma)
         return _paired_outcomes(rows, cols, gamma)
 
-    monkeypatch.setattr(verification, "unitary_from_angles", spy_unitary)
+    monkeypatch.setattr(verification, "_unitary_stack", spy_stack)
     monkeypatch.setattr(verification, "_paired_outcomes", spy_paired)
     return angles, gammas
 
@@ -60,6 +61,18 @@ def test_check_draws_the_inputs_of_the_per_draw_loop(monkeypatch, draws):
     # Alice's and Bob's matrices are built block by block, so compare the calls as a multiset.
     assert sorted(angles) == sorted(alice + bob)
     assert gammas == [g for *_, g in draws]
+
+
+def test_stack_has_the_bits_of_unitary_from_angles(draws):
+    for player in (0, 1):
+        thetas = np.array([d[player] for d in draws])
+        phis = np.array([d[2 + player] for d in draws])
+        want = np.array([unitary_from_angles(theta, phi) for theta, phi in zip(thetas.tolist(), phis.tolist())])
+        # tobytes tells 0.0 from -0.0, which array_equal does not.
+        assert _unitary_stack(thetas, phis).tobytes() == want.tobytes()
+        for start in range(0, DRAWS, 250):
+            block = slice(start, start + 250)
+            assert _unitary_stack(thetas[block], phis[block]).tobytes() == want[block].tobytes()
 
 
 def test_paired_run_has_the_bits_of_outcome_table(draws):
@@ -77,13 +90,14 @@ def break_unitarity(monkeypatch, draws, index, player):
     """Make the matrix of ``player`` at draw ``index`` non-unitary; return the check's detail."""
     theta_a, theta_b, phi_a, phi_b, _ = draws[index]
     target = (theta_a, phi_a) if player == "alice" else (theta_b, phi_b)
-    wrapped = verification.unitary_from_angles
+    wrapped = verification._unitary_stack
 
-    def broken(theta, phi):
-        m = wrapped(theta, phi)
-        return 2 * m if (theta, phi) == target else m
+    def broken(thetas, phis):
+        stack = wrapped(thetas, phis)
+        stack[[pair == target for pair in zip(thetas.tolist(), phis.tolist())]] *= 2
+        return stack
 
-    monkeypatch.setattr(verification, "unitary_from_angles", broken)
+    monkeypatch.setattr(verification, "_unitary_stack", broken)
     return f"non-unitary at ({theta_a}, {phi_a})"
 
 
@@ -144,8 +158,8 @@ def test_the_first_failing_draw_is_named(monkeypatch, draws, first, second, earl
 def test_matrices_slightly_off_unitary_fail_on_normalization(monkeypatch):
     # Scaled by 1 + 4e-13, every matrix still passes is_unitary at 1e-12, but each
     # distribution sums to about 1 + 1.6e-12: the check itself reports it.
-    wrapped = verification.unitary_from_angles
-    monkeypatch.setattr(verification, "unitary_from_angles", lambda theta, phi: (1 + 4e-13) * wrapped(theta, phi))
+    wrapped = verification._unitary_stack
+    monkeypatch.setattr(verification, "_unitary_stack", lambda thetas, phis: (1 + 4e-13) * wrapped(thetas, phis))
     batch = verification.check_property_batch()
     assert not batch.passed
     name = verification.check_random_unitarity_and_normalization().name
@@ -169,12 +183,55 @@ def nudged(matrix, profile):
     return MixedProfile(p, q, cost_a, cost_b)
 
 
+def fraction_profile_problems(matrix, profile):
+    """The Fraction oracle the integer check replaced, over ``cost_a`` and ``cost_b``, zero weights skipped."""
+    size = matrix.size
+    p, q = profile.alice_probs, profile.bob_probs
+    rows = [sum(F(matrix.cost_a(i, j)) * q[j] for j in range(size) if q[j]) for i in range(size)]
+    cols = [sum(F(matrix.cost_b(i, j)) * p[i] for i in range(size) if p[i]) for j in range(size)]
+    problems = []
+    for player, mix, pure, reported in (
+        ("Alice", p, rows, profile.expected_cost_alice),
+        ("Bob", q, cols, profile.expected_cost_bob),
+    ):
+        cost = sum(x * c for x, c in zip(mix, pure))
+        if cost != reported:
+            problems.append(f"{player}'s expected cost is {cost}, reported {reported}")
+        if min(pure) < cost:
+            problems.append(f"{player} saves {cost - min(pure)} by a pure deviation")
+    return problems
+
+
+def off_by_epsilon(profile, player):
+    """``profile`` with ``player``'s reported cost raised by EPSILON."""
+    alice, bob = profile.expected_cost_alice, profile.expected_cost_bob
+    if player == "alice":
+        return MixedProfile(profile.alice_probs, profile.bob_probs, alice + EPSILON, bob)
+    return MixedProfile(profile.alice_probs, profile.bob_probs, alice, bob + EPSILON)
+
+
+def test_integer_oracle_matches_fraction_oracle():
+    """Every mixed profile of the reference games, and each of them nudged or misreported, word for word."""
+    kinds = set()
+    for spec in verification._all_reference_specs():
+        matrix = bimatrix(spec)
+        for profile in solve(matrix).mixed:
+            assert verification._profile_problems(matrix, profile) == fraction_profile_problems(matrix, profile) == []
+            for case in (nudged(matrix, profile), off_by_epsilon(profile, "alice"), off_by_epsilon(profile, "bob")):
+                want = fraction_profile_problems(matrix, case)
+                assert verification._profile_problems(matrix, case) == want, spec.describe()
+                kinds |= {tuple(problem.split()[:2]) for problem in want}
+    # Both kinds of problem occur for both players.
+    assert kinds == {("Alice's", "expected"), ("Bob's", "expected"), ("Alice", "saves"), ("Bob", "saves")}
+
+
 def test_a_profile_off_by_1e_12_fails():
     matrix = bimatrix(PHASE_GAME)
     (profile,) = solve(matrix).mixed
     assert profile.alice_probs == (F(4, 17), F(4, 17), F(9, 17))
     assert verification._profile_problems(matrix, profile) == []
     (problem,) = verification._profile_problems(matrix, nudged(matrix, profile))
+    assert [problem] == fraction_profile_problems(matrix, nudged(matrix, profile))
     assert problem.startswith("Bob saves ")
     saving = F(problem.split()[2])
     # A 1e-9 slack, the float grid oracle's, would have passed this profile.
@@ -184,8 +241,8 @@ def test_a_profile_off_by_1e_12_fails():
 def test_a_reported_cost_off_by_1e_12_fails():
     matrix = bimatrix(GameSpec.quantum_two_person(("P1", "P2", "M")))
     mm = next(p for p in solve(matrix).mixed if p.alice_probs == (0, 0, 1) and p.bob_probs == (0, 0, 1))
-    off = MixedProfile(mm.alice_probs, mm.bob_probs, mm.expected_cost_alice + EPSILON, mm.expected_cost_bob)
-    assert verification._profile_problems(matrix, off) == [
+    off = off_by_epsilon(mm, "alice")
+    assert verification._profile_problems(matrix, off) == fraction_profile_problems(matrix, off) == [
         f"Alice's expected cost is 7/8, reported {F(7, 8) + EPSILON}"
     ]
 
