@@ -12,6 +12,9 @@ file that cannot be written included), 2 domain error, 3 verification
 failure. Payload goes to stdout (or the ``--out`` file); diagnostics go
 to stderr.
 
+A ``--format json`` payload is exactly ``json.dumps(obj, indent=2)`` plus
+``"\n"``, with every non-ASCII character escaped; no flag changes this.
+
 ``main(argv)`` may be called repeatedly in one process: every call parses
 with one parser, built on the first call, and reads ``sys.stdout`` and
 ``sys.stderr`` as they are at that call.
@@ -21,9 +24,9 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -161,6 +164,64 @@ def _build_spec(args, parser) -> GameSpec:
     return GameSpec(mode=mode, n=n, k=args.k, gamma=gamma, strategies=strategies)
 
 
+def _json_float(x: float) -> str:
+    if math.isfinite(x):
+        return float.__repr__(x)
+    return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
+
+
+#: Exact leaf type -> its JSON text, spelled as :mod:`json` spells it.
+_JSON_LEAVES = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: _json_float,
+    bool: lambda value: "true" if value else "false",
+    type(None): lambda value: "null",
+}
+
+
+def _json_text(obj) -> str:
+    """``json.dumps(obj, indent=2)``, byte for byte, in one pass.
+
+    The stdlib's indented encoder is pure Python on CPython 3.10-3.12. This
+    takes the leaf types of ``_JSON_LEAVES``, ``dict`` with ``str`` keys,
+    ``list`` and ``tuple``, subclasses included; anything else raises ``TypeError``.
+    """
+    parts = []
+    _write_json(obj, "\n", parts.append)
+    return "".join(parts)
+
+
+def _write_json(value, newline: str, append) -> None:
+    leaf = _JSON_LEAVES.get(type(value))
+    if leaf is not None:
+        append(leaf(value))
+    elif isinstance(value, dict):
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            append(f"{sep}{encode_basestring_ascii(key)}: ")
+            _write_json(item, inner, append)
+            sep = "," + inner
+        append(newline + "}" if value else "{}")
+    elif isinstance(value, (list, tuple)):
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            append(sep)
+            _write_json(item, inner, append)
+            sep = "," + inner
+        append(newline + "]" if value else "[]")
+    else:
+        for kind, leaf in _JSON_LEAVES.items():
+            if isinstance(value, kind):
+                append(leaf(value))
+                return
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _matrix_payload(spec: GameSpec, fmt: str) -> str:
     m = bimatrix(spec)
     if fmt == "table":
@@ -172,7 +233,7 @@ def _matrix_payload(spec: GameSpec, fmt: str) -> str:
                 a, b = m.cell(i, j)
                 lines.append(f"{rl},{cl},{format_value(a)},{format_value(b)}")
         return "\n".join(lines) + "\n"
-    return json.dumps({"game": spec.describe(), "matrix": m.to_json_obj()}, indent=2) + "\n"
+    return _json_text({"game": spec.describe(), "matrix": m.to_json_obj()}) + "\n"
 
 
 def _solve_payload(spec: GameSpec, fmt: str) -> str:
@@ -184,7 +245,7 @@ def _solve_payload(spec: GameSpec, fmt: str) -> str:
             "equilibria": eq.to_json_obj(),
             "metrics": metrics.to_json_obj(),
         }
-        return json.dumps(payload, indent=2) + "\n"
+        return _json_text(payload) + "\n"
     if fmt == "csv":
         if spec.k is not None:
             axis, value = "k", spec.k
@@ -233,7 +294,7 @@ def _sweep_payload(args, parser, fmt: str) -> str:
         series = sweep_gamma(spec.strategies, samples, n=spec.n, k=spec.k)
 
     if fmt == "json":
-        return json.dumps(series.to_json_obj(), indent=2) + "\n"
+        return _json_text(series.to_json_obj()) + "\n"
     # table and csv render the same rows; csv is the canonical format
     return series.to_csv()
 

@@ -102,6 +102,24 @@ def test_sweep_repeated_runs_byte_identical(tmp_path, capsys):
     assert path_a.read_bytes().startswith(b"axis,value,")
 
 
+@pytest.mark.parametrize(
+    "golden, argv",
+    [
+        ("matrix_p1p2m_n9_k3.json", ["matrix", "--game", "quantumk", "--strategies", "p1p2m", "--n", "9", "--k", "3"]),
+        ("solve_p1p2q_n10_k4.json", ["solve", "--game", "quantumk", "--strategies", "p1p2q", "--n", "10", "--k", "4"]),
+        ("sweep_over_k_p1p2q_n12.json", ["sweep", "--game", "quantumk", "--strategies", "p1p2q", "--n", "12", "--over", "k"]),
+    ],
+)
+def test_json_out_file_has_the_stdout_bytes(golden, argv, tmp_path, capsys):
+    argv = argv + ["--format", "json"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    path = tmp_path / "payload.json"
+    assert main(argv + ["--out", str(path)]) == 0
+    assert capsys.readouterr().out == ""
+    assert path.read_bytes() == out.encode("ascii") == (GOLDEN / golden).read_bytes()
+
+
 def test_scarpa_set_runs_on_quantum2(capsys):
     code, out, _ = run_cli(capsys, "matrix", "--game", "quantum2", "--strategies", "scarpa")
     assert code == 0

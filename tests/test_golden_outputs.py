@@ -4,8 +4,8 @@ Exact games print ``Fraction`` values and correctly rounded floats, so
 these bytes do not depend on numpy's matmul rounding. The float cells of
 a named-strategy game at any angle come from ``math.sin`` and IEEE
 multiplies and adds over the exact endpoint tables, never from the
-protocol's matmuls, so two such gamma sweeps and one such solve are
-pinned too. A change meant to keep outputs byte-identical must leave
+protocol's matmuls, so two such gamma sweeps, one such solve and two
+such matrices are pinned too. A change meant to keep outputs byte-identical must leave
 every file here untouched.
 
 Regenerate (only when an output change is intended and explained)::
@@ -29,6 +29,17 @@ from pigouq.sweeps import sweep_k
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 CASES = {
+    # Float cells from the S1/S2 endpoint tables, which no angle moves.
+    "matrix_quantum2_scarpa_gamma0.7.json": [
+        "matrix", "--game", "quantum2", "--strategies", "scarpa", "--gamma", "0.7", "--format", "json",
+    ],
+    # Full-precision float cells, which the digits of float.__repr__ pin.
+    "matrix_quantum2_p1p2m_gamma0.7.json": [
+        "matrix", "--game", "quantum2", "--strategies", "p1p2m", "--gamma", "0.7", "--format", "json",
+    ],
+    "matrix_p1p2m_n9_k3.json": [
+        "matrix", "--game", "quantumk", "--strategies", "p1p2m", "--n", "9", "--k", "3", "--format", "json",
+    ],
     "solve_classical2.json": ["solve", "--game", "classical2", "--format", "json"],
     "solve_classicalk_n10_k3.json": ["solve", "--game", "classicalk", "--n", "10", "--k", "3", "--format", "json"],
     "solve_p1p2q_n10_k4.json": [
