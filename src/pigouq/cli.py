@@ -32,9 +32,10 @@ import numpy as np
 
 from .equilibria import optimal_outcome
 from .errors import DomainError
+from .ewl import GAMMA_MAX
 from .games import GameSpec, bimatrix, format_value
 from .metrics import analyze, describe_metrics, format_equilibrium_label
-from .sweeps import CSV_HEADER, sweep_gamma, sweep_k
+from .sweeps import SweepSeries, sweep_gamma, sweep_k
 from .verification import run_all
 
 __all__ = ["main", "run"]
@@ -86,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_game_flags(p_sweep)
     p_sweep.add_argument("--over", choices=("k", "gamma"), required=True)
     p_sweep.add_argument("--k-range", default=None, help="inclusive range a..b (default 1..n-3)")
-    p_sweep.add_argument("--gamma-steps", type=int, default=9, help="samples from 0 to pi/2 for --over gamma")
+    p_sweep.add_argument("--gamma-steps", type=int, help="samples from 0 to pi/2 for --over gamma (default 9)")
 
     sub.add_parser("verify", help="replay the reference-number checks")
     return parser
@@ -107,7 +108,7 @@ def _parse_gamma(text: str | None, parser) -> float | None:
     if text is None:
         return None
     if text == "max":
-        return math.pi / 2
+        return GAMMA_MAX
     try:
         return float(text)
     except ValueError:
@@ -141,7 +142,7 @@ def _game_inputs(args, parser) -> tuple[tuple[str, ...], float | None]:
         if args.strategies != "p1p2":
             parser.error(f"--strategies {args.strategies} requires a quantum game")
     elif gamma is None:
-        gamma = math.pi / 2
+        gamma = GAMMA_MAX
     if args.strategies == "scarpa" and game != "quantum2":
         parser.error("--strategies scarpa runs on the two-player entangled game only")
     if variant == "two_person":
@@ -252,7 +253,7 @@ def _solve_payload(spec: GameSpec, fmt: str) -> str:
         else:
             # The classical two-person game is the gamma = 0 limit.
             axis, value = "gamma", spec.gamma if spec.gamma is not None else 0.0
-        return CSV_HEADER + "\n" + metrics.csv_row(axis, value) + "\n"
+        return SweepSeries(axis, (value,), (metrics,), ()).to_csv()
 
     def fmt_cells(profiles):
         return ", ".join(f"({p.row_label},{p.col_label})" for p in profiles) or "none"
@@ -277,6 +278,8 @@ def _sweep_payload(args, parser, fmt: str) -> str:
             parser.error("--over k requires --game classicalk or quantumk")
         if args.k is not None:
             parser.error("--over k uses --k-range, not --k")
+        if args.gamma_steps is not None:
+            parser.error("--over k does not take --gamma-steps")
         strategies, gamma = _game_inputs(args, parser)
         k_range = None if args.k_range is None else _parse_k_range(args.k_range, parser)
         series = sweep_k(mode, strategies, args.n, k_range, gamma=gamma)
@@ -287,10 +290,11 @@ def _sweep_payload(args, parser, fmt: str) -> str:
             parser.error("--over gamma does not take --k-range")
         if args.gamma is not None:
             parser.error("--over gamma generates its own samples; drop --gamma")
-        if args.gamma_steps < 2:
+        steps = 9 if args.gamma_steps is None else args.gamma_steps
+        if steps < 2:
             parser.error("--gamma-steps must be at least 2")
         spec = _build_spec(args, parser)
-        samples = [float(g) for g in np.linspace(0.0, math.pi / 2, args.gamma_steps)]
+        samples = [float(g) for g in np.linspace(0.0, GAMMA_MAX, steps)]
         series = sweep_gamma(spec.strategies, samples, n=spec.n, k=spec.k)
 
     if fmt == "json":

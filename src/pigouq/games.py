@@ -93,21 +93,23 @@ __all__ = [
 
 
 def _integer(name: str, value) -> int:
-    """``value`` as an int; a float or any other non-integer raises :class:`DomainError`."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise DomainError(f"{name} must be an integer, got {value!r}") from None
+    """``value`` as an int; a bool, a float or any other non-integer raises :class:`DomainError`."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise DomainError(f"{name} must be an integer, got {value!r}")
 
 
-def _check_k_person(n, k) -> None:
-    """The n-traveler game's rule: integers n and k with n >= 3 and 0 <= k < n-2."""
-    _integer("n", n)
-    _integer("k", k)
+def _check_k_person(n, k) -> tuple[int, int]:
+    """The n-traveler game's rule: integers n and k with n >= 3 and 0 <= k < n-2; returns them as ints."""
+    n, k = _integer("n", n), _integer("k", k)
     if n < 3:
         raise DomainError("the k-person game requires n >= 3")
     if not (0 <= k < n - 2):
         raise DomainError(f"pinned lower-edge count must satisfy 0 <= k < n-2, got k={k}, n={n}")
+    return n, k
 
 
 @dataclass(frozen=True)
@@ -115,8 +117,9 @@ class GameSpec:
     """Which game to build: mode, population, pinned count, entanglement, strategy set.
 
     A spec without ``k`` is the two-person game, which fixes n = 2; a spec
-    with ``k`` is the n-traveler game. A quantum spec keeps ``gamma`` as the
-    float :func:`~pigouq.ewl.validate_gamma` returns.
+    with ``k`` is the n-traveler game. Equal games give equal specs: ``n``
+    and ``k`` are kept as ints, ``strategies`` as a tuple, and ``gamma`` as
+    the float :func:`~pigouq.ewl.validate_gamma` returns.
     """
 
     mode: Literal["classical", "quantum"]
@@ -127,10 +130,12 @@ class GameSpec:
 
     def __post_init__(self):
         if self.k is None:
-            if _integer("n", self.n) != 2:
+            n, k = _integer("n", self.n), None
+            if n != 2:
                 raise DomainError(f"a game without k is the two-person game, which fixes n = 2; got n={self.n}")
         else:
-            _check_k_person(self.n, self.k)
+            n, k = _check_k_person(self.n, self.k)
+        self.__dict__.update(n=n, k=k, strategies=tuple(self.strategies))
         if self.mode not in ("classical", "quantum"):
             raise DomainError(f"unknown mode {self.mode!r}")
         if not self.strategies:
@@ -173,13 +178,13 @@ class GameSpec:
 
     @classmethod
     def quantum_two_person(cls, strategies=("P1", "P2", "Q"), gamma: float = GAMMA_MAX) -> "GameSpec":
-        return cls(mode="quantum", n=2, gamma=gamma, strategies=tuple(strategies))
+        return cls(mode="quantum", n=2, gamma=gamma, strategies=strategies)
 
     @classmethod
     def quantum_k_person(
         cls, n: int, k: int, strategies=("P1", "P2", "Q"), gamma: float = GAMMA_MAX
     ) -> "GameSpec":
-        return cls(mode="quantum", n=n, k=k, gamma=gamma, strategies=tuple(strategies))
+        return cls(mode="quantum", n=n, k=k, gamma=gamma, strategies=strategies)
 
     def strategy_labels(self) -> tuple[str, ...]:
         return tuple(strategy_label(s) for s in self.strategies)

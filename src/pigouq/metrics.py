@@ -16,16 +16,24 @@ Anarchy uses the worst equilibrium. Under the selection convention the
 equilibrium-cost set has a single element, so the two ratios coincide
 whenever they are defined.
 
-The optimal cost follows the game, because the headline claims quote
-each number in its own context: a two-person game is priced against the
-cheapest cell of the matrix at hand; an n-traveler game at any k against
-the cheapest equilibrium total over k = 0..n-3 for the same strategy
-set, n and gamma, which :func:`solve_over_k` computes over the games
-of :func:`~pigouq.games.bimatrices_over_k` (None, with the ratios, when
-no k selects an equilibrium). :func:`analyze` and every k
-sweep read that one number, whatever k or range of k they report. A
-gamma sweep is the exception: it prices every point per game, k-person
-points included (see :func:`~pigouq.sweeps.sweep_gamma`).
+The optimal cost, cost(OPT), follows one of two pricing rules, with no
+option to override them, because the headline claims quote each number
+in its own context:
+
+* **per game**: the cheapest cell of the matrix at hand plus the pinned
+  players' bill, profile-independent wherever this rule applies.
+  :func:`analyze` prices a two-person game this way, and
+  :func:`~pigouq.sweeps.sweep_gamma` every point, k-person ones too.
+* **over k**: the cheapest selected-equilibrium total over k = 0..n-3 for
+  the same mode, strategy set, n and gamma (:func:`solve_over_k`),
+  whatever k or range of k is reported. :func:`analyze` prices an
+  n-traveler game this way, and :func:`~pigouq.sweeps.sweep_k` every k;
+  when no k selects an equilibrium, cost(OPT) and the ratios are None.
+
+A game that selects no equilibrium has no cost(NE) and no ratios. The
+rules can differ on one game: at n = 10, k = 4, {P1,P2,Q} and gamma =
+pi/2, the per-game row reads cost(OPT) 34/5 and PoS 305/289, and the
+over-k report 122/17 and 1.
 """
 
 from __future__ import annotations
@@ -124,24 +132,6 @@ class MetricsReport:
             "equilibrium": self.equilibrium,
         }
 
-    def csv_row(self, axis: str, value) -> str:
-        """One line of the sweep CSV schema (no header)."""
-
-        def num(x):
-            return "" if x is None else repr(float(x))
-
-        label = "" if self.equilibrium is None else self.equilibrium
-        return ",".join(
-            [axis, _axis_value_text(value), num(self.cost_ne), num(self.cost_opt),
-             num(self.pos), num(self.poa), label]
-        )
-
-
-def _axis_value_text(value) -> str:
-    if isinstance(value, int):
-        return str(value)
-    return repr(float(value))
-
 
 def format_equilibrium_label(profile) -> str | None:
     """Compact label: ``pure:(M,M)``, or ``mixed:(7/29,7/29,15/29)`` when both
@@ -201,24 +191,24 @@ def _per_game_opt(spec: GameSpec, matrix: CostBimatrix):
     return optimal_outcome(matrix)[1] + pinned_bill(spec)
 
 
-def solve_over_k(mode: str, strategies, n: int, gamma: float | None = None):
-    """Solve the n-traveler game at every k = 0..n-3, in order.
+def solve_over_k(spec: GameSpec):
+    """Solve the n-traveler game of a k-person ``spec`` at every k = 0..n-3, in order.
 
-    The games come from :func:`~pigouq.games.bimatrices_over_k`, which
-    builds them over one outcome grid, each equal to :func:`bimatrix` at
-    its k. Returns ``(points, opt)``: one ``(spec, matrix, equilibria,
-    total)`` per k, indexed by k, where ``total`` is the selected
-    equilibrium's social cost, :func:`profile_total`, in integers for an
-    exact game (None when nothing is selected), and ``opt``, the cheapest
-    of those totals (None when no k selects an equilibrium).
+    ``spec.k`` is ignored, as in :func:`~pigouq.games.bimatrices_over_k`,
+    which builds the games over one outcome grid, each equal to
+    :func:`bimatrix` at its k. Returns ``(points, opt)``: one ``(spec_k,
+    matrix, equilibria, total)`` per k, indexed by k, where ``spec_k`` is
+    ``spec`` with that k, ``total`` is the selected equilibrium's social
+    cost, :func:`profile_total`, in integers for an exact game (None when
+    nothing is selected), and ``opt``, the cheapest of those totals (None
+    when no k selects an equilibrium).
     """
-    first = GameSpec(mode=mode, n=n, k=0, gamma=gamma, strategies=tuple(strategies))
-    specs = [first] + [first._at_k(k) for k in range(1, n - 2)]
     points = []
-    for spec, matrix in zip(specs, bimatrices_over_k(first)):
+    for k, matrix in enumerate(bimatrices_over_k(spec)):
+        spec_k = spec._at_k(k)
         eq = solve(matrix)
-        total = profile_total(spec, matrix, eq.selected) if eq.selected is not None else None
-        points.append((spec, matrix, eq, total))
+        total = profile_total(spec_k, matrix, eq.selected) if eq.selected is not None else None
+        points.append((spec_k, matrix, eq, total))
     return points, min((total for *_, total in points if total is not None), default=None)
 
 
@@ -247,7 +237,7 @@ def analyze(spec: GameSpec):
     """
     if spec.k is None:
         return _per_game(spec)
-    points, cost_opt = solve_over_k(spec.mode, spec.strategies, spec.n, spec.gamma)
+    points, cost_opt = solve_over_k(spec)
     _, matrix, eq, cost_ne = points[spec.k]
     return matrix, eq, _metrics_report(spec, eq, cost_ne, cost_opt)
 

@@ -4,13 +4,11 @@ Sweeps emit figure-ready data, not figures: CSV with the fixed header
 
     axis,value,cost_ne,cost_opt,pos,poa,equilibrium
 
-and a JSON mirror that keeps full-precision rationals. Points are
-independent pure computations, so reruns are byte-identical. A k-sweep's
-optimal cost is the cheapest equilibrium total over k = 0..n-3 (the
-over-k convention of :mod:`pigouq.metrics`), whatever range it reports.
-A gamma-sweep prices each point per game, against its own matrix's
-cheapest cell plus the pinned bill, so a k-person gamma row can differ
-from :func:`~pigouq.metrics.analyze` at the same k.
+and a JSON mirror that keeps full-precision rationals. This module owns
+that schema: :func:`series_to_csv` writes every CSV row, for ``pigouq
+solve --format csv`` too. Points are independent pure computations, so
+reruns are byte-identical. A k-sweep follows the over-k pricing rule and
+a gamma-sweep the per-game one, both set out in :mod:`pigouq.metrics`.
 """
 
 from __future__ import annotations
@@ -20,7 +18,7 @@ from typing import Iterable
 
 from .errors import DomainError
 from .ewl import validate_gamma
-from .games import GameSpec, _check_k_person, _integer, value_to_json
+from .games import GameSpec, _check_k_person, value_to_json
 from .metrics import MetricsReport, _metrics_report, _per_game, solve_over_k
 
 __all__ = [
@@ -68,28 +66,24 @@ def sweep_k(
 
     ``k_values`` defaults to 1..n-3 inclusive, which is empty at n = 3;
     0 is accepted when asked for. The rows are read off one
-    :func:`~pigouq.metrics.solve_over_k` pass, so each k is priced as
-    ``analyze`` prices it. ``gamma`` is required for quantum mode and
-    forbidden for classical.
+    :func:`~pigouq.metrics.solve_over_k` pass, so each k is priced by the
+    over-k rule of :mod:`pigouq.metrics`, as ``analyze`` prices it.
+    ``gamma`` is required for quantum mode and forbidden for classical.
     """
-    n = _integer("n", n)
-    _check_k_person(n, 0)
+    spec = GameSpec(mode=mode, n=n, k=0, gamma=gamma, strategies=strategies)
     if k_values is None:
-        if n == 3:
+        if spec.n == 3:
             raise DomainError(
                 "the default k range 1..n-3 is empty for n=3; ask for k = 0 with k_values=[0] (--k-range 0..0)"
             )
-        k_values = range(1, n - 2)
-    ks = sorted(set(_integer("k", k) for k in k_values))
+        k_values = range(1, spec.n - 2)
+    ks = sorted({_check_k_person(spec.n, k)[1] for k in k_values})
     if not ks:
         raise DomainError("empty k range")
-    for k in ks:
-        _check_k_person(n, k)
 
-    points, opt = solve_over_k(mode, strategies, n, gamma)
-    reports = [_metrics_report(spec, eq, total, opt) for spec, _, eq, total in (points[k] for k in ks)]
-    meta = _meta(mode=mode, variant="k_person", n=n, gamma=gamma, strategies=points[0][0].strategy_labels())
-    return SweepSeries("k", tuple(ks), tuple(reports), meta)
+    points, opt = solve_over_k(spec)
+    reports = [_metrics_report(spec_k, eq, total, opt) for spec_k, _, eq, total in (points[k] for k in ks)]
+    return SweepSeries("k", tuple(ks), tuple(reports), _meta(spec, "k"))
 
 
 def sweep_gamma(
@@ -101,36 +95,40 @@ def sweep_gamma(
     """Solve the quantum game across entanglement angles.
 
     ``k=None`` runs the two-person game, which fixes ``n=2``; otherwise the
-    n-traveler game at the given k. Each point is priced per game: its
-    optimal cost is its own matrix's cheapest cell plus the pinned bill,
-    not the over-k optimum that :func:`~pigouq.metrics.analyze` and
-    :func:`sweep_k` use.
+    n-traveler game at the given k. Each point is priced by the per-game
+    rule of :mod:`pigouq.metrics`, not the over-k one that
+    :func:`~pigouq.metrics.analyze` and :func:`sweep_k` use, so a k-person
+    row can differ from ``analyze`` at the same k.
     """
     gammas = sorted(set(validate_gamma(g) for g in gamma_values))
     if not gammas:
         raise DomainError("empty gamma range")
 
-    specs = [GameSpec(mode="quantum", n=n, k=k, gamma=g, strategies=tuple(strategies)) for g in gammas]
+    specs = [GameSpec(mode="quantum", n=n, k=k, gamma=g, strategies=strategies) for g in gammas]
     reports = [_per_game(spec)[2] for spec in specs]
-    meta = _meta(mode="quantum", variant=specs[0].variant, n=n, k=k, strategies=specs[0].strategy_labels())
-    return SweepSeries("gamma", tuple(gammas), tuple(reports), meta)
+    return SweepSeries("gamma", tuple(gammas), tuple(reports), _meta(specs[0], "gamma"))
 
 
-def _meta(**kwargs) -> tuple:
-    items = []
-    for key, value in kwargs.items():
-        if value is None:
-            continue
-        if key == "strategies":
-            value = ",".join(value)
-        items.append((key, value))
-    return tuple(items)
+def _meta(spec: GameSpec, axis: str) -> tuple:
+    """The ``(key, value)`` pairs a sweep over ``axis`` holds fixed: ``spec``'s set fields, then its strategies."""
+    fields = (("mode", spec.mode), ("variant", spec.variant), ("n", spec.n), ("k", spec.k), ("gamma", spec.gamma))
+    return tuple((key, value) for key, value in fields if key != axis and value is not None) + (
+        ("strategies", ",".join(spec.strategy_labels())),
+    )
+
+
+def _csv_number(x) -> str:
+    return "" if x is None else repr(float(x))
 
 
 def series_to_csv(series: SweepSeries) -> str:
     lines = [CSV_HEADER]
     for value, rep in zip(series.values, series.reports):
-        lines.append(rep.csv_row(series.axis, value))
+        value_text = value if isinstance(value, int) else repr(float(value))
+        lines.append(
+            f"{series.axis},{value_text},{_csv_number(rep.cost_ne)},{_csv_number(rep.cost_opt)},"
+            f"{_csv_number(rep.pos)},{_csv_number(rep.poa)},{rep.equilibrium or ''}"
+        )
     return "\n".join(lines) + "\n"
 
 

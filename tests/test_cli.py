@@ -88,6 +88,14 @@ def test_sweep_gamma_over_quantum2(capsys):
     assert lines[3].split(",")[2] == "1.75"
 
 
+def test_gamma_sweep_takes_nine_samples_by_default(capsys):
+    argv = ("sweep", "--game", "quantum2", "--strategies", "p1p2q", "--over", "gamma")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert len(out.splitlines()) == 1 + 9
+    assert run_cli(capsys, *argv, "--gamma-steps", "9") == (0, out, "")
+
+
 def test_sweep_repeated_runs_byte_identical(tmp_path, capsys):
     args = [
         "sweep", "--game", "quantumk", "--strategies", "p1p2m", "--n", "10",
@@ -211,6 +219,8 @@ class TestUsageErrors:
             ("sweep", "--game", "quantum2", "--over", "gamma", "--n", "4"),
             ("sweep", "--game", "quantumk", "--over", "k"),
             ("sweep", "--game", "quantumk", "--n", "10", "--over", "gamma"),  # missing --k
+            ("sweep", "--game", "quantumk", "--n", "10", "--over", "k", "--gamma-steps", "5"),
+            ("sweep", "--game", "quantum2", "--over", "gamma", "--gamma-steps", "1"),
         ],
     )
     def test_exit_code_1(self, capsys, argv):
@@ -233,6 +243,11 @@ class TestUsageErrors:
                 ("solve", "--game", "classical2", "--n", "5"),
                 "usage: pigouq ",
                 "pigouq: error: --n does not apply to classical2\n",
+            ),
+            (
+                ("sweep", "--game", "classicalk", "--n", "10", "--over", "k", "--gamma-steps", "9"),
+                "usage: pigouq ",
+                "pigouq: error: --over k does not take --gamma-steps\n",
             ),
         ],
     )

@@ -245,6 +245,21 @@ class TestGameSpecValidation:
         with pytest.raises(DomainError):
             GameSpec.quantum_two_person(("P1", "P1"))
 
+    @pytest.mark.parametrize("n, k", [(True, None), (10, True), (10, False), (True, 0)])
+    def test_bools_are_not_counts(self, n, k):
+        with pytest.raises(DomainError, match=r"^[nk] must be an integer, got (True|False)$"):
+            GameSpec(mode="classical", n=n, k=k)
+
+    def test_fields_are_kept_canonical(self):
+        """A list of strategies and numpy counts give the spec that tuples and ints give."""
+        loose = GameSpec(mode="quantum", n=np.int64(10), k=np.int32(3), gamma=1, strategies=["P1", "P2", "M"])
+        plain = GameSpec.quantum_k_person(10, 3, ("P1", "P2", "M"), 1.0)
+        assert loose == plain and hash(loose) == hash(plain)
+        assert [type(x) for x in (loose.n, loose.k, loose.strategies)] == [int, int, tuple]
+        assert loose.describe() == "quantum k-person n=10 k=3 gamma=1 strategies=P1,P2,M"
+        two = GameSpec(mode="quantum", n=np.int64(2), gamma=0.5, strategies=["P1", "P2"])
+        assert two == GameSpec.quantum_two_person(["P1", "P2"], 0.5) and type(two.n) is int
+
 
 def test_two_person_cost_assignment():
     alice, bob = cost_assignment(GameSpec.classical_two_person())

@@ -5,8 +5,9 @@ these bytes do not depend on numpy's matmul rounding. The float cells of
 a named-strategy game at any angle come from ``math.sin`` and IEEE
 multiplies and adds over the exact endpoint tables, never from the
 protocol's matmuls, so two such gamma sweeps, one such solve and two
-such matrices are pinned too. A change meant to keep outputs byte-identical must leave
-every file here untouched.
+such matrices, one of them in all three formats, are pinned too. A
+change meant to keep outputs byte-identical must leave every file here
+untouched.
 
 Regenerate (only when an output change is intended and explained)::
 
@@ -54,8 +55,20 @@ CASES = {
         "solve", "--game", "quantum2", "--strategies", "p1p2m", "--gamma", "0.3", "--format", "json",
     ],
     "solve_p1p2q_n9_k3.txt": ["solve", "--game", "quantumk", "--strategies", "p1p2q", "--n", "9", "--k", "3"],
+    "solve_p1p2q_n10_k4.csv": [
+        "solve", "--game", "quantumk", "--strategies", "p1p2q", "--n", "10", "--k", "4", "--format", "csv",
+    ],
+    # The classical two-person game's one CSV row sits on the gamma axis, at 0.0.
+    "solve_classical2.csv": ["solve", "--game", "classical2", "--format", "csv"],
     "verify.txt": ["verify"],
 }
+for _fmt, _ext in (("csv", "csv"), ("table", "txt")):
+    CASES[f"matrix_p1p2m_n9_k3.{_ext}"] = [
+        "matrix", "--game", "quantumk", "--strategies", "p1p2m", "--n", "9", "--k", "3", "--format", _fmt,
+    ]
+    CASES[f"matrix_quantum2_p1p2m_gamma0.7.{_ext}"] = [
+        "matrix", "--game", "quantum2", "--strategies", "p1p2m", "--gamma", "0.7", "--format", _fmt,
+    ]
 for _fmt in ("csv", "json"):
     CASES[f"sweep_over_k_classicalk_n12.{_fmt}"] = [
         "sweep", "--game", "classicalk", "--n", "12", "--over", "k", "--format", _fmt,
@@ -108,7 +121,7 @@ def corpus_records():
         yield [spec.describe(), matrix.to_json_obj(), eq.to_json_obj(), metrics.to_json_obj()]
         for n in populations:
             ks = range(0, n - 2)
-            points, _ = solve_over_k(mode, strategies, n, gamma)
+            points, _ = solve_over_k(GameSpec(mode, n, 0, gamma, strategies))
             reports = sweep_k(mode, strategies, n, ks, gamma).reports
             for (spec, matrix, eq, _), metrics in zip(points, reports):
                 yield [spec.describe(), matrix.to_json_obj(), eq.to_json_obj(), metrics.to_json_obj()]

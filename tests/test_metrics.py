@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction as F
 
@@ -167,7 +168,7 @@ def test_over_k_grids_and_totals_are_the_per_k_ones(mode, names, gamma, populati
     """Each over-k grid is ``bimatrix`` at its k, to the integer, and each total the ``Fraction`` sum."""
     kinds = set()
     for n in populations:
-        points, _ = solve_over_k(mode, names, n, gamma)
+        points, _ = solve_over_k(GameSpec(mode, n, 0, gamma, names))
         assert [spec.k for spec, *_ in points] == list(range(n - 2))
         for spec, matrix, eq, total in points:
             direct = bimatrix(spec)
@@ -185,7 +186,7 @@ def test_over_k_grids_and_totals_are_the_per_k_ones(mode, names, gamma, populati
 def test_over_k_totals_of_a_float_game_are_the_float_sums():
     pure = 0
     for names in (("P1", "P2", "Q"), ("P1", "P2", "M")):
-        points, _ = solve_over_k("quantum", names, 9, 0.9)
+        points, _ = solve_over_k(GameSpec.quantum_k_person(9, 0, names, 0.9))
         for spec, matrix, eq, total in points:
             assert matrix == bimatrix(spec)
             if isinstance(eq.selected, PureProfile):
@@ -207,12 +208,34 @@ def test_over_k_totals_of_a_float_game_are_the_float_sums():
 def test_over_k_specs_are_the_validated_per_k_specs(mode, strategies, gamma):
     """One spec of the pass is validated; the others, derived from it, are the specs built at their k."""
     n = 7
-    points, _ = solve_over_k(mode, strategies, n, gamma)
+    points, _ = solve_over_k(GameSpec(mode=mode, n=n, k=n - 3, gamma=gamma, strategies=strategies))
     for k, (spec, *_) in enumerate(points):
         built = GameSpec(mode=mode, n=n, k=k, gamma=gamma, strategies=tuple(strategies))
         assert spec == built and hash(spec) == hash(built)
         assert spec.describe() == built.describe()
         assert vars(spec) == vars(built) and type(spec.gamma) is type(built.gamma)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: classical_cost_ne(10, True),
+        lambda: classical_pos_poa(True, 0),
+        lambda: classical_opt(True),
+        lambda: split_cost(True, 1),
+    ],
+)
+def test_closed_forms_take_no_bool_counts(call):
+    with pytest.raises(DomainError, match=r"^[nk] must be an integer, got True$"):
+        call()
+
+
+def test_report_of_a_numpy_spec_holds_python_values():
+    spec = GameSpec.quantum_k_person(np.int64(10), np.int64(3), ("P1", "P2", "M"))
+    matrix, eq, report = analyze(spec)
+    assert type(report.k) is int
+    assert (matrix, eq, report) == analyze(GameSpec.quantum_k_person(10, 3, ("P1", "P2", "M")))
+    assert json.loads(json.dumps(report.to_json_obj()))["k"] == 3
 
 
 def test_two_person_quantum_reports():

@@ -169,15 +169,18 @@ def test_solve_over_k_matches_per_k_path(protocol_runs):
     names = ("P1", "P2", "Q")
     for first, n in enumerate((3, 4, 10), start=1):
         protocol_runs.clear()
-        points, opt = solve_over_k("quantum", names, n, GAMMA_MAX)
+        points, opt = solve_over_k(GameSpec.quantum_k_person(n, 0, names))
         assert protocol_runs == (ENDPOINT_RUNS if first == 1 else [])
         want = per_k_points("quantum", names, n, range(0, n - 2), GAMMA_MAX)
         assert [(spec, eq, total) for spec, _, eq, total in points] == want
         assert opt == min(total for _, _, total in want if total is not None)
+    # The spec refuses the populations that have no over-k pass.
     with pytest.raises(DomainError, match=r"^the k-person game requires n >= 3$"):
-        solve_over_k("quantum", names, 2, GAMMA_MAX)
+        GameSpec.quantum_k_person(2, 0, names)
     with pytest.raises(DomainError, match=r"^n must be an integer, got 10\.0$"):
-        solve_over_k("quantum", names, 10.0, GAMMA_MAX)
+        GameSpec.quantum_k_person(10.0, 0, names)
+    with pytest.raises(DomainError, match=r"^the two-person game has no pinned count to vary$"):
+        solve_over_k(GameSpec.quantum_two_person(names))
 
 
 def test_cli_solve_makes_one_over_k_pass(protocol_runs, monkeypatch, capsys):

@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction as F
 
@@ -180,6 +181,25 @@ def test_json_mirror_keeps_rationals():
     assert obj["meta"]["mode"] == "classical"
 
 
+def test_meta_holds_the_spec_canonical_values():
+    """Numpy counts and an int angle reach the meta as the spec keeps them: ints and a float."""
+    gamma_series = sweep_gamma(("P1", "P2", "M"), [0.3], n=np.int64(10), k=np.int64(3))
+    obj = json.loads(json.dumps(gamma_series.to_json_obj()))
+    assert obj["meta"] == {"mode": "quantum", "variant": "k_person", "n": 10, "k": 3, "strategies": "P1,P2,M"}
+    k_series = sweep_k("quantum", ["P1", "P2", "Q"], np.int64(6), gamma=1)
+    assert k_series.meta == (
+        ("mode", "quantum"), ("variant", "k_person"), ("n", 6), ("gamma", 1.0), ("strategies", "P1,P2,Q"),
+    )
+    assert [type(value) for _, value in k_series.meta] == [str, str, int, float, str]
+    assert type(gamma_series.reports[0].k) is int
+
+
+@pytest.mark.parametrize("n, k_values", [(True, None), (10, [1, True])])
+def test_k_sweep_takes_no_bool_counts(n, k_values):
+    with pytest.raises(DomainError, match=r"^[nk] must be an integer, got True$"):
+        sweep_k("classical", ("P1", "P2"), n, k_values)
+
+
 def test_axis_must_increase():
     series = sweep_k("classical", ("P1", "P2"), 10, [3, 1, 2])
     assert series.values == (1, 2, 3)  # sorted and deduped
@@ -203,10 +223,10 @@ def remembered_passes(monkeypatch):
     """
     real, memo = metrics.solve_over_k, {}
 
-    def remembered(*args, **kwargs):
-        key = repr((args, sorted(kwargs.items())))
+    def remembered(spec):
+        key = spec._at_k(0)  # a pass does not depend on the spec's own k
         if key not in memo:
-            memo[key] = real(*args, **kwargs)
+            memo[key] = real(spec)
         return memo[key]
 
     monkeypatch.setattr(metrics, "solve_over_k", remembered)
