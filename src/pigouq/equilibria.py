@@ -33,7 +33,9 @@ once.
 them the first time a view needs it. Its selection convention asks
 dominance first and a unique strict pure equilibrium second, so the
 square pass, by far the costliest of the three, runs for the selection
-only when both fail to decide.
+only when both fail to decide and the pure scan found at most one weak
+pure equilibrium. Every weak pure equilibrium is also a profile of the
+pass, so two of them already rule out a unique mixed equilibrium.
 
 All three work on one integer grid ``a``, Alice's costs times one
 positive scale (:attr:`CostBimatrix.scaled_costs`): every game is
@@ -149,7 +151,9 @@ class EquilibriumResult:
     square support pairs at most once, and none of an unequal pair.
     ``selected`` and ``selected_by`` apply the selection convention and
     stop at the first rule that decides:
-    :func:`dominance_select`, then ``strict_pure``, then ``mixed``.
+    :func:`dominance_select`, then ``strict_pure``, then ``mixed``. Two
+    weak pure equilibria decide it without the square pass: each is a
+    profile of ``mixed``, so none is selected.
     Equality and hashing compare the six views, not the matrices.
     """
 
@@ -195,6 +199,8 @@ class EquilibriumResult:
             return dominant, "dominance"
         if len(self.strict_pure) == 1:
             return self.strict_pure[0], "unique_strict_pure"
+        if len(self.weak_pure) >= 2:  # each is a profile of mixed, so no mix is unique
+            return None, None
         if len(self.mixed) == 1:
             return self.mixed[0], "unique_mixed"
         return None, None
@@ -419,8 +425,10 @@ def solve(matrix: CostBimatrix) -> EquilibriumResult:
     else nothing. Reading ``selected`` or ``selected_by`` runs
     :func:`dominance_select`, and only if that leaves more than one cell
     the pure scan, which finds the strict and the weak pure equilibria at
-    once, and only if that finds no unique strict equilibrium the square
-    support pairs of support enumeration. ``strict_pure`` and
+    once, and only if that finds no unique strict equilibrium and at most
+    one weak one the square support pairs of support enumeration: two
+    weak pure equilibria are two profiles of ``mixed``, so they already
+    leave nothing selected. ``strict_pure`` and
     ``weak_pure`` read the pure scan, and ``mixed`` and ``diagnostics``
     the square pass. A matrix larger than ``MAX_MIXED_SIZE`` raises
     :class:`DomainError` here, not at the first read.

@@ -50,11 +50,14 @@ the :class:`CostBimatrix`'s data and the solver's input
 (:attr:`CostBimatrix.scaled_costs`); Bob's grid is its transpose, and
 the ``Fraction`` costs are a view built from it when printed or summed.
 
-:func:`bimatrix` is the one way from a spec to its game, and
+:func:`bimatrix` is the one public way from a spec to its game, and
 :func:`bimatrices_over_k` builds the n-traveler game at every k of a
 population, for :func:`~pigouq.metrics.solve_over_k`. Both go through
-one private builder, which chooses the outcome grid and decides exact
-against float once, then builds the game at each k asked for.
+one private builder, which :func:`~pigouq.sweeps.sweep_gamma` also
+calls for every angle of a sweep. It builds one *family*, games that
+share a spec's mode, n and strategy set: it looks the set up once, then
+at each angle asked for forms the outcome probabilities, decides exact
+against float, and builds the game at each k asked for.
 
 A quirk worth knowing about the phase strategy Q: under maximal
 entanglement, Q against P1 lands both players on the lower edge while
@@ -153,14 +156,16 @@ class GameSpec:
                 raise DomainError("quantum games require an entanglement angle")
             object.__setattr__(self, "gamma", validate_gamma(self.gamma))
 
-    def _at_k(self, k: int) -> "GameSpec":
-        """This validated k-person spec with pinned count ``k``, which must satisfy 0 <= k < n-2.
+    def _at(self, **fields) -> "GameSpec":
+        """This validated spec with ``fields`` replaced: a pinned count ``k`` or an angle ``gamma``.
 
         Skips ``__post_init__``: every other field is this spec's, checked
-        when it was built, and the caller checks ``k``.
+        when it was built, and the caller checks the new values: a ``k``
+        of a k-person spec with 0 <= k < n-2, a ``gamma`` of a quantum spec
+        as :func:`~pigouq.ewl.validate_gamma` returns it.
         """
         spec = object.__new__(GameSpec)
-        spec.__dict__.update(self.__dict__, k=k)
+        spec.__dict__.update(self.__dict__, **fields)
         return spec
 
     @property
@@ -473,18 +478,43 @@ def outcome_grid(strategies, gamma: float) -> tuple:
     :func:`~pigouq.ewl.outcome_table` evaluation at ``gamma``, its floats
     unchanged.
     """
+    outcomes = _outcome_family(strategies)(validate_gamma(gamma))
+    if not isinstance(outcomes, list):
+        return outcomes
+    cells = list(zip(*[iter(outcomes)] * 4))
+    size = len(strategies)
+    return tuple(tuple(cells[r : r + size]) for r in range(0, size * size, size))
+
+
+def _outcome_family(strategies):
+    """The :func:`outcome_grid` of ``strategies`` as a function of a validated angle.
+
+    Every lookup that depends on the set alone is made once: the
+    strategy matrices, and for a catalog set its catalog indices and, at
+    its first float angle, its affine pairs ``(p0, p1 - p0)``. The
+    function returns the exact endpoint grid, nested as in
+    :func:`outcome_grid`, when t is exactly 0.0 or 1.0, and otherwise a
+    flat list of float probabilities: pair by pair in row-major order,
+    outcomes 00, 01, 10, 11 within a pair. A catalog set's list is
+    ``p0 + t * (p1 - p0)``; a custom set's is one protocol run at the angle.
+    """
     matrices = [resolve(s) for s in strategies]  # rejects unknown tags too
     if not all(isinstance(s, str) for s in strategies):
-        return tuple(tuple(map(tuple, row)) for row in outcome_table(matrices, matrices, gamma).tolist())
-    t = math.sin(validate_gamma(gamma)) ** 2
+        return lambda gamma: outcome_table(matrices, matrices, gamma).ravel().tolist()
     exact_0, exact_1, affine = _endpoint_tables()
     index = [STRATEGY_TAGS.index(s) for s in strategies]
-    if t == 0.0 or t == 1.0:
-        table = exact_0 if t == 0.0 else exact_1
-        return tuple(tuple(table[i][j] for j in index) for i in index)
-    return tuple(
-        tuple(tuple([p + t * d for p, d in zip(*affine[i][j])]) for j in index) for i in index
-    )
+    slopes = []  # flat (p0, p1 - p0) pairs, filled at the first float angle: exact games never read them
+
+    def at(gamma: float):
+        t = math.sin(gamma) ** 2
+        if t == 0.0 or t == 1.0:
+            table = exact_0 if t == 0.0 else exact_1
+            return tuple(tuple(table[i][j] for j in index) for i in index)
+        if not slopes:
+            slopes.extend(pair for i in index for j in index for pair in zip(*affine[i][j]))
+        return [p + t * d for p, d in slopes]
+
+    return at
 
 
 def bimatrix(spec: GameSpec) -> CostBimatrix:
@@ -508,11 +538,12 @@ def bimatrix(spec: GameSpec) -> CostBimatrix:
 
     A float grid sums float probability times float cost. Fraction
     arithmetic computes a float times a Fraction as float * float(cost),
-    so these are the bits an exact-cost sum would give. Zero probabilities
-    are skipped: adding a zero product changes neither the value nor the
-    type of a sum.
+    so these are the bits an exact-cost sum would give. Each cell sums its
+    four products with :func:`sum`, in outcome order, zero products too:
+    adding a zero changes neither the value nor the type of a sum that
+    has a positive term.
     """
-    return _bimatrices(spec, (spec.k or 0,))[0]
+    return _bimatrices(spec, (spec.k or 0,), (spec.gamma,))[0]
 
 
 def bimatrices_over_k(spec: GameSpec) -> list:
@@ -524,27 +555,43 @@ def bimatrices_over_k(spec: GameSpec) -> list:
     """
     if spec.k is None:
         raise DomainError("the two-person game has no pinned count to vary")
-    return _bimatrices(spec, range(spec.n - 2))
+    return _bimatrices(spec, range(spec.n - 2), (spec.gamma,))
 
 
-def _bimatrices(spec: GameSpec, ks) -> list:
-    """The spec's game at each pinned count in ``ks``, over one outcome grid (see :func:`bimatrix`)."""
-    outcomes = CLASSICAL_GRID if spec.mode == "classical" else outcome_grid(spec.strategies, spec.gamma)
+def _bimatrices(spec: GameSpec, ks, gammas) -> list:
+    """The spec's game at every angle in ``gammas`` and pinned count in ``ks``, angle by angle (see :func:`bimatrix`).
+
+    These games form one family: they share the spec's mode, n and
+    strategy set, and only their angle and pinned count differ. Its labels
+    and its :func:`_outcome_family` are resolved once. Each angle's
+    outcome probabilities are formed once for all of its ks: an exact
+    grid gives one integer build, :func:`_exact_grid`; a float one gives
+    each cell as its probabilities times Alice's costs, summed in outcome
+    order. The ``gammas`` of a classical spec are ``(None,)``.
+    """
     labels = spec.strategy_labels()
-    n = spec.n
-    if isinstance(outcomes[0][0][0], float):
-        matrices = []
-        for k in ks:
-            # int / int is the correctly rounded float of the cost's Fraction
-            alice = tuple(c / n for c in _outcome_loads(n, k))
-            a = [[sum(p * c for p, c in zip(probs, alice) if p) for probs in row] for row in outcomes]
-            matrices.append(CostBimatrix(labels, a))
-        return matrices
-    a0, a1, scale = _exact_grid(n, outcomes)
-    return [
-        CostBimatrix._exact(labels, [[x + k * y for x, y in zip(r0, r1)] for r0, r1 in zip(a0, a1)], scale)
-        for k in ks
-    ]
+    n, size = spec.n, len(labels)
+    outcomes_at = (lambda gamma: CLASSICAL_GRID) if spec.mode == "classical" else _outcome_family(spec.strategies)
+    matrices = []
+    for gamma in gammas:
+        outcomes = outcomes_at(gamma)
+        if isinstance(outcomes, list):
+            for k in ks:
+                # int / int is the correctly rounded float of the cost's Fraction
+                c00, c01, c10, c11 = (c / n for c in _outcome_loads(n, k))
+                probs = iter(outcomes)
+                cells = [
+                    sum((p00 * c00, p01 * c01, p10 * c10, p11 * c11))
+                    for p00, p01, p10, p11 in zip(probs, probs, probs, probs)
+                ]
+                matrices.append(CostBimatrix(labels, [cells[r : r + size] for r in range(0, size * size, size)]))
+            continue
+        a0, a1, scale = _exact_grid(n, outcomes)
+        matrices += [
+            CostBimatrix._exact(labels, [[x + k * y for x, y in zip(r0, r1)] for r0, r1 in zip(a0, a1)], scale)
+            for k in ks
+        ]
+    return matrices
 
 
 def _exact_grid(n: int, outcomes) -> tuple:

@@ -84,7 +84,9 @@ def classical_pos_poa(n: int, k: int) -> Fraction:
     """Stability/anarchy ratio of the classical game, in closed form.
 
     Equals ``classical_cost_ne(n, k) / (3n/4)`` exactly; the equilibrium
-    is unique so both ratios coincide.
+    is unique so both ratios coincide. The base is the relaxed optimum of
+    :func:`classical_opt`, so at odd n, where no integral split reaches
+    3n/4, no ratio reads 1.
     """
     _check_k_person(n, k)
     return Fraction(4 * (k * k - (n - 4) * k + n * n - 2 * n + 4), 3 * n * n)
@@ -104,7 +106,14 @@ def split_cost(n: int, upper_count) -> Fraction:
 
 
 def classical_opt(n: int) -> tuple[Fraction, Fraction]:
-    """Optimal split and its total: half the traffic on each edge, cost 3n/4."""
+    """The relaxed optimum: half the traffic on each edge, cost 3n/4.
+
+    The split n/2 is fractional: it minimizes :func:`split_cost` over
+    real counts. An even n reaches it with whole travelers; an odd n does
+    not, and its best integral split, (n-1)/2 or (n+1)/2 on the upper
+    edge, costs (3n^2 + 1)/(4n): at n = 5 this returns (5/2, 15/4),
+    while the best assignment of five travelers costs 19/5.
+    """
     if _integer("n", n) < 2:
         raise DomainError(f"need n >= 2, got {n}")
     half = Fraction(n, 2)
@@ -205,7 +214,7 @@ def solve_over_k(spec: GameSpec):
     """
     points = []
     for k, matrix in enumerate(bimatrices_over_k(spec)):
-        spec_k = spec._at_k(k)
+        spec_k = spec._at(k=k)
         eq = solve(matrix)
         total = profile_total(spec_k, matrix, eq.selected) if eq.selected is not None else None
         points.append((spec_k, matrix, eq, total))
@@ -219,9 +228,8 @@ def _metrics_report(spec: GameSpec, eq: EquilibriumResult, cost_ne, cost_opt) ->
     return MetricsReport(cost_ne, cost_opt, ratio, ratio, spec.k, format_equilibrium_label(eq.selected))
 
 
-def _per_game(spec: GameSpec):
-    """(bimatrix, equilibria, metrics) of ``spec``'s game, priced against its own cheapest cell."""
-    matrix = bimatrix(spec)
+def _per_game(spec: GameSpec, matrix: CostBimatrix):
+    """(matrix, equilibria, metrics) of ``spec``'s game ``matrix``, priced against its own cheapest cell."""
     eq = solve(matrix)
     cost_ne = profile_total(spec, matrix, eq.selected) if eq.selected is not None else None
     return matrix, eq, _metrics_report(spec, eq, cost_ne, _per_game_opt(spec, matrix))
@@ -236,7 +244,7 @@ def analyze(spec: GameSpec):
     matrix, equilibria and total come from there.
     """
     if spec.k is None:
-        return _per_game(spec)
+        return _per_game(spec, bimatrix(spec))
     points, cost_opt = solve_over_k(spec)
     _, matrix, eq, cost_ne = points[spec.k]
     return matrix, eq, _metrics_report(spec, eq, cost_ne, cost_opt)

@@ -18,7 +18,7 @@ from typing import Iterable
 
 from .errors import DomainError
 from .ewl import validate_gamma
-from .games import GameSpec, _check_k_person, value_to_json
+from .games import GameSpec, _bimatrices, _check_k_person, value_to_json
 from .metrics import MetricsReport, _metrics_report, _per_game, solve_over_k
 
 __all__ = [
@@ -99,14 +99,20 @@ def sweep_gamma(
     rule of :mod:`pigouq.metrics`, not the over-k one that
     :func:`~pigouq.metrics.analyze` and :func:`sweep_k` use, so a k-person
     row can differ from ``analyze`` at the same k.
+
+    The sweep validates one spec, reading ``strategies`` once, and derives
+    each angle's spec from it. Its games are one family of the games
+    builder: the strategy set is looked up once, and each angle's game
+    equals :func:`~pigouq.games.bimatrix` of that angle's spec.
     """
     gammas = sorted(set(validate_gamma(g) for g in gamma_values))
     if not gammas:
         raise DomainError("empty gamma range")
 
-    specs = [GameSpec(mode="quantum", n=n, k=k, gamma=g, strategies=strategies) for g in gammas]
-    reports = [_per_game(spec)[2] for spec in specs]
-    return SweepSeries("gamma", tuple(gammas), tuple(reports), _meta(specs[0], "gamma"))
+    spec = GameSpec(mode="quantum", n=n, k=k, gamma=gammas[0], strategies=strategies)
+    matrices = _bimatrices(spec, (spec.k or 0,), gammas)
+    reports = [_per_game(spec._at(gamma=g), matrix)[2] for g, matrix in zip(gammas, matrices)]
+    return SweepSeries("gamma", tuple(gammas), tuple(reports), _meta(spec, "gamma"))
 
 
 def _meta(spec: GameSpec, axis: str) -> tuple:

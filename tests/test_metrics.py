@@ -119,6 +119,17 @@ def test_classical_ratio_closed_form():
             assert classical_pos_poa(n, k) == classical_cost_ne(n, k) / F(3 * n, 4)
 
 
+def test_odd_population_prices_against_the_relaxed_split():
+    # classical_opt is the fractional optimum; no integer split reaches it at odd n
+    assert classical_opt(5) == (F(5, 2), F(15, 4))
+    assert min(split_cost(5, p) for p in range(0, 6)) == F(19, 5)
+    for n in (5, 7, 9, 11):
+        assert min(split_cost(n, p) for p in range(0, n + 1)) == F(3 * n * n + 1, 4 * n) > classical_opt(n)[1]
+    # the classical equilibrium's best total over k is that integral cost, so no ratio reads 1
+    assert min(classical_cost_ne(5, k) for k in range(3)) == F(19, 5)
+    assert min(classical_pos_poa(5, k) for k in range(3)) == F(76, 75)
+
+
 def test_equilibrium_total_matches_matrix_path():
     # the closed form equals costing the equilibrium cell with realized loads
     for n in (5, 10, 20):

@@ -204,6 +204,10 @@ def test_gamma_sweep_runs_the_protocol_per_angle_only_for_custom_sets(protocol_r
     assert protocol_runs == [9] * len(gammas)
 
 
+ANGLES_201 = [float(g) for g in np.linspace(0, GAMMA_MAX, 201)]
+ANGLES_101 = [float(g) for g in np.linspace(0, GAMMA_MAX, 101)]
+
+
 def _cli_solve(strategies):
     assert main(["solve", "--game", "quantumk", "--strategies", strategies, "--n", "9", "--k", "3"]) == 0
 
@@ -216,10 +220,15 @@ def _cli_solve(strategies):
         (lambda: sweep_k("quantum", ("P1", "P2", "Q"), 10, gamma=GAMMA_MAX), 8),  # k = 0..7, for the rows 1..7
         (lambda: _cli_solve("p1p2q"), 7),  # the over-k pass k = 0..6; the printed k is read from it
         (lambda: _cli_solve("p1p2m"), 1),  # only the printed k, for its mixed line
-        (lambda: sweep_gamma(("P1", "P2", "M"), [float(g) for g in np.linspace(0, GAMMA_MAX, 201)]), 99),
+        # two weak pure equilibria decide every undecided angle without the pass
+        (lambda: sweep_gamma(("P1", "P2", "M"), ANGLES_201), 0),
+        (lambda: sweep_gamma(("P1", "P2", "Q"), ANGLES_201), 0),
+        (lambda: sweep_gamma(("P1", "P2", "Q"), ANGLES_101, n=10, k=4), 30),
         (lambda: solve(bimatrix(GameSpec.quantum_two_person(("P1", "P2", "M"), 0.3))).to_json_obj(), 1),  # all views
     ],
-    ids=["classical", "p1p2m", "p1p2q", "cli-p1p2q", "cli-p1p2m", "gamma-p1p2m", "json"],
+    ids=[
+        "classical", "p1p2m", "p1p2q", "cli-p1p2q", "cli-p1p2m", "gamma-p1p2m", "gamma-p1p2q", "gamma-p1p2q-k4", "json"
+    ],
 )
 def test_support_enumeration_runs_only_where_the_selection_needs_it(enumerations, capsys, run, count):
     run()
@@ -235,8 +244,14 @@ def test_support_enumeration_runs_only_where_the_selection_needs_it(enumerations
         (bimatrix(GameSpec.quantum_k_person(10, 4, ("P1", "P2", "Q"))), lambda eq: eq.selected, 10),
         (bimatrix(GameSpec.quantum_k_person(10, 4, ("P1", "P2", "Q"))), lambda eq: eq.to_json_obj(), 10),
         (bimatrix(GameSpec.classical_two_person()), lambda eq: eq.to_json_obj(), 1),
+        # the selection needs no pass here (two weak pure equilibria); the JSON then runs it once
+        (
+            bimatrix(GameSpec.quantum_two_person(("P1", "P2", "M"), 0.3)),
+            lambda eq: (eq.selected, eq.to_json_obj()),
+            10,
+        ),
     ],
-    ids=["p1p2q-selected", "p1p2q-all-views", "classical-all-views"],
+    ids=["p1p2q-selected", "p1p2q-all-views", "classical-all-views", "p1p2m-selected-then-all-views"],
 )
 def test_each_support_pair_is_solved_at_most_once(linear_solves, matrix, read, count):
     read(solve(matrix))

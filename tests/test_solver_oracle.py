@@ -33,6 +33,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import pigouq.equilibria as equilibria
 from pigouq.equilibria import MixedProfile, PureProfile, _systems, dominance_select, solve
 from pigouq.games import CostBimatrix, GameSpec, bimatrix
 from pigouq.strategies import STRATEGY_TAGS, StrategyAngles
@@ -291,6 +292,63 @@ def test_float_gamma_games_match_oracle():
             bits = max(bits, max(x for row in matrix.scaled_costs[0] for x in row).bit_length())
             _same_as_oracle(matrix)
     assert bits > 50  # float cells scale to integers of about 2^60
+
+
+def test_selection_read_alone_follows_the_convention_on_the_full_views(monkeypatch):
+    """A seeded corpus of exact and float 1x1 to 3x3 games: ``selected`` read first equals the rule on every view.
+
+    The rule is spelled out on a result whose square pass ran first:
+    dominance, then a unique ``strict_pure``, then ``len(mixed) == 1``.
+    A fresh result reads the selection alone, which skips the pass when
+    two weak pure equilibria are known; the corpus holds such games and
+    games that select their unique mixed equilibrium.
+    """
+    rng = random.Random(2026)
+    matrices = []
+    for _ in range(150):
+        size = rng.randint(1, 3)
+        labels = tuple("ABC"[:size])
+        if rng.random() < 0.5:
+            costs = [[F(rng.randint(1, 4), rng.choice((1, 2, 3))) for _ in labels] for _ in labels]
+        else:
+            costs = [[rng.choice((1.0, 1.5, rng.uniform(0.5, 2.0))) for _ in labels] for _ in labels]
+        matrices.append(CostBimatrix(labels, costs))
+    for _ in range(40):  # perturbed rock-paper-scissors: each strategy beats the one before it, a unique mix
+        exact = rng.random() < 0.5
+        costs = [[(2, 1, 3)[(i - j) % 3] for j in range(3)] for i in range(3)]
+        noise = (lambda: F(rng.randint(0, 4), 10)) if exact else (lambda: rng.uniform(0.0, 0.4))
+        matrices.append(CostBimatrix(("R", "P", "S"), [[c + noise() for c in row] for row in costs]))
+    for _ in range(40):
+        names = rng.choice(NAMED_SETS + [("P1",), ("M",)])
+        gamma = rng.choice((0.0, GAMMA_MAX, rng.uniform(0.0, GAMMA_MAX)))
+        n = rng.randrange(3, 31)
+        matrices.append(bimatrix(GameSpec.quantum_two_person(names, gamma)))
+        matrices.append(bimatrix(GameSpec.quantum_k_person(n, rng.randrange(n - 2), names, gamma)))
+    passes = []
+    real = equilibria._square_pass
+    monkeypatch.setattr(equilibria, "_square_pass", lambda matrix, weak: passes.append(matrix) or real(matrix, weak))
+    skipped = mixed_selected = 0
+    for matrix in matrices:
+        full = solve(matrix)
+        mixed = full.mixed
+        if (dominant := dominance_select(matrix)) is not None:
+            want = dominant, "dominance"
+        elif len(full.strict_pure) == 1:
+            want = full.strict_pure[0], "unique_strict_pure"
+        elif len(mixed) == 1:
+            want = mixed[0], "unique_mixed"
+        else:
+            want = None, None
+        passes.clear()
+        eq = solve(matrix)
+        assert (eq.selected, eq.selected_by) == want, matrix
+        past_pure_rules = want[1] in (None, "unique_mixed")  # dominance and a unique strict_pure both failed
+        if past_pure_rules and len(full.weak_pure) >= 2:
+            skipped += 1
+            assert passes == []
+        mixed_selected += want[1] == "unique_mixed"
+    assert skipped > 20 and mixed_selected > 20
+    assert len({type(x) for m in matrices for row in m.costs for x in row}) == 2  # Fractions and floats
 
 
 def test_strategy_angle_games_match_oracle():

@@ -12,7 +12,7 @@ from pigouq.errors import DomainError
 from pigouq.ewl import GAMMA_MAX, KET_00
 from pigouq.games import GameSpec, bimatrix
 from pigouq.metrics import analyze, profile_total
-from pigouq.strategies import resolve
+from pigouq.strategies import StrategyAngles, resolve
 from pigouq.sweeps import CSV_HEADER, series_to_json_obj, sweep_gamma, sweep_k
 
 
@@ -156,6 +156,32 @@ def test_gamma_sweep_without_k_is_the_two_person_game():
         sweep_gamma(("P1", "P2"), [0.5], n=10)
 
 
+def test_gamma_sweep_reads_an_iterator_of_strategies_once():
+    names = ("P1", "P2", "M")
+    assert sweep_gamma(iter(names), [0.1, 0.2]) == sweep_gamma(names, [0.1, 0.2])
+    assert sweep_gamma(iter(names), [0.1, 0.2], n=10, k=4) == sweep_gamma(names, [0.1, 0.2], n=10, k=4)
+
+
+@pytest.mark.parametrize(
+    "strategies, n, k",
+    [
+        (("P1", "P2", "M"), 2, None),
+        (("Q", "S1"), 2, None),
+        (("P1", "P2", "Q"), 10, 4),
+        ((StrategyAngles(0.3, 0.2), "P2", "M"), 2, None),
+        ((StrategyAngles(2.0, 1.1), "Q"), 7, 2),
+    ],
+    ids=["p1p2m", "qs1", "p1p2q-k4", "custom", "custom-k2"],
+)
+def test_gamma_sweep_points_match_per_angle_games(strategies, n, k):
+    # exact endpoints (t == 0.0 or 1.0, including the underflow and near-pi/2 angles) and float angles
+    gammas = [0.0, 1e-170, 0.3, 0.9, GAMMA_MAX - 1e-9, GAMMA_MAX]
+    series = sweep_gamma(strategies, gammas, n=n, k=k)
+    for g, rep in zip(series.values, series.reports):
+        spec = GameSpec(mode="quantum", n=n, k=k, gamma=g, strategies=strategies)
+        assert repr(rep) == repr(metrics._per_game(spec, bimatrix(spec))[2])  # values and types
+
+
 def test_csv_is_deterministic_and_well_formed():
     def make():
         return sweep_k("quantum", ("P1", "P2", "Q"), 10, range(1, 8), gamma=GAMMA_MAX).to_csv()
@@ -224,7 +250,7 @@ def remembered_passes(monkeypatch):
     real, memo = metrics.solve_over_k, {}
 
     def remembered(spec):
-        key = spec._at_k(0)  # a pass does not depend on the spec's own k
+        key = spec._at(k=0)  # a pass does not depend on the spec's own k
         if key not in memo:
             memo[key] = real(spec)
         return memo[key]
