@@ -37,16 +37,21 @@ only when both fail to decide and the pure scan found at most one weak
 pure equilibrium. Every weak pure equilibrium is also a profile of the
 pass, so two of them already rule out a unique mixed equilibrium.
 
-All three work on one integer grid ``a``, Alice's costs times one
-positive scale (:attr:`CostBimatrix.scaled_costs`): every game is
-symmetric, so Bob, choosing column c against row r, pays ``a[c][r]``.
-An exact game is built as an integer grid over n times the LCM of its
-probability denominators, a divisor of 4n for the network's grids. A
-float game's costs are dyadic rationals, multiplied once by the LCM of
-their denominators, a power of two times a divisor of 4n. A positive
-scale changes no comparison between costs, and it changes the solution
-of an indifference system only by scaling the common cost value, which
-is divided back out.
+Every game is symmetric, so each solver reads one grid ``a`` of
+Alice's costs: Bob, choosing column c against row r, pays ``a[c][r]``.
+The pure scan, dominance and the cheapest-cell totals of
+:func:`optimal_outcome` read the grid the matrix holds, fixed by how it
+was built: an exact game from :func:`~pigouq.games.bimatrix` holds its
+integer grid, Alice's costs times n times the LCM of its probability
+denominators (a divisor of 4n for the network's grids); a float game, or
+any matrix built through ``CostBimatrix(labels, costs)``, holds its
+costs. A positive scale changes no comparison or tie between costs, so
+either grid gives the same result. Only the square pass needs integers:
+it reads :attr:`CostBimatrix.scaled_costs`, which a float game builds
+on first read, multiplying its dyadic costs once by the LCM of their
+denominators, a power of two times a divisor of 4n. A positive scale
+changes the solution of an indifference system only by scaling the
+common cost value, which is divided back out.
 
 Each indifference system is solved in closed form. Subtracting the
 first chooser row from the others leaves ``D q = 0`` with ``sum(q) = 1``
@@ -244,8 +249,9 @@ def _pure_scan(matrix: CostBimatrix) -> tuple[tuple[PureProfile, ...], tuple[Pur
 
     A cell (i, j) is weak when ``a[i][j]`` is the least of column j of ``a``
     and Bob's ``a[j][i]`` the least of column i, and strict when both are unique.
+    ``a`` is the grid the matrix holds: an exact game's integers, any other matrix's costs.
     """
-    a, _ = matrix.scaled_costs
+    a, _ = matrix._grid
     cols = list(zip(*a))
     best = [min(col) for col in cols]
     weak, strict = [], []
@@ -281,9 +287,10 @@ def dominance_select(matrix: CostBimatrix) -> PureProfile | None:
     columns read the same grid ``a`` against the same survivors, and the
     two players lose the same strategies in every round: one survivor list
     serves both. Returns the cell of the unique survivor, played by both,
-    or ``None`` when more than one strategy survives.
+    or ``None`` when more than one strategy survives. ``a`` is the grid
+    the matrix holds: an exact game's integers, any other matrix's costs.
     """
-    a, _ = matrix.scaled_costs
+    a, _ = matrix._grid
     alive = list(range(matrix.size))
     while True:
         dead = [s for s in alive if any(s2 != s and _weakly_dominates(a, s2, s, alive) for s2 in alive)]
@@ -409,12 +416,36 @@ def _support_note(matrix, sup_a, sup_b, side) -> str:
     return f"support ({{{rows}}},{{{cols}}}): singular {side}-mix indifference system, skipped"
 
 
+def _held_totals(matrix: CostBimatrix) -> tuple:
+    """Each cell's combined cost ``a[i][j] + a[j][i]`` on the grid the matrix holds, and that grid's scale.
+
+    The held grid follows from how the matrix was built, never from which
+    views were read: an exact game from :func:`~pigouq.games.bimatrix`
+    holds its integer grid over a scale, so a total is the integer sum
+    over that scale; any other matrix holds its costs, scale ``None``, so
+    a total is the sum of two costs, of their own type.
+    """
+    a, scale = matrix._grid
+    return [[x + y for x, y in zip(row, col)] for row, col in zip(a, zip(*a))], scale
+
+
+def _least_total(matrix: CostBimatrix):
+    """The least combined cost of :func:`optimal_outcome`, without its cells."""
+    totals, scale = _held_totals(matrix)
+    best = min(map(min, totals))
+    return best if scale is None else Fraction(best, scale)
+
+
 def optimal_outcome(matrix: CostBimatrix):
-    """Cells minimizing the two players' combined cost, with that minimum."""
-    totals = [[a + b for a, b in row] for row in matrix.cells]
+    """Cells minimizing the two players' combined cost, with that minimum.
+
+    The minimum is a ``Fraction`` for an exact game, and otherwise the
+    sum of the two costs of a cheapest cell (see :func:`_held_totals`).
+    """
+    totals, scale = _held_totals(matrix)
     best = min(map(min, totals))
     cells = [_profile(matrix, i, j) for i, row in enumerate(totals) for j, t in enumerate(row) if t == best]
-    return cells, best
+    return cells, best if scale is None else Fraction(best, scale)
 
 
 def solve(matrix: CostBimatrix) -> EquilibriumResult:

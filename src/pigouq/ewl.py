@@ -43,12 +43,11 @@ evaluated one at a time: a paired entry has the bits of
 from __future__ import annotations
 
 import math
-import numbers
 
 import numpy as np
 
 from .errors import DomainError
-from .strategies import is_unitary, resolve
+from .strategies import _check_real, is_unitary, resolve
 
 __all__ = [
     "GAMMA_MAX",
@@ -75,10 +74,8 @@ _NORMALIZATION_TOL = 1e-12
 
 
 def validate_gamma(gamma: float) -> float:
-    """Check ``gamma`` is a real number in [0, pi/2] and return it as a float, -0.0 as 0.0."""
-    # A float skips the ABC check, which costs about a microsecond.
-    if type(gamma) is not float and not isinstance(gamma, numbers.Real):
-        raise DomainError(f"entanglement angle must be a real number, got {gamma!r}")
+    """Check ``gamma`` is a real number, not a bool, in [0, pi/2] and return it as a float, -0.0 as 0.0."""
+    _check_real("entanglement angle", gamma)
     g = float(gamma)
     if not (0.0 <= g <= GAMMA_MAX):
         raise DomainError(f"entanglement angle must lie in [0, pi/2], got {gamma}")

@@ -46,9 +46,15 @@ arithmetic: every per-outcome cost is an integer load over n and every
 probability a count of quarters, so 4n times a cell is an integer (n
 times the LCM of the probability denominators, for any exact grid), and
 Alice's integer grid is computed directly. That grid, over one scale, is
-the :class:`CostBimatrix`'s data and the solver's input
+the :class:`CostBimatrix`'s data and every solver's input
 (:attr:`CostBimatrix.scaled_costs`); Bob's grid is its transpose, and
 the ``Fraction`` costs are a view built from it when printed or summed.
+A float game is built, judged and priced in the floats it holds: the
+builder forms its cells through a private constructor that checks only
+the least cost, and the pure scan, dominance and the cheapest-cell totals
+read those floats. Its integer grid is built only when the square pass
+of support enumeration, or ``pigouq verify``'s best-response check,
+first reads it.
 
 :func:`bimatrix` is the one public way from a spec to its game, and
 :func:`bimatrices_over_k` builds the n-traveler game at every k of a
@@ -209,15 +215,22 @@ class CostBimatrix:
     """A symmetric game over one strategy list: Alice's cost grid, and Bob's is its transpose.
 
     ``cost_b(i, j) == cost_a(j, i)``. Entries are Fractions where exact,
-    floats otherwise; all positive and finite. ``CostBimatrix(labels,
-    costs)`` stores the labels as a tuple, at least one, and Alice's
-    grid, and derives :attr:`scaled_costs` from it when a solver first
-    reads them. An exact game from :func:`bimatrix` is stored the other
-    way round: Alice's integer grid is the data,
-    ``costs`` the ``Fraction`` view built on first read, and :meth:`cell`,
+    floats otherwise; all positive and finite, and none a bool.
+    ``CostBimatrix(labels, costs)`` stores the labels as a tuple, at
+    least one, and Alice's grid, checking every cost; a float game from
+    :func:`bimatrix` is stored the same way, its cells unchecked but for
+    the least. An exact game from :func:`bimatrix` is stored the other
+    way round: Alice's integer grid is the data, ``costs`` the
+    ``Fraction`` view built on first read, and :meth:`cell`,
     :meth:`cost_a` and :meth:`cost_b` build only the entry asked for. The
     matrix is immutable, and equality and hashing compare labels and
     costs, so they do not depend on how it was built.
+
+    The grid a matrix *holds*, ``_grid``, is fixed by how it was built,
+    never by which views were read: ``(a, scale)`` for an exact game from
+    :func:`bimatrix`, ``(costs, None)`` for any other matrix. The pure
+    scan, dominance and the cheapest-cell totals read it; only the square
+    pass needs integers and reads :attr:`scaled_costs`.
     """
 
     def __init__(self, labels, costs):
@@ -228,13 +241,15 @@ class CostBimatrix:
         if len(costs) != len(labels) or any(len(row) != len(labels) for row in costs):
             raise DomainError("cell grid does not match strategy labels")
         for x in (x for row in costs for x in row):
+            if isinstance(x, bool):
+                raise DomainError(f"cost entries must be numbers, got {x!r}")
             try:
                 ok = 0 < x < math.inf
             except TypeError:  # a str or complex cost has no order
                 ok = False
             if not ok:
                 raise DomainError(f"cost entries must be positive and finite, got {x}")
-        self.__dict__.update(labels=labels, costs=costs)
+        self.__dict__.update(labels=labels, costs=costs, _grid=(costs, None))
 
     @classmethod
     def _exact(cls, labels: tuple, a: list, scale: int) -> "CostBimatrix":
@@ -242,7 +257,20 @@ class CostBimatrix:
         if (low := min(map(min, a))) <= 0:
             raise DomainError(f"cost entries must be positive and finite, got {Fraction(low, scale)}")
         matrix = cls.__new__(cls)
-        matrix.__dict__.update(labels=labels, scaled_costs=(a, scale))
+        matrix.__dict__.update(labels=labels, scaled_costs=(a, scale), _grid=(a, scale))
+        return matrix
+
+    @classmethod
+    def _float(cls, labels: tuple, costs: tuple) -> "CostBimatrix":
+        """A float matrix whose cells the caller formed: ``costs`` is a square tuple of tuples of floats.
+
+        Checks only that the least cost is positive, as :meth:`_exact`
+        does; the builder's cells are finite floats by construction.
+        """
+        if (low := min(map(min, costs))) <= 0:
+            raise DomainError(f"cost entries must be positive and finite, got {low}")
+        matrix = cls.__new__(cls)
+        matrix.__dict__.update(labels=labels, costs=costs, _grid=(costs, None))
         return matrix
 
     def __setattr__(self, name, value):
@@ -295,12 +323,6 @@ class CostBimatrix:
         return self.cost_a(j, i)
 
     @cached_property
-    def _is_exact(self) -> bool:
-        """Whether no cost is a float, as in every game :func:`bimatrix` builds from an exact grid."""
-        costs = self.__dict__.get("costs")
-        return costs is None or not any(isinstance(x, float) for row in costs for x in row)
-
-    @cached_property
     def scaled_costs(self) -> tuple:
         """Alice's cost grid as exact integers over one scale: ``(a, scale)``.
 
@@ -308,12 +330,14 @@ class CostBimatrix:
         transposed. An exact game from :func:`bimatrix` is built this way:
         ``scale`` is n times the LCM of its outcome grid's probability
         denominators, which divides 4n for the classical and named-set
-        grids. Otherwise ``scale`` is the LCM of the denominators of the
-        costs, floats counting by their exact binary value, so a float
-        game's scale is a power of two times a divisor of 4n. A positive
-        scale keeps every comparison between costs what it was, and scales
-        the common value of an indifference system in them without
-        changing its probabilities.
+        grids. Any other matrix derives it from its costs on first read,
+        which only the square pass and ``pigouq verify``'s best-response
+        check make: ``scale`` is the LCM of the denominators of the costs,
+        floats counting by their exact binary value, so a float game's
+        scale is a power of two times a divisor of 4n. A positive scale
+        keeps every comparison between costs what it was, and scales the
+        common value of an indifference system in them without changing
+        its probabilities.
         """
         ratios = [[x.as_integer_ratio() for x in row] for row in self.costs]
         scale = math.lcm(*(den for row in ratios for _, den in row))
@@ -567,10 +591,12 @@ def _bimatrices(spec: GameSpec, ks, gammas) -> list:
     outcome probabilities are formed once for all of its ks: an exact
     grid gives one integer build, :func:`_exact_grid`; a float one gives
     each cell as its probabilities times Alice's costs, summed in outcome
-    order. The ``gammas`` of a classical spec are ``(None,)``.
+    order, and the game through :meth:`CostBimatrix._float`, which forms
+    no integer grid. The ``gammas`` of a classical spec are ``(None,)``.
     """
     labels = spec.strategy_labels()
     n, size = spec.n, len(labels)
+    rows = range(0, size * size, size)
     outcomes_at = (lambda gamma: CLASSICAL_GRID) if spec.mode == "classical" else _outcome_family(spec.strategies)
     matrices = []
     for gamma in gammas:
@@ -580,11 +606,11 @@ def _bimatrices(spec: GameSpec, ks, gammas) -> list:
                 # int / int is the correctly rounded float of the cost's Fraction
                 c00, c01, c10, c11 = (c / n for c in _outcome_loads(n, k))
                 probs = iter(outcomes)
-                cells = [
+                cells = tuple(
                     sum((p00 * c00, p01 * c01, p10 * c10, p11 * c11))
                     for p00, p01, p10, p11 in zip(probs, probs, probs, probs)
-                ]
-                matrices.append(CostBimatrix(labels, [cells[r : r + size] for r in range(0, size * size, size)]))
+                )
+                matrices.append(CostBimatrix._float(labels, tuple(cells[r : r + size] for r in rows)))
             continue
         a0, a1, scale = _exact_grid(n, outcomes)
         matrices += [

@@ -30,6 +30,12 @@ in its own context:
   n-traveler game this way, and :func:`~pigouq.sweeps.sweep_k` every k;
   when no k selects an equilibrium, cost(OPT) and the ratios are None.
 
+A total is formed in the numbers its matrix holds. An exact game sums
+its integer grid and builds one ``Fraction``. A float game adds the
+float of the bill, n times the bill over n in int / int division, to a
+float sum of costs, which is the float that adding the ``Fraction`` bill
+gives; int and ``Fraction`` costs add the ``Fraction`` bill.
+
 A game that selects no equilibrium has no cost(NE) and no ratios. The
 rules can differ on one game: at n = 10, k = 4, {P1,P2,Q} and gamma =
 pi/2, the per-game row reads cost(OPT) 34/5 and PoS 305/289, and the
@@ -41,7 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .equilibria import EquilibriumResult, MixedProfile, PureProfile, optimal_outcome, solve
+from .equilibria import EquilibriumResult, MixedProfile, PureProfile, _least_total, solve
 from .errors import DomainError
 from .games import (
     CostBimatrix,
@@ -168,28 +174,42 @@ def profile_total(spec: GameSpec, matrix: CostBimatrix, profile):
     expected number of free players on P2, the lower edge of the classical
     game (quantum bills do not depend on it).
 
-    A pure profile of an exact game is summed in integers: the cell's two
-    integers of :attr:`~pigouq.games.CostBimatrix.scaled_costs` times n,
-    plus n times the bill times the scale, over n times the scale, with
-    one ``Fraction`` built at the end. A float game's pure total is the
-    float sum of its two costs and the bill, and a mixed total the
-    ``Fraction`` sum of its expected costs and the bill.
+    A pure profile of an exact game from :func:`~pigouq.games.bimatrix`
+    is summed in integers: the cell's two integers of the grid it holds
+    (:attr:`~pigouq.games.CostBimatrix.scaled_costs`) times n, plus n
+    times the bill times the scale, over n times the scale, with one
+    ``Fraction`` built at the end. Any other matrix's pure total is the
+    sum of its two costs plus the bill, and a mixed total the ``Fraction``
+    sum of its expected costs and the bill (see :func:`_plus_bill`).
     """
     if isinstance(profile, PureProfile):
         i, j = profile.row, profile.col
         lower = (profile.row_label, profile.col_label).count("P2")
-        if matrix._is_exact:
-            a, scale = matrix.scaled_costs
+        a, scale = matrix._grid
+        if scale is not None:
             bill = _pinned_bill_times_n(spec, lower)
             return Fraction((a[i][j] + a[j][i]) * spec.n + bill * scale, spec.n * scale)
-        a, b = matrix.cell(i, j)
+        cost = a[i][j] + a[j][i]
     elif isinstance(profile, MixedProfile):
-        a, b = profile.expected_cost_alice, profile.expected_cost_bob
+        cost = profile.expected_cost_alice + profile.expected_cost_bob
         moves = zip(matrix.labels * 2, profile.alice_probs + profile.bob_probs)
         lower = sum(p for label, p in moves if label == "P2")
     else:
         raise DomainError(f"cannot cost a profile of type {type(profile).__name__}")
-    return a + b + pinned_bill(spec, lower)
+    return _plus_bill(spec, cost, lower)
+
+
+def _plus_bill(spec: GameSpec, cost, lower=0):
+    """``cost + pinned_bill(spec, lower)``, with no ``Fraction`` formed for a float ``cost``.
+
+    A float plus a ``Fraction`` is the float sum of the two floats, and
+    the bill's float is n times the bill over n in int / int division,
+    which rounds correctly; ``lower`` is then a whole count. An int or
+    ``Fraction`` cost adds the ``Fraction`` bill.
+    """
+    if isinstance(cost, float):
+        return cost + _pinned_bill_times_n(spec, lower) / spec.n
+    return cost + pinned_bill(spec, lower)
 
 
 def _per_game_opt(spec: GameSpec, matrix: CostBimatrix):
@@ -197,7 +217,7 @@ def _per_game_opt(spec: GameSpec, matrix: CostBimatrix):
     # bills never depend on the profile, and the one classical spec priced
     # per game, the two-person game, has no pinned players. x -> x + bill
     # is monotone (exact on exact cells), so the cheapest cell wins.
-    return optimal_outcome(matrix)[1] + pinned_bill(spec)
+    return _plus_bill(spec, _least_total(matrix))
 
 
 def solve_over_k(spec: GameSpec):

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,10 +65,19 @@ class StrategyAngles:
     phi: float
 
     def __post_init__(self):
+        _check_real("theta", self.theta)
+        _check_real("phi", self.phi)
         if not (0.0 <= self.theta <= THETA_MAX):
             raise DomainError(f"theta must lie in [0, pi], got {self.theta}")
         if not (0.0 <= self.phi <= PHI_MAX):
             raise DomainError(f"phi must lie in [0, pi/2], got {self.phi}")
+
+
+def _check_real(name: str, value) -> None:
+    """Raise :class:`DomainError` unless ``value`` is a real number; a bool, Python or numpy, is none."""
+    # A float skips the ABC check, which costs about a microsecond.
+    if type(value) is not float and (isinstance(value, bool) or not isinstance(value, numbers.Real)):
+        raise DomainError(f"{name} must be a real number, got {value!r}")
 
 
 def is_unitary(m, tol: float) -> bool:

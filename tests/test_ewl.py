@@ -72,6 +72,16 @@ def test_negative_zero_gamma_is_positive_zero():
         assert (g, type(g), math.copysign(1.0, g)) == (0.0, float, 1.0)
 
 
+@pytest.mark.parametrize("gamma", [True, False, np.True_, "0.5", 0.5j, None])
+def test_gamma_must_be_a_real_number_not_a_bool(gamma):
+    with pytest.raises(DomainError, match="^entanglement angle must be a real number, got "):
+        validate_gamma(gamma)
+    with pytest.raises(DomainError, match="must be a real number"):
+        entangler(gamma)
+    with pytest.raises(DomainError, match="must be a real number"):
+        outcome_table([resolve("P1")], [resolve("P1")], gamma)
+
+
 def one_pair(tag_a, tag_b, gamma):
     """The (00, 01, 10, 11) distribution of one pair: the 1x1 case of outcome_table."""
     return outcome_table([resolve(tag_a)], [resolve(tag_b)], gamma)[0, 0]

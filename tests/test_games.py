@@ -230,7 +230,7 @@ class TestGameSpecValidation:
         with pytest.raises(DomainError):
             GameSpec.quantum_two_person(gamma=math.pi)
 
-    @pytest.mark.parametrize("gamma", ["0.5", "max", 0.5j, [0.5]])
+    @pytest.mark.parametrize("gamma", ["0.5", "max", 0.5j, [0.5], True, False, np.True_])
     def test_quantum_gamma_is_a_real_number(self, gamma):
         with pytest.raises(DomainError, match="must be a real number"):
             GameSpec.quantum_two_person(gamma=gamma)
@@ -512,7 +512,15 @@ def test_bimatrix_type_takes_numpy_float_costs_as_floats(dtype):
     assert type(total) is float and total == 5.0
 
 
-@pytest.mark.parametrize("costs", [np.array([[True, True], [True, True]]), [[1, 2], [np.True_, 1]]])
+@pytest.mark.parametrize(
+    "costs",
+    [
+        np.array([[True, True], [True, True]]),
+        [[1, 2], [np.True_, 1]],
+        [[True, 2], [1, True]],  # Python bools too: True is not the cost 1
+        [[1.0, F(1, 2)], [True, 0.5]],
+    ],
+)
 def test_bimatrix_type_rejects_numpy_bool_costs(costs):
     with pytest.raises(DomainError, match="cost entries must be numbers"):
         CostBimatrix(("A", "B"), costs)
@@ -626,6 +634,32 @@ def test_reading_one_cost_builds_no_cells_view():
     assert matrix.cell(2, 0) == (F(3, 5), F(3, 5)) and matrix.cost_b(1, 2) == F(1, 2)
     assert "costs" not in vars(matrix) and "cells" not in vars(matrix)
     assert matrix.cells[2][0] == (F(3, 5), F(3, 5))
+
+
+@pytest.mark.parametrize(
+    "strategies",
+    [("P1", "P2", "M"), ("P1", "P2", "Q"), ("Q", "S2"), (StrategyAngles(0.3, 1.2), StrategyAngles(2.5, 0.1), "M")],
+    ids=["P1P2M", "P1P2Q", "QS2", "custom"],
+)
+def test_float_family_games_equal_the_validating_constructors(strategies):
+    # The builder forms float games through a constructor that checks only the least
+    # cost; each must be the game CostBimatrix(labels, costs) validates and builds.
+    gammas = (1e-6, 0.4, 1.1, GAMMA_MAX - 1e-6)
+    two = games._bimatrices(GameSpec.quantum_two_person(strategies, 0.4), (0,), gammas)
+    over_k = games._bimatrices(GameSpec.quantum_k_person(9, 0, strategies, 0.4), range(7), gammas)
+    assert len(two) + len(over_k) == 4 + 4 * 7
+    for matrix in two + over_k:
+        assert type(matrix.costs) is tuple and all(type(row) is tuple for row in matrix.costs)
+        assert all(type(x) is float for row in matrix.costs for x in row)
+        assert "scaled_costs" not in vars(matrix)
+        public = CostBimatrix(matrix.labels, matrix.costs)
+        assert matrix == public and public == matrix and hash(matrix) == hash(public)
+        assert repr(matrix) == repr(public) and matrix.scaled_costs == public.scaled_costs
+
+
+def test_float_build_rejects_a_nonpositive_cost():
+    with pytest.raises(DomainError, match=r"positive and finite, got -0\.5$"):
+        CostBimatrix._float(("P1", "P2"), ((1.0, 0.5), (-0.5, 0.0)))
 
 
 def test_integer_build_rejects_a_nonpositive_cost():

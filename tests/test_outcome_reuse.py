@@ -12,10 +12,11 @@ import pytest
 import pigouq.equilibria as equilibria
 import pigouq.games as games
 import pigouq.metrics as metrics
+import pigouq.sweeps as sweeps
 from pigouq.cli import main
 from pigouq.equilibria import solve
 from pigouq.errors import DomainError
-from pigouq.games import GameSpec, bimatrix
+from pigouq.games import CostBimatrix, GameSpec, bimatrix
 from pigouq.metrics import MetricsReport, analyze, format_equilibrium_label, profile_total, solve_over_k
 from pigouq.strategies import StrategyAngles
 from pigouq.sweeps import sweep_gamma, sweep_k
@@ -73,6 +74,21 @@ def linear_solves(monkeypatch):
 
     monkeypatch.setattr(equilibria, "_systems", counting)
     return runs
+
+
+@pytest.fixture
+def sweep_games(monkeypatch):
+    """Every game the family builder returns to :func:`sweep_gamma`, in order."""
+    games_built = []
+    real = sweeps._bimatrices
+
+    def recording(spec, ks, gammas):
+        matrices = real(spec, ks, gammas)
+        games_built.extend(matrices)
+        return matrices
+
+    monkeypatch.setattr(sweeps, "_bimatrices", recording)
+    return games_built
 
 
 def per_k_points(mode, names, n, ks, gamma):
@@ -256,3 +272,16 @@ def test_support_enumeration_runs_only_where_the_selection_needs_it(enumerations
 def test_each_support_pair_is_solved_at_most_once(linear_solves, matrix, read, count):
     read(solve(matrix))
     assert len(linear_solves) == count == len(set(linear_solves))
+
+
+@pytest.mark.parametrize("names", SETS, ids="".join)
+def test_gamma_sweep_without_a_square_pass_builds_no_integer_grid(sweep_games, enumerations, names):
+    # Only the square pass reads a float game's integer grid, and these sweeps run none.
+    sweep_gamma(names, ANGLES_201)
+    assert enumerations == []
+    floats = [m for m in sweep_games if all(type(x) is float for row in m.costs for x in row)]
+    assert len(floats) == len(ANGLES_201) - 2  # every angle but 0 and pi/2
+    assert [m for m in floats if "scaled_costs" in vars(m)] == []
+    for matrix in floats:
+        public = CostBimatrix(matrix.labels, matrix.costs)
+        assert matrix == public and hash(matrix) == hash(public)

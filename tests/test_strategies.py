@@ -48,6 +48,24 @@ def test_out_of_range_angles_rejected(theta, phi):
     assert str(got.value) == str(want.value)
 
 
+@pytest.mark.parametrize(
+    "theta, phi, name",
+    [
+        (True, 0.0, "theta"),
+        (0.0, False, "phi"),
+        (np.True_, 0.0, "theta"),
+        ("x", 0, "theta"),
+        (0, None, "phi"),
+        (0.5j, 0, "theta"),
+    ],
+)
+def test_angles_must_be_real_numbers_not_bools(theta, phi, name):
+    with pytest.raises(DomainError, match=f"^{name} must be a real number, got "):
+        StrategyAngles(theta, phi)
+    with pytest.raises(DomainError, match=f"^{name} must be a real number, got "):
+        unitary_from_angles(theta, phi)
+
+
 def test_angle_bounds_are_inclusive():
     unitary_from_angles(0.0, 0.0)
     unitary_from_angles(math.pi, math.pi / 2)

@@ -226,6 +226,12 @@ def test_k_sweep_takes_no_bool_counts(n, k_values):
         sweep_k("classical", ("P1", "P2"), n, k_values)
 
 
+@pytest.mark.parametrize("gammas", [[True, 0.5], [0.5, False], [np.True_]])
+def test_gamma_sweep_takes_no_bool_angles(gammas):
+    with pytest.raises(DomainError, match=r"^entanglement angle must be a real number, got (np\.)?(True|False)_?$"):
+        sweep_gamma(("P1", "P2", "M"), gammas)
+
+
 def test_axis_must_increase():
     series = sweep_k("classical", ("P1", "P2"), 10, [3, 1, 2])
     assert series.values == (1, 2, 3)  # sorted and deduped
