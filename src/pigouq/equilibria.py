@@ -37,6 +37,23 @@ only when both fail to decide and the pure scan found at most one weak
 pure equilibrium. Every weak pure equilibrium is also a profile of the
 pass, so two of them already rule out a unique mixed equilibrium.
 
+The convention reads only signs of quantities of Alice's grid, so one
+selection often serves a whole family of games, such as the n-traveler
+games of one population at k = 0..n-3 that
+:func:`~pigouq.metrics.solve_over_k` solves. Dominance and the pure scan
+compare entries within a column, so the signs of the within-column
+differences, the *column signature*, fix their results. The square pass
+reads whether each system is unique and ``ok`` and where its weights are
+positive: signs of its denominator, its weights and its outside margins.
+The *square signature* lists the positive supports of the pass's
+*candidates*, the profiles it finds before deduplication. When no two
+candidates share their supports none duplicates another, so two games
+with one signature have as many profiles, from the same support pairs,
+and the same rule selects: the same cell, or the same pair's mix solved
+on each game's own grid. When two candidates share their supports (the
+guard) they may or may not coincide, and the game is left to
+:func:`solve`.
+
 Every game is symmetric, so each solver reads one grid ``a`` of
 Alice's costs: Bob, choosing column c against row r, pays ``a[c][r]``.
 The pure scan, dominance and the cheapest-cell totals of
@@ -197,8 +214,21 @@ class EquilibriumResult:
         """
         return self._square[1]
 
+    @classmethod
+    def _with_selection(cls, matrix: CostBimatrix, selected, selected_by) -> "EquilibriumResult":
+        """The result of ``solve(matrix)`` with ``selected`` and ``selected_by`` given, not derived.
+
+        The caller must pass what the convention selects on ``matrix``;
+        every other view is solved the first time it is read, as by
+        :func:`solve`.
+        """
+        eq = cls(matrix)
+        eq.__dict__["_selection"] = selected, selected_by
+        return eq
+
     @cached_property
-    def _selection(self) -> tuple:
+    def _pure_selection(self) -> "tuple | None":
+        """The selection when dominance or the pure scan decides it; None when the square pass must."""
         dominant = dominance_select(self.matrix)
         if dominant is not None:
             return dominant, "dominance"
@@ -206,6 +236,12 @@ class EquilibriumResult:
             return self.strict_pure[0], "unique_strict_pure"
         if len(self.weak_pure) >= 2:  # each is a profile of mixed, so no mix is unique
             return None, None
+        return None
+
+    @cached_property
+    def _selection(self) -> tuple:
+        if self._pure_selection is not None:
+            return self._pure_selection
         if len(self.mixed) == 1:
             return self.mixed[0], "unique_mixed"
         return None, None
@@ -302,6 +338,17 @@ def dominance_select(matrix: CostBimatrix) -> PureProfile | None:
     return None
 
 
+def _column_signature(matrix: CostBimatrix) -> tuple:
+    """The sign of ``a[i'][j] - a[i][j]`` for every column j and rows i < i' of the grid the matrix holds.
+
+    These comparisons are all that :func:`dominance_select` and the pure
+    scan read, so two games with one column signature have the same
+    dominance survivor and the same strict and weak pure equilibria.
+    """
+    a, _ = matrix._grid
+    return tuple((y > x) - (y < x) for col in zip(*a) for x, y in itertools.combinations(col, 2))
+
+
 @cache
 def _layout(size: int, r: int) -> tuple:
     """The supports of r of ``size`` strategies in index order, and the strategies outside each."""
@@ -362,9 +409,75 @@ def _systems(a, r: int) -> dict:
 def _mix_key(support, weights, denominator, size) -> tuple:
     """A mix over ``size`` strategies in lowest integer terms: ``(positive support, weights, denominator)``."""
     g = math.gcd(denominator, *weights)
-    mix = dict(zip(support, weights))
-    full = tuple(mix.get(i, 0) // g for i in range(size))
-    return tuple(i for i, w in enumerate(full) if w), full, denominator // g
+    full = [0] * size
+    for i, w in zip(support, weights):
+        full[i] = w // g
+    return tuple([i for i, w in zip(support, weights) if w]), tuple(full), denominator // g
+
+
+def _square_candidates(a, weak_pure, singular=None) -> list:
+    """The profiles the square pass finds on the integer grid ``a``, in its order and before deduplication.
+
+    Each is ``(keys, values)``: ``keys`` are Alice's and Bob's
+    :func:`_mix_key`, ``values`` their costs as ``(value, denominator)``
+    on ``a``'s scale. The weak pure cells of ``weak_pure`` come first,
+    then each square support pair of size 2 and up, in size-then-index
+    order, whose two systems are unique and ``ok``. Each support size
+    builds one :func:`_systems` table; a pair (S_a, S_b) reads its
+    column-mix system at ``(S_a, S_b)`` and, only when that is unique,
+    its row-mix system at ``(S_b, S_a)``: Bob's system is Alice's for the
+    exchanged supports. When ``singular`` is a list, each pair with a
+    singular system is appended to it as ``(S_a, S_b, side)``.
+    """
+    size = len(a)
+    found = []
+    for pure in weak_pure:
+        i, j = pure.row, pure.col
+        found.append(((_mix_key((i,), (1,), 1, size), _mix_key((j,), (1,), 1, size)), ((a[i][j], 1), (a[j][i], 1))))
+    for r in range(2, size + 1):
+        table = _systems(a, r)
+        for (sup_a, sup_b), (status, sol_q, ok) in table.items():
+            if not ok and singular is None:  # no candidate, and no note asked for
+                continue
+            side = "column"
+            if status == "unique":
+                status, sol_p, ok_p = table[sup_b, sup_a]
+                side, ok = "row", ok and ok_p
+            if status == "singular" and singular is not None:
+                singular.append((sup_a, sup_b, side))
+            if status != "unique" or not ok:
+                continue
+            (w_p, value_b, den_p), (w_q, value_a, den_q) = sol_p, sol_q
+            keys = _mix_key(sup_a, w_p, den_p, size), _mix_key(sup_b, w_q, den_q, size)
+            found.append((keys, ((value_a, den_q), (value_b, den_p))))
+    return found
+
+
+def _square_signature(candidates) -> "tuple | None":
+    """The positive supports of :func:`_square_candidates`, in order; None when two candidates share theirs.
+
+    Which pairs are candidates, and where their mixes are positive, are
+    signs of the square systems: of each denominator, each weight and
+    each outside margin ``(row_o - first) . w``. When no two candidates
+    share their supports none is a duplicate of another, so the square
+    pass finds one profile per candidate, and two games of a family with
+    the same signature find as many, from the same pairs. When two share
+    them the candidates may or may not coincide, so None (the guard)
+    leaves the game to :func:`solve`.
+    """
+    supports = tuple((key_p[0], key_q[0]) for (key_p, key_q), _ in candidates)
+    return supports if len(set(supports)) == len(supports) else None
+
+
+def _mixed_profile(keys, values, scale: int) -> MixedProfile:
+    """The profile of one candidate of :func:`_square_candidates`, its costs divided by the grid's ``scale``."""
+    key_p, key_q = keys
+    p = tuple(Fraction(w, key_p[2]) for w in key_p[1])
+    q = p if key_q == key_p else tuple(Fraction(w, key_q[2]) for w in key_q[1])  # a symmetric mix is built once
+    (value_a, den_a), (value_b, den_b) = values
+    cost_a = Fraction(value_a, den_a * scale)
+    cost_b = cost_a if value_b * den_a == value_a * den_b else Fraction(value_b, den_b * scale)
+    return MixedProfile(p, q, cost_a, cost_b)
 
 
 def _square_pass(matrix: CostBimatrix, weak_pure):
@@ -372,42 +485,19 @@ def _square_pass(matrix: CostBimatrix, weak_pure):
 
     ``weak_pure`` is the weak pure scan of ``matrix``, which stands in
     for the 1x1 pairs. Returns the sorted profiles and the notes in
-    size-then-index order of their pairs. Each support size of 2 and up
-    builds one :func:`_systems` table on Alice's grid. A pair (S_a, S_b)
-    reads its column-mix system at ``(S_a, S_b)`` and, only when that is
-    unique, its row-mix system at ``(S_b, S_a)``: Bob's system is Alice's
-    for the exchanged supports. A singular system skips the pair with a
-    note, and two unique systems that are both ``ok`` make a profile.
+    size-then-index order of their pairs. The profiles are the
+    :func:`_square_candidates` of Alice's integer grid, deduplicated on
+    their keys, and a singular system skips its pair with a note.
     """
-    size = matrix.size
     a, scale = matrix.scaled_costs
-    found = {}  # (Alice's mix key, Bob's) -> ((Alice's cost, its denominator), (Bob's cost, its denominator))
-    for pure in weak_pure:
-        i, j = pure.row, pure.col
-        found[_mix_key((i,), (1,), 1, size), _mix_key((j,), (1,), 1, size)] = ((a[i][j], 1), (a[j][i], 1))
-    notes = []
-    for r in range(2, size + 1):
-        table = _systems(a, r)
-        for sup_a, sup_b in table:
-            status, sol_q, ok = table[sup_a, sup_b]
-            side = "column"
-            if status == "unique":
-                status, sol_p, ok_p = table[sup_b, sup_a]
-                side, ok = "row", ok and ok_p
-            if status == "singular":
-                notes.append(_support_note(matrix, sup_a, sup_b, side))
-            if status != "unique" or not ok:
-                continue
-            (w_p, value_b, den_p), (w_q, value_a, den_q) = sol_p, sol_q
-            key = _mix_key(sup_a, w_p, den_p, size), _mix_key(sup_b, w_q, den_q, size)
-            found.setdefault(key, ((value_a, den_q), (value_b, den_p)))
-    ordered = []
-    for (key_p, key_q), ((value_a, den_a), (value_b, den_b)) in found.items():
-        p, q = (tuple(Fraction(w, den) for w in weights) for _, weights, den in (key_p, key_q))
-        profile = MixedProfile(p, q, Fraction(value_a, den_a * scale), Fraction(value_b, den_b * scale))
-        ordered.append((key_p[0], key_q[0], p, q, profile))
-    ordered.sort(key=lambda entry: entry[:4])  # by integer supports; Fractions break ties
-    return [entry[4] for entry in ordered], notes
+    singular = []
+    found = {}
+    for keys, values in _square_candidates(a, weak_pure, singular):
+        found.setdefault(keys, values)
+    ordered = [(keys, _mixed_profile(keys, values, scale)) for keys, values in found.items()]
+    # by integer supports; Fractions break ties
+    ordered.sort(key=lambda entry: (entry[0][0][0], entry[0][1][0], entry[1].alice_probs, entry[1].bob_probs))
+    return [profile for _, profile in ordered], [_support_note(matrix, *pair) for pair in singular]
 
 
 def _support_note(matrix, sup_a, sup_b, side) -> str:

@@ -129,6 +129,12 @@ class GameSpec:
     with ``k`` is the n-traveler game. Equal games give equal specs: ``n``
     and ``k`` are kept as ints, ``strategies`` as a tuple, and ``gamma`` as
     the float :func:`~pigouq.ewl.validate_gamma` returns.
+
+    Every strategy must print its own label, since outputs name strategies
+    by label: a repeated strategy is refused, and so are distinct custom
+    :class:`~pigouq.strategies.StrategyAngles` whose angles agree to the 6
+    significant digits a label shows, such as ``StrategyAngles(0.1, 0.2)``
+    and ``StrategyAngles(0.1000001, 0.2)``.
     """
 
     mode: Literal["classical", "quantum"]
@@ -151,7 +157,11 @@ class GameSpec:
             raise DomainError("strategy list must be nonempty")
         labels = [strategy_label(s) for s in self.strategies]
         if len(set(labels)) != len(labels):
-            raise DomainError(f"duplicate strategies in {labels}")
+            if len(set(self.strategies)) != len(self.strategies):
+                raise DomainError(f"duplicate strategies in {labels}")
+            raise DomainError(
+                f"distinct strategies print alike in {labels}: a label shows each angle to 6 significant digits"
+            )
         if self.mode == "classical":
             if self.gamma is not None:
                 raise DomainError("classical games take no entanglement angle")

@@ -30,6 +30,16 @@ in its own context:
   n-traveler game this way, and :func:`~pigouq.sweeps.sweep_k` every k;
   when no k selects an equilibrium, cost(OPT) and the ratios are None.
 
+The over-k pass decides each game's selection once per *signature*
+(see :mod:`pigouq.equilibria`): the signs of the within-column
+differences of its grid and, where the square pass decides, the
+positive supports of that pass's candidates. The first game of each
+signature is solved in full; every later one gets its selection filled
+in, the same cell or the producing support pair solved at its own k,
+unless two of its candidates share their supports (the guard), and then
+it is solved in full too. Every other view stays lazy, and the
+signatures live only for one pass.
+
 A total is formed in the numbers its matrix holds. An exact game sums
 its integer grid and builds one ``Fraction``. A float game adds the
 float of the bill, n times the bill over n in int / int division, to a
@@ -47,7 +57,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .equilibria import EquilibriumResult, MixedProfile, PureProfile, _least_total, solve
+from .equilibria import (
+    EquilibriumResult,
+    MixedProfile,
+    PureProfile,
+    _column_signature,
+    _least_total,
+    _mixed_profile,
+    _square_candidates,
+    _square_signature,
+    solve,
+)
 from .errors import DomainError
 from .games import (
     CostBimatrix,
@@ -192,8 +212,10 @@ def profile_total(spec: GameSpec, matrix: CostBimatrix, profile):
         cost = a[i][j] + a[j][i]
     elif isinstance(profile, MixedProfile):
         cost = profile.expected_cost_alice + profile.expected_cost_bob
-        moves = zip(matrix.labels * 2, profile.alice_probs + profile.bob_probs)
-        lower = sum(p for label, p in moves if label == "P2")
+        lower = 0  # only a classical bill counts the free players on the lower edge
+        if spec.mode == "classical":
+            moves = zip(matrix.labels * 2, profile.alice_probs + profile.bob_probs)
+            lower = sum(p for label, p in moves if label == "P2")
     else:
         raise DomainError(f"cannot cost a profile of type {type(profile).__name__}")
     return _plus_bill(spec, cost, lower)
@@ -231,14 +253,59 @@ def solve_over_k(spec: GameSpec):
     cost, :func:`profile_total`, in integers for an exact game (None when
     nothing is selected), and ``opt``, the cheapest of those totals (None
     when no k selects an equilibrium).
+
+    Each ``equilibria`` is ``solve(matrix)``, but only the first game of
+    each signature met in the pass is solved: a later one with that
+    signature gets ``selected`` and ``selected_by`` filled in from it,
+    the same cell, or its unique mix's support pair solved at this k,
+    and every other view on its first read. The column signature (the
+    signs of the grid's within-column differences) fixes dominance and
+    the pure scan; where those leave the selection to the square pass,
+    the square signature (the positive supports of the pass's
+    candidates, computed on the game's integer grid) joins it. A game
+    whose candidates share their supports is solved in full.
     """
     points = []
+    firsts = {}  # signature -> equilibria of the pass's first game with it
     for k, matrix in enumerate(bimatrices_over_k(spec)):
         spec_k = spec._at(k=k)
-        eq = solve(matrix)
+        eq = _solve_in_pass(matrix, firsts)
         total = profile_total(spec_k, matrix, eq.selected) if eq.selected is not None else None
         points.append((spec_k, matrix, eq, total))
     return points, min((total for *_, total in points if total is not None), default=None)
+
+
+def _solve_in_pass(matrix: CostBimatrix, firsts: dict) -> EquilibriumResult:
+    """:func:`solve` of one game of an over-k pass, its selection read off an earlier game with its signature.
+
+    ``firsts`` maps each signature met so far in the pass to the first
+    game's equilibria. The column signature fixes the dominance and
+    pure-scan rules; where those leave the selection to the square pass,
+    the game's square signature, on its own integer grid, joins the key.
+    A game whose signature is new, or whose square signature is None
+    (the guard), is solved in full; a key holding None is filed but never
+    looked up.
+    """
+    column = _column_signature(matrix)
+    first = firsts.get(column)
+    if first is None:
+        first = firsts[column] = solve(matrix)
+        if first._pure_selection is None:  # the square pass decides: file the game under its square signature too
+            firsts[column, _square_signature(_square_candidates(matrix.scaled_costs[0], first.weak_pure))] = first
+        return first
+    if first._pure_selection is not None:
+        return EquilibriumResult._with_selection(matrix, *first._pure_selection)
+    a, scale = matrix.scaled_costs
+    candidates = _square_candidates(a, first.weak_pure)
+    key = column, _square_signature(candidates)
+    first = firsts.get(key) if key[1] is not None else None
+    if first is None:
+        first = firsts[key] = solve(matrix)
+        return first
+    if first.selected is None:
+        return EquilibriumResult._with_selection(matrix, None, None)
+    # One candidate, as at the first game: its pair solved at this k is the unique mix.
+    return EquilibriumResult._with_selection(matrix, _mixed_profile(*candidates[0], scale), "unique_mixed")
 
 
 def _metrics_report(spec: GameSpec, eq: EquilibriumResult, cost_ne, cost_opt) -> MetricsReport:

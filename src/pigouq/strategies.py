@@ -59,7 +59,12 @@ PHI_MAX = math.pi / 2
 
 @dataclass(frozen=True)
 class StrategyAngles:
-    """A point (theta, phi) of the parametrized strategy family, in radians."""
+    """A point (theta, phi) of the parametrized strategy family, in radians.
+
+    A zero angle is stored as 0.0, so ``StrategyAngles(-0.0, 0.0)`` equals,
+    hashes and prints like ``StrategyAngles(0.0, 0.0)``, as
+    :func:`~pigouq.ewl.validate_gamma` returns 0.0 for a -0.0 angle.
+    """
 
     theta: float
     phi: float
@@ -71,6 +76,10 @@ class StrategyAngles:
             raise DomainError(f"theta must lie in [0, pi], got {self.theta}")
         if not (0.0 <= self.phi <= PHI_MAX):
             raise DomainError(f"phi must lie in [0, pi/2], got {self.phi}")
+        if self.theta == 0:  # -0.0 too, which would print as -0
+            object.__setattr__(self, "theta", 0.0)
+        if self.phi == 0:
+            object.__setattr__(self, "phi", 0.0)
 
 
 def _check_real(name: str, value) -> None:

@@ -242,8 +242,22 @@ class TestGameSpecValidation:
         assert f"gamma={float(gamma):.6g}" in spec.describe()
 
     def test_duplicate_strategies_rejected(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"^duplicate strategies in \['P1', 'P1'\]$"):
             GameSpec.quantum_two_person(("P1", "P1"))
+
+    def test_a_negative_zero_angle_is_a_duplicate(self):
+        strategies = (StrategyAngles(-0.0, 0.0), StrategyAngles(0.0, 0.0), "P2")
+        with pytest.raises(DomainError, match=r"^duplicate strategies in \['U\(0,0\)', 'U\(0,0\)', 'P2'\]$"):
+            GameSpec.quantum_two_person(strategies, 0.5)
+
+    def test_distinct_strategies_that_print_alike_are_refused_as_such(self):
+        strategies = (StrategyAngles(0.1, 0.2), StrategyAngles(0.1000001, 0.2))
+        assert strategies[0] != strategies[1]
+        with pytest.raises(DomainError, match=r"^distinct strategies print alike in \['U\(0.1,0.2\)', 'U\(0.1,0.2\)'\]"):
+            GameSpec.quantum_two_person(strategies, 0.5)
+        # Apart from a true duplicate, the duplicate is named first.
+        with pytest.raises(DomainError, match="^duplicate strategies"):
+            GameSpec.quantum_two_person(strategies + (StrategyAngles(0.1, 0.2),), 0.5)
 
     @pytest.mark.parametrize("n, k", [(True, None), (10, True), (10, False), (True, 0)])
     def test_bools_are_not_counts(self, n, k):

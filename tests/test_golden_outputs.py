@@ -61,6 +61,13 @@ CASES = {
     # The classical two-person game's one CSV row sits on the gamma axis, at 0.0.
     "solve_classical2.csv": ["solve", "--game", "classical2", "--format", "csv"],
     "verify.txt": ["verify"],
+    # Large populations, beyond the digest corpus: every k's selection of one over-k pass.
+    "sweep_over_k_p1p2q_n101.csv": [
+        "sweep", "--game", "quantumk", "--strategies", "p1p2q", "--n", "101", "--over", "k", "--format", "csv",
+    ],
+    "sweep_over_k_classicalk_n101.csv": [
+        "sweep", "--game", "classicalk", "--n", "101", "--over", "k", "--format", "csv",
+    ],
 }
 for _fmt, _ext in (("csv", "csv"), ("table", "txt")):
     CASES[f"matrix_p1p2m_n9_k3.{_ext}"] = [

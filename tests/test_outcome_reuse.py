@@ -206,7 +206,7 @@ def test_cli_solve_makes_one_over_k_pass(protocol_runs, monkeypatch, capsys):
     assert main(["solve", "--game", "quantumk", "--strategies", "p1p2q", "--n", "9", "--k", "3"]) == 0
     capsys.readouterr()
     assert protocol_runs == ENDPOINT_RUNS  # read off the endpoint tables, built once
-    assert len(solves) == 7  # one solve per k in 0..6
+    assert len(solves) == 1  # k = 0..6 share one signature: one solve, the rest read its selection
 
 
 def test_gamma_sweep_runs_the_protocol_per_angle_only_for_custom_sets(protocol_runs):
@@ -233,8 +233,9 @@ def _cli_solve(strategies):
     [
         (lambda: sweep_k("classical", ("P1", "P2"), 10), 0),  # dominance decides every k
         (lambda: sweep_k("quantum", ("P1", "P2", "M"), 10, gamma=GAMMA_MAX), 0),
-        (lambda: sweep_k("quantum", ("P1", "P2", "Q"), 10, gamma=GAMMA_MAX), 8),  # k = 0..7, for the rows 1..7
-        (lambda: _cli_solve("p1p2q"), 7),  # the over-k pass k = 0..6; the printed k is read from it
+        (lambda: sweep_k("quantum", ("P1", "P2", "Q"), 10, gamma=GAMMA_MAX), 1),  # k = 0..7 share one signature
+        (lambda: sweep_k("quantum", ("P1", "P2", "Q"), 1000, gamma=GAMMA_MAX), 1),  # so do k = 0..997
+        (lambda: _cli_solve("p1p2q"), 2),  # the over-k pass's one, and the printed k's mixed line
         (lambda: _cli_solve("p1p2m"), 1),  # only the printed k, for its mixed line
         # two weak pure equilibria decide every undecided angle without the pass
         (lambda: sweep_gamma(("P1", "P2", "M"), ANGLES_201), 0),
@@ -243,7 +244,8 @@ def _cli_solve(strategies):
         (lambda: solve(bimatrix(GameSpec.quantum_two_person(("P1", "P2", "M"), 0.3))).to_json_obj(), 1),  # all views
     ],
     ids=[
-        "classical", "p1p2m", "p1p2q", "cli-p1p2q", "cli-p1p2m", "gamma-p1p2m", "gamma-p1p2q", "gamma-p1p2q-k4", "json"
+        "classical", "p1p2m", "p1p2q", "p1p2q-n1000", "cli-p1p2q", "cli-p1p2m",
+        "gamma-p1p2m", "gamma-p1p2q", "gamma-p1p2q-k4", "json",
     ],
 )
 def test_support_enumeration_runs_only_where_the_selection_needs_it(enumerations, capsys, run, count):

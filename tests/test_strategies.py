@@ -105,6 +105,15 @@ def test_custom_angles_resolve_and_label():
     assert strategy_label("M") == "M"
 
 
+@pytest.mark.parametrize("theta, phi", [(-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0), (np.float64(-0.0), 0), (0, 0.0)])
+def test_a_zero_angle_is_stored_as_positive_zero(theta, phi):
+    angles = StrategyAngles(theta, phi)
+    assert angles == StrategyAngles(0.0, 0.0) and hash(angles) == hash(StrategyAngles(0.0, 0.0))
+    assert type(angles.theta) is float and math.copysign(1.0, angles.theta) == 1.0
+    assert type(angles.phi) is float and math.copysign(1.0, angles.phi) == 1.0
+    assert strategy_label(angles) == "U(0,0)"
+
+
 def test_family_is_unitary_across_random_draws():
     rng = np.random.default_rng(20250811)
     for _ in range(1000):
