@@ -38,21 +38,22 @@ pure equilibrium. Every weak pure equilibrium is also a profile of the
 pass, so two of them already rule out a unique mixed equilibrium.
 
 The convention reads only signs of quantities of Alice's grid, so one
-selection often serves a whole family of games, such as the n-traveler
-games of one population at k = 0..n-3 that
-:func:`~pigouq.metrics.solve_over_k` solves. Dominance and the pure scan
-compare entries within a column, so the signs of the within-column
-differences, the *column signature*, fix their results. The square pass
-reads whether each system is unique and ``ok`` and where its weights are
-positive: signs of its denominator, its weights and its outside margins.
-The *square signature* lists the positive supports of the pass's
-*candidates*, the profiles it finds before deduplication. When no two
-candidates share their supports none duplicates another, so two games
-with one signature have as many profiles, from the same support pairs,
-and the same rule selects: the same cell, or the same pair's mix solved
-on each game's own grid. When two candidates share their supports (the
-guard) they may or may not coincide, and the game is left to
-:func:`solve`.
+selection often serves a whole *family* of games: either sweep's games,
+the n-traveler games of one population at k = 0..n-3 or one spec's
+games across gamma angles, which :func:`solve_family` solves. Dominance
+and the pure scan compare entries within a column, so the signs of the
+within-column differences, the *column signature*, fix their results.
+The square pass reads whether each system is unique and ``ok`` and
+where its weights are positive: signs of its denominator, its weights
+and its outside margins. The *square signature* lists the positive
+supports of the pass's *candidates*, the profiles it finds before
+deduplication, which each result finds once and caches for ``mixed``,
+``diagnostics`` and the signature. When no two candidates share their
+supports none duplicates another, so two games with one signature have
+as many profiles, from the same support pairs, and the same rule
+selects: the same cell, or the same pair's mix solved on each game's
+own grid. When two candidates share their supports (the guard) they may
+or may not coincide, and the game runs the rule on its own views.
 
 Every game is symmetric, so each solver reads one grid ``a`` of
 Alice's costs: Bob, choosing column c against row r, pays ``a[c][r]``.
@@ -111,6 +112,7 @@ __all__ = [
     "dominance_select",
     "optimal_outcome",
     "solve",
+    "solve_family",
 ]
 
 #: Support enumeration is only exhaustive-and-auditable at tiny sizes.
@@ -169,8 +171,9 @@ class EquilibriumResult:
     ``strict_pure`` and ``weak_pure`` read one pure scan of the cells.
     ``mixed`` and ``diagnostics`` read the square pass of support
     enumeration, run on top of ``weak_pure``, which stands in for the 1x1
-    pairs. Reading every view solves each indifference system of the
-    square support pairs at most once, and none of an unequal pair.
+    pairs, over the square candidates the result finds once. Reading
+    every view solves each indifference system of the square support
+    pairs at most once, and none of an unequal pair.
     ``selected`` and ``selected_by`` apply the selection convention and
     stop at the first rule that decides:
     :func:`dominance_select`, then ``strict_pure``, then ``mixed``. Two
@@ -198,9 +201,22 @@ class EquilibriumResult:
         return self._pure[0]
 
     @cached_property
+    def _candidates(self) -> tuple[list, list]:
+        """:func:`_square_candidates` of the integer grid: what the square pass, and a family's signature, read."""
+        return _square_candidates(self.matrix.scaled_costs[0], self.weak_pure)
+
+    @cached_property
     def _square(self) -> tuple[tuple[MixedProfile, ...], tuple[str, ...]]:
-        profiles, notes = _square_pass(self.matrix, self.weak_pure)
-        return tuple(profiles), tuple(notes)
+        """The square pass: the candidates deduplicated on their keys and sorted, and a note per singular pair."""
+        candidates, singular = self._candidates
+        found = {}
+        for keys, values in candidates:
+            found.setdefault(keys, values)
+        scale = self.matrix.scaled_costs[1]
+        ordered = [(keys, _mixed_profile(keys, values, scale)) for keys, values in found.items()]
+        # by integer supports; Fractions break ties
+        ordered.sort(key=lambda entry: (entry[0][0][0], entry[0][1][0], entry[1].alice_probs, entry[1].bob_probs))
+        return tuple(profile for _, profile in ordered), tuple(_support_note(self.matrix, *pair) for pair in singular)
 
     @cached_property
     def mixed(self) -> tuple[MixedProfile, ...]:
@@ -213,18 +229,6 @@ class EquilibriumResult:
         Unequal support pairs are not enumerated, so they add no note.
         """
         return self._square[1]
-
-    @classmethod
-    def _with_selection(cls, matrix: CostBimatrix, selected, selected_by) -> "EquilibriumResult":
-        """The result of ``solve(matrix)`` with ``selected`` and ``selected_by`` given, not derived.
-
-        The caller must pass what the convention selects on ``matrix``;
-        every other view is solved the first time it is read, as by
-        :func:`solve`.
-        """
-        eq = cls(matrix)
-        eq.__dict__["_selection"] = selected, selected_by
-        return eq
 
     @cached_property
     def _pure_selection(self) -> "tuple | None":
@@ -415,42 +419,40 @@ def _mix_key(support, weights, denominator, size) -> tuple:
     return tuple([i for i, w in zip(support, weights) if w]), tuple(full), denominator // g
 
 
-def _square_candidates(a, weak_pure, singular=None) -> list:
+def _square_candidates(a, weak_pure) -> tuple[list, list]:
     """The profiles the square pass finds on the integer grid ``a``, in its order and before deduplication.
 
-    Each is ``(keys, values)``: ``keys`` are Alice's and Bob's
-    :func:`_mix_key`, ``values`` their costs as ``(value, denominator)``
-    on ``a``'s scale. The weak pure cells of ``weak_pure`` come first,
-    then each square support pair of size 2 and up, in size-then-index
-    order, whose two systems are unique and ``ok``. Each support size
-    builds one :func:`_systems` table; a pair (S_a, S_b) reads its
-    column-mix system at ``(S_a, S_b)`` and, only when that is unique,
-    its row-mix system at ``(S_b, S_a)``: Bob's system is Alice's for the
-    exchanged supports. When ``singular`` is a list, each pair with a
-    singular system is appended to it as ``(S_a, S_b, side)``.
+    Returns ``(candidates, singular)``. Each candidate is ``(keys,
+    values)``: ``keys`` are Alice's and Bob's :func:`_mix_key`, ``values``
+    their costs as ``(value, denominator)`` on ``a``'s scale. The weak
+    pure cells of ``weak_pure`` come first, then each square support pair
+    of size 2 and up, in size-then-index order, whose two systems are
+    unique and ``ok``. Each support size builds one :func:`_systems`
+    table; a pair (S_a, S_b) reads its column-mix system at ``(S_a, S_b)``
+    and, only when that is unique, its row-mix system at ``(S_b, S_a)``:
+    Bob's system is Alice's for the exchanged supports. ``singular``
+    lists each pair with a singular system as ``(S_a, S_b, side)``.
     """
     size = len(a)
-    found = []
+    found, singular = [], []
     for pure in weak_pure:
         i, j = pure.row, pure.col
         found.append(((_mix_key((i,), (1,), 1, size), _mix_key((j,), (1,), 1, size)), ((a[i][j], 1), (a[j][i], 1))))
     for r in range(2, size + 1):
         table = _systems(a, r)
         for (sup_a, sup_b), (status, sol_q, ok) in table.items():
-            if not ok and singular is None:  # no candidate, and no note asked for
-                continue
             side = "column"
             if status == "unique":
                 status, sol_p, ok_p = table[sup_b, sup_a]
                 side, ok = "row", ok and ok_p
-            if status == "singular" and singular is not None:
+            if status == "singular":
                 singular.append((sup_a, sup_b, side))
             if status != "unique" or not ok:
                 continue
             (w_p, value_b, den_p), (w_q, value_a, den_q) = sol_p, sol_q
             keys = _mix_key(sup_a, w_p, den_p, size), _mix_key(sup_b, w_q, den_q, size)
             found.append((keys, ((value_a, den_q), (value_b, den_p))))
-    return found
+    return found, singular
 
 
 def _square_signature(candidates) -> "tuple | None":
@@ -463,7 +465,7 @@ def _square_signature(candidates) -> "tuple | None":
     pass finds one profile per candidate, and two games of a family with
     the same signature find as many, from the same pairs. When two share
     them the candidates may or may not coincide, so None (the guard)
-    leaves the game to :func:`solve`.
+    leaves the game to its own selection in :func:`solve_family`.
     """
     supports = tuple((key_p[0], key_q[0]) for (key_p, key_q), _ in candidates)
     return supports if len(set(supports)) == len(supports) else None
@@ -478,26 +480,6 @@ def _mixed_profile(keys, values, scale: int) -> MixedProfile:
     cost_a = Fraction(value_a, den_a * scale)
     cost_b = cost_a if value_b * den_a == value_a * den_b else Fraction(value_b, den_b * scale)
     return MixedProfile(p, q, cost_a, cost_b)
-
-
-def _square_pass(matrix: CostBimatrix, weak_pure):
-    """Equilibria of the square support pairs, with the notes those pairs add.
-
-    ``weak_pure`` is the weak pure scan of ``matrix``, which stands in
-    for the 1x1 pairs. Returns the sorted profiles and the notes in
-    size-then-index order of their pairs. The profiles are the
-    :func:`_square_candidates` of Alice's integer grid, deduplicated on
-    their keys, and a singular system skips its pair with a note.
-    """
-    a, scale = matrix.scaled_costs
-    singular = []
-    found = {}
-    for keys, values in _square_candidates(a, weak_pure, singular):
-        found.setdefault(keys, values)
-    ordered = [(keys, _mixed_profile(keys, values, scale)) for keys, values in found.items()]
-    # by integer supports; Fractions break ties
-    ordered.sort(key=lambda entry: (entry[0][0][0], entry[0][1][0], entry[1].alice_probs, entry[1].bob_probs))
-    return [profile for _, profile in ordered], [_support_note(matrix, *pair) for pair in singular]
 
 
 def _support_note(matrix, sup_a, sup_b, side) -> str:
@@ -555,3 +537,44 @@ def solve(matrix: CostBimatrix) -> EquilibriumResult:
     :class:`DomainError` here, not at the first read.
     """
     return EquilibriumResult(matrix)
+
+
+def solve_family(matrices) -> list[EquilibriumResult]:
+    """:func:`solve` of every game of a family, in order, each selection decided once per signature.
+
+    A family is either sweep's games: the over-k pass's at k = 0..n-3, or
+    a gamma sweep's at each angle. The first game of each signature met is
+    left to its own selection; a later game with that signature gets
+    ``selected`` and ``selected_by`` filled in from it: the same cell, or
+    its own unique candidate's mix. The labels and the column signature
+    key the dominance and pure-scan rules; where those leave the selection
+    to the square pass, the square signature of the candidates the game
+    caches for ``mixed`` and ``diagnostics`` joins the key. A game whose
+    candidates share their supports (the guard) is left to its own
+    selection too. Every other view is solved on its first read, so each
+    result equals ``solve(matrix)`` in every view.
+    """
+    firsts = {}  # signature -> the family's first result with it
+    family = []
+    for matrix in matrices:
+        eq = EquilibriumResult(matrix)
+        family.append(eq)
+        key = matrix.labels, _column_signature(matrix)
+        first = firsts.setdefault(key, eq)
+        if first._pure_selection is not None:
+            if first is not eq:
+                eq.__dict__["_selection"] = first._pure_selection
+            continue
+        eq.__dict__["_pure"] = first._pure  # one column signature, one pure scan
+        candidates = eq._candidates[0]
+        signature = _square_signature(candidates)
+        if signature is None:
+            continue
+        first = firsts.setdefault((key, signature), eq)
+        if first is eq:
+            continue
+        if first.selected is None:  # as many candidates as the first game: not one
+            eq.__dict__["_selection"] = None, None
+        else:  # one candidate, as at the first game: the unique mix
+            eq.__dict__["_selection"] = _mixed_profile(*candidates[0], matrix.scaled_costs[1]), "unique_mixed"
+    return family

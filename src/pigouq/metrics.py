@@ -30,15 +30,9 @@ in its own context:
   n-traveler game this way, and :func:`~pigouq.sweeps.sweep_k` every k;
   when no k selects an equilibrium, cost(OPT) and the ratios are None.
 
-The over-k pass decides each game's selection once per *signature*
-(see :mod:`pigouq.equilibria`): the signs of the within-column
-differences of its grid and, where the square pass decides, the
-positive supports of that pass's candidates. The first game of each
-signature is solved in full; every later one gets its selection filled
-in, the same cell or the producing support pair solved at its own k,
-unless two of its candidates share their supports (the guard), and then
-it is solved in full too. Every other view stays lazy, and the
-signatures live only for one pass.
+Both sweeps' families of games are solved by
+:func:`~pigouq.equilibria.solve_family`, which decides each selection
+once per signature of the family's games.
 
 A total is formed in the numbers its matrix holds. An exact game sums
 its integer grid and builds one ``Fraction``. A float game adds the
@@ -57,17 +51,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .equilibria import (
-    EquilibriumResult,
-    MixedProfile,
-    PureProfile,
-    _column_signature,
-    _least_total,
-    _mixed_profile,
-    _square_candidates,
-    _square_signature,
-    solve,
-)
+from .equilibria import EquilibriumResult, MixedProfile, PureProfile, _least_total, solve, solve_family
 from .errors import DomainError
 from .games import (
     CostBimatrix,
@@ -254,58 +238,16 @@ def solve_over_k(spec: GameSpec):
     nothing is selected), and ``opt``, the cheapest of those totals (None
     when no k selects an equilibrium).
 
-    Each ``equilibria`` is ``solve(matrix)``, but only the first game of
-    each signature met in the pass is solved: a later one with that
-    signature gets ``selected`` and ``selected_by`` filled in from it,
-    the same cell, or its unique mix's support pair solved at this k,
-    and every other view on its first read. The column signature (the
-    signs of the grid's within-column differences) fixes dominance and
-    the pure scan; where those leave the selection to the square pass,
-    the square signature (the positive supports of the pass's
-    candidates, computed on the game's integer grid) joins it. A game
-    whose candidates share their supports is solved in full.
+    Each ``equilibria`` equals ``solve(matrix)``: the games are one
+    family of :func:`~pigouq.equilibria.solve_family`, so each selection
+    is decided once per signature of the pass's games.
     """
     points = []
-    firsts = {}  # signature -> equilibria of the pass's first game with it
-    for k, matrix in enumerate(bimatrices_over_k(spec)):
+    for k, eq in enumerate(solve_family(bimatrices_over_k(spec))):
         spec_k = spec._at(k=k)
-        eq = _solve_in_pass(matrix, firsts)
-        total = profile_total(spec_k, matrix, eq.selected) if eq.selected is not None else None
-        points.append((spec_k, matrix, eq, total))
+        total = profile_total(spec_k, eq.matrix, eq.selected) if eq.selected is not None else None
+        points.append((spec_k, eq.matrix, eq, total))
     return points, min((total for *_, total in points if total is not None), default=None)
-
-
-def _solve_in_pass(matrix: CostBimatrix, firsts: dict) -> EquilibriumResult:
-    """:func:`solve` of one game of an over-k pass, its selection read off an earlier game with its signature.
-
-    ``firsts`` maps each signature met so far in the pass to the first
-    game's equilibria. The column signature fixes the dominance and
-    pure-scan rules; where those leave the selection to the square pass,
-    the game's square signature, on its own integer grid, joins the key.
-    A game whose signature is new, or whose square signature is None
-    (the guard), is solved in full; a key holding None is filed but never
-    looked up.
-    """
-    column = _column_signature(matrix)
-    first = firsts.get(column)
-    if first is None:
-        first = firsts[column] = solve(matrix)
-        if first._pure_selection is None:  # the square pass decides: file the game under its square signature too
-            firsts[column, _square_signature(_square_candidates(matrix.scaled_costs[0], first.weak_pure))] = first
-        return first
-    if first._pure_selection is not None:
-        return EquilibriumResult._with_selection(matrix, *first._pure_selection)
-    a, scale = matrix.scaled_costs
-    candidates = _square_candidates(a, first.weak_pure)
-    key = column, _square_signature(candidates)
-    first = firsts.get(key) if key[1] is not None else None
-    if first is None:
-        first = firsts[key] = solve(matrix)
-        return first
-    if first.selected is None:
-        return EquilibriumResult._with_selection(matrix, None, None)
-    # One candidate, as at the first game: its pair solved at this k is the unique mix.
-    return EquilibriumResult._with_selection(matrix, _mixed_profile(*candidates[0], scale), "unique_mixed")
 
 
 def _metrics_report(spec: GameSpec, eq: EquilibriumResult, cost_ne, cost_opt) -> MetricsReport:
@@ -315,11 +257,10 @@ def _metrics_report(spec: GameSpec, eq: EquilibriumResult, cost_ne, cost_opt) ->
     return MetricsReport(cost_ne, cost_opt, ratio, ratio, spec.k, format_equilibrium_label(eq.selected))
 
 
-def _per_game(spec: GameSpec, matrix: CostBimatrix):
-    """(matrix, equilibria, metrics) of ``spec``'s game ``matrix``, priced against its own cheapest cell."""
-    eq = solve(matrix)
-    cost_ne = profile_total(spec, matrix, eq.selected) if eq.selected is not None else None
-    return matrix, eq, _metrics_report(spec, eq, cost_ne, _per_game_opt(spec, matrix))
+def _per_game(spec: GameSpec, eq: EquilibriumResult) -> MetricsReport:
+    """The metrics of ``spec``'s game with equilibria ``eq``, priced against its own cheapest cell."""
+    cost_ne = profile_total(spec, eq.matrix, eq.selected) if eq.selected is not None else None
+    return _metrics_report(spec, eq, cost_ne, _per_game_opt(spec, eq.matrix))
 
 
 def analyze(spec: GameSpec):
@@ -331,7 +272,8 @@ def analyze(spec: GameSpec):
     matrix, equilibria and total come from there.
     """
     if spec.k is None:
-        return _per_game(spec, bimatrix(spec))
+        eq = solve(bimatrix(spec))
+        return eq.matrix, eq, _per_game(spec, eq)
     points, cost_opt = solve_over_k(spec)
     _, matrix, eq, cost_ne = points[spec.k]
     return matrix, eq, _metrics_report(spec, eq, cost_ne, cost_opt)

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
+from .equilibria import solve_family
 from .errors import DomainError
 from .ewl import validate_gamma
 from .games import GameSpec, _bimatrices, _check_k_person, value_to_json
@@ -103,15 +104,18 @@ def sweep_gamma(
     The sweep validates one spec, reading ``strategies`` once, and derives
     each angle's spec from it. Its games are one family of the games
     builder: the strategy set is looked up once, and each angle's game
-    equals :func:`~pigouq.games.bimatrix` of that angle's spec.
+    equals :func:`~pigouq.games.bimatrix` of that angle's spec. They are
+    solved as one family by :func:`~pigouq.equilibria.solve_family`, as
+    the over-k pass's are, so each selection is decided once per
+    signature of the sweep's games.
     """
     gammas = sorted(set(validate_gamma(g) for g in gamma_values))
     if not gammas:
         raise DomainError("empty gamma range")
 
     spec = GameSpec(mode="quantum", n=n, k=k, gamma=gammas[0], strategies=strategies)
-    matrices = _bimatrices(spec, (spec.k or 0,), gammas)
-    reports = [_per_game(spec._at(gamma=g), matrix)[2] for g, matrix in zip(gammas, matrices)]
+    family = solve_family(_bimatrices(spec, (spec.k or 0,), gammas))
+    reports = [_per_game(spec._at(gamma=g), eq) for g, eq in zip(gammas, family)]
     return SweepSeries("gamma", tuple(gammas), tuple(reports), _meta(spec, "gamma"))
 
 

@@ -4,7 +4,7 @@ Exact games print ``Fraction`` values and correctly rounded floats, so
 these bytes do not depend on numpy's matmul rounding. The float cells of
 a named-strategy game at any angle come from ``math.sin`` and IEEE
 multiplies and adds over the exact endpoint tables, never from the
-protocol's matmuls, so two such gamma sweeps, one such solve and two
+protocol's matmuls, so three such gamma sweeps, one such solve and two
 such matrices, one of them in all three formats, are pinned too. A
 change meant to keep outputs byte-identical must leave every file here
 untouched.
@@ -67,6 +67,11 @@ CASES = {
     ],
     "sweep_over_k_classicalk_n101.csv": [
         "sweep", "--game", "classicalk", "--n", "101", "--over", "k", "--format", "csv",
+    ],
+    # Three phases on one family: (P2,P2) up to t = 4/5, no selection on (4/5, 9/10), (M,M) from 9/10.
+    "sweep_over_gamma_p1p2m_n10_k4.csv": [
+        "sweep", "--game", "quantumk", "--strategies", "p1p2m", "--n", "10", "--k", "4",
+        "--over", "gamma", "--gamma-steps", "101", "--format", "csv",
     ],
 }
 for _fmt, _ext in (("csv", "csv"), ("table", "txt")):

@@ -130,7 +130,7 @@ def test_held_grid_gives_the_integer_grid_results_in_any_read_order(case, mixed_
     eq = solve(matrix)
     views = eq.selected, eq.selected_by, eq.weak_pure, eq.strict_pure
     cells, value = optimal_outcome(matrix)
-    report = _per_game(spec, matrix)[2]
+    report = _per_game(spec, eq)
     fresh = build()
     want = _integer_grid_solve(build)
     assert views == (want.selected, want.selected_by, want.weak_pure, want.strict_pure)

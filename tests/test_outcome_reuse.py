@@ -11,7 +11,6 @@ import pytest
 
 import pigouq.equilibria as equilibria
 import pigouq.games as games
-import pigouq.metrics as metrics
 import pigouq.sweeps as sweeps
 from pigouq.cli import main
 from pigouq.equilibria import solve
@@ -48,17 +47,9 @@ def protocol_runs(monkeypatch):
 
 
 @pytest.fixture
-def enumerations(monkeypatch):
-    """One entry per square support pass (the pass ``mixed`` reads): the size of its matrix."""
-    runs = []
-    real = equilibria._square_pass
-
-    def counting(matrix, weak_pure):
-        runs.append(matrix.size)
-        return real(matrix, weak_pure)
-
-    monkeypatch.setattr(equilibria, "_square_pass", counting)
-    return runs
+def enumerations(computed):
+    """One entry per square support pass (the pass ``mixed`` reads): its matrix."""
+    return computed("_square")
 
 
 @pytest.fixture
@@ -199,14 +190,12 @@ def test_solve_over_k_matches_per_k_path(protocol_runs):
         solve_over_k(GameSpec.quantum_two_person(names))
 
 
-def test_cli_solve_makes_one_over_k_pass(protocol_runs, monkeypatch, capsys):
-    solves = []
-    real = metrics.solve
-    monkeypatch.setattr(metrics, "solve", lambda matrix: solves.append(matrix) or real(matrix))
+def test_cli_solve_makes_one_over_k_pass(protocol_runs, computed, capsys):
+    selections = computed("_selection")
     assert main(["solve", "--game", "quantumk", "--strategies", "p1p2q", "--n", "9", "--k", "3"]) == 0
     capsys.readouterr()
     assert protocol_runs == ENDPOINT_RUNS  # read off the endpoint tables, built once
-    assert len(solves) == 1  # k = 0..6 share one signature: one solve, the rest read its selection
+    assert len(selections) == 1  # k = 0..6 share one signature: one game runs the rule, the rest read its selection
 
 
 def test_gamma_sweep_runs_the_protocol_per_angle_only_for_custom_sets(protocol_runs):
@@ -240,7 +229,8 @@ def _cli_solve(strategies):
         # two weak pure equilibria decide every undecided angle without the pass
         (lambda: sweep_gamma(("P1", "P2", "M"), ANGLES_201), 0),
         (lambda: sweep_gamma(("P1", "P2", "Q"), ANGLES_201), 0),
-        (lambda: sweep_gamma(("P1", "P2", "Q"), ANGLES_101, n=10, k=4), 30),
+        # 30 angles reach the square pass; the first of each signature, and each game the guard trips, runs it
+        (lambda: sweep_gamma(("P1", "P2", "Q"), ANGLES_101, n=10, k=4), 3),
         (lambda: solve(bimatrix(GameSpec.quantum_two_person(("P1", "P2", "M"), 0.3))).to_json_obj(), 1),  # all views
     ],
     ids=[
@@ -274,6 +264,26 @@ def test_support_enumeration_runs_only_where_the_selection_needs_it(enumerations
 def test_each_support_pair_is_solved_at_most_once(linear_solves, matrix, read, count):
     read(solve(matrix))
     assert len(linear_solves) == count == len(set(linear_solves))
+
+
+@pytest.mark.parametrize(
+    "run, tables",
+    [
+        # Two tables (sizes 2 and 3) for each of the 8 games at k = 0..7: the first game's
+        # signature and its selection read one set of square candidates.
+        (lambda: sweep_k("quantum", ("P1", "P2", "Q"), 10, gamma=GAMMA_MAX), 16),
+        # Two for each of the 30 angles that reach the square pass, 60: each finds its candidates
+        # once, whether they serve its signature, its full pass or both.
+        (lambda: sweep_gamma(("P1", "P2", "Q"), ANGLES_101, n=10, k=4), 60),
+    ],
+    ids=["k-p1p2q", "gamma-p1p2q-k4"],
+)
+def test_each_game_finds_its_square_candidates_once(monkeypatch, run, tables):
+    built = []
+    real = equilibria._systems
+    monkeypatch.setattr(equilibria, "_systems", lambda a, r: built.append(r) or real(a, r))
+    run()
+    assert len(built) == tables
 
 
 @pytest.mark.parametrize("names", SETS, ids="".join)

@@ -1,12 +1,15 @@
-"""The over-k pass decides each selection once per signature: every k against its own solve.
+"""A family's games decide each selection once per signature: every game against its own solve.
 
-:func:`~pigouq.metrics.solve_over_k` solves the first game of each
-signature in full and gives every later game with that signature the
-same selection: the same cell, or the producing support pair solved at
-that game's k. Here each k's ``selected``, ``selected_by`` and total are
-held to ``solve`` of that k's matrix, on random integer families
-``A0 + k*A1`` with narrow entries (so that ties and sign changes at
-integer k are common) and on float named-set and custom-set families.
+:func:`~pigouq.equilibria.solve_family` leaves the first game of each
+signature to its own selection and gives every later game with that
+signature the same selection: the same cell, or the producing support
+pair solved on that game's grid. Here each k of the over-k pass, which
+solves its games as one family, has its ``selected``, ``selected_by``
+and total held to ``solve`` of that k's matrix, on random integer
+families ``A0 + k*A1`` with narrow entries (so that ties and sign
+changes at integer k are common) and on float named-set and custom-set
+families; and every game of float gamma families is held to ``solve``
+of it in every view.
 """
 
 import math
@@ -14,10 +17,11 @@ import random
 
 import pytest
 
+import pigouq.equilibria as equilibria
 import pigouq.metrics as metrics
 from pigouq.cli import STRATEGY_SETS
-from pigouq.equilibria import solve
-from pigouq.games import CostBimatrix, GameSpec, bimatrix
+from pigouq.equilibria import solve, solve_family
+from pigouq.games import CostBimatrix, GameSpec, _bimatrices, bimatrix
 from pigouq.metrics import profile_total, solve_over_k
 from pigouq.strategies import StrategyAngles
 
@@ -26,22 +30,21 @@ TAGS = {1: ("P1",), 2: ("P1", "P2"), 3: ("P1", "P2", "Q")}
 
 
 @pytest.fixture
-def pass_calls(monkeypatch):
-    """The games the pass hands to ``solve``, and each square signature it computes (None where the guard trips)."""
-    calls = {"solved": [], "square": []}
-    real_solve, real_signature = metrics.solve, metrics._square_signature
+def pass_calls(monkeypatch, computed):
+    """The games whose selection rule runs on their own grid, and each square signature the family computes.
 
-    def solving(matrix):
-        calls["solved"].append(matrix)
-        return real_solve(matrix)
+    A square signature is None where the guard trips. Read ``solved``
+    before any reference ``solve`` runs its own rule on the same matrices.
+    """
+    calls = {"solved": computed("_selection"), "square": []}
+    real_signature = equilibria._square_signature
 
     def signing(candidates):
         signature = real_signature(candidates)
         calls["square"].append(signature)
         return signature
 
-    monkeypatch.setattr(metrics, "solve", solving)
-    monkeypatch.setattr(metrics, "_square_signature", signing)
+    monkeypatch.setattr(equilibria, "_square_signature", signing)
     return calls
 
 
@@ -86,8 +89,8 @@ def test_random_integer_families_match_per_k_solve(monkeypatch, pass_calls):
         pass_calls["solved"].clear()
         pass_calls["square"].clear()
         points, opt = solve_over_k(spec)
+        solved = list(pass_calls["solved"])
         assert_matches_per_k_solve(points, opt, full_views=index % 10 == 0)
-        solved = pass_calls["solved"]
         families += 1
         multi += len(solved) >= 3 and len(solved) < len(points)
         guarded += None in pass_calls["square"]
@@ -127,10 +130,10 @@ def test_random_integer_families_match_per_k_solve(monkeypatch, pass_calls):
 def test_pinned_integer_families(monkeypatch, pass_calls, a0, a1, n, solved, rules, guard):
     spec = integer_family(monkeypatch, "quantum", n, a0, a1, 1)
     points, opt = solve_over_k(spec)
-    assert_matches_per_k_solve(points, opt, full_views=True)
-    assert [eq.selected_by for _, _, eq, _ in points] == rules
     matrices = [matrix for _, matrix, _, _ in points]
     assert [k for k, m in enumerate(matrices) if any(s is m for s in pass_calls["solved"])] == solved
+    assert_matches_per_k_solve(points, opt, full_views=True)
+    assert [eq.selected_by for _, _, eq, _ in points] == rules
     assert [s for s in pass_calls["square"] if s is None] == guard
 
 
@@ -151,3 +154,37 @@ def test_float_families_match_per_k_solve(strategies, gamma):
         for spec_k, matrix, _, _ in points:
             assert matrix == bimatrix(spec_k)
         assert_matches_per_k_solve(points, opt, full_views=n % 9 == 0)
+
+
+def test_gamma_families_match_per_game_solve(computed):
+    """Float gamma families through ``solve_family``: every game, in sweep and shuffled order, is ``solve`` of it.
+
+    Each family holds a set's games at the exact endpoints (0, an angle
+    whose t underflows to 0, pi/2 and an angle whose t rounds to 1) among
+    61 evenly spaced and 20 random float angles, for the two-person game
+    and two k-person ones.
+    """
+    ruled = computed("_selection")
+    rng = random.Random(2029)
+    evenly = [GAMMA_MAX * i / 60 for i in range(61)]
+    games = reused_cells = reused_mixed = 0
+    for strategies in list(STRATEGY_SETS.values()) + CUSTOM_SETS:
+        for n, k in ((2, None), (10, 4), (7, 2)):
+            angles = [0.0, 1e-170, GAMMA_MAX - 1e-9, GAMMA_MAX] + evenly + [rng.uniform(0, GAMMA_MAX) for _ in range(20)]
+            spec = GameSpec("quantum", n, k, 0.0, strategies)
+            matrices = _bimatrices(spec, (spec.k or 0,), sorted(set(angles)))
+            for order in (matrices, rng.sample(matrices, len(matrices))):
+                ruled.clear()
+                family = solve_family(order)
+                rules = [eq.selected_by for eq in family]  # a game not filled in runs its own rule here
+                solved = list(ruled)
+                for matrix, eq, rule in zip(order, family, rules):
+                    want = solve(matrix)
+                    assert (eq.selected, rule) == (want.selected, want.selected_by), (strategies, n, k)
+                    assert eq == want and eq.to_json_obj() == want.to_json_obj()
+                    if not any(m is matrix for m in solved):
+                        reused_cells += eq.selected_by in ("dominance", "unique_strict_pure")
+                        reused_mixed += eq.selected_by == "unique_mixed"
+                games += len(family)
+    # 6 sets, 3 specs, 2 orders, 84 angles; most games read an earlier game's selection, some a unique mix
+    assert games == 3024 and reused_cells > 2000 and reused_mixed > 50

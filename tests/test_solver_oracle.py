@@ -33,7 +33,6 @@ from fractions import Fraction as F
 
 import pytest
 
-import pigouq.equilibria as equilibria
 from pigouq.equilibria import MixedProfile, PureProfile, _systems, dominance_select, solve
 from pigouq.games import CostBimatrix, GameSpec, bimatrix
 from pigouq.strategies import STRATEGY_TAGS, StrategyAngles
@@ -294,7 +293,7 @@ def test_float_gamma_games_match_oracle():
     assert bits > 50  # float cells scale to integers of about 2^60
 
 
-def test_selection_read_alone_follows_the_convention_on_the_full_views(monkeypatch):
+def test_selection_read_alone_follows_the_convention_on_the_full_views(computed):
     """A seeded corpus of exact and float 1x1 to 3x3 games: ``selected`` read first equals the rule on every view.
 
     The rule is spelled out on a result whose square pass ran first:
@@ -324,9 +323,7 @@ def test_selection_read_alone_follows_the_convention_on_the_full_views(monkeypat
         n = rng.randrange(3, 31)
         matrices.append(bimatrix(GameSpec.quantum_two_person(names, gamma)))
         matrices.append(bimatrix(GameSpec.quantum_k_person(n, rng.randrange(n - 2), names, gamma)))
-    passes = []
-    real = equilibria._square_pass
-    monkeypatch.setattr(equilibria, "_square_pass", lambda matrix, weak: passes.append(matrix) or real(matrix, weak))
+    passes = computed("_square")
     skipped = mixed_selected = 0
     for matrix in matrices:
         full = solve(matrix)

@@ -179,7 +179,7 @@ def test_gamma_sweep_points_match_per_angle_games(strategies, n, k):
     series = sweep_gamma(strategies, gammas, n=n, k=k)
     for g, rep in zip(series.values, series.reports):
         spec = GameSpec(mode="quantum", n=n, k=k, gamma=g, strategies=strategies)
-        assert repr(rep) == repr(metrics._per_game(spec, bimatrix(spec))[2])  # values and types
+        assert repr(rep) == repr(metrics._per_game(spec, solve(bimatrix(spec))))  # values and types
 
 
 def test_csv_is_deterministic_and_well_formed():
