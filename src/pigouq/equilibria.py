@@ -43,17 +43,10 @@ the n-traveler games of one population at k = 0..n-3 or one spec's
 games across gamma angles, which :func:`solve_family` solves. Dominance
 and the pure scan compare entries within a column, so the signs of the
 within-column differences, the *column signature*, fix their results.
-The square pass reads whether each system is unique and ``ok`` and
-where its weights are positive: signs of its denominator, its weights
-and its outside margins. The *square signature* lists the positive
-supports of the pass's *candidates*, the profiles it finds before
-deduplication, which each result finds once and caches for ``mixed``,
-``diagnostics`` and the signature. When no two candidates share their
-supports none duplicates another, so two games with one signature have
-as many profiles, from the same support pairs, and the same rule
-selects: the same cell, or the same pair's mix solved on each game's
-own grid. When two candidates share their supports (the guard) they may
-or may not coincide, and the game runs the rule on its own views.
+Where they leave the selection to the square pass, each game counts its
+own distinct square profiles, found once and cached for ``mixed`` and
+``diagnostics``: one is the unique mixed equilibrium, any other count
+selects nothing.
 
 Every game is symmetric, so each solver reads one grid ``a`` of
 Alice's costs: Bob, choosing column c against row r, pays ``a[c][r]``.
@@ -169,16 +162,17 @@ class EquilibriumResult:
     """The equilibria of one bimatrix, each view solved the first time it is read.
 
     ``strict_pure`` and ``weak_pure`` read one pure scan of the cells.
-    ``mixed`` and ``diagnostics`` read the square pass of support
-    enumeration, run on top of ``weak_pure``, which stands in for the 1x1
-    pairs, over the square candidates the result finds once. Reading
-    every view solves each indifference system of the square support
-    pairs at most once, and none of an unequal pair.
+    The result finds the distinct profiles of the square pass of support
+    enumeration once, on top of ``weak_pure``, which stands in for the
+    1x1 pairs; ``mixed`` and ``diagnostics`` sort them and build their
+    values and notes. Reading every view solves each indifference system
+    of the square support pairs at most once, and none of an unequal pair.
     ``selected`` and ``selected_by`` apply the selection convention and
     stop at the first rule that decides:
-    :func:`dominance_select`, then ``strict_pure``, then ``mixed``. Two
-    weak pure equilibria decide it without the square pass: each is a
-    profile of ``mixed``, so none is selected.
+    :func:`dominance_select`, then ``strict_pure``, then the count of
+    those profiles, building only a unique one's mix. Two weak pure
+    equilibria decide it without the square pass: each is a profile of
+    ``mixed``, so none is selected.
     Equality and hashing compare the six views, not the matrices.
     """
 
@@ -201,17 +195,14 @@ class EquilibriumResult:
         return self._pure[0]
 
     @cached_property
-    def _candidates(self) -> tuple[list, list]:
-        """:func:`_square_candidates` of the integer grid: what the square pass, and a family's signature, read."""
+    def _candidates(self) -> tuple[dict, list]:
+        """:func:`_square_candidates` of the integer grid: what the selection and the square pass read."""
         return _square_candidates(self.matrix.scaled_costs[0], self.weak_pure)
 
     @cached_property
     def _square(self) -> tuple[tuple[MixedProfile, ...], tuple[str, ...]]:
-        """The square pass: the candidates deduplicated on their keys and sorted, and a note per singular pair."""
-        candidates, singular = self._candidates
-        found = {}
-        for keys, values in candidates:
-            found.setdefault(keys, values)
+        """The square pass: its profiles sorted, and a note per singular pair."""
+        found, singular = self._candidates
         scale = self.matrix.scaled_costs[1]
         ordered = [(keys, _mixed_profile(keys, values, scale)) for keys, values in found.items()]
         # by integer supports; Fractions break ties
@@ -246,8 +237,10 @@ class EquilibriumResult:
     def _selection(self) -> tuple:
         if self._pure_selection is not None:
             return self._pure_selection
-        if len(self.mixed) == 1:
-            return self.mixed[0], "unique_mixed"
+        found = self._candidates[0]
+        if len(found) == 1:
+            [(keys, values)] = found.items()
+            return _mixed_profile(keys, values, self.matrix.scaled_costs[1]), "unique_mixed"
         return None, None
 
     @cached_property
@@ -419,25 +412,27 @@ def _mix_key(support, weights, denominator, size) -> tuple:
     return tuple([i for i, w in zip(support, weights) if w]), tuple(full), denominator // g
 
 
-def _square_candidates(a, weak_pure) -> tuple[list, list]:
-    """The profiles the square pass finds on the integer grid ``a``, in its order and before deduplication.
+def _square_candidates(a, weak_pure) -> tuple[dict, list]:
+    """The distinct profiles the square pass finds on the integer grid ``a``, in the order found.
 
-    Returns ``(candidates, singular)``. Each candidate is ``(keys,
-    values)``: ``keys`` are Alice's and Bob's :func:`_mix_key`, ``values``
-    their costs as ``(value, denominator)`` on ``a``'s scale. The weak
-    pure cells of ``weak_pure`` come first, then each square support pair
-    of size 2 and up, in size-then-index order, whose two systems are
-    unique and ``ok``. Each support size builds one :func:`_systems`
-    table; a pair (S_a, S_b) reads its column-mix system at ``(S_a, S_b)``
-    and, only when that is unique, its row-mix system at ``(S_b, S_a)``:
-    Bob's system is Alice's for the exchanged supports. ``singular``
-    lists each pair with a singular system as ``(S_a, S_b, side)``.
+    Returns ``(found, singular)``. ``found`` maps each profile's ``keys``,
+    Alice's and Bob's :func:`_mix_key`, to ``values``, their costs as
+    ``(value, denominator)`` on ``a``'s scale; a profile found again keeps
+    its first values. The weak pure cells of ``weak_pure`` come first,
+    then each square support pair of size 2 and up, in size-then-index
+    order, whose two systems are unique and ``ok``. Each support size
+    builds one :func:`_systems` table; a pair (S_a, S_b) reads its
+    column-mix system at ``(S_a, S_b)`` and, only when that is unique, its
+    row-mix system at ``(S_b, S_a)``: Bob's system is Alice's for the
+    exchanged supports. ``singular`` lists each pair with a singular
+    system as ``(S_a, S_b, side)``.
     """
     size = len(a)
-    found, singular = [], []
+    found, singular = {}, []
     for pure in weak_pure:
         i, j = pure.row, pure.col
-        found.append(((_mix_key((i,), (1,), 1, size), _mix_key((j,), (1,), 1, size)), ((a[i][j], 1), (a[j][i], 1))))
+        keys = _mix_key((i,), (1,), 1, size), _mix_key((j,), (1,), 1, size)
+        found.setdefault(keys, ((a[i][j], 1), (a[j][i], 1)))
     for r in range(2, size + 1):
         table = _systems(a, r)
         for (sup_a, sup_b), (status, sol_q, ok) in table.items():
@@ -451,28 +446,12 @@ def _square_candidates(a, weak_pure) -> tuple[list, list]:
                 continue
             (w_p, value_b, den_p), (w_q, value_a, den_q) = sol_p, sol_q
             keys = _mix_key(sup_a, w_p, den_p, size), _mix_key(sup_b, w_q, den_q, size)
-            found.append((keys, ((value_a, den_q), (value_b, den_p))))
+            found.setdefault(keys, ((value_a, den_q), (value_b, den_p)))
     return found, singular
 
 
-def _square_signature(candidates) -> "tuple | None":
-    """The positive supports of :func:`_square_candidates`, in order; None when two candidates share theirs.
-
-    Which pairs are candidates, and where their mixes are positive, are
-    signs of the square systems: of each denominator, each weight and
-    each outside margin ``(row_o - first) . w``. When no two candidates
-    share their supports none is a duplicate of another, so the square
-    pass finds one profile per candidate, and two games of a family with
-    the same signature find as many, from the same pairs. When two share
-    them the candidates may or may not coincide, so None (the guard)
-    leaves the game to its own selection in :func:`solve_family`.
-    """
-    supports = tuple((key_p[0], key_q[0]) for (key_p, key_q), _ in candidates)
-    return supports if len(set(supports)) == len(supports) else None
-
-
 def _mixed_profile(keys, values, scale: int) -> MixedProfile:
-    """The profile of one candidate of :func:`_square_candidates`, its costs divided by the grid's ``scale``."""
+    """The profile of one entry of :func:`_square_candidates`, its costs divided by the grid's ``scale``."""
     key_p, key_q = keys
     p = tuple(Fraction(w, key_p[2]) for w in key_p[1])
     q = p if key_q == key_p else tuple(Fraction(w, key_q[2]) for w in key_q[1])  # a symmetric mix is built once
@@ -540,41 +519,28 @@ def solve(matrix: CostBimatrix) -> EquilibriumResult:
 
 
 def solve_family(matrices) -> list[EquilibriumResult]:
-    """:func:`solve` of every game of a family, in order, each selection decided once per signature.
+    """:func:`solve` of every game of a family, in order, dominance and the pure scan run once per column signature.
 
     A family is either sweep's games: the over-k pass's at k = 0..n-3, or
-    a gamma sweep's at each angle. The first game of each signature met is
-    left to its own selection; a later game with that signature gets
-    ``selected`` and ``selected_by`` filled in from it: the same cell, or
-    its own unique candidate's mix. The labels and the column signature
-    key the dominance and pure-scan rules; where those leave the selection
-    to the square pass, the square signature of the candidates the game
-    caches for ``mixed`` and ``diagnostics`` joins the key. A game whose
-    candidates share their supports (the guard) is left to its own
-    selection too. Every other view is solved on its first read, so each
-    result equals ``solve(matrix)`` in every view.
+    a gamma sweep's at each angle. The labels and the column signature key
+    the dominance and pure-scan rules, and the first game of each key met
+    runs them. A later game of a key whose first game they decide gets
+    that selection filled in; otherwise it reads the first game's pure
+    scan and decides from its own square candidates. Every other view is
+    solved on its first read, so each result equals ``solve(matrix)`` in
+    every view.
     """
-    firsts = {}  # signature -> the family's first result with it
+    firsts = {}  # (labels, column signature) -> the family's first result with it
     family = []
     for matrix in matrices:
         eq = EquilibriumResult(matrix)
         family.append(eq)
-        key = matrix.labels, _column_signature(matrix)
-        first = firsts.setdefault(key, eq)
-        if first._pure_selection is not None:
-            if first is not eq:
-                eq.__dict__["_selection"] = first._pure_selection
-            continue
-        eq.__dict__["_pure"] = first._pure  # one column signature, one pure scan
-        candidates = eq._candidates[0]
-        signature = _square_signature(candidates)
-        if signature is None:
-            continue
-        first = firsts.setdefault((key, signature), eq)
+        first = firsts.setdefault((matrix.labels, _column_signature(matrix)), eq)
         if first is eq:
             continue
-        if first.selected is None:  # as many candidates as the first game: not one
-            eq.__dict__["_selection"] = None, None
-        else:  # one candidate, as at the first game: the unique mix
-            eq.__dict__["_selection"] = _mixed_profile(*candidates[0], matrix.scaled_costs[1]), "unique_mixed"
+        if first._pure_selection is not None:
+            eq.__dict__["_selection"] = first._pure_selection
+        else:
+            eq.__dict__["_pure"] = first._pure  # one column signature, one pure scan
+            eq.__dict__["_pure_selection"] = None
     return family

@@ -31,8 +31,8 @@ in its own context:
   when no k selects an equilibrium, cost(OPT) and the ratios are None.
 
 Both sweeps' families of games are solved by
-:func:`~pigouq.equilibria.solve_family`, which decides each selection
-once per signature of the family's games.
+:func:`~pigouq.equilibria.solve_family`, which runs dominance and the
+pure scan once per column signature of the family's games.
 
 A total is formed in the numbers its matrix holds. An exact game sums
 its integer grid and builds one ``Fraction``. A float game adds the
@@ -239,8 +239,8 @@ def solve_over_k(spec: GameSpec):
     when no k selects an equilibrium).
 
     Each ``equilibria`` equals ``solve(matrix)``: the games are one
-    family of :func:`~pigouq.equilibria.solve_family`, so each selection
-    is decided once per signature of the pass's games.
+    family of :func:`~pigouq.equilibria.solve_family`, so dominance and
+    the pure scan run once per column signature of the pass's games.
     """
     points = []
     for k, eq in enumerate(solve_family(bimatrices_over_k(spec))):

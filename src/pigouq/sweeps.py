@@ -106,8 +106,8 @@ def sweep_gamma(
     builder: the strategy set is looked up once, and each angle's game
     equals :func:`~pigouq.games.bimatrix` of that angle's spec. They are
     solved as one family by :func:`~pigouq.equilibria.solve_family`, as
-    the over-k pass's are, so each selection is decided once per
-    signature of the sweep's games.
+    the over-k pass's are, so dominance and the pure scan run once per
+    column signature of the sweep's games.
     """
     gammas = sorted(set(validate_gamma(g) for g in gamma_values))
     if not gammas:

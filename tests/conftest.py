@@ -13,9 +13,9 @@ def computed(monkeypatch):
 
     ``name`` is a cached property of :class:`EquilibriumResult`: ``"_square"``
     is the full square pass that ``mixed`` and ``diagnostics`` read, and
-    ``"_selection"`` the selection rule run on the result's own game. A
-    selection that :func:`~pigouq.equilibria.solve_family` fills in from an
-    earlier game is not computed, so it adds nothing.
+    ``"_pure_selection"`` the dominance and pure-scan rules run on the
+    result's own game. A value that :func:`~pigouq.equilibria.solve_family`
+    fills in from an earlier game is not computed, so it adds nothing.
     """
 
     def watch(name):

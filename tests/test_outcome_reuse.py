@@ -191,11 +191,11 @@ def test_solve_over_k_matches_per_k_path(protocol_runs):
 
 
 def test_cli_solve_makes_one_over_k_pass(protocol_runs, computed, capsys):
-    selections = computed("_selection")
+    ruled = computed("_pure_selection")
     assert main(["solve", "--game", "quantumk", "--strategies", "p1p2q", "--n", "9", "--k", "3"]) == 0
     capsys.readouterr()
     assert protocol_runs == ENDPOINT_RUNS  # read off the endpoint tables, built once
-    assert len(selections) == 1  # k = 0..6 share one signature: one game runs the rule, the rest read its selection
+    assert len(ruled) == 1  # k = 0..6 share one column signature: one game runs dominance and the pure scan
 
 
 def test_gamma_sweep_runs_the_protocol_per_angle_only_for_custom_sets(protocol_runs):
@@ -222,15 +222,16 @@ def _cli_solve(strategies):
     [
         (lambda: sweep_k("classical", ("P1", "P2"), 10), 0),  # dominance decides every k
         (lambda: sweep_k("quantum", ("P1", "P2", "M"), 10, gamma=GAMMA_MAX), 0),
-        (lambda: sweep_k("quantum", ("P1", "P2", "Q"), 10, gamma=GAMMA_MAX), 1),  # k = 0..7 share one signature
-        (lambda: sweep_k("quantum", ("P1", "P2", "Q"), 1000, gamma=GAMMA_MAX), 1),  # so do k = 0..997
-        (lambda: _cli_solve("p1p2q"), 2),  # the over-k pass's one, and the printed k's mixed line
+        # each k selects its unique mix from its own square profiles, without the full pass
+        (lambda: sweep_k("quantum", ("P1", "P2", "Q"), 10, gamma=GAMMA_MAX), 0),
+        (lambda: sweep_k("quantum", ("P1", "P2", "Q"), 1000, gamma=GAMMA_MAX), 0),
+        (lambda: _cli_solve("p1p2q"), 1),  # only the printed k, for its mixed line
         (lambda: _cli_solve("p1p2m"), 1),  # only the printed k, for its mixed line
         # two weak pure equilibria decide every undecided angle without the pass
         (lambda: sweep_gamma(("P1", "P2", "M"), ANGLES_201), 0),
         (lambda: sweep_gamma(("P1", "P2", "Q"), ANGLES_201), 0),
-        # 30 angles reach the square pass; the first of each signature, and each game the guard trips, runs it
-        (lambda: sweep_gamma(("P1", "P2", "Q"), ANGLES_101, n=10, k=4), 3),
+        # 30 angles reach the square pass's profiles; none needs its sorted Fraction mixes
+        (lambda: sweep_gamma(("P1", "P2", "Q"), ANGLES_101, n=10, k=4), 0),
         (lambda: solve(bimatrix(GameSpec.quantum_two_person(("P1", "P2", "M"), 0.3))).to_json_obj(), 1),  # all views
     ],
     ids=[
@@ -269,11 +270,10 @@ def test_each_support_pair_is_solved_at_most_once(linear_solves, matrix, read, c
 @pytest.mark.parametrize(
     "run, tables",
     [
-        # Two tables (sizes 2 and 3) for each of the 8 games at k = 0..7: the first game's
-        # signature and its selection read one set of square candidates.
+        # Two tables (sizes 2 and 3) for each of the 8 games at k = 0..7: each selects from
+        # its square candidates, found once.
         (lambda: sweep_k("quantum", ("P1", "P2", "Q"), 10, gamma=GAMMA_MAX), 16),
-        # Two for each of the 30 angles that reach the square pass, 60: each finds its candidates
-        # once, whether they serve its signature, its full pass or both.
+        # Two for each of the 30 angles that reach the square pass, 60.
         (lambda: sweep_gamma(("P1", "P2", "Q"), ANGLES_101, n=10, k=4), 60),
     ],
     ids=["k-p1p2q", "gamma-p1p2q-k4"],

@@ -1,9 +1,10 @@
-"""A family's games decide each selection once per signature: every game against its own solve.
+"""A family's games run dominance and the pure scan once per column signature: every game against its own solve.
 
 :func:`~pigouq.equilibria.solve_family` leaves the first game of each
-signature to its own selection and gives every later game with that
-signature the same selection: the same cell, or the producing support
-pair solved on that game's grid. Here each k of the over-k pass, which
+column signature to its own rules. A later game with that signature
+gets the same selection where dominance or the pure scan decides it,
+and otherwise reads the first game's pure scan and selects from its own
+square candidates. Here each k of the over-k pass, which
 solves its games as one family, has its ``selected``, ``selected_by``
 and total held to ``solve`` of that k's matrix, on random integer
 families ``A0 + k*A1`` with narrow entries (so that ties and sign
@@ -31,21 +32,32 @@ TAGS = {1: ("P1",), 2: ("P1", "P2"), 3: ("P1", "P2", "Q")}
 
 @pytest.fixture
 def pass_calls(monkeypatch, computed):
-    """The games whose selection rule runs on their own grid, and each square signature the family computes.
+    """The games that run dominance and the pure scan on their own grid, and the arguments of each mix key built.
 
-    A square signature is None where the guard trips. Read ``solved``
-    before any reference ``solve`` runs its own rule on the same matrices.
+    :func:`~pigouq.equilibria._mix_key` runs twice per square candidate,
+    once per player, before the candidates are deduplicated. Read
+    ``solved`` before any reference ``solve`` runs its own rules on the
+    same matrices.
     """
-    calls = {"solved": computed("_selection"), "square": []}
-    real_signature = equilibria._square_signature
+    calls = {"solved": computed("_pure_selection"), "keys": []}
+    real_key = equilibria._mix_key
 
-    def signing(candidates):
-        signature = real_signature(candidates)
-        calls["square"].append(signature)
-        return signature
+    def keying(*args):
+        calls["keys"].append(args)
+        return real_key(*args)
 
-    monkeypatch.setattr(equilibria, "_square_signature", signing)
+    monkeypatch.setattr(equilibria, "_mix_key", keying)
     return calls
+
+
+def finds_a_profile_twice(matrix, keys) -> bool:
+    """Whether the square pass decides ``matrix``'s selection and finds one of its profiles from two support pairs."""
+    eq = solve(matrix)
+    if eq._pure_selection is not None:
+        return False
+    keys.clear()
+    profiles = len(eq.mixed)
+    return len(keys) // 2 > profiles
 
 
 def integer_family(monkeypatch, mode, n, a0, a1, scale):
@@ -78,7 +90,7 @@ def assert_matches_per_k_solve(points, opt, full_views=False):
 
 def test_random_integer_families_match_per_k_solve(monkeypatch, pass_calls):
     rng = random.Random(2028)
-    families = multi = guarded = reused_mixed = reused_cells = 0
+    families = multi = twice = reused_mixed = reused_cells = 0
     for index in range(1500):
         size, n = rng.randint(1, 3), rng.randint(3, 14)
         top = n - 3  # entries stay positive down to k = top
@@ -87,26 +99,27 @@ def test_random_integer_families_match_per_k_solve(monkeypatch, pass_calls):
         mode = "classical" if size == 2 and rng.random() < 0.5 else "quantum"
         spec = integer_family(monkeypatch, mode, n, a0, a1, rng.randint(1, 6))
         pass_calls["solved"].clear()
-        pass_calls["square"].clear()
         points, opt = solve_over_k(spec)
         solved = list(pass_calls["solved"])
         assert_matches_per_k_solve(points, opt, full_views=index % 10 == 0)
         families += 1
         multi += len(solved) >= 3 and len(solved) < len(points)
-        guarded += None in pass_calls["square"]
         for _, matrix, eq, _ in points:
             if not any(m is matrix for m in solved):
                 reused_mixed += eq.selected_by == "unique_mixed"
                 reused_cells += eq.selected_by in ("dominance", "unique_strict_pure")
-    # The corpus holds families whose signature changes at several ks and still
-    # repeats, families that trip the guard, and reused selections of every kind.
-    assert families == 1500 and multi > 300 and guarded > 5 and reused_mixed > 20 and reused_cells > 1000
+            twice += finds_a_profile_twice(matrix, pass_calls["keys"])
+    # The corpus holds families whose column signature changes at several ks and
+    # still repeats, square-decided games that find a profile from two support
+    # pairs, and reused pure scans of every outcome.
+    assert families == 1500 and multi > 300 and twice > 30 and reused_mixed > 20 and reused_cells > 1000
 
 
 @pytest.mark.parametrize(
-    "a0, a1, n, solved, rules, guard",
+    "a0, a1, n, solved, rules, twice",
     [
-        # Four signatures at k = 0..3, then k = 4..7 read their unique mix off k = 3's.
+        # Four column signatures at k = 0..3; k = 4..7 read k = 3's pure scan and each selects
+        # its own unique mix.
         (
             [[8, 9, 10], [8, 9, 8], [10, 10, 11]],
             [[1, 0, 0], [0, 1, 0], [-1, 0, 1]],
@@ -115,26 +128,27 @@ def test_random_integer_families_match_per_k_solve(monkeypatch, pass_calls):
             ["dominance", None, None] + ["unique_mixed"] * 5,
             [],
         ),
-        # Past k = 0 two candidates share their supports, so every k is solved in full.
+        # From k = 2 the pair ({P2,Q},{P2,Q}) solves to the weak pure cell (Q,Q) again: three
+        # candidates, two profiles (that cell and a full mix), so k = 2..4 select nothing.
         (
             [[7, 8, 6], [8, 6, 5], [5, 8, 5]],
             [[0, -1, 1], [1, 1, 1], [-1, 1, 1]],
             7,
-            [0, 1, 2, 3, 4],
+            [0, 1, 2],
             ["dominance", None, None, None, None],
-            [None, None, None],
+            [2, 3, 4],
         ),
     ],
-    ids=["signature-changes", "guard"],
+    ids=["signature-changes", "shared-supports"],
 )
-def test_pinned_integer_families(monkeypatch, pass_calls, a0, a1, n, solved, rules, guard):
+def test_pinned_integer_families(monkeypatch, pass_calls, a0, a1, n, solved, rules, twice):
     spec = integer_family(monkeypatch, "quantum", n, a0, a1, 1)
     points, opt = solve_over_k(spec)
     matrices = [matrix for _, matrix, _, _ in points]
     assert [k for k, m in enumerate(matrices) if any(s is m for s in pass_calls["solved"])] == solved
     assert_matches_per_k_solve(points, opt, full_views=True)
     assert [eq.selected_by for _, _, eq, _ in points] == rules
-    assert [s for s in pass_calls["square"] if s is None] == guard
+    assert [k for k, m in enumerate(matrices) if finds_a_profile_twice(m, pass_calls["keys"])] == twice
 
 
 CUSTOM_SETS = [
@@ -164,7 +178,7 @@ def test_gamma_families_match_per_game_solve(computed):
     61 evenly spaced and 20 random float angles, for the two-person game
     and two k-person ones.
     """
-    ruled = computed("_selection")
+    ruled = computed("_pure_selection")
     rng = random.Random(2029)
     evenly = [GAMMA_MAX * i / 60 for i in range(61)]
     games = reused_cells = reused_mixed = 0
@@ -176,7 +190,7 @@ def test_gamma_families_match_per_game_solve(computed):
             for order in (matrices, rng.sample(matrices, len(matrices))):
                 ruled.clear()
                 family = solve_family(order)
-                rules = [eq.selected_by for eq in family]  # a game not filled in runs its own rule here
+                rules = [eq.selected_by for eq in family]  # a game not filled in runs its own rules here
                 solved = list(ruled)
                 for matrix, eq, rule in zip(order, family, rules):
                     want = solve(matrix)
@@ -186,5 +200,6 @@ def test_gamma_families_match_per_game_solve(computed):
                         reused_cells += eq.selected_by in ("dominance", "unique_strict_pure")
                         reused_mixed += eq.selected_by == "unique_mixed"
                 games += len(family)
-    # 6 sets, 3 specs, 2 orders, 84 angles; most games read an earlier game's selection, some a unique mix
+    # 6 sets, 3 specs, 2 orders, 84 angles; most games read an earlier game's selection, some
+    # its pure scan and then select their own unique mix
     assert games == 3024 and reused_cells > 2000 and reused_mixed > 50

@@ -298,9 +298,10 @@ def test_selection_read_alone_follows_the_convention_on_the_full_views(computed)
 
     The rule is spelled out on a result whose square pass ran first:
     dominance, then a unique ``strict_pure``, then ``len(mixed) == 1``.
-    A fresh result reads the selection alone, which skips the pass when
-    two weak pure equilibria are known; the corpus holds such games and
-    games that select their unique mixed equilibrium.
+    A fresh result reads the selection alone, which never runs the full
+    pass: it skips the square systems when two weak pure equilibria are
+    known and otherwise counts the distinct square profiles. The corpus
+    holds such games and games that select their unique mixed equilibrium.
     """
     rng = random.Random(2026)
     matrices = []
@@ -339,10 +340,9 @@ def test_selection_read_alone_follows_the_convention_on_the_full_views(computed)
         passes.clear()
         eq = solve(matrix)
         assert (eq.selected, eq.selected_by) == want, matrix
+        assert passes == []
         past_pure_rules = want[1] in (None, "unique_mixed")  # dominance and a unique strict_pure both failed
-        if past_pure_rules and len(full.weak_pure) >= 2:
-            skipped += 1
-            assert passes == []
+        skipped += past_pure_rules and len(full.weak_pure) >= 2
         mixed_selected += want[1] == "unique_mixed"
     assert skipped > 20 and mixed_selected > 20
     assert len({type(x) for m in matrices for row in m.costs for x in row}) == 2  # Fractions and floats
