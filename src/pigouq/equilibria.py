@@ -200,14 +200,26 @@ class EquilibriumResult:
         return _square_candidates(self.matrix.scaled_costs[0], self.weak_pure)
 
     @cached_property
+    def _unique(self) -> "MixedProfile | None":
+        """The profile of the lone square candidate, built once for ``selected`` and ``mixed``; None unless lone."""
+        found = self._candidates[0]
+        if len(found) != 1:
+            return None
+        [(keys, values)] = found.items()
+        return _mixed_profile(keys, values, self.matrix.scaled_costs[1])
+
+    @cached_property
     def _square(self) -> tuple[tuple[MixedProfile, ...], tuple[str, ...]]:
         """The square pass: its profiles sorted, and a note per singular pair."""
         found, singular = self._candidates
+        notes = tuple(_support_note(self.matrix, *pair) for pair in singular)
+        if len(found) == 1:
+            return (self._unique,), notes
         scale = self.matrix.scaled_costs[1]
         ordered = [(keys, _mixed_profile(keys, values, scale)) for keys, values in found.items()]
         # by integer supports; Fractions break ties
         ordered.sort(key=lambda entry: (entry[0][0][0], entry[0][1][0], entry[1].alice_probs, entry[1].bob_probs))
-        return tuple(profile for _, profile in ordered), tuple(_support_note(self.matrix, *pair) for pair in singular)
+        return tuple(profile for _, profile in ordered), notes
 
     @cached_property
     def mixed(self) -> tuple[MixedProfile, ...]:
@@ -237,10 +249,8 @@ class EquilibriumResult:
     def _selection(self) -> tuple:
         if self._pure_selection is not None:
             return self._pure_selection
-        found = self._candidates[0]
-        if len(found) == 1:
-            [(keys, values)] = found.items()
-            return _mixed_profile(keys, values, self.matrix.scaled_costs[1]), "unique_mixed"
+        if self._unique is not None:
+            return self._unique, "unique_mixed"
         return None, None
 
     @cached_property
@@ -478,13 +488,6 @@ def _held_totals(matrix: CostBimatrix) -> tuple:
     """
     a, scale = matrix._grid
     return [[x + y for x, y in zip(row, col)] for row, col in zip(a, zip(*a))], scale
-
-
-def _least_total(matrix: CostBimatrix):
-    """The least combined cost of :func:`optimal_outcome`, without its cells."""
-    totals, scale = _held_totals(matrix)
-    best = min(map(min, totals))
-    return best if scale is None else Fraction(best, scale)
 
 
 def optimal_outcome(matrix: CostBimatrix):

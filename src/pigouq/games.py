@@ -172,16 +172,14 @@ class GameSpec:
                 raise DomainError("quantum games require an entanglement angle")
             object.__setattr__(self, "gamma", validate_gamma(self.gamma))
 
-    def _at(self, **fields) -> "GameSpec":
-        """This validated spec with ``fields`` replaced: a pinned count ``k`` or an angle ``gamma``.
+    def _at(self, k: int) -> "GameSpec":
+        """This validated k-person spec with pinned count ``k``, for the per-k specs of an over-k pass.
 
         Skips ``__post_init__``: every other field is this spec's, checked
-        when it was built, and the caller checks the new values: a ``k``
-        of a k-person spec with 0 <= k < n-2, a ``gamma`` of a quantum spec
-        as :func:`~pigouq.ewl.validate_gamma` returns it.
+        when it was built, and the caller checks that 0 <= k < n-2.
         """
         spec = object.__new__(GameSpec)
-        spec.__dict__.update(self.__dict__, **fields)
+        spec.__dict__.update(self.__dict__, k=k)
         return spec
 
     @property

@@ -34,7 +34,8 @@ Both sweeps' families of games are solved by
 :func:`~pigouq.equilibria.solve_family`, which runs dominance and the
 pure scan once per column signature of the family's games.
 
-A total is formed in the numbers its matrix holds. An exact game sums
+Every total, cost(NE) and per-game cost(OPT) alike, adds the bill in
+:func:`_priced`, in the numbers its matrix holds. An exact game sums
 its integer grid and builds one ``Fraction``. A float game adds the
 float of the bill, n times the bill over n in int / int division, to a
 float sum of costs, which is the float that adding the ``Fraction`` bill
@@ -51,7 +52,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .equilibria import EquilibriumResult, MixedProfile, PureProfile, _least_total, solve, solve_family
+from .equilibria import EquilibriumResult, MixedProfile, PureProfile, _held_totals, solve, solve_family
 from .errors import DomainError
 from .games import (
     CostBimatrix,
@@ -62,7 +63,6 @@ from .games import (
     bimatrices_over_k,
     bimatrix,
     format_value,
-    pinned_bill,
     value_to_json,
 )
 
@@ -176,54 +176,41 @@ def profile_total(spec: GameSpec, matrix: CostBimatrix, profile):
 
     A mixed profile counts its expected costs, and the bill counts the
     expected number of free players on P2, the lower edge of the classical
-    game (quantum bills do not depend on it).
-
-    A pure profile of an exact game from :func:`~pigouq.games.bimatrix`
-    is summed in integers: the cell's two integers of the grid it holds
-    (:attr:`~pigouq.games.CostBimatrix.scaled_costs`) times n, plus n
-    times the bill times the scale, over n times the scale, with one
-    ``Fraction`` built at the end. Any other matrix's pure total is the
-    sum of its two costs plus the bill, and a mixed total the ``Fraction``
-    sum of its expected costs and the bill (see :func:`_plus_bill`).
+    game (quantum bills do not depend on it). A pure profile sums the
+    cell's two entries of the grid the matrix holds
+    (:func:`~pigouq.equilibria._held_totals`): an exact game's integers
+    over their scale, any other matrix's costs. :func:`_priced` adds the
+    bill in those numbers.
     """
     if isinstance(profile, PureProfile):
         i, j = profile.row, profile.col
-        lower = (profile.row_label, profile.col_label).count("P2")
         a, scale = matrix._grid
-        if scale is not None:
-            bill = _pinned_bill_times_n(spec, lower)
-            return Fraction((a[i][j] + a[j][i]) * spec.n + bill * scale, spec.n * scale)
-        cost = a[i][j] + a[j][i]
-    elif isinstance(profile, MixedProfile):
-        cost = profile.expected_cost_alice + profile.expected_cost_bob
+        return _priced(spec, a[i][j] + a[j][i], scale, (profile.row_label, profile.col_label).count("P2"))
+    if isinstance(profile, MixedProfile):
         lower = 0  # only a classical bill counts the free players on the lower edge
         if spec.mode == "classical":
             moves = zip(matrix.labels * 2, profile.alice_probs + profile.bob_probs)
             lower = sum(p for label, p in moves if label == "P2")
-    else:
-        raise DomainError(f"cannot cost a profile of type {type(profile).__name__}")
-    return _plus_bill(spec, cost, lower)
+        return _priced(spec, profile.expected_cost_alice + profile.expected_cost_bob, None, lower)
+    raise DomainError(f"cannot cost a profile of type {type(profile).__name__}")
 
 
-def _plus_bill(spec: GameSpec, cost, lower=0):
-    """``cost + pinned_bill(spec, lower)``, with no ``Fraction`` formed for a float ``cost``.
+def _priced(spec: GameSpec, cost, scale, lower=0):
+    """``cost`` plus the pinned players' bill with ``lower`` free players on the lower edge.
 
-    A float plus a ``Fraction`` is the float sum of the two floats, and
-    the bill's float is n times the bill over n in int / int division,
-    which rounds correctly; ``lower`` is then a whole count. An int or
-    ``Fraction`` cost adds the ``Fraction`` bill.
+    With a ``scale``, ``cost`` is a sum of integers of a held grid over
+    that scale, and the total is one ``Fraction`` of integers. A float
+    ``cost`` adds the bill's float, n times the bill over n in int / int
+    division, which rounds correctly; ``lower`` is then a whole count. An
+    int or ``Fraction`` cost adds the ``Fraction`` bill,
+    :func:`~pigouq.games.pinned_bill`.
     """
+    bill, n = _pinned_bill_times_n(spec, lower), spec.n
+    if scale is not None:
+        return Fraction(cost * n + bill * scale, n * scale)
     if isinstance(cost, float):
-        return cost + _pinned_bill_times_n(spec, lower) / spec.n
-    return cost + pinned_bill(spec, lower)
-
-
-def _per_game_opt(spec: GameSpec, matrix: CostBimatrix):
-    # Every spec priced per game has a profile-independent bill: quantum
-    # bills never depend on the profile, and the one classical spec priced
-    # per game, the two-person game, has no pinned players. x -> x + bill
-    # is monotone (exact on exact cells), so the cheapest cell wins.
-    return _plus_bill(spec, _least_total(matrix))
+        return cost + bill / n
+    return cost + Fraction(bill, n)
 
 
 def solve_over_k(spec: GameSpec):
@@ -258,9 +245,17 @@ def _metrics_report(spec: GameSpec, eq: EquilibriumResult, cost_ne, cost_opt) ->
 
 
 def _per_game(spec: GameSpec, eq: EquilibriumResult) -> MetricsReport:
-    """The metrics of ``spec``'s game with equilibria ``eq``, priced against its own cheapest cell."""
+    """The metrics of ``spec``'s game with equilibria ``eq``, priced against its own cheapest cell.
+
+    Every spec priced per game has a profile-independent bill: quantum
+    bills never depend on the profile, and the one classical spec priced
+    per game, the two-person game, has no pinned players. So cost(OPT) is
+    the least held total plus the bill. Pricing reads n, k and mode, never
+    gamma, so one spec prices every angle of a gamma sweep.
+    """
     cost_ne = profile_total(spec, eq.matrix, eq.selected) if eq.selected is not None else None
-    return _metrics_report(spec, eq, cost_ne, _per_game_opt(spec, eq.matrix))
+    totals, scale = _held_totals(eq.matrix)
+    return _metrics_report(spec, eq, cost_ne, _priced(spec, min(map(min, totals)), scale))
 
 
 def analyze(spec: GameSpec):

@@ -101,13 +101,14 @@ def sweep_gamma(
     :func:`~pigouq.metrics.analyze` and :func:`sweep_k` use, so a k-person
     row can differ from ``analyze`` at the same k.
 
-    The sweep validates one spec, reading ``strategies`` once, and derives
-    each angle's spec from it. Its games are one family of the games
-    builder: the strategy set is looked up once, and each angle's game
-    equals :func:`~pigouq.games.bimatrix` of that angle's spec. They are
-    solved as one family by :func:`~pigouq.equilibria.solve_family`, as
-    the over-k pass's are, so dominance and the pure scan run once per
-    column signature of the sweep's games.
+    The sweep validates one spec, reading ``strategies`` once, and prices
+    every angle with it: pricing reads n, k and mode, never gamma. Its
+    games are one family of the games builder: the strategy set is looked
+    up once, and each angle's game equals :func:`~pigouq.games.bimatrix`
+    of the spec at that angle. They are solved as one family by
+    :func:`~pigouq.equilibria.solve_family`, as the over-k pass's are, so
+    dominance and the pure scan run once per column signature of the
+    sweep's games.
     """
     gammas = sorted(set(validate_gamma(g) for g in gamma_values))
     if not gammas:
@@ -115,7 +116,7 @@ def sweep_gamma(
 
     spec = GameSpec(mode="quantum", n=n, k=k, gamma=gammas[0], strategies=strategies)
     family = solve_family(_bimatrices(spec, (spec.k or 0,), gammas))
-    reports = [_per_game(spec._at(gamma=g), eq) for g, eq in zip(gammas, family)]
+    reports = [_per_game(spec, eq) for eq in family]
     return SweepSeries("gamma", tuple(gammas), tuple(reports), _meta(spec, "gamma"))
 
 

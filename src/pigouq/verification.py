@@ -234,9 +234,8 @@ def check_miracle_strategy_sweep_series() -> CheckResult:
     return _result("entangled k-sweep series, miracle strategy (n=10)", not problems, "; ".join(problems))
 
 
-#: Random draws of the unitarity and normalization check, and how many are checked at once.
+#: Random draws of the unitarity and normalization check.
 _RANDOM_DRAWS = 1000
-_DRAW_BLOCK = 250
 
 
 def check_random_unitarity_and_normalization() -> CheckResult:
@@ -245,22 +244,17 @@ def check_random_unitarity_and_normalization() -> CheckResult:
     Draw i is row i, (theta_a, theta_b, phi_a, phi_b, gamma), of one
     ``rng.random`` call scaled column by column by pi, pi, pi/2, pi/2 and
     GAMMA_MAX: the same doubles as three ``rng.uniform`` calls per draw.
-    The draws are checked 250 at a time, which keeps the temporaries
-    small. Per block, Alice's and Bob's matrices are two stacks from
+    Alice's and Bob's matrices are two stacks from
     :func:`~pigouq.strategies._unitary_stack`, entry i with the bits of
-    ``unitary_from_angles`` at draw i's angles, each stack checked by one
-    :func:`is_unitary` call, and the protocol runs draw i's pair at draw
-    i's angle in one paired run. On failure the detail names the first
-    failing draw in draw order.
+    ``unitary_from_angles`` at draw i's angles, each stack checked by
+    one :func:`is_unitary` call, and the protocol runs draw i's pair at
+    draw i's angle in one paired run. On failure the detail names the
+    first failing draw in draw order.
     """
     rng = np.random.default_rng(20250811)
     draws = rng.random((_RANDOM_DRAWS, 5))
     draws *= [math.pi, math.pi, math.pi / 2, math.pi / 2, GAMMA_MAX]
-    problem = ""
-    for start in range(0, _RANDOM_DRAWS, _DRAW_BLOCK):
-        problem = _first_draw_problem(draws[start : start + _DRAW_BLOCK])
-        if problem:
-            break
+    problem = _first_draw_problem(draws)
     return _result("unitarity and outcome normalization over 1000 random draws", not problem, problem)
 
 

@@ -198,6 +198,16 @@ def test_cli_solve_makes_one_over_k_pass(protocol_runs, computed, capsys):
     assert len(ruled) == 1  # k = 0..6 share one column signature: one game runs dominance and the pure scan
 
 
+def test_cli_solve_builds_each_unique_mix_once(monkeypatch, capsys):
+    built = []
+    real = equilibria._mixed_profile
+    monkeypatch.setattr(equilibria, "_mixed_profile", lambda *args: built.append(args) or real(*args))
+    assert main(["solve", "--game", "quantumk", "--strategies", "p1p2q", "--n", "9", "--k", "3"]) == 0
+    capsys.readouterr()
+    # One mix per k = 0..6: the printed k's selected line and mixed line read the same one.
+    assert len(built) == 7
+
+
 def test_gamma_sweep_runs_the_protocol_per_angle_only_for_custom_sets(protocol_runs):
     gammas = [0.0, 0.3, 0.9, GAMMA_MAX]
     sweep_gamma(("P1", "P2", "M"), gammas)

@@ -58,8 +58,8 @@ def test_check_draws_the_inputs_of_the_per_draw_loop(monkeypatch, draws):
     assert verification.check_random_unitarity_and_normalization().passed
     alice = [(ta, pa) for ta, _, pa, _, _ in draws]
     bob = [(tb, pb) for _, tb, _, pb, _ in draws]
-    # Alice's and Bob's matrices are built block by block, so compare the calls as a multiset.
-    assert sorted(angles) == sorted(alice + bob)
+    # One stack of Alice's matrices, then one of Bob's.
+    assert angles == alice + bob
     assert gammas == [g for *_, g in draws]
 
 
@@ -146,7 +146,7 @@ FAULTS = {
 }
 
 
-@pytest.mark.parametrize(("earlier", "later"), [(300, 700), (260, 480)], ids=["two blocks", "one block"])
+@pytest.mark.parametrize(("earlier", "later"), [(300, 700), (260, 480)], ids=["draws 300 and 700", "draws 260 and 480"])
 @pytest.mark.parametrize("second", FAULTS)
 @pytest.mark.parametrize("first", FAULTS)
 def test_the_first_failing_draw_is_named(monkeypatch, draws, first, second, earlier, later):
