@@ -11,8 +11,10 @@ used because they genuinely differ on these games:
   strategies and reports the surviving cell when it is unique -- the
   selection the narrative "the equilibrium is X" claims of small
   congestion games rely on, since those cells are often only weak
-  equilibria. The game is symmetric, so both players lose the same
-  strategies in every round, and one survivor list serves both;
+  equilibria. Each round removes every weakly dominated strategy of
+  both players at once; removing one at a time can end elsewhere. The
+  game is symmetric, so both players lose the same strategies in every
+  round, and one survivor list serves both;
 * exact support enumeration, read through the ``mixed`` and
   ``diagnostics`` views of :func:`solve`.
 
@@ -326,7 +328,9 @@ def dominance_select(matrix: CostBimatrix) -> PureProfile | None:
 
     Each round judges every surviving strategy against the survivors as
     they stood at the start of the round and removes all strategies found
-    weakly dominated. The game is symmetric, so Alice's rows and Bob's
+    weakly dominated, of both players at once. Removing one at a time can
+    end elsewhere: no such order leaves the classical two-person game at
+    (P2,P2) alone. The game is symmetric, so Alice's rows and Bob's
     columns read the same grid ``a`` against the same survivors, and the
     two players lose the same strategies in every round: one survivor list
     serves both. Returns the cell of the unique survivor, played by both,

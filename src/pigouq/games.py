@@ -56,14 +56,14 @@ read those floats. Its integer grid is built only when the square pass
 of support enumeration, or ``pigouq verify``'s best-response check,
 first reads it.
 
-:func:`bimatrix` is the one public way from a spec to its game, and
-:func:`bimatrices_over_k` builds the n-traveler game at every k of a
-population, for :func:`~pigouq.metrics.solve_over_k`. Both go through
-one private builder, which :func:`~pigouq.sweeps.sweep_gamma` also
-calls for every angle of a sweep. It builds one *family*, games that
-share a spec's mode, n and strategy set: it looks the set up once, then
-at each angle asked for forms the outcome probabilities, decides exact
-against float, and builds the game at each k asked for.
+:func:`bimatrix` is the one public way from a spec to its game. It
+calls one private builder, which the two family passes also call:
+:func:`~pigouq.metrics.solve_over_k` for every k of a population and
+:func:`~pigouq.sweeps.sweep_gamma` for every angle of a sweep. The
+builder builds one *family*, games that share a spec's mode, n and
+strategy set: it looks the set up once, then at each angle asked for
+forms the outcome probabilities, decides exact against float, and
+builds the game at each k asked for.
 
 A quirk worth knowing about the phase strategy Q: under maximal
 entanglement, Q against P1 lands both players on the lower edge while
@@ -93,7 +93,6 @@ __all__ = [
     "CostBimatrix",
     "GameSpec",
     "bimatrix",
-    "bimatrices_over_k",
     "cost_assignment",
     "outcome_grid",
     "pinned_bill",
@@ -228,11 +227,11 @@ class CostBimatrix:
     least one, and Alice's grid, checking every cost; a float game from
     :func:`bimatrix` is stored the same way, its cells unchecked but for
     the least. An exact game from :func:`bimatrix` is stored the other
-    way round: Alice's integer grid is the data, ``costs`` the
-    ``Fraction`` view built on first read, and :meth:`cell`,
-    :meth:`cost_a` and :meth:`cost_b` build only the entry asked for. The
-    matrix is immutable, and equality and hashing compare labels and
-    costs, so they do not depend on how it was built.
+    way round: Alice's integer grid is the data, and ``costs`` the
+    ``Fraction`` view built on first read, by :meth:`cell`,
+    :meth:`cost_a` and :meth:`cost_b` too. The matrix is immutable, and
+    equality and hashing compare labels and costs, so they do not depend
+    on how it was built.
 
     The grid a matrix *holds*, ``_grid``, is fixed by how it was built,
     never by which views were read: ``(a, scale)`` for an exact game from
@@ -321,11 +320,7 @@ class CostBimatrix:
         return self.cost_a(i, j), self.cost_a(j, i)
 
     def cost_a(self, i: int, j: int):
-        costs = self.__dict__.get("costs")
-        if costs is not None:
-            return costs[i][j]
-        a, scale = self.scaled_costs
-        return Fraction(a[i][j], scale)
+        return self.costs[i][j]
 
     def cost_b(self, i: int, j: int):
         return self.cost_a(j, i)
@@ -565,8 +560,9 @@ def bimatrix(spec: GameSpec) -> CostBimatrix:
 
     An exact grid is built in integers and no ``Fraction`` is formed:
     Alice's grid at k is ``a0 + k * a1`` over one scale, from
-    :func:`_exact_grid` (see :attr:`CostBimatrix.scaled_costs`), and
-    :func:`bimatrices_over_k` builds it once for every k of a population.
+    :func:`_exact_grid` (see :attr:`CostBimatrix.scaled_costs`), and the
+    over-k pass of :func:`~pigouq.metrics.solve_over_k` builds it once for
+    every k of a population.
 
     A float grid sums float probability times float cost. Fraction
     arithmetic computes a float times a Fraction as float * float(cost),
@@ -576,18 +572,6 @@ def bimatrix(spec: GameSpec) -> CostBimatrix:
     has a positive term.
     """
     return _bimatrices(spec, (spec.k or 0,), (spec.gamma,))[0]
-
-
-def bimatrices_over_k(spec: GameSpec) -> list:
-    """:func:`bimatrix` of the n-traveler game at every k = 0..n-3, in order.
-
-    ``spec.k`` is ignored. Every k shares one outcome grid, since the
-    protocol never sees k, and an exact grid one integer build:
-    :func:`_exact_grid` once, then ``a0 + k * a1`` per k.
-    """
-    if spec.k is None:
-        raise DomainError("the two-person game has no pinned count to vary")
-    return _bimatrices(spec, range(spec.n - 2), (spec.gamma,))
 
 
 def _bimatrices(spec: GameSpec, ks, gammas) -> list:

@@ -49,6 +49,7 @@ over-k report 122/17 and 1.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -57,14 +58,15 @@ from .errors import DomainError
 from .games import (
     CostBimatrix,
     GameSpec,
+    _bimatrices,
     _check_k_person,
     _integer,
     _pinned_bill_times_n,
-    bimatrices_over_k,
     bimatrix,
     format_value,
     value_to_json,
 )
+from .strategies import _check_real
 
 __all__ = [
     "MetricsReport",
@@ -102,16 +104,20 @@ def classical_pos_poa(n: int, k: int) -> Fraction:
     return Fraction(4 * (k * k - (n - 4) * k + n * n - 2 * n + 4), 3 * n * n)
 
 
-def split_cost(n: int, upper_count) -> Fraction:
+def split_cost(n: int, upper_count) -> Fraction | float:
     """Total cost when ``upper_count`` of the n travelers use the constant edge.
 
     The remaining n - upper_count share the load-dependent edge:
-    f(p) = p + (n-p)^2 / n. n must be an integer; ``upper_count`` may be
-    fractional, for plotting.
+    f(p) = p + (n-p)^2 / n. n must be an integer; ``upper_count`` is any
+    real in 0..n, for plotting: an int or ``Fraction`` gives a
+    ``Fraction``, a float of any width a Python float.
     """
-    if _integer("n", n) < 2:
+    if (n := _integer("n", n)) < 2:
         raise DomainError(f"need n >= 2, got {n}")
-    p = Fraction(upper_count) if not isinstance(upper_count, float) else upper_count
+    _check_real("upper_count", upper_count)
+    p = Fraction(upper_count) if isinstance(upper_count, numbers.Rational) else float(upper_count)
+    if not 0 <= p <= n:
+        raise DomainError(f"upper_count must be a finite number in 0..{n}, got {upper_count!r}")
     return p + (n - p) * (n - p) / Fraction(n)
 
 
@@ -216,21 +222,24 @@ def _priced(spec: GameSpec, cost, scale, lower=0):
 def solve_over_k(spec: GameSpec):
     """Solve the n-traveler game of a k-person ``spec`` at every k = 0..n-3, in order.
 
-    ``spec.k`` is ignored, as in :func:`~pigouq.games.bimatrices_over_k`,
-    which builds the games over one outcome grid, each equal to
-    :func:`bimatrix` at its k. Returns ``(points, opt)``: one ``(spec_k,
-    matrix, equilibria, total)`` per k, indexed by k, where ``spec_k`` is
-    ``spec`` with that k, ``total`` is the selected equilibrium's social
-    cost, :func:`profile_total`, in integers for an exact game (None when
+    ``spec.k`` is ignored; a two-person spec raises :class:`DomainError`.
+    Returns ``(points, opt)``: one ``(spec_k, matrix, equilibria, total)``
+    per k, indexed by k, where ``spec_k`` is ``spec`` with that k,
+    ``total`` is the selected equilibrium's social cost,
+    :func:`profile_total`, in integers for an exact game (None when
     nothing is selected), and ``opt``, the cheapest of those totals (None
     when no k selects an equilibrium).
 
-    Each ``equilibria`` equals ``solve(matrix)``: the games are one
-    family of :func:`~pigouq.equilibria.solve_family`, so dominance and
-    the pure scan run once per column signature of the pass's games.
+    The games are one family, as a gamma sweep's are: the games builder
+    forms them over one outcome grid, each equal to :func:`bimatrix` at
+    its k, and :func:`~pigouq.equilibria.solve_family` solves them, each
+    ``equilibria`` equal to ``solve(matrix)``, with dominance and the
+    pure scan run once per column signature.
     """
+    if spec.k is None:
+        raise DomainError("the two-person game has no pinned count to vary")
     points = []
-    for k, eq in enumerate(solve_family(bimatrices_over_k(spec))):
+    for k, eq in enumerate(solve_family(_bimatrices(spec, range(spec.n - 2), (spec.gamma,)))):
         spec_k = spec._at(k=k)
         total = profile_total(spec_k, eq.matrix, eq.selected) if eq.selected is not None else None
         points.append((spec_k, eq.matrix, eq, total))

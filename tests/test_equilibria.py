@@ -31,6 +31,41 @@ def cells(profiles):
     return [(p.row_label, p.col_label) for p in profiles]
 
 
+def _terminal_sets(matrix):
+    """The alive-set pairs where one-strategy-at-a-time elimination can stop, over every order.
+
+    A step removes one weakly dominated strategy of either player, judged
+    against the other player's alive strategies; Bob, choosing column c
+    against row r, pays Alice's cost at (c, r).
+    """
+    a = matrix.costs
+
+    def dominated(own, other):
+        return [
+            s
+            for s in own
+            if any(
+                all(a[t][o] <= a[s][o] for o in other) and any(a[t][o] < a[s][o] for o in other)
+                for t in own
+                if t != s
+            )
+        ]
+
+    seen, stack, ends = set(), [(tuple(range(matrix.size)),) * 2], set()
+    while stack:
+        state = stack.pop()
+        if state in seen:
+            continue
+        seen.add(state)
+        alice, bob = state
+        steps = [(tuple(x for x in alice if x != s), bob) for s in dominated(alice, bob)]
+        steps += [(alice, tuple(x for x in bob if x != s)) for s in dominated(bob, alice)]
+        if not steps:
+            ends.add(state)
+        stack += steps
+    return ends
+
+
 class TestPureNash:
     def test_strict_scan_of_miracle_game(self):
         assert cells(solve(MIRACLE_2P).strict_pure) == [("M", "M")]
@@ -66,6 +101,24 @@ class TestDominance:
     def test_k_person_phase_game_is_dominance_free(self):
         m = bimatrix(GameSpec.quantum_k_person(10, 3, ("P1", "P2", "Q")))
         assert dominance_select(m) is None
+
+    @pytest.mark.parametrize(
+        "matrix, selected, terminal",
+        [
+            (CLASSICAL_2P, ("P2", "P2"), {("P1P2", "P2"), ("P2", "P1P2")}),
+            (PHASE_2P, ("Q", "Q"), {("P2Q", "Q"), ("P2", "Q"), ("Q", "P2Q"), ("Q", "P2")}),
+            (MIRACLE_2P, ("M", "M"), {("M", "M")}),
+        ],
+        ids=["classical", "phase", "miracle"],
+    )
+    def test_one_strategy_at_a_time_can_end_elsewhere(self, matrix, selected, terminal):
+        # dominance_select removes every weakly dominated strategy of both players in
+        # each round; an order that removes one strategy of one player at a time can
+        # stop at other sets. Every such order is searched over alive-set pairs.
+        chosen = dominance_select(matrix)
+        assert (chosen.row_label, chosen.col_label) == selected
+        ends = {tuple("".join(matrix.labels[s] for s in side) for side in pair) for pair in _terminal_sets(matrix)}
+        assert ends == terminal
 
 
 class TestMixedNash:

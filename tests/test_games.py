@@ -15,7 +15,6 @@ from pigouq.games import (
     CLASSICAL_GRID,
     CostBimatrix,
     GameSpec,
-    bimatrices_over_k,
     bimatrix,
     cost_assignment,
     outcome_grid,
@@ -299,11 +298,6 @@ def test_two_person_classical_grid():
     assert m.cells == (((ONE, ONE), (ONE, HALF)), ((HALF, ONE), (ONE, ONE)))
 
 
-def test_over_k_family_needs_a_k_person_spec():
-    with pytest.raises(DomainError, match="^the two-person game has no pinned count to vary$"):
-        bimatrices_over_k(GameSpec.classical_two_person())
-
-
 def test_k_person_classical_grid():
     m = bimatrix(GameSpec.classical_k_person(10, 3))
     assert m.cell(1, 0) == (F(2, 5), ONE)
@@ -580,7 +574,7 @@ def assert_matches_fraction_loop(spec):
     matrix = bimatrix(spec)
     outcomes = CLASSICAL_GRID if spec.mode == "classical" else outcome_grid(spec.strategies, spec.gamma)
     want = fraction_cells(spec, outcomes)
-    # Alice's integer grid is an exact multiple of the costs over one scale, read before any costs view exists
+    # Alice's integer grid, which an exact game holds as its data, is an exact multiple of its costs over one scale
     a, scale = matrix.scaled_costs
     for i, j in product(range(matrix.size), repeat=2):
         assert a[i][j] == scale * matrix.cost_a(i, j) and a[j][i] == scale * matrix.cost_b(i, j)
@@ -641,13 +635,6 @@ def test_integer_build_takes_any_exact_denominator():
         want = fraction_cells(spec, outcomes)
         assert grid == [[alice for alice, _ in row] for row in want]
         assert [list(col) for col in zip(*grid)] == [[bob for _, bob in row] for row in want]
-
-
-def test_reading_one_cost_builds_no_cells_view():
-    matrix = bimatrix(GameSpec.quantum_k_person(10, 4, ("P1", "P2", "Q")))
-    assert matrix.cell(2, 0) == (F(3, 5), F(3, 5)) and matrix.cost_b(1, 2) == F(1, 2)
-    assert "costs" not in vars(matrix) and "cells" not in vars(matrix)
-    assert matrix.cells[2][0] == (F(3, 5), F(3, 5))
 
 
 @pytest.mark.parametrize(

@@ -154,6 +154,27 @@ def test_split_cost_takes_an_integer_population_and_any_upper_count():
         split_cost(10.5, 5)
     assert split_cost(10, F(9, 2)) == F(9, 2) + F(121, 40)
     assert split_cost(10, 4.5) == 4.5 + 5.5 * 5.5 / 10
+    assert split_cost(10, 0) == 10 and split_cost(10, 10) == 10
+    # int and Fraction counts stay exact
+    assert all(type(split_cost(10, c)) is F and split_cost(10, c) == F(79, 10) for c in (3, np.int64(3), F(3)))
+
+
+@pytest.mark.parametrize("count", [np.float64(4.5), np.float32(4.5), np.float16(4.5)], ids=repr)
+def test_split_cost_of_a_float_count_is_a_python_float(count):
+    got = split_cost(10, count)
+    assert got == 7.525 and type(got) is float
+
+
+@pytest.mark.parametrize("count", ["3", True, np.True_, None, 1 + 0j, np.complex128(1)], ids=repr)
+def test_split_cost_takes_only_a_real_count(count):
+    with pytest.raises(DomainError, match=r"^upper_count must be a real number, got "):
+        split_cost(10, count)
+
+
+@pytest.mark.parametrize("count", [-1, 11, F(-1, 2), 10.5, math.nan, math.inf, -math.inf], ids=repr)
+def test_split_cost_takes_only_a_finite_count_in_0_to_n(count):
+    with pytest.raises(DomainError, match=r"^upper_count must be a finite number in 0\.\.10, got "):
+        split_cost(10, count)
 
 
 def _fraction_total(spec, matrix, profile):

@@ -70,7 +70,7 @@ def integer_family(monkeypatch, mode, n, a0, a1, scale):
         )
         for k in range(n - 2)
     ]
-    monkeypatch.setattr(metrics, "bimatrices_over_k", lambda _: family)
+    monkeypatch.setattr(metrics, "_bimatrices", lambda *_: family)
     return spec
 
 
