@@ -153,8 +153,8 @@ def _paired_outcomes(rows, cols, gammas) -> np.ndarray:
     a = np.asarray(rows, dtype=complex)
     b = np.asarray(cols, dtype=complex)
     halves = (np.asarray(gammas, dtype=float) / 2).tolist()
-    cos = np.array([math.cos(h) for h in halves])[:, None, None]
-    sin = np.array([math.sin(h) for h in halves])[:, None, None]
+    cos = np.fromiter(map(math.cos, halves), float, len(halves))[:, None, None]
+    sin = np.fromiter(map(math.sin, halves), float, len(halves))[:, None, None]
     j = cos * np.eye(4) - 1j * sin * _P2_TENSOR_P2
     # kron[i] = np.kron(a[i], b[i]), by the broadcast product outcome_table uses.
     kron = (a[:, :, None, :, None] * b[:, None, :, None, :]).reshape(len(a), 4, 4)

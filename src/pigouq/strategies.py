@@ -142,10 +142,10 @@ def _unitary_stack(thetas, phis) -> np.ndarray:
     if not inside.all():
         first = int(np.argmin(inside))
         StrategyAngles(float(thetas[first]), float(phis[first]))  # raises
-    halves = (thetas / 2).tolist()
-    c = np.array([math.cos(h) for h in halves])
-    s = np.array([math.sin(h) for h in halves])
-    phase = np.array([cmath.exp(1j * phi) for phi in phis.tolist()])
+    halves, count = (thetas / 2).tolist(), len(thetas)
+    c = np.fromiter(map(math.cos, halves), float, count)
+    s = np.fromiter(map(math.sin, halves), float, count)
+    phase = np.fromiter((cmath.exp(1j * phi) for phi in phis.tolist()), complex, count)
     return np.ascontiguousarray(np.moveaxis(_unitary(c, s, phase), -1, 0))
 
 

@@ -1,13 +1,29 @@
 """Self-contained reproduction checks for the library's reference numbers.
 
-Every check rebuilds its game through public APIs and compares against
-frozen expected values: the two-person cost grids, the n-traveler grids
-in closed form, the protocol's outcome vectors, the mixed-equilibrium
-closed form, the three k-sweep series, a batch of structural
-properties, and sweep determinism. This module is the one place those
-numbers live: :func:`run_all` powers the CLI ``verify`` subcommand, and
-the acceptance tests run the same checks, named in :data:`CHECKS`,
-rather than restating them.
+Every check compares results of public APIs against frozen expected
+values: the two-person cost grids, the n-traveler grids in closed form,
+the protocol's outcome vectors, the mixed-equilibrium closed form, the
+three k-sweep series, a batch of structural properties, and sweep
+determinism. This module is the one place those numbers live:
+:func:`run_all` powers the CLI ``verify`` subcommand, and the acceptance
+tests run the same checks, named in :data:`CHECKS`, rather than
+restating them.
+
+One :func:`run_all` computes each reference result once, on first use,
+and every check of the run reads it from there:
+
+* one :func:`~pigouq.metrics.solve_over_k` pass per n = 10 population,
+  classical {P1,P2}, and {P1,P2,Q} and {P1,P2,M} at pi/2, whose points
+  are the n = 10 games of every check;
+* one ``analyze`` per game a check prices, one ``sweep_k`` per k-sweep
+  series, and one ``solve(bimatrix(spec))`` per other two-person game
+  a check reads; an analyzed game is not solved again.
+
+Checks still call ``analyze`` and ``sweep_k`` themselves where they read
+them, the determinism check sweeps the phase series afresh to compare
+its CSV, and the protocol, symmetry and zero-entanglement checks build
+their own grids. No result outlives a run: each run_all starts afresh,
+and a check called alone computes what it needs itself.
 """
 
 from __future__ import annotations
@@ -23,7 +39,7 @@ import numpy as np
 from .equilibria import dominance_select, optimal_outcome, solve
 from .ewl import GAMMA_MAX, _paired_outcomes, outcome_table
 from .games import CLASSICAL_GRID, GameSpec, bimatrix, outcome_grid, pinned_bill
-from .metrics import analyze, classical_cost_ne, classical_pos_poa
+from .metrics import analyze, classical_cost_ne, classical_pos_poa, solve_over_k
 from .strategies import _unitary_stack, is_unitary, resolve
 from .sweeps import sweep_k
 
@@ -45,17 +61,68 @@ F = Fraction
 HALF = F(1, 2)
 ONE = F(1)
 
+#: The n = 10 reference populations, each at k = 0: :meth:`_Run.points` reads every k of one.
+CLASSICAL_10 = GameSpec.classical_k_person(10, 0)
+PHASE_10 = GameSpec.quantum_k_person(10, 0, ("P1", "P2", "Q"))
+MIRACLE_10 = GameSpec.quantum_k_person(10, 0, ("P1", "P2", "M"))
 
-def check_two_person_classical_grid() -> CheckResult:
+
+class _Run:
+    """The reference results of one :func:`run_all`, each computed on first use.
+
+    A population's over-k points equal ``bimatrix(spec)`` and
+    ``solve(matrix)`` at each k in every view, so they stand for the
+    n = 10 games. A two-person game the run has analyzed is not solved
+    again; any other is built and solved once.
+    """
+
+    def __init__(self):
+        self._done = {}
+
+    def _once(self, key, compute, *args):
+        if key not in self._done:
+            self._done[key] = compute(*args)
+        return self._done[key]
+
+    def points(self, spec) -> list:
+        """The ``(spec_k, matrix, equilibria, total)`` of every k of k-person ``spec``'s population."""
+        base = spec._at(k=0)
+        return self._once(("points", base), lambda: solve_over_k(base)[0])
+
+    def analysis(self, spec) -> tuple:
+        """``analyze(spec)``."""
+        return self._once(("analyze", spec), analyze, spec)
+
+    def equilibria(self, spec):
+        """The equilibria of reference ``spec``'s game, its matrix included."""
+        if spec.k is not None:
+            return self.points(spec)[spec.k][2]
+        if ("analyze", spec) in self._done:
+            return self._done["analyze", spec][1]
+        return self._once(("solve", spec), lambda: solve(bimatrix(spec)))
+
+    def series(self, spec):
+        """:func:`_sweep` of ``spec``."""
+        return self._once(("sweep", spec), _sweep, spec)
+
+
+def _sweep(spec):
+    """``sweep_k`` over k = 1..7 of ``spec``'s population."""
+    return sweep_k(spec.mode, spec.strategies, spec.n, range(1, 8), gamma=spec.gamma)
+
+
+def check_two_person_classical_grid(run: _Run | None = None) -> CheckResult:
+    run = run or _Run()
     # Expected grid: sharing the lower edge costs 1 each, a lone lower-edge
     # user pays 1/2.
     expected = (((ONE, ONE), (ONE, HALF)), ((HALF, ONE), (ONE, ONE)))
-    m = bimatrix(GameSpec.classical_two_person())
+    m = run.equilibria(GameSpec.classical_two_person()).matrix
     ok = m.cells == expected and m.labels == ("P1", "P2")
     return _result("two-person classical cost grid", ok, f"got {m.cells}")
 
 
-def check_two_person_phase_strategy_game() -> CheckResult:
+def check_two_person_phase_strategy_game(run: _Run | None = None) -> CheckResult:
+    run = run or _Run()
     # Maximal entanglement, strategy set (P1, P2, Q).
     spec = GameSpec.quantum_two_person(("P1", "P2", "Q"))
     expected = (
@@ -63,7 +130,7 @@ def check_two_person_phase_strategy_game() -> CheckResult:
         ((HALF, ONE), (ONE, ONE), (ONE, HALF)),
         ((ONE, ONE), (HALF, ONE), (ONE, ONE)),
     )
-    matrix, eq, metrics = analyze(spec)
+    matrix, eq, metrics = run.analysis(spec)
     problems = []
     if matrix.cells != expected:
         problems.append(f"cells {matrix.cells}")
@@ -79,7 +146,8 @@ def check_two_person_phase_strategy_game() -> CheckResult:
     return _result("two-person entangled grid, phase strategy", not problems, "; ".join(problems))
 
 
-def check_two_person_miracle_strategy_game() -> CheckResult:
+def check_two_person_miracle_strategy_game(run: _Run | None = None) -> CheckResult:
+    run = run or _Run()
     spec = GameSpec.quantum_two_person(("P1", "P2", "M"))
     q34 = F(3, 4)
     expected = (
@@ -87,7 +155,7 @@ def check_two_person_miracle_strategy_game() -> CheckResult:
         ((HALF, ONE), (ONE, ONE), (ONE, q34)),
         ((q34, ONE), (q34, ONE), (F(7, 8), F(7, 8))),
     )
-    matrix, eq, metrics = analyze(spec)
+    matrix, eq, metrics = run.analysis(spec)
     problems = []
     if matrix.cells != expected:
         problems.append(f"cells {matrix.cells}")
@@ -103,9 +171,11 @@ def check_two_person_miracle_strategy_game() -> CheckResult:
     return _result("two-person entangled grid, miracle strategy", not problems, "; ".join(problems))
 
 
-def check_k_person_grids_closed_form() -> CheckResult:
+def check_k_person_grids_closed_form(run: _Run | None = None) -> CheckResult:
+    run = run or _Run()
     n = 10
     problems = []
+    phase_points, miracle_points = run.points(PHASE_10), run.points(MIRACLE_10)
     for k in range(1, 8):
         lone, shared = F(k + 1, n), F(k + 2, n)
         phase = (
@@ -113,7 +183,7 @@ def check_k_person_grids_closed_form() -> CheckResult:
             ((lone, ONE), (shared, shared), (ONE, lone)),
             ((shared, shared), (lone, ONE), (ONE, ONE)),
         )
-        if bimatrix(GameSpec.quantum_k_person(n, k, ("P1", "P2", "Q"))).cells != phase:
+        if phase_points[k][1].cells != phase:
             problems.append(f"phase grid k={k}")
         hi, lo, both = F(n + k + 2, 2 * n), F(2 * k + 3, 2 * n), F(2 * n + 2 * k + 3, 4 * n)
         miracle = (
@@ -121,12 +191,13 @@ def check_k_person_grids_closed_form() -> CheckResult:
             ((lone, ONE), (shared, shared), (hi, lo)),
             ((lo, hi), (lo, hi), (both, both)),
         )
-        if bimatrix(GameSpec.quantum_k_person(n, k, ("P1", "P2", "M"))).cells != miracle:
+        if miracle_points[k][1].cells != miracle:
             problems.append(f"miracle grid k={k}")
     return _result("n-traveler entangled grids match closed forms (n=10, k=1..7)", not problems, "; ".join(problems))
 
 
-def check_protocol_outcome_vectors() -> CheckResult:
+def check_protocol_outcome_vectors(run: _Run | None = None) -> CheckResult:
+    run = run or _Run()
     problems = []
     grid = outcome_grid(("P1", "M"), GAMMA_MAX)
     for i, moves, expected in ((0, ("P1", "P1"), (ONE, 0, 0, 0)), (1, ("M", "M"), (F(1, 4),) * 4)):
@@ -139,7 +210,7 @@ def check_protocol_outcome_vectors() -> CheckResult:
     # The same pair inside the n=10, k=1 game: per-player cost 5/8,
     # total 8.35, ratio against the over-k optimum near 1.17.
     spec = GameSpec.quantum_k_person(10, 1, ("P1", "P2", "M"))
-    matrix, _, metrics = analyze(spec)
+    matrix, _, metrics = run.analysis(spec)
     cell = matrix.cell(2, 2)
     if cell != (F(5, 8), F(5, 8)):
         problems.append(f"miracle-pair costs {cell}")
@@ -152,10 +223,11 @@ def check_protocol_outcome_vectors() -> CheckResult:
     return _result("protocol outcome vectors and the n=10, k=1 miracle totals", not problems, "; ".join(problems))
 
 
-def check_mixed_equilibrium_closed_form() -> CheckResult:
+def check_mixed_equilibrium_closed_form(run: _Run | None = None) -> CheckResult:
+    run = run or _Run()
     problems = []
     n = 10
-    _, eq, metrics = analyze(GameSpec.quantum_k_person(n, 1, ("P1", "P2", "Q")))
+    _, eq, metrics = run.analysis(GameSpec.quantum_k_person(n, 1, ("P1", "P2", "Q")))
     full = [p for p in eq.mixed if len(p.support()[0]) == 3 and len(p.support()[1]) == 3]
     expected = (F(7, 29), F(7, 29), F(15, 29))
     if len(full) != 1 or full[0].alice_probs != expected or full[0].bob_probs != expected:
@@ -168,19 +240,21 @@ def check_mixed_equilibrium_closed_form() -> CheckResult:
         problems.append(f"total vs 8.38: {metrics.cost_ne}")
     # Closed form across k: the two path probabilities are both
     # m/(4m+1) with m = n-k-2, the phase strategy takes the rest.
+    points = run.points(PHASE_10)
     for k in range(1, 8):
         m = n - k - 2
         share = F(m, 4 * m + 1)
         expected_k = (share, share, 1 - 2 * share)
-        profiles_k = solve(bimatrix(GameSpec.quantum_k_person(n, k, ("P1", "P2", "Q")))).mixed
+        profiles_k = points[k][2].mixed
         if len(profiles_k) != 1 or (profiles_k[0].alice_probs, profiles_k[0].bob_probs) != (expected_k,) * 2:
             problems.append(f"k={k}: {profiles_k}")
     return _result("mixed equilibrium closed form across k", not problems, "; ".join(problems))
 
 
-def check_classical_sweep_series() -> CheckResult:
+def check_classical_sweep_series(run: _Run | None = None) -> CheckResult:
+    run = run or _Run()
     problems = []
-    series = sweep_k("classical", ("P1", "P2"), 10, range(1, 8))
+    series = run.series(CLASSICAL_10)
     costs = [r.cost_ne for r in series.reports]
     expected = [F(79, 10), F(38, 5), F(15, 2), F(38, 5), F(79, 10), F(42, 5), F(91, 10)]
     if costs != expected:
@@ -194,9 +268,10 @@ def check_classical_sweep_series() -> CheckResult:
     return _result("classical k-sweep series (n=10)", not problems, "; ".join(problems))
 
 
-def check_phase_strategy_sweep_series() -> CheckResult:
+def check_phase_strategy_sweep_series(run: _Run | None = None) -> CheckResult:
+    run = run or _Run()
     problems = []
-    series = sweep_k("quantum", ("P1", "P2", "Q"), 10, range(1, 8), gamma=GAMMA_MAX)
+    series = run.series(PHASE_10)
     costs = [r.cost_ne for r in series.reports]
     printed = [8.38, 7.78, 7.38, 7.176, 7.177, 7.38, 7.78]
     for k, got, want in zip(series.values, costs, printed):
@@ -205,23 +280,24 @@ def check_phase_strategy_sweep_series() -> CheckResult:
     argmin = {k for k, c in zip(series.values, costs) if c == min(costs)}
     if argmin != {4}:
         problems.append(f"argmin {argmin}")
-    profiles = solve(bimatrix(GameSpec.quantum_k_person(10, 4, ("P1", "P2", "Q")))).mixed
+    profiles = run.points(PHASE_10)[4][2].mixed
     expected = (F(4, 17), F(4, 17), F(9, 17))
     if len(profiles) != 1 or profiles[0].alice_probs != expected:
         problems.append(f"k=4 profile {profiles}")
     return _result("entangled k-sweep series, phase strategy (n=10)", not problems, "; ".join(problems))
 
 
-def check_miracle_strategy_sweep_series() -> CheckResult:
+def check_miracle_strategy_sweep_series(run: _Run | None = None) -> CheckResult:
+    run = run or _Run()
     problems = []
-    series = sweep_k("quantum", ("P1", "P2", "M"), 10, range(1, 8), gamma=GAMMA_MAX)
+    series = run.series(MIRACLE_10)
     costs = [r.cost_ne for r in series.reports]
     expected = [F(167, 20), F(31, 4), F(147, 20), F(143, 20), F(143, 20), F(147, 20), F(31, 4)]
     if costs != expected:
         problems.append(f"series {costs}")
+    points = run.points(MIRACLE_10)
     for k in series.values:
-        eq = solve(bimatrix(GameSpec.quantum_k_person(10, k, ("P1", "P2", "M"))))
-        strict = [(p.row_label, p.col_label) for p in eq.strict_pure]
+        strict = [(p.row_label, p.col_label) for p in points[k][2].strict_pure]
         if strict != [("M", "M")]:
             problems.append(f"k={k} strict {strict}")
     argmin = {k for k, c in zip(series.values, costs) if c == min(costs)}
@@ -277,15 +353,16 @@ def _first_draw_problem(draws: np.ndarray) -> str:
     return ""
 
 
-def check_classical_limit() -> CheckResult:
+def check_classical_limit(run: _Run | None = None) -> CheckResult:
+    run = run or _Run()
     quantum = bimatrix(GameSpec(mode="quantum", n=2, gamma=0.0, strategies=("P1", "P2")))
-    classical = bimatrix(GameSpec.classical_two_person())
+    classical = run.equilibria(GameSpec.classical_two_person()).matrix
     ok = quantum.cells == classical.cells
     detail = f"{quantum.cells} vs {classical.cells}"
     if ok:
         for n, k in ((10, 1), (10, 4), (10, 7), (7, 2), (5, 2)):
             q = bimatrix(GameSpec(mode="quantum", n=n, k=k, gamma=0.0, strategies=("P1", "P2")))
-            c = bimatrix(GameSpec.classical_k_person(n, k))
+            c = run.points(CLASSICAL_10)[k][1] if n == 10 else bimatrix(GameSpec.classical_k_person(n, k))
             if q.cells != c.cells:
                 ok, detail = False, f"n={n}, k={k}"
                 break
@@ -307,14 +384,25 @@ def _all_reference_specs():
 def check_bimatrix_symmetry() -> CheckResult:
     # Exchanging the players swaps outcomes 01 and 10, so each outcome grid must
     # be mirrored exactly: bimatrix reads Bob's costs as Alice's transposed.
-    problems = []
+    # Specs of one mode, strategy set and angle share a grid, checked once.
+    problems, unmirrored = [], {}
     for spec in _all_reference_specs():
-        grid = CLASSICAL_GRID if spec.mode == "classical" else outcome_grid(spec.strategies, spec.gamma)
-        for i, j in product(range(len(grid)), repeat=2):
-            p00, p01, p10, p11 = grid[i][j]
-            if grid[j][i] != (p00, p10, p01, p11):
-                problems.append(f"{spec.describe()} at ({i},{j})")
+        key = (spec.mode, spec.strategies, spec.gamma)
+        if key not in unmirrored:
+            grid = CLASSICAL_GRID if spec.mode == "classical" else outcome_grid(spec.strategies, spec.gamma)
+            unmirrored[key] = _unmirrored(grid)
+        problems += [f"{spec.describe()} at ({i},{j})" for i, j in unmirrored[key]]
     return _result("cost grids are exchange-symmetric", not problems, "; ".join(problems[:4]))
+
+
+def _unmirrored(grid) -> list[tuple[int, int]]:
+    """The pairs (i, j), in order, whose distribution is not that of (j, i) with outcomes 01 and 10 swapped."""
+    cells = []
+    for i, j in product(range(len(grid)), repeat=2):
+        p00, p01, p10, p11 = grid[i][j]
+        if grid[j][i] != (p00, p10, p01, p11):
+            cells.append((i, j))
+    return cells
 
 
 def _profile_problems(matrix, profile) -> list[str]:
@@ -362,12 +450,13 @@ def _player_problems(player: str, a, scale: int, mix, other, reported) -> list[s
     return problems
 
 
-def check_mixed_profiles_best_responses() -> CheckResult:
+def check_mixed_profiles_best_responses(run: _Run | None = None) -> CheckResult:
+    run = run or _Run()
     problems = []
     for spec in _all_reference_specs():
-        matrix = bimatrix(spec)
-        for profile in solve(matrix).mixed:
-            problems += [f"{spec.describe()}: {problem}" for problem in _profile_problems(matrix, profile)]
+        eq = run.equilibria(spec)
+        for profile in eq.mixed:
+            problems += [f"{spec.describe()}: {problem}" for problem in _profile_problems(eq.matrix, profile)]
     name = "every mixed profile reports its exact costs and no pure deviation is cheaper"
     return _result(name, not problems, "; ".join(problems))
 
@@ -382,13 +471,14 @@ def check_ratio_identity() -> CheckResult:
     return _result("closed-form ratio equals equilibrium total over 3n/4 exactly", not problems, "; ".join(problems))
 
 
-def check_property_batch() -> CheckResult:
+def check_property_batch(run: _Run | None = None) -> CheckResult:
+    run = run or _Run()
     # Bundles the structural properties into one verify line.
     parts = [
         check_random_unitarity_and_normalization(),
-        check_classical_limit(),
+        check_classical_limit(run),
         check_bimatrix_symmetry(),
-        check_mixed_profiles_best_responses(),
+        check_mixed_profiles_best_responses(run),
         check_ratio_identity(),
     ]
     bad = [p for p in parts if not p.passed]
@@ -399,10 +489,11 @@ def check_property_batch() -> CheckResult:
     )
 
 
-def check_sweep_determinism() -> CheckResult:
-    first = sweep_k("quantum", ("P1", "P2", "Q"), 10, range(1, 8), gamma=GAMMA_MAX).to_csv()
-    second = sweep_k("quantum", ("P1", "P2", "Q"), 10, range(1, 8), gamma=GAMMA_MAX).to_csv()
-    return _result("repeated sweeps produce byte-identical CSV", first == second)
+def check_sweep_determinism(run: _Run | None = None) -> CheckResult:
+    run = run or _Run()
+    # The phase series against one fresh sweep of the same games.
+    same = run.series(PHASE_10).to_csv() == _sweep(PHASE_10).to_csv()
+    return _result("repeated sweeps produce byte-identical CSV", same)
 
 
 #: The checks :func:`run_all` runs, in order: ``check_<name>`` for each name.
@@ -422,13 +513,13 @@ CHECKS = (
 
 
 def run_all() -> list[CheckResult]:
-    """Run every check of :data:`CHECKS`, one result each, in order."""
-    results = []
+    """Run every check of :data:`CHECKS`, one result each, in order, on one run's reference results."""
+    run, results = _Run(), []
     for name in CHECKS:
         # Looked up when called, so a wrapped module global is the one that runs.
         check = globals()[f"check_{name}"]
         try:
-            results.append(check())
+            results.append(check(run))
         except Exception as exc:  # a crash is a failed check, not a crash of verify
             results.append(CheckResult(check.__name__, False, f"raised {exc!r}"))
     return results

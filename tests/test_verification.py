@@ -1,7 +1,8 @@
-"""Three checks of pigouq.verification: the random-draw check, against the per-draw loop it
-replaced, the exact best-response check, against the Fraction oracle it replaced, and the
-exact symmetry check."""
+"""pigouq.verification: the random-draw check, against the per-draw loop it replaced, the
+exact best-response check, against the Fraction oracle it replaced, the exact symmetry
+check, and the reference results one run_all computes once and shares among its checks."""
 
+import dataclasses
 import math
 from fractions import Fraction as F
 from types import SimpleNamespace
@@ -247,14 +248,22 @@ def test_a_reported_cost_off_by_1e_12_fails():
     ]
 
 
+def nudge_the_phase_game(monkeypatch):
+    """Have the over-k pass, where the best-response check reads its n = 10 profiles, return PHASE_GAME's nudged."""
+    real = verification.solve_over_k
+
+    def solve_with_a_nudge(spec):
+        points, opt = real(spec)
+        return [
+            (s, m, SimpleNamespace(matrix=m, mixed=tuple(nudged(m, p) for p in eq.mixed)) if s == PHASE_GAME else eq, t)
+            for s, m, eq, t in points
+        ], opt
+
+    monkeypatch.setattr(verification, "solve_over_k", solve_with_a_nudge)
+
+
 def test_the_property_batch_names_the_failing_profile(monkeypatch):
-    target, real = bimatrix(PHASE_GAME), verification.solve
-
-    def solve_with_a_nudge(matrix):
-        mixed = real(matrix).mixed
-        return SimpleNamespace(mixed=tuple(nudged(matrix, p) for p in mixed) if matrix == target else mixed)
-
-    monkeypatch.setattr(verification, "solve", solve_with_a_nudge)
+    nudge_the_phase_game(monkeypatch)
     result = verification.check_mixed_profiles_best_responses()
     assert not result.passed
     assert result.detail.startswith(f"{PHASE_GAME.describe()}: Bob saves ")
@@ -281,3 +290,99 @@ def test_an_unmirrored_outcome_grid_fails_the_symmetry_check(monkeypatch):
     monkeypatch.setattr(verification, "outcome_grid", unmirrored)
     result = verification.check_bimatrix_symmetry()
     assert not result.passed and result.detail == f"{FLOAT_GAME.describe()} at (1,2); {FLOAT_GAME.describe()} at (2,1)"
+
+
+# --- the reference results of one run -----------------------------------------------
+
+PUBLIC_CALLS = ("bimatrix", "solve", "solve_over_k", "analyze", "sweep_k")
+# One over-k pass per n = 10 population; analyze for the two-person {P1,P2,Q} and {P1,P2,M}
+# games and the two n = 10, k = 1 games the checks analyze; the three series and one fresh
+# phase sweep; the classical two-person game and {P1,P2,M} at 0.3 and 0.6 built and solved
+# once; and the six zero-entanglement games and the n = 7 and n = 5 classical games of the
+# classical-limit check.
+CALLS_PER_RUN = {"bimatrix": 11, "solve": 3, "solve_over_k": 3, "analyze": 4, "sweep_k": 4}
+
+
+def count_public_calls(monkeypatch):
+    """Count the calls each check makes through the public names bound in ``verification``."""
+    counts = dict.fromkeys(PUBLIC_CALLS, 0)
+
+    def counted(name, real):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+
+        return call
+
+    for name in PUBLIC_CALLS:
+        monkeypatch.setattr(verification, name, counted(name, getattr(verification, name)))
+    return counts
+
+
+def failing(results):
+    return {name for name, result in zip(verification.CHECKS, results) if not result.passed}
+
+
+def test_one_run_makes_each_public_call_once_per_result(monkeypatch):
+    counts = count_public_calls(monkeypatch)
+    assert failing(verification.run_all()) == set()
+    assert counts == CALLS_PER_RUN
+
+
+def test_a_second_run_recomputes_every_result(monkeypatch):
+    counts = count_public_calls(monkeypatch)
+    assert failing(verification.run_all()) == failing(verification.run_all()) == set()
+    assert counts == {name: 2 * count for name, count in CALLS_PER_RUN.items()}
+
+
+@pytest.mark.parametrize("name", verification.CHECKS)
+def test_a_check_called_alone_passes(name):
+    result = getattr(verification, f"check_{name}")()
+    assert result.passed, result.detail
+
+
+def misreport_the_two_person_phase_game(monkeypatch):
+    """Make ``analyze`` report the two-person {P1,P2,Q} game's cost(NE) as 3 instead of 2."""
+    real, spec = verification.analyze, GameSpec.quantum_two_person(("P1", "P2", "Q"))
+
+    def analyze(target):
+        matrix, eq, metrics = real(target)
+        return matrix, eq, dataclasses.replace(metrics, cost_ne=F(3)) if target == spec else metrics
+
+    monkeypatch.setattr(verification, "analyze", analyze)
+
+
+@pytest.mark.parametrize(
+    ("fault", "failed"),
+    [
+        # Three checks read the n = 10, k = 4 {P1,P2,Q} profile off the over-k pass.
+        (nudge_the_phase_game, {"mixed_equilibrium_closed_form", "phase_strategy_sweep_series", "property_batch"}),
+        (misreport_the_two_person_phase_game, {"two_person_phase_strategy_game"}),
+    ],
+    ids=["over-k pass", "two-person analysis"],
+)
+def test_a_fault_injected_between_two_runs_fails_the_second(monkeypatch, fault, failed):
+    assert failing(verification.run_all()) == set()
+    fault(monkeypatch)
+    assert failing(verification.run_all()) == failed
+
+
+def test_the_determinism_check_compares_the_series_with_a_fresh_sweep(monkeypatch):
+    # The run's phase series is its first {P1,P2,Q} sweep; every later one ends on another label.
+    real, phase_sweeps = verification.sweep_k, []
+
+    def sweep_k(mode, strategies, *args, **kwargs):
+        series = real(mode, strategies, *args, **kwargs)
+        if tuple(strategies) != ("P1", "P2", "Q"):
+            return series
+        phase_sweeps.append(series)
+        if len(phase_sweeps) == 1:
+            return series
+        last = dataclasses.replace(series.reports[-1], equilibrium="pure:(Q,Q)")
+        return dataclasses.replace(series, reports=series.reports[:-1] + (last,))
+
+    monkeypatch.setattr(verification, "sweep_k", sweep_k)
+    assert failing(verification.run_all()) == {"sweep_determinism"}
+    assert len(phase_sweeps) == 2
+    phase_sweeps.clear()
+    assert not verification.check_sweep_determinism().passed
