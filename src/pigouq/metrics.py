@@ -267,20 +267,30 @@ def _per_game(spec: GameSpec, eq: EquilibriumResult) -> MetricsReport:
     return _metrics_report(spec, eq, cost_ne, _priced(spec, min(map(min, totals)), scale))
 
 
+def _over_k_at(points, opt, k: int):
+    """(bimatrix, equilibria, metrics) of the game at ``k`` of one :func:`solve_over_k` pass's ``(points, opt)``.
+
+    The one place an over-k point becomes a report: :func:`analyze`
+    reads its k-person game here, and every k-sweep row, public or
+    verify's, is the metrics read here.
+    """
+    spec_k, matrix, eq, total = points[k]
+    return matrix, eq, _metrics_report(spec_k, eq, total, opt)
+
+
 def analyze(spec: GameSpec):
     """(bimatrix, equilibria, metrics) for a spec.
 
     A two-person game is priced against its own cheapest cell. A k-person
-    game is priced against the cheapest equilibrium total over k = 0..n-3,
-    and the game at ``spec.k`` is one point of that over-k pass, so its
-    matrix, equilibria and total come from there.
+    game is priced against the cheapest equilibrium total over k = 0..n-3:
+    the game at ``spec.k`` is one point of that over-k pass, read by the
+    private builder :func:`_over_k_at`, so its matrix, equilibria and
+    total come from there.
     """
     if spec.k is None:
         eq = solve(bimatrix(spec))
         return eq.matrix, eq, _per_game(spec, eq)
-    points, cost_opt = solve_over_k(spec)
-    _, matrix, eq, cost_ne = points[spec.k]
-    return matrix, eq, _metrics_report(spec, eq, cost_ne, cost_opt)
+    return _over_k_at(*solve_over_k(spec), spec.k)
 
 
 def describe_metrics(metrics: MetricsReport) -> str:

@@ -126,9 +126,11 @@ def _unitary_stack(thetas, phis) -> np.ndarray:
     """:func:`unitary_from_angles` at each ``(thetas[i], phis[i])``, as one ``(m, 2, 2)`` stack.
 
     Entry i has the bits of ``unitary_from_angles(thetas[i], phis[i])``:
-    each cosine, sine and phase is the same ``math``/``cmath`` call on
-    the same float, and :func:`_unitary` assembles the whole stack from
-    them. Every angle is range-checked first.
+    each cosine and sine is the same ``math`` call on the same float, and
+    each phase the same ``cmath.exp`` call on the same complex, since
+    numpy's ``1j * phis`` forms each ``1j * phi`` as Python does. Then
+    :func:`_unitary` assembles the whole stack from them. Every angle is
+    range-checked first.
 
     Raises
     ------
@@ -145,7 +147,7 @@ def _unitary_stack(thetas, phis) -> np.ndarray:
     halves, count = (thetas / 2).tolist(), len(thetas)
     c = np.fromiter(map(math.cos, halves), float, count)
     s = np.fromiter(map(math.sin, halves), float, count)
-    phase = np.fromiter((cmath.exp(1j * phi) for phi in phis.tolist()), complex, count)
+    phase = np.fromiter(map(cmath.exp, (1j * phis).tolist()), complex, count)
     return np.ascontiguousarray(np.moveaxis(_unitary(c, s, phase), -1, 0))
 
 

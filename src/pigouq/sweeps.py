@@ -20,7 +20,7 @@ from .equilibria import solve_family
 from .errors import DomainError
 from .ewl import validate_gamma
 from .games import GameSpec, _bimatrices, _check_k_person, value_to_json
-from .metrics import MetricsReport, _metrics_report, _per_game, solve_over_k
+from .metrics import MetricsReport, _over_k_at, _per_game, solve_over_k
 
 __all__ = [
     "CSV_HEADER",
@@ -67,8 +67,11 @@ def sweep_k(
 
     ``k_values`` defaults to 1..n-3 inclusive, which is empty at n = 3;
     0 is accepted when asked for. The rows are read off one
-    :func:`~pigouq.metrics.solve_over_k` pass, so each k is priced by the
-    over-k rule of :mod:`pigouq.metrics`, as ``analyze`` prices it.
+    :func:`~pigouq.metrics.solve_over_k` pass by the private builder
+    :func:`_k_series`, whose every row is the metrics that
+    :func:`~pigouq.metrics.analyze` reads through the same
+    :func:`~pigouq.metrics._over_k_at`: each k is priced by the over-k
+    rule of :mod:`pigouq.metrics`, as ``analyze`` prices it.
     ``gamma`` is required for quantum mode and forbidden for classical.
     """
     spec = GameSpec(mode=mode, n=n, k=0, gamma=gamma, strategies=strategies)
@@ -82,9 +85,18 @@ def sweep_k(
     if not ks:
         raise DomainError("empty k range")
 
-    points, opt = solve_over_k(spec)
-    reports = [_metrics_report(spec_k, eq, total, opt) for spec_k, _, eq, total in (points[k] for k in ks)]
-    return SweepSeries("k", tuple(ks), tuple(reports), _meta(spec, "k"))
+    return _k_series(spec, ks, *solve_over_k(spec))
+
+
+def _k_series(spec: GameSpec, ks, points, opt) -> SweepSeries:
+    """The k-sweep of ``spec``'s population at ``ks``, read off one over-k pass's ``(points, opt)``.
+
+    ``ks`` is strictly increasing, each in 0..n-3, and each row is the
+    metrics of :func:`~pigouq.metrics._over_k_at`, the builder
+    :func:`~pigouq.metrics.analyze` reads its k-person game through.
+    """
+    reports = tuple(_over_k_at(points, opt, k)[2] for k in ks)
+    return SweepSeries("k", tuple(ks), reports, _meta(spec, "k"))
 
 
 def sweep_gamma(

@@ -12,18 +12,24 @@ restating them.
 One :func:`run_all` computes each reference result once, on first use,
 and every check of the run reads it from there:
 
+* the 26 reference specs, built once;
 * one :func:`~pigouq.metrics.solve_over_k` pass per n = 10 population,
   classical {P1,P2}, and {P1,P2,Q} and {P1,P2,M} at pi/2, whose points
-  are the n = 10 games of every check;
-* one ``analyze`` per game a check prices, one ``sweep_k`` per k-sweep
-  series, and one ``solve(bimatrix(spec))`` per other two-person game
-  a check reads; an analyzed game is not solved again.
+  are the n = 10 games of every check. The two n = 10, k = 1 analyses
+  and the three k = 1..7 series are read off those passes through the
+  builders that ``analyze`` and ``sweep_k`` read theirs through,
+  :func:`~pigouq.metrics._over_k_at` and :func:`~pigouq.sweeps._k_series`,
+  so each equals the public call's result;
+* one ``analyze`` per two-person game a check prices, and one
+  ``solve(bimatrix(spec))`` per other two-person game a check reads;
+  an analyzed game is not solved again.
 
-Checks still call ``analyze`` and ``sweep_k`` themselves where they read
-them, the determinism check sweeps the phase series afresh to compare
-its CSV, and the protocol, symmetry and zero-entanglement checks build
-their own grids. No result outlives a run: each run_all starts afresh,
-and a check called alone computes what it needs itself.
+The determinism check makes the run's one ``sweep_k`` call, a fresh
+sweep of the phase series, and compares its CSV with the run's series
+byte for byte, which ties the public path to the shared one. The
+protocol, symmetry and zero-entanglement checks build their own grids.
+No result outlives a run: each run_all starts afresh, and a check called
+alone computes what it needs itself.
 """
 
 from __future__ import annotations
@@ -39,9 +45,9 @@ import numpy as np
 from .equilibria import dominance_select, optimal_outcome, solve
 from .ewl import GAMMA_MAX, _paired_outcomes, outcome_table
 from .games import CLASSICAL_GRID, GameSpec, bimatrix, outcome_grid, pinned_bill
-from .metrics import analyze, classical_cost_ne, classical_pos_poa, solve_over_k
+from .metrics import _over_k_at, analyze, classical_cost_ne, classical_pos_poa, solve_over_k
 from .strategies import _unitary_stack, is_unitary, resolve
-from .sweeps import sweep_k
+from .sweeps import _k_series, sweep_k
 
 __all__ = ["CHECKS", "CheckResult", "run_all"]
 
@@ -61,10 +67,12 @@ F = Fraction
 HALF = F(1, 2)
 ONE = F(1)
 
-#: The n = 10 reference populations, each at k = 0: :meth:`_Run.points` reads every k of one.
+#: The n = 10 reference populations, each at k = 0: :meth:`_Run.over_k` solves every k of one.
 CLASSICAL_10 = GameSpec.classical_k_person(10, 0)
 PHASE_10 = GameSpec.quantum_k_person(10, 0, ("P1", "P2", "Q"))
 MIRACLE_10 = GameSpec.quantum_k_person(10, 0, ("P1", "P2", "M"))
+#: The ks of the three k-sweep series.
+SERIES_KS = range(1, 8)
 
 
 class _Run:
@@ -72,7 +80,8 @@ class _Run:
 
     A population's over-k points equal ``bimatrix(spec)`` and
     ``solve(matrix)`` at each k in every view, so they stand for the
-    n = 10 games. A two-person game the run has analyzed is not solved
+    n = 10 games, and its k-person analyses and series are read off the
+    same pass. A two-person game the run has analyzed is not solved
     again; any other is built and solved once.
     """
 
@@ -84,13 +93,19 @@ class _Run:
             self._done[key] = compute(*args)
         return self._done[key]
 
+    def over_k(self, spec) -> tuple:
+        """``solve_over_k`` of k-person ``spec``'s population: its ``(points, opt)``."""
+        base = spec._at(k=0)
+        return self._once(("over k", base), solve_over_k, base)
+
     def points(self, spec) -> list:
         """The ``(spec_k, matrix, equilibria, total)`` of every k of k-person ``spec``'s population."""
-        base = spec._at(k=0)
-        return self._once(("points", base), lambda: solve_over_k(base)[0])
+        return self.over_k(spec)[0]
 
     def analysis(self, spec) -> tuple:
-        """``analyze(spec)``."""
+        """``analyze(spec)``: a k-person game's is read off its population's over-k pass."""
+        if spec.k is not None:
+            return _over_k_at(*self.over_k(spec), spec.k)
         return self._once(("analyze", spec), analyze, spec)
 
     def equilibria(self, spec):
@@ -102,13 +117,18 @@ class _Run:
         return self._once(("solve", spec), lambda: solve(bimatrix(spec)))
 
     def series(self, spec):
-        """:func:`_sweep` of ``spec``."""
-        return self._once(("sweep", spec), _sweep, spec)
+        """:func:`_sweep` of ``spec``, read off its population's over-k pass."""
+        base = spec._at(k=0)
+        return self._once(("sweep", base), lambda: _k_series(base, SERIES_KS, *self.over_k(base)))
+
+    def reference_specs(self) -> tuple:
+        """The specs of :func:`_all_reference_specs`, in order."""
+        return self._once("specs", lambda: tuple(_all_reference_specs()))
 
 
 def _sweep(spec):
-    """``sweep_k`` over k = 1..7 of ``spec``'s population."""
-    return sweep_k(spec.mode, spec.strategies, spec.n, range(1, 8), gamma=spec.gamma)
+    """``sweep_k`` over :data:`SERIES_KS` of ``spec``'s population."""
+    return sweep_k(spec.mode, spec.strategies, spec.n, SERIES_KS, gamma=spec.gamma)
 
 
 def check_two_person_classical_grid(run: _Run | None = None) -> CheckResult:
@@ -381,12 +401,13 @@ def _all_reference_specs():
     yield GameSpec.quantum_two_person(("P1", "P2", "M"), gamma=0.6)
 
 
-def check_bimatrix_symmetry() -> CheckResult:
+def check_bimatrix_symmetry(run: _Run | None = None) -> CheckResult:
+    run = run or _Run()
     # Exchanging the players swaps outcomes 01 and 10, so each outcome grid must
     # be mirrored exactly: bimatrix reads Bob's costs as Alice's transposed.
     # Specs of one mode, strategy set and angle share a grid, checked once.
     problems, unmirrored = [], {}
-    for spec in _all_reference_specs():
+    for spec in run.reference_specs():
         key = (spec.mode, spec.strategies, spec.gamma)
         if key not in unmirrored:
             grid = CLASSICAL_GRID if spec.mode == "classical" else outcome_grid(spec.strategies, spec.gamma)
@@ -453,7 +474,7 @@ def _player_problems(player: str, a, scale: int, mix, other, reported) -> list[s
 def check_mixed_profiles_best_responses(run: _Run | None = None) -> CheckResult:
     run = run or _Run()
     problems = []
-    for spec in _all_reference_specs():
+    for spec in run.reference_specs():
         eq = run.equilibria(spec)
         for profile in eq.mixed:
             problems += [f"{spec.describe()}: {problem}" for problem in _profile_problems(eq.matrix, profile)]
@@ -477,7 +498,7 @@ def check_property_batch(run: _Run | None = None) -> CheckResult:
     parts = [
         check_random_unitarity_and_normalization(),
         check_classical_limit(run),
-        check_bimatrix_symmetry(),
+        check_bimatrix_symmetry(run),
         check_mixed_profiles_best_responses(run),
         check_ratio_identity(),
     ]

@@ -1,6 +1,7 @@
 """pigouq.verification: the random-draw check, against the per-draw loop it replaced, the
 exact best-response check, against the Fraction oracle it replaced, the exact symmetry
-check, and the reference results one run_all computes once and shares among its checks."""
+check, and the reference results one run_all computes once and shares among its checks,
+its k-person analyses and series read off one over-k pass per population."""
 
 import dataclasses
 import math
@@ -10,11 +11,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from pigouq import verification
+from pigouq import metrics, sweeps, verification
 from pigouq.equilibria import MixedProfile, solve
 from pigouq.ewl import GAMMA_MAX, _paired_outcomes, outcome_table
 from pigouq.games import GameSpec, bimatrix
-from pigouq.strategies import _unitary_stack, unitary_from_angles
+from pigouq.metrics import analyze
+from pigouq.strategies import PHI_MAX, THETA_MAX, _unitary_stack, unitary_from_angles
+from pigouq.sweeps import sweep_k
 
 SEED = 20250811
 DRAWS = 1000
@@ -74,6 +77,14 @@ def test_stack_has_the_bits_of_unitary_from_angles(draws):
         for start in range(0, DRAWS, 250):
             block = slice(start, start + 250)
             assert _unitary_stack(thetas[block], phis[block]).tobytes() == want[block].tobytes()
+
+
+def test_stack_has_the_bits_of_unitary_from_angles_at_edge_angles():
+    edges = [0.0, -0.0, 5e-324, 1e-300, 1e-16, 0.5, math.nextafter(PHI_MAX, 0.0), PHI_MAX]
+    pairs = [(theta, phi) for theta in edges + [THETA_MAX] for phi in edges]
+    thetas, phis = np.array([t for t, _ in pairs]), np.array([p for _, p in pairs])
+    want = np.array([unitary_from_angles(theta, phi) for theta, phi in pairs])
+    assert _unitary_stack(thetas, phis).tobytes() == want.tobytes()
 
 
 def test_paired_run_has_the_bits_of_outcome_table(draws):
@@ -248,16 +259,21 @@ def test_a_reported_cost_off_by_1e_12_fails():
     ]
 
 
+def nudged_result(eq):
+    """``eq`` with its one mixed profile, the selected one, nudged."""
+    (profile,) = eq.mixed
+    assert eq.selected == profile
+    mixed = (nudged(eq.matrix, profile),)
+    return SimpleNamespace(matrix=eq.matrix, mixed=mixed, selected=mixed[0])
+
+
 def nudge_the_phase_game(monkeypatch):
-    """Have the over-k pass, where the best-response check reads its n = 10 profiles, return PHASE_GAME's nudged."""
+    """Have the over-k pass, where every check reads its n = 10 games, return PHASE_GAME's profile nudged."""
     real = verification.solve_over_k
 
     def solve_with_a_nudge(spec):
         points, opt = real(spec)
-        return [
-            (s, m, SimpleNamespace(matrix=m, mixed=tuple(nudged(m, p) for p in eq.mixed)) if s == PHASE_GAME else eq, t)
-            for s, m, eq, t in points
-        ], opt
+        return [(s, m, nudged_result(eq) if s == PHASE_GAME else eq, t) for s, m, eq, t in points], opt
 
     monkeypatch.setattr(verification, "solve_over_k", solve_with_a_nudge)
 
@@ -295,12 +311,12 @@ def test_an_unmirrored_outcome_grid_fails_the_symmetry_check(monkeypatch):
 # --- the reference results of one run -----------------------------------------------
 
 PUBLIC_CALLS = ("bimatrix", "solve", "solve_over_k", "analyze", "sweep_k")
-# One over-k pass per n = 10 population; analyze for the two-person {P1,P2,Q} and {P1,P2,M}
-# games and the two n = 10, k = 1 games the checks analyze; the three series and one fresh
-# phase sweep; the classical two-person game and {P1,P2,M} at 0.3 and 0.6 built and solved
-# once; and the six zero-entanglement games and the n = 7 and n = 5 classical games of the
-# classical-limit check.
-CALLS_PER_RUN = {"bimatrix": 11, "solve": 3, "solve_over_k": 3, "analyze": 4, "sweep_k": 4}
+# One over-k pass per n = 10 population, off which the two n = 10, k = 1 analyses and the
+# three series are read; analyze for the two-person {P1,P2,Q} and {P1,P2,M} games; the one
+# fresh phase sweep of the determinism check; the classical two-person game and {P1,P2,M}
+# at 0.3 and 0.6 built and solved once; and the six zero-entanglement games and the n = 7
+# and n = 5 classical games of the classical-limit check.
+CALLS_PER_RUN = {"bimatrix": 11, "solve": 3, "solve_over_k": 3, "analyze": 2, "sweep_k": 1}
 
 
 def count_public_calls(monkeypatch):
@@ -319,6 +335,19 @@ def count_public_calls(monkeypatch):
     return counts
 
 
+def count_over_k_passes(monkeypatch):
+    """Count the ``solve_over_k`` passes made through its name in ``metrics``, ``sweeps`` or ``verification``."""
+    calls, real = [], metrics.solve_over_k
+
+    def counted(spec):
+        calls.append(spec)
+        return real(spec)
+
+    for module in (metrics, sweeps, verification):
+        monkeypatch.setattr(module, "solve_over_k", counted)
+    return calls
+
+
 def failing(results):
     return {name for name, result in zip(verification.CHECKS, results) if not result.passed}
 
@@ -333,6 +362,45 @@ def test_a_second_run_recomputes_every_result(monkeypatch):
     counts = count_public_calls(monkeypatch)
     assert failing(verification.run_all()) == failing(verification.run_all()) == set()
     assert counts == {name: 2 * count for name, count in CALLS_PER_RUN.items()}
+
+
+def test_one_run_makes_one_over_k_pass_per_population_and_one_for_the_fresh_sweep(monkeypatch):
+    passes = count_over_k_passes(monkeypatch)
+    populations = [verification.CLASSICAL_10, verification.PHASE_10, verification.MIRACLE_10]
+    assert failing(verification.run_all()) == set()
+    # The phase population's second pass is the fresh sweep's.
+    classical, phase, miracle = populations
+    assert sorted(passes, key=populations.index) == [classical, phase, phase, miracle]
+    assert failing(verification.run_all()) == set()
+    assert len(passes) == 8
+
+
+def test_one_run_builds_the_reference_specs_once(monkeypatch):
+    real, calls = verification._all_reference_specs, []
+
+    def specs():
+        calls.append(1)
+        return real()
+
+    monkeypatch.setattr(verification, "_all_reference_specs", specs)
+    assert failing(verification.run_all()) == set()
+    assert len(calls) == 1
+
+
+def test_the_results_read_off_a_pass_equal_the_public_calls():
+    run = verification._Run()
+    for population in (verification.CLASSICAL_10, verification.PHASE_10, verification.MIRACLE_10):
+        want = sweep_k(population.mode, population.strategies, 10, range(1, 8), gamma=population.gamma)
+        assert run.series(population) == want
+        assert run.series(population).to_csv() == want.to_csv()
+    for spec in (
+        GameSpec.quantum_k_person(10, 1, ("P1", "P2", "M")),
+        GameSpec.quantum_k_person(10, 1, ("P1", "P2", "Q")),
+        GameSpec.classical_k_person(10, 3),
+    ):
+        assert run.analysis(spec) == analyze(spec)
+    # Every one of them was read off the run's three passes.
+    assert {key[0] for key in run._done} == {"over k", "sweep"}
 
 
 @pytest.mark.parametrize("name", verification.CHECKS)
@@ -355,8 +423,13 @@ def misreport_the_two_person_phase_game(monkeypatch):
 @pytest.mark.parametrize(
     ("fault", "failed"),
     [
-        # Three checks read the n = 10, k = 4 {P1,P2,Q} profile off the over-k pass.
-        (nudge_the_phase_game, {"mixed_equilibrium_closed_form", "phase_strategy_sweep_series", "property_batch"}),
+        # Four checks read the n = 10, k = 4 {P1,P2,Q} profile off the over-k pass: the
+        # mixes across k, the phase series' k = 4 profile, the best-response check, and the
+        # run's phase series, whose k = 4 label no longer matches the fresh sweep's.
+        (
+            nudge_the_phase_game,
+            {"mixed_equilibrium_closed_form", "phase_strategy_sweep_series", "property_batch", "sweep_determinism"},
+        ),
         (misreport_the_two_person_phase_game, {"two_person_phase_strategy_game"}),
     ],
     ids=["over-k pass", "two-person analysis"],
@@ -368,21 +441,20 @@ def test_a_fault_injected_between_two_runs_fails_the_second(monkeypatch, fault, 
 
 
 def test_the_determinism_check_compares_the_series_with_a_fresh_sweep(monkeypatch):
-    # The run's phase series is its first {P1,P2,Q} sweep; every later one ends on another label.
-    real, phase_sweeps = verification.sweep_k, []
+    # The run's only sweep_k is the determinism check's fresh one: altered, it fails that check alone.
+    real, sweeps_made = verification.sweep_k, []
 
-    def sweep_k(mode, strategies, *args, **kwargs):
-        series = real(mode, strategies, *args, **kwargs)
-        if tuple(strategies) != ("P1", "P2", "Q"):
-            return series
-        phase_sweeps.append(series)
-        if len(phase_sweeps) == 1:
-            return series
+    def sweep_k(*args, **kwargs):
+        series = real(*args, **kwargs)
+        sweeps_made.append(series)
         last = dataclasses.replace(series.reports[-1], equilibrium="pure:(Q,Q)")
         return dataclasses.replace(series, reports=series.reports[:-1] + (last,))
 
     monkeypatch.setattr(verification, "sweep_k", sweep_k)
     assert failing(verification.run_all()) == {"sweep_determinism"}
-    assert len(phase_sweeps) == 2
-    phase_sweeps.clear()
+    (fresh,) = sweeps_made
+    phase_meta = {"mode": "quantum", "variant": "k_person", "n": 10, "gamma": GAMMA_MAX, "strategies": "P1,P2,Q"}
+    assert dict(fresh.meta) == phase_meta
+    sweeps_made.clear()
     assert not verification.check_sweep_determinism().passed
+    assert len(sweeps_made) == 1
