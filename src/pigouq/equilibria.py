@@ -42,13 +42,22 @@ pass, so two of them already rule out a unique mixed equilibrium.
 The convention reads only signs of quantities of Alice's grid, so one
 selection often serves a whole *family* of games: either sweep's games,
 the n-traveler games of one population at k = 0..n-3 or one spec's
-games across gamma angles, which :func:`solve_family` solves. Dominance
-and the pure scan compare entries within a column, so the signs of the
-within-column differences, the *column signature*, fix their results.
-Where they leave the selection to the square pass, each game counts its
-own distinct square profiles, found once and cached for ``mixed`` and
-``diagnostics``: one is the unique mixed equilibrium, any other count
-selects nothing.
+games across gamma angles. Dominance and the pure scan compare entries
+within a column, so the signs of the within-column differences, the
+*column signature*, fix their results. Where they leave the selection
+to the square pass, each game counts its own distinct square profiles,
+found once and cached for ``mixed`` and ``diagnostics``: one is the
+unique mixed equilibrium, any other count selects nothing.
+:func:`solve_family` solves a gamma sweep's games, running dominance and
+the pure scan once per column signature. :class:`_RunPass` solves a
+population's games over k in *runs*, stretches of consecutive k of one
+column signature, each decided once on its first game. An exact
+population's grid is affine in k, so its runs start at the integer
+roots of its within-column differences and the first k above each
+root (:func:`_grid_runs`); a float population's start where its built
+games' signatures change (:func:`_signature_runs`). The pass builds a
+game and its result only for each run's first k, and any other k's when
+they are read, with the views the pass found filled in.
 
 Every game is symmetric, so each solver reads one grid ``a`` of
 Alice's costs: Bob, choosing column c against row r, pays ``a[c][r]``.
@@ -528,8 +537,10 @@ def solve(matrix: CostBimatrix) -> EquilibriumResult:
 def solve_family(matrices) -> list[EquilibriumResult]:
     """:func:`solve` of every game of a family, in order, dominance and the pure scan run once per column signature.
 
-    A family is either sweep's games: the over-k pass's at k = 0..n-3, or
-    a gamma sweep's at each angle. The labels and the column signature key
+    The family is a gamma sweep's games, one per angle, in any order; the
+    over-k pass solves its games in runs instead (:class:`_RunPass`),
+    since a population's signatures change only between runs of
+    consecutive k. The labels and the column signature key
     the dominance and pure-scan rules, and the first game of each key met
     runs them. A later game of a key whose first game they decide gets
     that selection filled in; otherwise it reads the first game's pure
@@ -551,3 +562,84 @@ def solve_family(matrices) -> list[EquilibriumResult]:
             eq.__dict__["_pure"] = first._pure  # one column signature, one pure scan
             eq.__dict__["_pure_selection"] = None
     return family
+
+
+def _grid_runs(a0, a1, count: int) -> list[int]:
+    """The first k of each run of one column signature among the integer grids ``a0 + k * a1``, k = 0..count-1.
+
+    Each within-column difference ``a[i'][j] - a[i][j]`` is ``d0 + k * d1``,
+    whose sign changes only at ``-d0 / d1``: a run starts there when that
+    root is an integer, where the difference is zero, and at the first k
+    above it. Integer ``divmod`` places every root exactly. Two adjacent
+    runs differ in the sign of at least one difference, and each sign is
+    monotone in k, so no signature comes back after a different run.
+    """
+    starts = {0}
+    for c0, c1 in zip(zip(*a0), zip(*a1)):
+        for (x0, x1), (y0, y1) in itertools.combinations(zip(c0, c1), 2):
+            d0, d1 = y0 - x0, y1 - x1
+            if d1:
+                root, rest = divmod(-d0, d1) if d1 > 0 else divmod(d0, -d1)
+                starts.add(root + 1)
+                if not rest:
+                    starts.add(root)
+    return sorted(k for k in starts if 0 <= k < count)
+
+
+def _signature_runs(matrices) -> list[int]:
+    """The first index of each run of one :func:`_column_signature` among ``matrices``, in order."""
+    signatures = [_column_signature(matrix) for matrix in matrices]
+    return [k for k, signature in enumerate(signatures) if k == 0 or signature != signatures[k - 1]]
+
+
+class _RunPass:
+    """The selection of every game k = 0..count-1 of one population, decided once per run of one column signature.
+
+    ``starts`` holds the first k of each run, from :func:`_grid_runs` or
+    :func:`_signature_runs`; ``game_at(k)`` builds the game at k and
+    ``grid_at(k)`` gives its integer grid ``(a, scale)``. Each run's first
+    game runs dominance and the pure scan on its own grid. When they
+    decide, that selection is every k's of the run; otherwise each k
+    counts the square candidates of its own grid, over the run's weak pure
+    equilibria, and selects a lone one's mix. ``selections[k]`` is the
+    ``(selected, selected_by)`` of k. :meth:`result` builds k's game and
+    :class:`EquilibriumResult` on first read, with the views the pass
+    found filled in, so it equals ``solve`` of that game in every view.
+    """
+
+    def __init__(self, starts, count: int, game_at, grid_at):
+        self._game_at = game_at
+        self._results = {}
+        self.selections, self._fills = [], []
+        for lo, hi in zip(starts, [*starts[1:], count]):
+            first = self._results[lo] = EquilibriumResult(game_at(lo))
+            decided = first._pure_selection
+            # The views one column signature fixes, as far as the first game computed them.
+            shared = {name: vars(first)[name] for name in ("_pure", "_pure_selection") if name in vars(first)}
+            if decided is not None:
+                shared["_selection"] = decided
+                self.selections += [decided] * (hi - lo)
+                self._fills += [shared] * (hi - lo)
+                continue
+            for k in range(lo, hi):
+                a, scale = grid_at(k)
+                found, singular = _square_candidates(a, first.weak_pure)
+                unique = None
+                if len(found) == 1:
+                    [(keys, values)] = found.items()
+                    unique = _mixed_profile(keys, values, scale)
+                selection = (unique, "unique_mixed") if unique is not None else (None, None)
+                self.selections.append(selection)
+                self._fills.append(
+                    {**shared, "_candidates": (found, singular), "_unique": unique, "_selection": selection}
+                )
+        for lo in starts:
+            self._results[lo].__dict__.update(self._fills[lo])
+
+    def result(self, k: int) -> EquilibriumResult:
+        """The equilibria of the game at k, built on first read."""
+        eq = self._results.get(k)
+        if eq is None:
+            eq = self._results[k] = EquilibriumResult(self._game_at(k))
+            eq.__dict__.update(self._fills[k])
+        return eq

@@ -57,13 +57,15 @@ of support enumeration, or ``pigouq verify``'s best-response check,
 first reads it.
 
 :func:`bimatrix` is the one public way from a spec to its game. It
-calls one private builder, which the two family passes also call:
-:func:`~pigouq.metrics.solve_over_k` for every k of a population and
-:func:`~pigouq.sweeps.sweep_gamma` for every angle of a sweep. The
-builder builds one *family*, games that share a spec's mode, n and
-strategy set: it looks the set up once, then at each angle asked for
-forms the outcome probabilities, decides exact against float, and
-builds the game at each k asked for.
+calls one private builder, which :func:`~pigouq.sweeps.sweep_gamma`
+also calls for every angle of a sweep. The builder builds one *family*,
+games that share a spec's mode, n and strategy set: it looks the set up
+once, then at each angle asked for forms the outcome probabilities,
+decides exact against float, and builds the game at the spec's k.
+:func:`~pigouq.metrics.solve_over_k` reads a population's family, every
+k at one angle, through the same steps (:func:`_k_family`): an exact one
+as its integer grid, affine in k, from which a game is built only where
+one is read, and a float one as its games.
 
 A quirk worth knowing about the phase strategy Q: under maximal
 entanglement, Q against P1 lands both players on the lower edge while
@@ -261,8 +263,7 @@ class CostBimatrix:
     @classmethod
     def _exact(cls, labels: tuple, a: list, scale: int) -> "CostBimatrix":
         """An exact matrix stored as Alice's square integer grid: ``cost_a(i, j) == a[i][j] / scale``."""
-        if (low := min(map(min, a))) <= 0:
-            raise DomainError(f"cost entries must be positive and finite, got {Fraction(low, scale)}")
+        _check_exact_grid(a, scale)
         matrix = cls.__new__(cls)
         matrix.__dict__.update(labels=labels, scaled_costs=(a, scale), _grid=(a, scale))
         return matrix
@@ -363,6 +364,12 @@ class CostBimatrix:
         table = [headers] + [[label] + line for label, line in zip(self.labels, body)]
         widths = [max(len(r[c]) for r in table) for c in range(len(headers))]
         return "\n".join("  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip() for r in table)
+
+
+def _check_exact_grid(a: list, scale: int) -> None:
+    """Raise :class:`DomainError` unless every cost of the integer grid ``a`` over ``scale`` is positive."""
+    if (low := min(map(min, a))) <= 0:
+        raise DomainError(f"cost entries must be positive and finite, got {Fraction(low, scale)}")
 
 
 def _python_cost(x: np.generic):
@@ -561,8 +568,8 @@ def bimatrix(spec: GameSpec) -> CostBimatrix:
     An exact grid is built in integers and no ``Fraction`` is formed:
     Alice's grid at k is ``a0 + k * a1`` over one scale, from
     :func:`_exact_grid` (see :attr:`CostBimatrix.scaled_costs`), and the
-    over-k pass of :func:`~pigouq.metrics.solve_over_k` builds it once for
-    every k of a population.
+    over-k pass of :func:`~pigouq.metrics.solve_over_k` reads that one
+    grid for every k of a population (:func:`_k_family`).
 
     A float grid sums float probability times float cost. Fraction
     arithmetic computes a float times a Fraction as float * float(cost),
@@ -571,45 +578,78 @@ def bimatrix(spec: GameSpec) -> CostBimatrix:
     adding a zero changes neither the value nor the type of a sum that
     has a positive term.
     """
-    return _bimatrices(spec, (spec.k or 0,), (spec.gamma,))[0]
+    return _bimatrices(spec, (spec.gamma,))[0]
 
 
-def _bimatrices(spec: GameSpec, ks, gammas) -> list:
-    """The spec's game at every angle in ``gammas`` and pinned count in ``ks``, angle by angle (see :func:`bimatrix`).
+def _bimatrices(spec: GameSpec, gammas) -> list:
+    """The spec's game at its pinned count (0 for the two-person game) and every angle in ``gammas``, in order.
 
-    These games form one family: they share the spec's mode, n and
-    strategy set, and only their angle and pinned count differ. Its labels
-    and its :func:`_outcome_family` are resolved once. Each angle's
-    outcome probabilities are formed once for all of its ks: an exact
-    grid gives one integer build, :func:`_exact_grid`; a float one gives
-    each cell as its probabilities times Alice's costs, summed in outcome
+    These games form one family: they share the spec's mode, n, k and
+    strategy set, and only their angle differs. Its labels and its
+    :func:`_outcome_family` are resolved once. An exact outcome grid
+    gives one integer build, :func:`_exact_grid`; a float one gives each
+    cell as its probabilities times Alice's costs, summed in outcome
     order, and the game through :meth:`CostBimatrix._float`, which forms
-    no integer grid. The ``gammas`` of a classical spec are ``(None,)``.
+    no integer grid (see :func:`bimatrix`). The ``gammas`` of a classical
+    spec are ``(None,)``.
     """
-    labels = spec.strategy_labels()
-    n, size = spec.n, len(labels)
-    rows = range(0, size * size, size)
-    outcomes_at = (lambda gamma: CLASSICAL_GRID) if spec.mode == "classical" else _outcome_family(spec.strategies)
+    labels, k = spec.strategy_labels(), spec.k or 0
+    outcomes_at = _outcomes_at(spec)
     matrices = []
     for gamma in gammas:
         outcomes = outcomes_at(gamma)
         if isinstance(outcomes, list):
-            for k in ks:
-                # int / int is the correctly rounded float of the cost's Fraction
-                c00, c01, c10, c11 = (c / n for c in _outcome_loads(n, k))
-                probs = iter(outcomes)
-                cells = tuple(
-                    sum((p00 * c00, p01 * c01, p10 * c10, p11 * c11))
-                    for p00, p01, p10, p11 in zip(probs, probs, probs, probs)
-                )
-                matrices.append(CostBimatrix._float(labels, tuple(cells[r : r + size] for r in rows)))
+            matrices += _float_games(labels, spec.n, outcomes, (k,))
             continue
-        a0, a1, scale = _exact_grid(n, outcomes)
-        matrices += [
-            CostBimatrix._exact(labels, [[x + k * y for x, y in zip(r0, r1)] for r0, r1 in zip(a0, a1)], scale)
-            for k in ks
-        ]
+        a0, a1, scale = _exact_grid(spec.n, outcomes)
+        matrices.append(CostBimatrix._exact(labels, _grid_at(a0, a1, k), scale))
     return matrices
+
+
+def _k_family(spec: GameSpec):
+    """The n-traveler games of ``spec``'s population at k = 0..n-3, at ``spec.gamma``, built as :func:`_bimatrices` builds one.
+
+    An exact population, the classical one or a named set at t in {0, 1},
+    returns its integer grid ``(a0, a1, scale)`` of :func:`_exact_grid`
+    and builds no game: Alice's grid at k is :func:`_grid_at`. Its grids
+    at k = 0 and k = n-3 are checked as :meth:`CostBimatrix._exact` checks
+    a game's; each cell is affine in k, so that checks every k. A float
+    population returns the list of its games in k order, each built as
+    :func:`bimatrix` builds it.
+    """
+    outcomes = _outcomes_at(spec)(spec.gamma)
+    if isinstance(outcomes, list):
+        return _float_games(spec.strategy_labels(), spec.n, outcomes, range(spec.n - 2))
+    a0, a1, scale = _exact_grid(spec.n, outcomes)
+    for grid in (a0, _grid_at(a0, a1, spec.n - 3)):
+        _check_exact_grid(grid, scale)
+    return a0, a1, scale
+
+
+def _outcomes_at(spec: GameSpec):
+    """The outcome grid of ``spec``'s strategy set as a function of the angle, as :func:`_outcome_family` returns it."""
+    return (lambda gamma: CLASSICAL_GRID) if spec.mode == "classical" else _outcome_family(spec.strategies)
+
+
+def _float_games(labels: tuple, n: int, outcomes: list, ks) -> list:
+    """The float game at each pinned count in ``ks`` over the flat float ``outcomes`` of one angle."""
+    size = len(labels)
+    rows = range(0, size * size, size)
+    matrices = []
+    for k in ks:
+        # int / int is the correctly rounded float of the cost's Fraction
+        c00, c01, c10, c11 = (c / n for c in _outcome_loads(n, k))
+        probs = iter(outcomes)
+        cells = tuple(
+            sum((p00 * c00, p01 * c01, p10 * c10, p11 * c11)) for p00, p01, p10, p11 in zip(probs, probs, probs, probs)
+        )
+        matrices.append(CostBimatrix._float(labels, tuple(cells[r : r + size] for r in rows)))
+    return matrices
+
+
+def _grid_at(a0, a1, k: int) -> list:
+    """Alice's integer grid ``a0 + k * a1`` at pinned count k, cell by cell (see :func:`_exact_grid`)."""
+    return [[x + k * y for x, y in zip(r0, r1)] for r0, r1 in zip(a0, a1)]
 
 
 def _exact_grid(n: int, outcomes) -> tuple:

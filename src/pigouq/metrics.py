@@ -30,9 +30,12 @@ in its own context:
   n-traveler game this way, and :func:`~pigouq.sweeps.sweep_k` every k;
   when no k selects an equilibrium, cost(OPT) and the ratios are None.
 
-Both sweeps' families of games are solved by
+A gamma sweep's family of games is solved by
 :func:`~pigouq.equilibria.solve_family`, which runs dominance and the
-pure scan once per column signature of the family's games.
+pure scan once per column signature of the family's games. The over-k
+pass, :func:`solve_over_k`, splits k = 0..n-3 into runs of one column
+signature and decides each run once: for an exact population it builds
+one game per run, and each k's game only when its point is read.
 
 Every total, cost(NE) and per-game cost(OPT) alike, adds the bill in
 :func:`_priced`, in the numbers its matrix holds. An exact game sums
@@ -50,16 +53,27 @@ over-k report 122/17 and 1.
 from __future__ import annotations
 
 import numbers
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .equilibria import EquilibriumResult, MixedProfile, PureProfile, _held_totals, solve, solve_family
+from .equilibria import (
+    EquilibriumResult,
+    MixedProfile,
+    PureProfile,
+    _grid_runs,
+    _held_totals,
+    _RunPass,
+    _signature_runs,
+    solve,
+)
 from .errors import DomainError
 from .games import (
     CostBimatrix,
     GameSpec,
-    _bimatrices,
     _check_k_person,
+    _grid_at,
+    _k_family,
     _integer,
     _pinned_bill_times_n,
     bimatrix,
@@ -180,9 +194,10 @@ def format_equilibrium_label(profile) -> str | None:
 def profile_total(spec: GameSpec, matrix: CostBimatrix, profile):
     """Social cost of a profile: both free players' costs plus the pinned players' bill.
 
-    A mixed profile counts its expected costs, and the bill counts the
-    expected number of free players on P2, the lower edge of the classical
-    game (quantum bills do not depend on it). A pure profile sums the
+    A mixed profile counts its expected costs, added exactly as integer
+    ratios, and the bill counts the expected number of free players on P2,
+    the lower edge of the classical game (quantum bills do not depend on
+    it); the total is a ``Fraction``. A pure profile sums the
     cell's two entries of the grid the matrix holds
     (:func:`~pigouq.equilibria._held_totals`): an exact game's integers
     over their scale, any other matrix's costs. :func:`_priced` adds the
@@ -191,21 +206,35 @@ def profile_total(spec: GameSpec, matrix: CostBimatrix, profile):
     if isinstance(profile, PureProfile):
         i, j = profile.row, profile.col
         a, scale = matrix._grid
-        return _priced(spec, a[i][j] + a[j][i], scale, (profile.row_label, profile.col_label).count("P2"))
+        return _pure_total(spec, profile, a[i][j] + a[j][i], scale)
     if isinstance(profile, MixedProfile):
-        lower = 0  # only a classical bill counts the free players on the lower edge
-        if spec.mode == "classical":
-            moves = zip(matrix.labels * 2, profile.alice_probs + profile.bob_probs)
-            lower = sum(p for label, p in moves if label == "P2")
-        return _priced(spec, profile.expected_cost_alice + profile.expected_cost_bob, None, lower)
+        return _mixed_total(spec, matrix.labels, profile)
     raise DomainError(f"cannot cost a profile of type {type(profile).__name__}")
+
+
+def _pure_total(spec: GameSpec, profile: PureProfile, cost, scale):
+    """The total of pure ``profile`` whose two free players cost ``cost`` (over ``scale``, if one)."""
+    return _priced(spec, cost, scale, (profile.row_label, profile.col_label).count("P2"))
+
+
+def _mixed_total(spec: GameSpec, labels, profile: MixedProfile) -> Fraction:
+    """The total of mixed ``profile`` over strategies ``labels``: its two expected costs added as integer ratios."""
+    lower = 0  # only a classical bill counts the free players on the lower edge
+    if spec.mode == "classical":
+        moves = zip(labels * 2, profile.alice_probs + profile.bob_probs)
+        lower = sum(p for label, p in moves if label == "P2")
+    num_a, den_a = profile.expected_cost_alice.as_integer_ratio()
+    num_b, den_b = profile.expected_cost_bob.as_integer_ratio()
+    return _priced(spec, num_a * den_b + num_b * den_a, den_a * den_b, lower)
 
 
 def _priced(spec: GameSpec, cost, scale, lower=0):
     """``cost`` plus the pinned players' bill with ``lower`` free players on the lower edge.
 
-    With a ``scale``, ``cost`` is a sum of integers of a held grid over
-    that scale, and the total is one ``Fraction`` of integers. A float
+    With a ``scale``, ``cost`` is an integer over that scale, the sum of
+    a held grid's integers or of a mix's two costs as integer ratios, and
+    the total is one ``Fraction``, of integers unless a classical mix's
+    expected lower-edge count makes the bill a ``Fraction``. A float
     ``cost`` adds the bill's float, n times the bill over n in int / int
     division, which rounds correctly; ``lower`` is then a whole count. An
     int or ``Fraction`` cost adds the ``Fraction`` bill,
@@ -223,34 +252,92 @@ def solve_over_k(spec: GameSpec):
     """Solve the n-traveler game of a k-person ``spec`` at every k = 0..n-3, in order.
 
     ``spec.k`` is ignored; a two-person spec raises :class:`DomainError`.
-    Returns ``(points, opt)``: one ``(spec_k, matrix, equilibria, total)``
-    per k, indexed by k, where ``spec_k`` is ``spec`` with that k,
-    ``total`` is the selected equilibrium's social cost,
-    :func:`profile_total`, in integers for an exact game (None when
-    nothing is selected), and ``opt``, the cheapest of those totals (None
-    when no k selects an equilibrium).
+    Returns ``(points, opt)``: ``points[k]`` is the ``(spec_k, matrix,
+    equilibria, total)`` of k, where ``spec_k`` is ``spec`` with that k,
+    ``matrix`` equals :func:`bimatrix` of ``spec_k`` and ``equilibria``
+    equals ``solve(matrix)`` in every view, and ``total`` is the selected
+    equilibrium's social cost, :func:`profile_total`, in integers for an
+    exact game (None when nothing is selected); ``opt`` is the cheapest
+    of those totals (None when no k selects an equilibrium).
 
-    The games are one family, as a gamma sweep's are: the games builder
-    forms them over one outcome grid, each equal to :func:`bimatrix` at
-    its k, and :func:`~pigouq.equilibria.solve_family` solves them, each
-    ``equilibria`` equal to ``solve(matrix)``, with dominance and the
-    pure scan run once per column signature.
+    The pass splits k = 0..n-3 into runs of one column signature and
+    decides each run once, on its first game
+    (:class:`~pigouq.equilibria._RunPass`). That is the only game it
+    builds for a run decided by dominance or the pure scan; a run left to
+    the square pass counts each k's square candidates on that k's integer
+    grid. Finding the runs is where an exact population and a float one
+    differ. An exact one, the classical game or a named set at t in
+    {0, 1}, is one affine integer grid ``a0 + k * a1`` over one scale
+    (:func:`~pigouq.games._k_family`): its runs start at the roots of the
+    within-column differences (:func:`~pigouq.equilibria._grid_runs`), a
+    pure total is the selected cell's affine total priced with one
+    ``Fraction``, and a k's game is built only when its point is read. A
+    float population builds its games at every k, as :func:`bimatrix`
+    would, and finds its runs by comparing their column signatures.
     """
     if spec.k is None:
         raise DomainError("the two-person game has no pinned count to vary")
-    points = []
-    for k, eq in enumerate(solve_family(_bimatrices(spec, range(spec.n - 2), (spec.gamma,)))):
-        spec_k = spec._at(k=k)
-        total = profile_total(spec_k, eq.matrix, eq.selected) if eq.selected is not None else None
-        points.append((spec_k, eq.matrix, eq, total))
-    return points, min((total for *_, total in points if total is not None), default=None)
+    count, labels = spec.n - 2, spec.strategy_labels()
+    family = _k_family(spec)
+    if isinstance(family, list):
+        starts, game_at = _signature_runs(family), family.__getitem__
+
+        def grid_at(k):
+            return family[k].scaled_costs
+
+        def pair_cost(k, i, j):
+            a, held_scale = family[k]._grid
+            return a[i][j] + a[j][i], held_scale
+
+    else:
+        a0, a1, scale = family
+        starts = _grid_runs(a0, a1, count)
+
+        def grid_at(k):
+            return _grid_at(a0, a1, k), scale
+
+        def game_at(k):
+            return CostBimatrix._exact(labels, _grid_at(a0, a1, k), scale)
+
+        def pair_cost(k, i, j):
+            return a0[i][j] + a0[j][i] + k * (a1[i][j] + a1[j][i]), scale
+
+    runs = _RunPass(starts, count, game_at, grid_at)
+    specs = [spec._at(k=k) for k in range(count)]
+    totals = []
+    for spec_k, (selected, _) in zip(specs, runs.selections):
+        if isinstance(selected, PureProfile):
+            totals.append(_pure_total(spec_k, selected, *pair_cost(spec_k.k, selected.row, selected.col)))
+        else:
+            totals.append(None if selected is None else _mixed_total(spec_k, labels, selected))
+    return _OverK(specs, runs, totals), min((total for total in totals if total is not None), default=None)
 
 
-def _metrics_report(spec: GameSpec, eq: EquilibriumResult, cost_ne, cost_opt) -> MetricsReport:
-    if eq.selected is None:
-        return MetricsReport(None, cost_opt, None, None, spec.k, None)
+class _OverK(Sequence):
+    """The points of one :func:`solve_over_k` pass; the game and equilibria of ``points[k]`` are built when first read.
+
+    ``selections[k]`` and ``totals[k]``, the pass's ``(selected,
+    selected_by)`` and total at k, are read without building k's game.
+    """
+
+    def __init__(self, specs, runs, totals):
+        self._specs, self._runs, self.totals = specs, runs, totals
+        self.selections = runs.selections
+
+    def __len__(self):
+        return len(self._specs)
+
+    def __getitem__(self, k):
+        k = range(len(self))[k]  # an IndexError past either end
+        eq = self._runs.result(k)
+        return self._specs[k], eq.matrix, eq, self.totals[k]
+
+
+def _metrics_report(k, selected, cost_ne, cost_opt) -> MetricsReport:
+    if selected is None:
+        return MetricsReport(None, cost_opt, None, None, k, None)
     ratio = cost_ne / cost_opt
-    return MetricsReport(cost_ne, cost_opt, ratio, ratio, spec.k, format_equilibrium_label(eq.selected))
+    return MetricsReport(cost_ne, cost_opt, ratio, ratio, k, format_equilibrium_label(selected))
 
 
 def _per_game(spec: GameSpec, eq: EquilibriumResult) -> MetricsReport:
@@ -264,18 +351,23 @@ def _per_game(spec: GameSpec, eq: EquilibriumResult) -> MetricsReport:
     """
     cost_ne = profile_total(spec, eq.matrix, eq.selected) if eq.selected is not None else None
     totals, scale = _held_totals(eq.matrix)
-    return _metrics_report(spec, eq, cost_ne, _priced(spec, min(map(min, totals)), scale))
+    return _metrics_report(spec.k, eq.selected, cost_ne, _priced(spec, min(map(min, totals)), scale))
+
+
+def _over_k_report(points, opt, k: int) -> MetricsReport:
+    """The metrics of the game at ``k`` of one :func:`solve_over_k` pass's ``(points, opt)``, its game left unbuilt.
+
+    The one place an over-k point becomes a report: every k-sweep row,
+    public or verify's, is read here, and :func:`analyze` reads its
+    k-person game's through :func:`_over_k_at`.
+    """
+    return _metrics_report(k, points.selections[k][0], points.totals[k], opt)
 
 
 def _over_k_at(points, opt, k: int):
-    """(bimatrix, equilibria, metrics) of the game at ``k`` of one :func:`solve_over_k` pass's ``(points, opt)``.
-
-    The one place an over-k point becomes a report: :func:`analyze`
-    reads its k-person game here, and every k-sweep row, public or
-    verify's, is the metrics read here.
-    """
-    spec_k, matrix, eq, total = points[k]
-    return matrix, eq, _metrics_report(spec_k, eq, total, opt)
+    """(bimatrix, equilibria, metrics) of the game at ``k`` of one :func:`solve_over_k` pass's ``(points, opt)``."""
+    _, matrix, eq, _ = points[k]
+    return matrix, eq, _over_k_report(points, opt, k)
 
 
 def analyze(spec: GameSpec):
@@ -283,9 +375,10 @@ def analyze(spec: GameSpec):
 
     A two-person game is priced against its own cheapest cell. A k-person
     game is priced against the cheapest equilibrium total over k = 0..n-3:
-    the game at ``spec.k`` is one point of that over-k pass, read by the
-    private builder :func:`_over_k_at`, so its matrix, equilibria and
-    total come from there.
+    the game at ``spec.k`` is one point of that over-k pass, read by
+    :func:`_over_k_at`, so its matrix, equilibria and total come from
+    there, and the pass builds at most one game besides the first of each
+    run.
     """
     if spec.k is None:
         eq = solve(bimatrix(spec))

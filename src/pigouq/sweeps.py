@@ -20,7 +20,7 @@ from .equilibria import solve_family
 from .errors import DomainError
 from .ewl import validate_gamma
 from .games import GameSpec, _bimatrices, _check_k_person, value_to_json
-from .metrics import MetricsReport, _over_k_at, _per_game, solve_over_k
+from .metrics import MetricsReport, _over_k_report, _per_game, solve_over_k
 
 __all__ = [
     "CSV_HEADER",
@@ -70,8 +70,10 @@ def sweep_k(
     :func:`~pigouq.metrics.solve_over_k` pass by the private builder
     :func:`_k_series`, whose every row is the metrics that
     :func:`~pigouq.metrics.analyze` reads through the same
-    :func:`~pigouq.metrics._over_k_at`: each k is priced by the over-k
-    rule of :mod:`pigouq.metrics`, as ``analyze`` prices it.
+    :func:`~pigouq.metrics._over_k_report`: each k is priced by the over-k
+    rule of :mod:`pigouq.metrics`, as ``analyze`` prices it. The rows
+    read each k's selection and total off the pass, so a sweep builds no
+    game beyond the pass's one per run of one column signature.
     ``gamma`` is required for quantum mode and forbidden for classical.
     """
     spec = GameSpec(mode=mode, n=n, k=0, gamma=gamma, strategies=strategies)
@@ -92,10 +94,10 @@ def _k_series(spec: GameSpec, ks, points, opt) -> SweepSeries:
     """The k-sweep of ``spec``'s population at ``ks``, read off one over-k pass's ``(points, opt)``.
 
     ``ks`` is strictly increasing, each in 0..n-3, and each row is the
-    metrics of :func:`~pigouq.metrics._over_k_at`, the builder
-    :func:`~pigouq.metrics.analyze` reads its k-person game through.
+    metrics of :func:`~pigouq.metrics._over_k_report`, the builder
+    :func:`~pigouq.metrics.analyze` reads its k-person game's through.
     """
-    reports = tuple(_over_k_at(points, opt, k)[2] for k in ks)
+    reports = tuple(_over_k_report(points, opt, k) for k in ks)
     return SweepSeries("k", tuple(ks), reports, _meta(spec, "k"))
 
 
@@ -127,7 +129,7 @@ def sweep_gamma(
         raise DomainError("empty gamma range")
 
     spec = GameSpec(mode="quantum", n=n, k=k, gamma=gammas[0], strategies=strategies)
-    family = solve_family(_bimatrices(spec, (spec.k or 0,), gammas))
+    family = solve_family(_bimatrices(spec, gammas))
     reports = [_per_game(spec, eq) for eq in family]
     return SweepSeries("gamma", tuple(gammas), tuple(reports), _meta(spec, "gamma"))
 

@@ -15,7 +15,8 @@ def computed(monkeypatch):
     is the full square pass that ``mixed`` and ``diagnostics`` read, and
     ``"_pure_selection"`` the dominance and pure-scan rules run on the
     result's own game. A value that :func:`~pigouq.equilibria.solve_family`
-    fills in from an earlier game is not computed, so it adds nothing.
+    or the over-k pass fills in from an earlier game is not computed, so
+    it adds nothing.
     """
 
     def watch(name):

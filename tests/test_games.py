@@ -646,8 +646,8 @@ def test_float_family_games_equal_the_validating_constructors(strategies):
     # The builder forms float games through a constructor that checks only the least
     # cost; each must be the game CostBimatrix(labels, costs) validates and builds.
     gammas = (1e-6, 0.4, 1.1, GAMMA_MAX - 1e-6)
-    two = games._bimatrices(GameSpec.quantum_two_person(strategies, 0.4), (0,), gammas)
-    over_k = games._bimatrices(GameSpec.quantum_k_person(9, 0, strategies, 0.4), range(7), gammas)
+    two = games._bimatrices(GameSpec.quantum_two_person(strategies, 0.4), gammas)
+    over_k = [m for g in gammas for m in games._k_family(GameSpec.quantum_k_person(9, 0, strategies, g))]
     assert len(two) + len(over_k) == 4 + 4 * 7
     for matrix in two + over_k:
         assert type(matrix.costs) is tuple and all(type(row) is tuple for row in matrix.costs)

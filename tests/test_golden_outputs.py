@@ -68,6 +68,15 @@ CASES = {
     "sweep_over_k_classicalk_n101.csv": [
         "sweep", "--game", "classicalk", "--n", "101", "--over", "k", "--format", "csv",
     ],
+    "sweep_over_k_p1p2m_n101.csv": [
+        "sweep", "--game", "quantumk", "--strategies", "p1p2m", "--n", "101", "--over", "k", "--format", "csv",
+    ],
+    # A float population whose pass has three runs: (P2,P2) by dominance from k = 0, no
+    # selection from 22, (M,M) by dominance from 26.
+    "sweep_over_k_p1p2m_gamma1.2_n30.csv": [
+        "sweep", "--game", "quantumk", "--strategies", "p1p2m", "--n", "30", "--gamma", "1.2",
+        "--over", "k", "--format", "csv",
+    ],
     # Three phases on one family: (P2,P2) up to t = 4/5, no selection on (4/5, 9/10), (M,M) from 9/10.
     "sweep_over_gamma_p1p2m_n10_k4.csv": [
         "sweep", "--game", "quantumk", "--strategies", "p1p2m", "--n", "10", "--k", "4",

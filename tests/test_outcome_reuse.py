@@ -73,8 +73,8 @@ def sweep_games(monkeypatch):
     games_built = []
     real = sweeps._bimatrices
 
-    def recording(spec, ks, gammas):
-        matrices = real(spec, ks, gammas)
+    def recording(spec, gammas):
+        matrices = real(spec, gammas)
         games_built.extend(matrices)
         return matrices
 

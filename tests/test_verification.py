@@ -267,13 +267,20 @@ def nudged_result(eq):
     return SimpleNamespace(matrix=eq.matrix, mixed=mixed, selected=mixed[0])
 
 
+class NudgedPoints(list):
+    """An over-k pass's points as a list, with the per-k ``selections`` and ``totals`` its reports read."""
+
+
 def nudge_the_phase_game(monkeypatch):
     """Have the over-k pass, where every check reads its n = 10 games, return PHASE_GAME's profile nudged."""
     real = verification.solve_over_k
 
     def solve_with_a_nudge(spec):
         points, opt = real(spec)
-        return [(s, m, nudged_result(eq) if s == PHASE_GAME else eq, t) for s, m, eq, t in points], opt
+        nudged = NudgedPoints((s, m, nudged_result(eq) if s == PHASE_GAME else eq, t) for s, m, eq, t in points)
+        nudged.selections = [(eq.selected, rule) for (*_, eq, _), (_, rule) in zip(nudged, points.selections)]
+        nudged.totals = points.totals
+        return nudged, opt
 
     monkeypatch.setattr(verification, "solve_over_k", solve_with_a_nudge)
 
