@@ -55,9 +55,15 @@ column signature, each decided once on its first game. An exact
 population's grid is affine in k, so its runs start at the integer
 roots of its within-column differences and the first k above each
 root (:func:`_grid_runs`); a float population's start where its built
-games' signatures change (:func:`_signature_runs`). The pass builds a
-game and its result only for each run's first k, and any other k's when
-they are read, with the views the pass found filled in.
+games' signatures change (:func:`_signature_runs`). A run left to the
+square pass is cut again where a sign that pass reads may change; on an
+exact grid those signs are of polynomials in k of degree at most 2,
+whose integer roots :func:`_square_cuts` places exactly. Each piece
+runs the square pass once, on its first k; where that accepts a single
+support pair, every other k of the piece solves only that pair's two
+systems on its own grid. The pass builds a game and its result only for
+each run's first k, and any other k's when they are read, with the views
+the pass found filled in.
 
 Every game is symmetric, so each solver reads one grid ``a`` of
 Alice's costs: Bob, choosing column c against row r, pays ``a[c][r]``.
@@ -206,23 +212,19 @@ class EquilibriumResult:
         return self._pure[0]
 
     @cached_property
-    def _candidates(self) -> tuple[dict, list]:
+    def _candidates(self) -> tuple[dict, list, list]:
         """:func:`_square_candidates` of the integer grid: what the selection and the square pass read."""
         return _square_candidates(self.matrix.scaled_costs[0], self.weak_pure)
 
     @cached_property
     def _unique(self) -> "MixedProfile | None":
         """The profile of the lone square candidate, built once for ``selected`` and ``mixed``; None unless lone."""
-        found = self._candidates[0]
-        if len(found) != 1:
-            return None
-        [(keys, values)] = found.items()
-        return _mixed_profile(keys, values, self.matrix.scaled_costs[1])
+        return _lone_profile(self._candidates[0], self.matrix.scaled_costs[1])
 
     @cached_property
     def _square(self) -> tuple[tuple[MixedProfile, ...], tuple[str, ...]]:
         """The square pass: its profiles sorted, and a note per singular pair."""
-        found, singular = self._candidates
+        found, singular, _ = self._candidates
         notes = tuple(_support_note(self.matrix, *pair) for pair in singular)
         if len(found) == 1:
             return (self._unique,), notes
@@ -396,34 +398,49 @@ def _systems(a, r: int) -> dict:
         first = a[chooser[0]]
         diff = [[x - y for x, y in zip(a[i], first)] for i in chooser[1:]]
         outside = [a[o] for o in others]
-        for mixer in supports:  # written out per size: a loop per system costs more than its arithmetic
-            if r == 2:
-                j0, j1 = mixer
-                w0, w1 = diff[0][j1], -diff[0][j0]
-                if w0 + w1 < 0:
-                    w0, w1 = -w0, -w1
-                if not w0 + w1:  # a constant row: inconsistent when nonzero
-                    table[chooser, mixer] = ("inconsistent" if w0 else "singular", None, False)
-                    continue
-                value = first[j0] * w0 + first[j1] * w1
-                ok = w0 >= 0 and w1 >= 0 and all(row[j0] * w0 + row[j1] * w1 >= value for row in outside)
-                table[chooser, mixer] = ("unique", ((w0, w1), value, w0 + w1), ok)
-                continue
-            j0, j1, j2 = mixer
-            (u0, u1, u2), (v0, v1, v2) = ([row[j] for j in mixer] for row in diff)
-            w0, w1, w2 = u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0
-            if w0 + w1 + w2 < 0:
-                w0, w1, w2 = -w0, -w1, -w2
-            if not w0 + w1 + w2:
-                # A nonzero minor puts the all-ones row in D's row space; below full
-                # rank the rows are parallel, and it lies there when both are constant.
-                constant = u0 == u1 == u2 and v0 == v1 == v2 and (u0 or v0)
-                table[chooser, mixer] = ("inconsistent" if w0 or w1 or w2 or constant else "singular", None, False)
-                continue
-            value = first[j0] * w0 + first[j1] * w1 + first[j2] * w2
-            ok = min(w0, w1, w2) >= 0 and all(row[j0] * w0 + row[j1] * w1 + row[j2] * w2 >= value for row in outside)
-            table[chooser, mixer] = ("unique", ((w0, w1, w2), value, w0 + w1 + w2), ok)
+        for mixer in supports:
+            table[chooser, mixer] = _system(first, diff, outside, mixer)
     return table
+
+
+def _system(first, diff, outside, mixer) -> tuple:
+    """The :func:`_systems` entry of one system: the chooser support's first row ``first`` of the grid, its
+    other rows minus that one ``diff``, the rows ``outside`` it, and the ``mixer`` support, of size 2 or 3."""
+    if len(mixer) == 2:  # written out per size: a loop per system costs more than its arithmetic
+        j0, j1 = mixer
+        w0, w1 = diff[0][j1], -diff[0][j0]
+        if w0 + w1 < 0:
+            w0, w1 = -w0, -w1
+        if not w0 + w1:  # a constant row: inconsistent when nonzero
+            return "inconsistent" if w0 else "singular", None, False
+        value = first[j0] * w0 + first[j1] * w1
+        ok = w0 >= 0 and w1 >= 0 and all(row[j0] * w0 + row[j1] * w1 >= value for row in outside)
+        return "unique", ((w0, w1), value, w0 + w1), ok
+    j0, j1, j2 = mixer
+    (u0, u1, u2), (v0, v1, v2) = ([row[j] for j in mixer] for row in diff)
+    w0, w1, w2 = u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0
+    if w0 + w1 + w2 < 0:
+        w0, w1, w2 = -w0, -w1, -w2
+    if not w0 + w1 + w2:
+        # A nonzero minor puts the all-ones row in D's row space; below full
+        # rank the rows are parallel, and it lies there when both are constant.
+        constant = u0 == u1 == u2 and v0 == v1 == v2 and (u0 or v0)
+        return "inconsistent" if w0 or w1 or w2 or constant else "singular", None, False
+    value = first[j0] * w0 + first[j1] * w1 + first[j2] * w2
+    ok = min(w0, w1, w2) >= 0 and all(row[j0] * w0 + row[j1] * w1 + row[j2] * w2 >= value for row in outside)
+    return "unique", ((w0, w1, w2), value, w0 + w1 + w2), ok
+
+
+def _solution(a, chooser, mixer) -> tuple:
+    """The ``(weights, value, denominator)`` of the unique system ``(chooser, mixer)`` of the integer grid ``a``.
+
+    A 1x1 system is the cell ``a[i][j]`` itself. Systems of size 2 and 3
+    are :func:`_system`'s, with no outside row judged.
+    """
+    if len(chooser) == 1:
+        return (1,), a[chooser[0]][mixer[0]], 1
+    first = a[chooser[0]]
+    return _system(first, [[x - y for x, y in zip(a[i], first)] for i in chooser[1:]], (), mixer)[1]
 
 
 def _mix_key(support, weights, denominator, size) -> tuple:
@@ -435,27 +452,46 @@ def _mix_key(support, weights, denominator, size) -> tuple:
     return tuple([i for i, w in zip(support, weights) if w]), tuple(full), denominator // g
 
 
-def _square_candidates(a, weak_pure) -> tuple[dict, list]:
+def _candidate(sup_a, sup_b, sol_p, sol_q, size) -> tuple:
+    """The ``(keys, values)`` of :func:`_square_candidates` for the pair (S_a, S_b) whose row-mix and
+    column-mix systems solve to ``sol_p`` and ``sol_q``, each ``(weights, value, denominator)``."""
+    (w_p, value_b, den_p), (w_q, value_a, den_q) = sol_p, sol_q
+    keys = _mix_key(sup_a, w_p, den_p, size), _mix_key(sup_b, w_q, den_q, size)
+    return keys, ((value_a, den_q), (value_b, den_p))
+
+
+def _pair_candidate(a, sup_a, sup_b) -> tuple:
+    """The ``(keys, values)`` of the pair (S_a, S_b) on the integer grid ``a``, its two systems solved alone.
+
+    Reads :func:`_solution` of both systems; the pair must be one that
+    :func:`_square_candidates` accepts on ``a``, a 1x1 pair a weak pure cell.
+    """
+    return _candidate(sup_a, sup_b, _solution(a, sup_b, sup_a), _solution(a, sup_a, sup_b), len(a))
+
+
+def _square_candidates(a, weak_pure) -> tuple[dict, list, list]:
     """The distinct profiles the square pass finds on the integer grid ``a``, in the order found.
 
-    Returns ``(found, singular)``. ``found`` maps each profile's ``keys``,
-    Alice's and Bob's :func:`_mix_key`, to ``values``, their costs as
-    ``(value, denominator)`` on ``a``'s scale; a profile found again keeps
-    its first values. The weak pure cells of ``weak_pure`` come first,
-    then each square support pair of size 2 and up, in size-then-index
-    order, whose two systems are unique and ``ok``. Each support size
-    builds one :func:`_systems` table; a pair (S_a, S_b) reads its
-    column-mix system at ``(S_a, S_b)`` and, only when that is unique, its
-    row-mix system at ``(S_b, S_a)``: Bob's system is Alice's for the
-    exchanged supports. ``singular`` lists each pair with a singular
-    system as ``(S_a, S_b, side)``.
+    Returns ``(found, singular, accepted)``. ``found`` maps each profile's
+    ``keys``, Alice's and Bob's :func:`_mix_key`, to ``values``, their
+    costs as ``(value, denominator)`` on ``a``'s scale; a profile found
+    again keeps its first values. The weak pure cells of ``weak_pure``
+    come first, as 1x1 pairs, then each square support pair of size 2
+    and up, in size-then-index order, whose two systems are unique and
+    ``ok``. ``accepted`` lists each of those pairs as ``(S_a, S_b)``
+    before duplicates are removed. Each support size builds one
+    :func:`_systems` table; a pair (S_a, S_b) reads its column-mix system
+    at ``(S_a, S_b)`` and, only when that is unique, its row-mix system at
+    ``(S_b, S_a)``: Bob's system is Alice's for the exchanged supports.
+    ``singular`` lists each pair with a singular system as ``(S_a, S_b,
+    side)``.
     """
     size = len(a)
-    found, singular = {}, []
+    found, singular, accepted = {}, [], []
     for pure in weak_pure:
         i, j = pure.row, pure.col
-        keys = _mix_key((i,), (1,), 1, size), _mix_key((j,), (1,), 1, size)
-        found.setdefault(keys, ((a[i][j], 1), (a[j][i], 1)))
+        accepted.append(((i,), (j,)))
+        found.setdefault(*_candidate((i,), (j,), ((1,), a[j][i], 1), ((1,), a[i][j], 1), size))
     for r in range(2, size + 1):
         table = _systems(a, r)
         for (sup_a, sup_b), (status, sol_q, ok) in table.items():
@@ -467,10 +503,17 @@ def _square_candidates(a, weak_pure) -> tuple[dict, list]:
                 singular.append((sup_a, sup_b, side))
             if status != "unique" or not ok:
                 continue
-            (w_p, value_b, den_p), (w_q, value_a, den_q) = sol_p, sol_q
-            keys = _mix_key(sup_a, w_p, den_p, size), _mix_key(sup_b, w_q, den_q, size)
-            found.setdefault(keys, ((value_a, den_q), (value_b, den_p)))
-    return found, singular
+            accepted.append((sup_a, sup_b))
+            found.setdefault(*_candidate(sup_a, sup_b, sol_p, sol_q, size))
+    return found, singular, accepted
+
+
+def _lone_profile(found, scale: int) -> "MixedProfile | None":
+    """The profile of the lone entry of :func:`_square_candidates`' ``found``; None unless there is exactly one."""
+    if len(found) != 1:
+        return None
+    [(keys, values)] = found.items()
+    return _mixed_profile(keys, values, scale)
 
 
 def _mixed_profile(keys, values, scale: int) -> MixedProfile:
@@ -577,13 +620,83 @@ def _grid_runs(a0, a1, count: int) -> list[int]:
     starts = {0}
     for c0, c1 in zip(zip(*a0), zip(*a1)):
         for (x0, x1), (y0, y1) in itertools.combinations(zip(c0, c1), 2):
-            d0, d1 = y0 - x0, y1 - x1
-            if d1:
-                root, rest = divmod(-d0, d1) if d1 > 0 else divmod(d0, -d1)
-                starts.add(root + 1)
-                if not rest:
-                    starts.add(root)
+            _affine_cuts(y0 - x0, y1 - x1, starts)
     return sorted(k for k in starts if 0 <= k < count)
+
+
+def _affine_cuts(d0, d1, cuts: set) -> None:
+    """Add to ``cuts`` each integer k where the sign of ``d0 + k * d1`` may differ from its sign at k - 1.
+
+    That is the root ``-d0 / d1`` when it is an integer, where the value
+    is zero, and the first integer above the root; a constant has none.
+    """
+    if d1:
+        root, rest = divmod(-d0, d1) if d1 > 0 else divmod(d0, -d1)
+        cuts.add(root + 1)
+        if not rest:
+            cuts.add(root)
+
+
+def _quadratic_cuts(c0, c1, c2, cuts: set) -> None:
+    """Add to ``cuts`` each integer k where the sign of ``c0 + c1 * k + c2 * k**2`` may differ from its sign at k - 1.
+
+    A real root ``(-c1 ± sqrt(D)) / (2 * c2)`` is monotone in ``sqrt(D)``,
+    which lies between ``s = isqrt(D)`` and ``s + 1``, so the root's floor
+    lies between the floors at those two ends, computed exactly by integer
+    division. Every integer between them is cut, and one more: that holds
+    the root when it is an integer and the first integer above it. The
+    ends are at most 1/2 apart, so a root adds at most three cuts.
+    """
+    if not c2:
+        _affine_cuts(c0, c1, cuts)
+        return
+    disc = c1 * c1 - 4 * c2 * c0
+    if disc < 0:
+        return
+    s = math.isqrt(disc)
+    for sign in (1, -1):
+        ends = ((-c1 + sign * s) // (2 * c2), (-c1 + sign * (s + 1)) // (2 * c2))
+        cuts.update(range(min(ends), max(ends) + 2))
+
+
+def _square_cuts(a0, a1, lo: int, hi: int) -> list[int]:
+    """The first k of each stretch of lo..hi-1 where the square pass of the grid ``a0 + k * a1`` reads one sign pattern.
+
+    Within a run of one column signature, the signs that
+    :func:`_square_candidates` reads besides the within-column differences
+    are those of polynomials in k of degree at most 2, since
+    :data:`MAX_MIXED_SIZE` is 3:
+
+    * the second differences ``d[j1] - d[j0]``, for d a difference of two
+      rows: the 2x2 denominators, affine;
+    * at size 3, the three 2x2 minors of ``[a[1] - a[0]; a[2] - a[0]]``
+      and their sum: the 3x3 weights and denominator, quadratic. Up to
+      sign they are also every 2x2 system's test of the row outside its
+      chooser support.
+
+    So on each returned stretch every pair's acceptance is fixed. Cutting
+    more often than needed is safe; each cut comes from
+    :func:`_affine_cuts` or :func:`_quadratic_cuts`.
+    """
+    size, cuts = len(a0), {lo}
+
+    def diff(i, c):  # row i minus row c of the grid, as (at k = 0, slope)
+        return [x - y for x, y in zip(a0[i], a0[c])], [x - y for x, y in zip(a1[i], a1[c])]
+
+    for c0, c1 in itertools.combinations(range(size), 2):
+        d0, d1 = diff(c1, c0)
+        for j0, j1 in itertools.combinations(range(size), 2):
+            _affine_cuts(d0[j1] - d0[j0], d1[j1] - d1[j0], cuts)
+    if size == 3:
+        (u0, u1), (v0, v1) = diff(1, 0), diff(2, 0)
+        minors = [
+            (u0[x] * v0[y] - u0[y] * v0[x], u0[x] * v1[y] + u1[x] * v0[y] - u0[y] * v1[x] - u1[y] * v0[x],
+             u1[x] * v1[y] - u1[y] * v1[x])
+            for x, y in ((1, 2), (2, 0), (0, 1))
+        ]
+        for coefficients in (*minors, tuple(map(sum, zip(*minors)))):
+            _quadratic_cuts(*coefficients, cuts)
+    return sorted(k for k in cuts if lo <= k < hi)
 
 
 def _signature_runs(matrices) -> list[int]:
@@ -599,15 +712,24 @@ class _RunPass:
     :func:`_signature_runs`; ``game_at(k)`` builds the game at k and
     ``grid_at(k)`` gives its integer grid ``(a, scale)``. Each run's first
     game runs dominance and the pure scan on its own grid. When they
-    decide, that selection is every k's of the run; otherwise each k
-    counts the square candidates of its own grid, over the run's weak pure
-    equilibria, and selects a lone one's mix. ``selections[k]`` is the
-    ``(selected, selected_by)`` of k. :meth:`result` builds k's game and
-    :class:`EquilibriumResult` on first read, with the views the pass
-    found filled in, so it equals ``solve`` of that game in every view.
+    decide, that selection is every k's of the run. Otherwise
+    ``square_cuts(lo, hi)`` splits the run lo..hi-1 where a sign the square
+    pass reads may change (:func:`_square_cuts`, or every k of a float
+    population), and each piece's first k runs :func:`_square_candidates`
+    on its own grid, over the run's weak pure equilibria. A lone accepted
+    pair is the lone candidate at every k of its piece, so each other k
+    solves only that pair's two systems on its own grid
+    (:func:`_pair_candidate`); with none accepted no k selects anything,
+    and with more than one each k counts its own candidates: whether two
+    accepted pairs find one profile or two is not a sign that is cut on.
+    ``selections[k]`` is the ``(selected, selected_by)`` of k.
+    :meth:`result` builds k's game and :class:`EquilibriumResult` on first
+    read, with the views the pass found filled in, so it equals ``solve``
+    of that game in every view; a k that read one pair finds its square
+    candidates only if ``mixed`` or ``diagnostics`` is read.
     """
 
-    def __init__(self, starts, count: int, game_at, grid_at):
+    def __init__(self, starts, count: int, game_at, grid_at, square_cuts):
         self._game_at = game_at
         self._results = {}
         self.selections, self._fills = [], []
@@ -621,18 +743,23 @@ class _RunPass:
                 self.selections += [decided] * (hi - lo)
                 self._fills += [shared] * (hi - lo)
                 continue
+            cuts, accepted = set(square_cuts(lo, hi)), []
             for k in range(lo, hi):
-                a, scale = grid_at(k)
-                found, singular = _square_candidates(a, first.weak_pure)
-                unique = None
-                if len(found) == 1:
-                    [(keys, values)] = found.items()
-                    unique = _mixed_profile(keys, values, scale)
+                fill = dict(shared)
+                if k in cuts or len(accepted) > 1:
+                    a, scale = grid_at(k)
+                    fill["_candidates"] = _square_candidates(a, first.weak_pure)
+                    found, _, accepted = fill["_candidates"]
+                    unique = _lone_profile(found, scale)
+                elif accepted:
+                    a, scale = grid_at(k)
+                    unique = _mixed_profile(*_pair_candidate(a, *accepted[0]), scale)
+                else:
+                    unique = None
                 selection = (unique, "unique_mixed") if unique is not None else (None, None)
+                fill.update(_unique=unique, _selection=selection)
                 self.selections.append(selection)
-                self._fills.append(
-                    {**shared, "_candidates": (found, singular), "_unique": unique, "_selection": selection}
-                )
+                self._fills.append(fill)
         for lo in starts:
             self._results[lo].__dict__.update(self._fills[lo])
 

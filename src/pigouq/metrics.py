@@ -65,6 +65,7 @@ from .equilibria import (
     _held_totals,
     _RunPass,
     _signature_runs,
+    _square_cuts,
     solve,
 )
 from .errors import DomainError
@@ -263,24 +264,29 @@ def solve_over_k(spec: GameSpec):
     The pass splits k = 0..n-3 into runs of one column signature and
     decides each run once, on its first game
     (:class:`~pigouq.equilibria._RunPass`). That is the only game it
-    builds for a run decided by dominance or the pure scan; a run left to
-    the square pass counts each k's square candidates on that k's integer
-    grid. Finding the runs is where an exact population and a float one
-    differ. An exact one, the classical game or a named set at t in
-    {0, 1}, is one affine integer grid ``a0 + k * a1`` over one scale
+    builds for a run. A run left to the square pass is cut where a sign
+    that pass reads may change, and each piece counts the square
+    candidates of its first k's integer grid; where one support pair is
+    accepted, each other k of the piece solves only that pair's systems.
+    Finding the runs and their pieces is where an exact population and a
+    float one differ. An exact one, the classical game or a named set at
+    t in {0, 1}, is one affine integer grid ``a0 + k * a1`` over one scale
     (:func:`~pigouq.games._k_family`): its runs start at the roots of the
-    within-column differences (:func:`~pigouq.equilibria._grid_runs`), a
-    pure total is the selected cell's affine total priced with one
-    ``Fraction``, and a k's game is built only when its point is read. A
-    float population builds its games at every k, as :func:`bimatrix`
-    would, and finds its runs by comparing their column signatures.
+    within-column differences (:func:`~pigouq.equilibria._grid_runs`), its
+    pieces at the roots of the square pass's affine and quadratic signs
+    (:func:`~pigouq.equilibria._square_cuts`), a pure total is the
+    selected cell's affine total priced with one ``Fraction``, and a k's
+    game is built only when its point is read. A float population builds
+    its games at every k, as :func:`bimatrix` would, finds its runs by
+    comparing their column signatures, and makes every k a piece of its
+    own.
     """
     if spec.k is None:
         raise DomainError("the two-person game has no pinned count to vary")
     count, labels = spec.n - 2, spec.strategy_labels()
     family = _k_family(spec)
     if isinstance(family, list):
-        starts, game_at = _signature_runs(family), family.__getitem__
+        starts, game_at, square_cuts = _signature_runs(family), family.__getitem__, range
 
         def grid_at(k):
             return family[k].scaled_costs
@@ -299,10 +305,13 @@ def solve_over_k(spec: GameSpec):
         def game_at(k):
             return CostBimatrix._exact(labels, _grid_at(a0, a1, k), scale)
 
+        def square_cuts(lo, hi):
+            return _square_cuts(a0, a1, lo, hi)
+
         def pair_cost(k, i, j):
             return a0[i][j] + a0[j][i] + k * (a1[i][j] + a1[j][i]), scale
 
-    runs = _RunPass(starts, count, game_at, grid_at)
+    runs = _RunPass(starts, count, game_at, grid_at, square_cuts)
     specs = [spec._at(k=k) for k in range(count)]
     totals = []
     for spec_k, (selected, _) in zip(specs, runs.selections):
@@ -333,11 +342,12 @@ class _OverK(Sequence):
         return self._specs[k], eq.matrix, eq, self.totals[k]
 
 
-def _metrics_report(k, selected, cost_ne, cost_opt) -> MetricsReport:
-    if selected is None:
+def _metrics_report(k, label, cost_ne, cost_opt) -> MetricsReport:
+    """The report of a game whose selection has the label ``label``, None when nothing is selected."""
+    if label is None:
         return MetricsReport(None, cost_opt, None, None, k, None)
     ratio = cost_ne / cost_opt
-    return MetricsReport(cost_ne, cost_opt, ratio, ratio, k, format_equilibrium_label(selected))
+    return MetricsReport(cost_ne, cost_opt, ratio, ratio, k, label)
 
 
 def _per_game(spec: GameSpec, eq: EquilibriumResult) -> MetricsReport:
@@ -351,23 +361,32 @@ def _per_game(spec: GameSpec, eq: EquilibriumResult) -> MetricsReport:
     """
     cost_ne = profile_total(spec, eq.matrix, eq.selected) if eq.selected is not None else None
     totals, scale = _held_totals(eq.matrix)
-    return _metrics_report(spec.k, eq.selected, cost_ne, _priced(spec, min(map(min, totals)), scale))
+    cost_opt = _priced(spec, min(map(min, totals)), scale)
+    return _metrics_report(spec.k, format_equilibrium_label(eq.selected), cost_ne, cost_opt)
 
 
-def _over_k_report(points, opt, k: int) -> MetricsReport:
-    """The metrics of the game at ``k`` of one :func:`solve_over_k` pass's ``(points, opt)``, its game left unbuilt.
+def _over_k_reports(points, opt, ks) -> list[MetricsReport]:
+    """The metrics of the games at ``ks`` of one :func:`solve_over_k` pass's ``(points, opt)``, games left unbuilt.
 
     The one place an over-k point becomes a report: every k-sweep row,
     public or verify's, is read here, and :func:`analyze` reads its
-    k-person game's through :func:`_over_k_at`.
+    k-person game's through :func:`_over_k_at`. Every k of a run that
+    dominance or the pure scan decides holds one selection object, so a
+    label is formatted once per selection object met in a row.
     """
-    return _metrics_report(k, points.selections[k][0], points.totals[k], opt)
+    reports, last, label = [], None, None
+    for k in ks:
+        selected = points.selections[k][0]
+        if selected is not last:
+            last, label = selected, format_equilibrium_label(selected)
+        reports.append(_metrics_report(k, label, points.totals[k], opt))
+    return reports
 
 
 def _over_k_at(points, opt, k: int):
     """(bimatrix, equilibria, metrics) of the game at ``k`` of one :func:`solve_over_k` pass's ``(points, opt)``."""
     _, matrix, eq, _ = points[k]
-    return matrix, eq, _over_k_report(points, opt, k)
+    return matrix, eq, _over_k_reports(points, opt, (k,))[0]
 
 
 def analyze(spec: GameSpec):

@@ -20,7 +20,7 @@ from .equilibria import solve_family
 from .errors import DomainError
 from .ewl import validate_gamma
 from .games import GameSpec, _bimatrices, _check_k_person, value_to_json
-from .metrics import MetricsReport, _over_k_report, _per_game, solve_over_k
+from .metrics import MetricsReport, _over_k_reports, _per_game, solve_over_k
 
 __all__ = [
     "CSV_HEADER",
@@ -70,7 +70,7 @@ def sweep_k(
     :func:`~pigouq.metrics.solve_over_k` pass by the private builder
     :func:`_k_series`, whose every row is the metrics that
     :func:`~pigouq.metrics.analyze` reads through the same
-    :func:`~pigouq.metrics._over_k_report`: each k is priced by the over-k
+    :func:`~pigouq.metrics._over_k_reports`: each k is priced by the over-k
     rule of :mod:`pigouq.metrics`, as ``analyze`` prices it. The rows
     read each k's selection and total off the pass, so a sweep builds no
     game beyond the pass's one per run of one column signature.
@@ -94,10 +94,10 @@ def _k_series(spec: GameSpec, ks, points, opt) -> SweepSeries:
     """The k-sweep of ``spec``'s population at ``ks``, read off one over-k pass's ``(points, opt)``.
 
     ``ks`` is strictly increasing, each in 0..n-3, and each row is the
-    metrics of :func:`~pigouq.metrics._over_k_report`, the builder
+    metrics of :func:`~pigouq.metrics._over_k_reports`, the builder
     :func:`~pigouq.metrics.analyze` reads its k-person game's through.
     """
-    reports = tuple(_over_k_report(points, opt, k) for k in ks)
+    reports = tuple(_over_k_reports(points, opt, ks))
     return SweepSeries("k", tuple(ks), reports, _meta(spec, "k"))
 
 
@@ -147,12 +147,22 @@ def _csv_number(x) -> str:
 
 
 def series_to_csv(series: SweepSeries) -> str:
+    """The CSV of ``series``; a number held by one object in several places is formatted once.
+
+    A report's ``pos`` and ``poa`` are one object, and so is ``cost_opt``
+    across the rows of a k-series, which share one over-k optimum.
+    """
     lines = [CSV_HEADER]
+    opt, opt_text = None, ""
     for value, rep in zip(series.values, series.reports):
         value_text = value if isinstance(value, int) else repr(float(value))
+        if rep.cost_opt is not opt:
+            opt, opt_text = rep.cost_opt, _csv_number(rep.cost_opt)
+        pos_text = _csv_number(rep.pos)
+        poa_text = pos_text if rep.poa is rep.pos else _csv_number(rep.poa)
         lines.append(
-            f"{series.axis},{value_text},{_csv_number(rep.cost_ne)},{_csv_number(rep.cost_opt)},"
-            f"{_csv_number(rep.pos)},{_csv_number(rep.poa)},{rep.equilibrium or ''}"
+            f"{series.axis},{value_text},{_csv_number(rep.cost_ne)},{opt_text},"
+            f"{pos_text},{poa_text},{rep.equilibrium or ''}"
         )
     return "\n".join(lines) + "\n"
 

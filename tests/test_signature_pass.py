@@ -4,15 +4,22 @@ The over-k pass splits k = 0..n-3 into runs of one column signature and
 decides each run on its first game
 (:class:`~pigouq.equilibria._RunPass`). A run that dominance or the pure
 scan decides gives every k that selection; otherwise each k reads the
-first game's pure scan and selects from its own square candidates. An
-exact population's runs start at the roots of its within-column
-differences, a float one's where its games' signatures change. Here
-each k of the pass has its ``selected``, ``selected_by`` and total held
-to ``solve`` of that k's matrix, on random integer families ``A0 + k*A1``
-with narrow entries (so that ties and sign changes at integer k are
-common), on pinned integer and float families, read in any order, and on
-float named-set and custom-set families. The games, results, signatures
-and square candidates a sweep makes are counted. Gamma families go
+first game's pure scan, the run is cut where a sign of the square pass
+may change, and each piece counts the square candidates of its first k,
+whose lone accepted pair, if there is one, every other k of the piece
+solves alone. An exact population's runs start at the roots of its
+within-column differences and its pieces at the roots of the square
+pass's affine and quadratic signs; a float one's runs start where its
+games' signatures change, and each k is a piece. The cut finder is held
+to every sign change of random polynomials and to the accepted pairs of
+random families. Each k of the pass has its ``selected``,
+``selected_by`` and total held to ``solve`` of that k's matrix, on
+random integer families ``A0 + k*A1`` with narrow entries (so that ties
+and sign changes at integer k are common) or wide slopes (so that the
+square pass's signs change inside runs), on pinned integer and float
+families, read in any order, and on float named-set and custom-set
+families. The games, results, signatures and square candidates a sweep
+makes are counted. Gamma families go
 through :func:`~pigouq.equilibria.solve_family`, which leaves the first
 game of each column signature to its own rules; every game of float
 gamma families is held to ``solve`` of it in every view.
@@ -27,9 +34,9 @@ import pigouq.equilibria as equilibria
 import pigouq.games as games
 import pigouq.metrics as metrics
 from pigouq.cli import STRATEGY_SETS
-from pigouq.equilibria import EquilibriumResult, _grid_runs, solve, solve_family
+from pigouq.equilibria import EquilibriumResult, _grid_runs, _square_candidates, _square_cuts, solve, solve_family
 from pigouq.errors import DomainError
-from pigouq.games import CostBimatrix, GameSpec, _bimatrices, _k_family, bimatrix
+from pigouq.games import CostBimatrix, GameSpec, _bimatrices, _grid_at, _k_family, bimatrix
 from pigouq.metrics import analyze, profile_total, solve_over_k
 from pigouq.strategies import StrategyAngles
 from pigouq.sweeps import sweep_k
@@ -223,6 +230,212 @@ def test_pinned_integer_families(monkeypatch, pass_calls, a0, a1, n, solved, rul
         assert_every_view_in_any_order(spec, rng)
 
 
+@pytest.fixture
+def square_pass(monkeypatch):
+    """The integer grid of each :func:`~pigouq.equilibria._square_candidates` call, and of each lone pair read.
+
+    A read is :func:`~pigouq.equilibria._pair_candidate`, which solves one
+    accepted pair's two systems alone.
+    """
+    calls = {"candidates": [], "reads": []}
+    for name, key in (("_square_candidates", "candidates"), ("_pair_candidate", "reads")):
+        real = getattr(equilibria, name)
+
+        def recording(a, *rest, real=real, key=key):
+            calls[key].append(a)
+            return real(a, *rest)
+
+        monkeypatch.setattr(equilibria, name, recording)
+    return calls
+
+
+def sign_changes(value, ks) -> set:
+    """The k of ``ks`` at which the sign of ``value(k)`` differs from its sign at k - 1."""
+    signs = [(v > 0) - (v < 0) for v in map(value, ks)]
+    return {k for k, before, after in zip(ks[1:], signs, signs[1:]) if before != after}
+
+
+def test_affine_and_quadratic_cuts_hold_every_sign_change():
+    """Random integer polynomials of degree at most 2, their roots on, between and outside the integers."""
+    rng = random.Random(36)
+    ks = range(-50, 51)
+    on = between = double = 0
+    for _ in range(4000):
+        shape = rng.choice(("affine", "roots", "double", "free", "zero"))
+        if shape == "affine":
+            c = (rng.randint(-90, 90), rng.randint(-6, 6), 0)
+        elif shape == "free":  # mostly irrational roots, or none
+            c = (rng.randint(-400, 400), rng.randint(-60, 60), rng.choice((-1, 1)) * rng.randint(1, 7))
+        elif shape == "zero":
+            c = (0, 0, 0)
+        else:  # m * (q1*k - p1) * (q2*k - p2): roots p1/q1 and p2/q2, some outside ks
+            (q1, p1), (q2, p2) = [(rng.randint(1, 4), rng.randint(-60, 60)) for _ in range(2)]
+            if shape == "double":
+                q2, p2 = q1, p1
+            m = rng.choice((-1, 1)) * rng.randint(1, 3)
+            c = (m * p1 * p2, -m * (q1 * p2 + q2 * p1), m * q1 * q2)
+        cuts = set()
+        equilibria._quadratic_cuts(*c, cuts)
+
+        def value(k):
+            return c[0] + c[1] * k + c[2] * k * k
+
+        changes = sign_changes(value, ks)
+        assert changes <= cuts, c
+        assert len(cuts) <= (6 if c[2] else 2)
+        on += any(value(k) == 0 and c[2] for k in changes)
+        between += any(value(k) and value(k - 1) and c[2] for k in changes)
+        double += bool(shape == "double" and changes)
+    assert on > 300 and between > 300 and double > 100
+
+
+def random_slope_family(rng, size, n):
+    """Grids ``a0 + k*a1`` positive at k = 0..n-3, with slopes up to 3 so the square pass's signs change within runs."""
+    top = n - 3
+    a0 = [[rng.randint(3 * top + 1, 3 * top + 12) for _ in range(size)] for _ in range(size)]
+    a1 = [[rng.randint(-3, 3) for _ in range(size)] for _ in range(size)]
+    return a0, a1
+
+
+def test_the_square_pass_accepts_the_same_pairs_between_two_cuts():
+    rng = random.Random(3636)
+    split = 0
+    for _ in range(600):
+        size, n = rng.randint(2, 3), rng.randint(4, 18)
+        a0, a1 = random_slope_family(rng, size, n)
+        starts = _grid_runs(a0, a1, n - 2)
+        for lo, hi in zip(starts, [*starts[1:], n - 2]):
+            weak = solve(CostBimatrix._exact(TAGS[size], _grid_at(a0, a1, lo), 1)).weak_pure
+            cuts = _square_cuts(a0, a1, lo, hi)
+            assert cuts[0] == lo and cuts == sorted(set(cuts)) and cuts[-1] < hi
+            split += len(cuts) > 1
+            accepted = [_square_candidates(_grid_at(a0, a1, k), weak)[2] for k in range(lo, hi)]
+            for k in range(lo + 1, hi):
+                if k not in cuts:
+                    assert accepted[k - lo] == accepted[k - lo - 1], (a0, a1, k)
+    assert split > 300
+
+
+@pytest.mark.parametrize(
+    "a0, a1, n, squares, rules",
+    [
+        # The minor of columns P2, Q is -4k(k - 2), zero at k = 2 inside the run k = 1..6: one
+        # pair is accepted at k = 1, four at k = 2, so k = 2 counts its own candidates.
+        (
+            [[46, 39, 37], [46, 38, 30], [41, 39, 37]],
+            [[-2, -2, 2], [-2, 2, 2], [-3, -1, 1]],
+            11,
+            [1, 2, 3, 4, 5, 6],
+            ["dominance", "unique_mixed"] + [None] * 5 + ["dominance"] * 2,
+        ),
+        # The minor of columns P1, P2 is -2k^2 - 13k + 19, zero at k = 1.23: k = 0 and 1 accept
+        # one pair each, and k = 2, the first integer above the root, accepts three.
+        (
+            [[12, 12, 7], [7, 13, 10], [13, 8, 14]],
+            [[-1, 0, 0], [0, 1, 2], [2, 1, 1]],
+            6,
+            [0, 1, 2, 3],
+            ["unique_mixed"] * 2 + [None] * 2,
+        ),
+        # The minor of columns P2, Q is -k(3k - 5), zero at k = 0, the run's first k, and at
+        # 5/3: only k = 1 has a lone accepted pair.
+        (
+            [[37, 27, 36], [37, 34, 29], [27, 30, 33]],
+            [[2, -3, 1], [2, 3, -2], [1, 2, -2]],
+            9,
+            [0, 1, 2, 3, 4, 5, 6],
+            [None, "unique_mixed"] + [None] * 5,
+        ),
+        # The minor of columns P2, Q is -(k - 4)(k + 1), zero at the last k, n-3 = 4: k = 1..3
+        # read their mixes off k = 0's lone pair, and k = 4 accepts four pairs.
+        (
+            [[15, 16, 9], [10, 14, 12], [15, 12, 13]],
+            [[2, 2, 1], [1, 1, 1], [2, -1, 2]],
+            7,
+            [0, 4],
+            ["unique_mixed"] * 4 + [None],
+        ),
+        # The minor of columns P1, P2 is (k - 4)^2, a double root inside the run k = 3..5: its
+        # sign is the same on both sides, yet k = 4 alone accepts four pairs.
+        (
+            [[42, 29, 24], [41, 27, 30], [48, 25, 32]],
+            [[-2, 1, 0], [-2, 2, 0], [-3, 1, -1]],
+            12,
+            [0, 1, 2, 3, 4, 5, 6],
+            ["unique_mixed"] * 4 + [None] + ["unique_mixed"] * 2 + [None] + ["dominance"] * 2,
+        ),
+        # The minor of columns P1, P2 is identically zero and adds no cut; k = 1..4 accept four
+        # pairs or more each and select nothing.
+        (
+            [[9, 12, 17], [9, 17, 14], [9, 22, 11]],
+            [[0, 1, -2], [-1, 2, -2], [-2, 3, 1]],
+            7,
+            [1, 2, 3, 4],
+            ["unique_strict_pure"] + [None] * 4,
+        ),
+        # Column P1 ties P1's and Q's entries at every k, so the weak pure cell (P1,P1) and the
+        # pair ({P1,Q},{P1,Q}) find one mix: k = 4..7, one piece, accept five pairs and find four
+        # profiles, and each k counts its own candidates.
+        (
+            [[15, 20, 19], [19, 21, 19], [15, 22, 19]],
+            [[2, -2, 1], [2, 2, -2], [2, -2, 0]],
+            10,
+            [1, 2, 3, 4, 5, 6, 7],
+            ["dominance"] + [None] * 7,
+        ),
+    ],
+    ids=[
+        "quadratic-integer-root", "quadratic-root-between-integers", "quadratic-root-at-k0",
+        "quadratic-root-at-last-k", "quadratic-double-root", "quadratic-identically-zero", "two-pairs-one-mix",
+    ],
+)
+def test_pinned_square_cut_families(monkeypatch, square_pass, a0, a1, n, squares, rules):
+    spec = integer_family(monkeypatch, "quantum", n, a0, a1, 1)
+    points, opt = solve_over_k(spec)
+    grids = [_grid_at(a0, a1, k) for k in range(n - 2)]
+    assert [grids.index(a) for a in square_pass["candidates"]] == squares
+    assert [rule for _, rule in points.selections] == rules
+    assert_matches_per_k_solve(points, opt, full_views=True)
+    rng = random.Random(sum(map(sum, a0)))
+    for _ in range(3):
+        assert_every_view_in_any_order(spec, rng)
+
+
+def test_random_square_decided_families_match_per_k_solve(monkeypatch, square_pass):
+    """Random 2x2 and 3x3 integer families that the square pass decides somewhere, every view at every k."""
+    rng = random.Random(3637)
+    families = points_seen = mixed = reads = recounts = 0
+    while families < 400:
+        size, n = rng.choice((2, 3, 3)), rng.randint(4, 16)
+        a0, a1 = random_slope_family(rng, size, n)
+        spec = integer_family(monkeypatch, "quantum", n, a0, a1, rng.randint(1, 4))
+        square_pass["candidates"].clear()
+        square_pass["reads"].clear()
+        points, opt = solve_over_k(spec)
+        if not square_pass["candidates"]:  # dominance or the pure scan decides every run
+            continue
+        calls, read = list(square_pass["candidates"]), len(square_pass["reads"])
+        assert_matches_per_k_solve(points, opt, full_views=True)
+        starts = _grid_runs(a0, a1, n - 2)
+        cuts = {k for lo, hi in zip(starts, [*starts[1:], n - 2]) for k in _square_cuts(a0, a1, lo, hi)}
+        grids = [_grid_at(a0, a1, k) for k in range(n - 2)]
+        families += 1
+        points_seen += len(points)
+        mixed += [rule for _, rule in points.selections].count("unique_mixed")
+        reads += read
+        recounts += sum(grids.index(a) not in cuts for a in calls)
+    # Most points are square-decided; some read a lone pair's mix, some recount where two or
+    # more pairs are accepted.
+    assert points_seen > 3000 and mixed > 600 and reads > 200 and recounts > 120
+
+
+def test_a_float_population_counts_square_candidates_at_every_k(made):
+    # {P1,P2,Q} at gamma = 1.5 is one float run that the square pass decides at each k = 0..9.
+    series = sweep_k("quantum", ("P1", "P2", "Q"), 12, gamma=1.5)
+    assert len(made["games"]) == len(made["candidates"]) == 10
+    assert [rep.equilibrium.startswith("mixed:") for rep in series.reports] == [True] * 9
+
+
 def test_a_float_family_whose_signature_comes_back(monkeypatch, pass_calls):
     """A float population decides each run of one signature on its own first game, a signature met before included.
 
@@ -293,7 +506,7 @@ REFERENCE_SETS = [
 ]
 
 
-@pytest.mark.parametrize("n", [10, 101])
+@pytest.mark.parametrize("n", [10, 101, 1000])
 @pytest.mark.parametrize("mode, names, gamma", REFERENCE_SETS, ids=["classical", "p1p2q", "p1p2m"])
 def test_a_k_sweep_builds_one_game_per_run(made, mode, names, gamma, n):
     spec = GameSpec(mode, n, 0, gamma, names)
@@ -302,7 +515,7 @@ def test_a_k_sweep_builds_one_game_per_run(made, mode, names, gamma, n):
     assert runs == [0]  # each reference population is one run
     sweep_k(mode, names, n, gamma=gamma)
     assert (len(made["games"]), len(made["results"]), made["signatures"]) == (len(runs), len(runs), [])
-    assert len(made["candidates"]) == (n - 2 if "Q" in names else 0)
+    assert len(made["candidates"]) == (1 if "Q" in names else 0)
     for k in (0, 1, n - 3):
         for key in made:
             made[key].clear()
